@@ -11,6 +11,7 @@ let m_solves = Metrics.counter "fptas.solves"
 let m_phases = Metrics.counter "fptas.phases"
 let m_dual_checks = Metrics.counter "fptas.dual_checks"
 let m_tree_rebuilds = Metrics.counter "fptas.tree_rebuilds"
+let m_paths_reused = Metrics.counter "fptas.paths_reused"
 let m_eps_halvings = Metrics.counter "fptas.eps_halvings"
 let m_unconverged = Metrics.counter "fptas.unconverged"
 let m_last_gap = Metrics.gauge "fptas.last_gap"
@@ -144,6 +145,7 @@ let demand_scale g commodities =
 type obs = {
   mutable o_dual_checks : int;
   mutable o_tree_rebuilds : int;
+  mutable o_paths_reused : int;
   mutable o_eps_halvings : int;
   mutable o_mode : int;
   mutable o_inherited : int;
@@ -212,6 +214,24 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
   let group_targets =
     Array.map (fun (_, dests) -> List.map fst dests) groups
   in
+  (* Commodity [j] of group [gi] (in [dests] order) has flat index
+     [group_off.(gi) + j]. *)
+  let group_off = Array.make (ngroups + 1) 0 in
+  Array.iteri
+    (fun gi (_, dests) ->
+      group_off.(gi + 1) <- group_off.(gi) + List.length dests)
+    groups;
+  let ncomm = group_off.(ngroups) in
+  (* Paths stored by the last dual sweep, one per commodity, CSR-style:
+     commodity [ci]'s arcs are [sp_arcs.(sp_off.(ci)) ..
+     sp_arcs.(sp_off.(ci + 1) - 1)] in [path_buf] order, and [sp_dist.(ci)]
+     is its length when the sweep ran. Valid ([sp_valid]) from a sweep
+     until the next routing pass, and only while lengths have not shrunk
+     since the sweep. *)
+  let sp_off = Array.make (ncomm + 1) 0 in
+  let sp_arcs = ref (Array.make (4 * ncomm) 0) in
+  let sp_dist = Array.make ncomm 0.0 in
+  let sp_valid = ref false in
   let delta =
     (float_of_int !m_pos /. (1.0 -. !eps)) ** (-1.0 /. !eps)
   in
@@ -240,6 +260,7 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
      make the fallback *slower* than the cold solve it is meant to beat.
      Reset the step and recompute the matching floor. *)
   let cold_restart_lengths () =
+    sp_valid := false;
     eps := params.eps;
     let d = (float_of_int !m_pos /. (1.0 -. !eps)) ** (-1.0 /. !eps) in
     Graph.iter_arcs g (fun a ->
@@ -313,35 +334,56 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
         done
     | None -> ()
   in
-  (* [preloaded] skips the initial tree build when the caller has already
-     placed a tree valid for the current lengths in [tree] (delta repair
-     does, via {!Dijkstra.repair_tree}); staleness rebuilds proceed as
-     usual from there. *)
-  let route_source ?(preloaded = false) gi s dests targets =
+  (* Copy commodity [ci]'s stored path into [path_buf]; return its arc
+     count. *)
+  let load_stored ci =
+    let off = sp_off.(ci) in
+    let k = sp_off.(ci + 1) - off in
+    Array.blit !sp_arcs off path_buf 0 k;
+    k
+  in
+  (* Route one group's commodities, each on a path whose current length is
+     within [(1 + eps)] of a lower bound on its current distance
+     (Fleischer's rule). The reference is the distance at the time the
+     path was computed: lengths only grow, so it stays a lower bound.
+
+     With [stored] the group starts on the paths of the last dual sweep
+     ([commodities] must then be the group's full [dests], so positions
+     match the stored indices), otherwise on a fresh tree. The first stale
+     path switches the rest of the group to a freshly built tree. *)
+  let route_source ?(stored = false) gi s commodities targets =
     (match gflow with
     | Some gf -> cur_gflow := Some gf.(gi)
     | None -> ());
-    if not preloaded then build_tree ~src:s ~targets;
-    let rec route_commodity dst rem =
+    let on_tree = ref (not stored) in
+    if not stored then build_tree ~src:s ~targets;
+    let rec route_commodity ci dst rem =
       if rem > 0.0 then begin
-        if Float.equal tree.Dijkstra.dist.(dst) infinity then
+        let ref_dist =
+          if !on_tree then tree.Dijkstra.dist.(dst) else sp_dist.(ci)
+        in
+        if Float.equal ref_dist infinity then
           invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
-        let k = load_path dst in
+        let k = if !on_tree then load_path dst else load_stored ci in
         let current_len, bottleneck = path_length_and_bottleneck k in
-        if current_len > (1.0 +. !eps) *. tree.Dijkstra.dist.(dst) then begin
-          (* Tree is stale for this destination: rebuild and retry. *)
+        if current_len > (1.0 +. !eps) *. ref_dist then begin
+          (* Path is stale: rebuild the tree and retry on it. *)
           obs.o_tree_rebuilds <- obs.o_tree_rebuilds + 1;
           build_tree ~src:s ~targets;
-          route_commodity dst rem
+          on_tree := true;
+          route_commodity ci dst rem
         end
         else begin
           let amount = Float.min rem bottleneck in
           route_path k amount;
-          route_commodity dst (rem -. amount)
+          route_commodity ci dst (rem -. amount)
         end
       end
     in
-    List.iter (fun (dst, d) -> route_commodity dst d) dests
+    List.iteri
+      (fun j (dst, d) -> route_commodity (group_off.(gi) + j) dst d)
+      commodities;
+    if not !on_tree then obs.o_paths_reused <- obs.o_paths_reused + 1
   in
   (* The algorithm depends only on relative lengths, and both the routing
      and the dual bound are invariant under uniform scaling — so rescale
@@ -353,6 +395,7 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
     done;
     let max_len = !max_len in
     if max_len > 1e100 then begin
+      sp_valid := false;
       let inv = 1.0 /. max_len in
       for a = 0 to m_all - 1 do
         lengths.(a) <- lengths.(a) *. inv
@@ -369,17 +412,34 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
     done;
     !d_l
   in
-  (* Dual bound for the current lengths: D(l) / Σ_j d_j · dist_l(j). *)
+  (* Dual bound for the current lengths: D(l) / Σ_j d_j · dist_l(j). The
+     sweep's trees are the shortest paths the next phase starts from, so
+     their paths to the destinations are stored for it. *)
   let dual_bound () =
     let d_l = length_volume () in
     let alpha = ref 0.0 in
+    let fill = ref 0 in
     Array.iteri
       (fun gi (s, dests) ->
         build_tree ~src:s ~targets:group_targets.(gi);
-        List.iter
-          (fun (dst, d) -> alpha := !alpha +. (d *. tree.Dijkstra.dist.(dst)))
+        List.iteri
+          (fun j (dst, d) ->
+            let ci = group_off.(gi) + j in
+            let dist = tree.Dijkstra.dist.(dst) in
+            alpha := !alpha +. (d *. dist);
+            sp_dist.(ci) <- dist;
+            let k = load_path dst in
+            if !fill + k > Array.length !sp_arcs then begin
+              let grown = Array.make (2 * (!fill + k)) 0 in
+              Array.blit !sp_arcs 0 grown 0 !fill;
+              sp_arcs := grown
+            end;
+            Array.blit path_buf 0 !sp_arcs !fill k;
+            fill := !fill + k;
+            sp_off.(ci + 1) <- !fill)
           dests)
       groups;
+    sp_valid := true;
     let bound = d_l /. !alpha in
     if Float.is_nan bound || bound <= 0.0 then infinity else bound
   in
@@ -761,9 +821,11 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
     (* One span per phase: the trace's phase-span count equals the number
        of phases this call routed (cross-checked by the test suite). *)
     let sp_phase = Trace.begin_span ~cat:"fptas" "phase" in
+    let stored = !sp_valid in
     Array.iteri
-      (fun gi (s, dests) -> route_source gi s dests group_targets.(gi))
+      (fun gi (s, dests) -> route_source ~stored gi s dests group_targets.(gi))
       groups;
+    sp_valid := false;
     rescale_lengths ();
     let phases = phases + 1 in
     let mu = congestion () in
@@ -871,6 +933,7 @@ let run ~params ~dual_check_every ~warm ~failed ~track_groups g commodities =
     {
       o_dual_checks = 0;
       o_tree_rebuilds = 0;
+      o_paths_reused = 0;
       o_eps_halvings = 0;
       o_mode = 0;
       o_inherited = 0;
@@ -889,6 +952,7 @@ let run ~params ~dual_check_every ~warm ~failed ~track_groups g commodities =
         Metrics.add m_phases executed;
         Metrics.add m_dual_checks obs.o_dual_checks;
         Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
+        Metrics.add m_paths_reused obs.o_paths_reused;
         Metrics.add m_eps_halvings obs.o_eps_halvings;
         if obs.o_mode >= 1 then begin
           Metrics.incr m_warm_starts;

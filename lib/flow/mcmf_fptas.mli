@@ -6,6 +6,13 @@
     current lengths. Commodities sharing a source reuse one shortest-path
     tree, rebuilt lazily when a used path's current length exceeds
     [(1 + eps)] times its length at tree-build time (Fleischer's rule).
+    Routing trees come from the previous phase's dual-bound sweep, which
+    computes one tree per source at exactly the lengths the next phase
+    starts from: it stores each commodity's path and distance, and the
+    next phase routes on those paths under the same rule, building a
+    fresh tree for a source only once one of its stored paths goes stale.
+    Phases that do not follow a dual sweep (the first phase, phases after
+    one without a check) build a fresh tree per source.
 
     Rather than relying on the worst-case scaling analysis, the solver
     certifies its own answer each phase:
@@ -184,11 +191,12 @@ val solve :
     correct certificate, merely derived from slightly fewer length
     snapshots. The solver additionally checks every phase once the stale
     ratio comes within 25% of the target gap (so convergence is detected
-    promptly) and at the phase budget. With the default of 1 the iteration
-    trajectory — and therefore the result — is bit-identical to the
-    historical behavior; with k > 1 expect the same certified gap at
-    roughly half the wall time on sparse instances, with the stop point
-    shifted by at most a few phases. *)
+    promptly) and at the phase budget. With k > 1 expect the same
+    certified gap with the stop point shifted by a few phases, but little
+    or no saving: a phase without a check also loses path reuse, so the
+    next phase builds a fresh tree per source instead of routing on the
+    sweep's stored paths (on rrg:200,24,12 permutation traffic, k = 8 and
+    k = 1 take the same wall time within run-to-run noise). *)
 
 val lambda :
   ?params:params -> ?dual_check_every:int -> Graph.t -> Commodity.t array ->

@@ -27,9 +27,12 @@ let flush_stats st =
   end
 
 (* Reusable per-solver state: the heap and the target marks survive across
-   calls so the FPTAS hot loop allocates nothing per shortest-path tree. *)
+   calls so the FPTAS hot loop allocates nothing per shortest-path tree.
+   [key] is the one-slot buffer {!Dcn_util.Heap.pop_into} writes the popped
+   key to (a float returned across modules would be boxed). *)
 type scratch = {
   heap : Dcn_util.Heap.t;
+  key : float array;
   is_target : bool array;
   (* Repair-only state: membership marks and the worklist of invalidated
      nodes, sized once so a repair allocates nothing. *)
@@ -41,6 +44,7 @@ type scratch = {
 let make_scratch n =
   {
     heap = Dcn_util.Heap.create n;
+    key = [| 0.0 |];
     is_target = Array.make n false;
     affected = Array.make n false;
     worklist = Array.make n 0;
@@ -49,16 +53,19 @@ let make_scratch n =
 
 (* Core loop shared by the full and the target-limited variants.
 
-   With [is_target = Some marks], stop as soon as [remaining] marked nodes
-   have been finalized: at that point their [dist] and the [parent_arc]
-   chains above them are final (ancestors on a shortest path have strictly
+   Stop as soon as [remaining] nodes marked in [scratch.is_target] have
+   been finalized (a full sweep passes [remaining = -1] with no marks
+   set): at that point their [dist] and the [parent_arc] chains above
+   them are final (ancestors on a shortest path have strictly
    smaller distance — lengths are positive — so they were finalized
    earlier, and a finalized node's entries can never change again), which
    is exactly what the callers read. Entries of non-finalized nodes may be
    left tentative. The operation sequence up to the stopping point is
    identical to the full run, so finalized distances are bit-for-bit the
    same as the full sweep's. *)
-let core (c : Graph.csr) ~lengths ~src tree heap is_target remaining st =
+let core scratch (c : Graph.csr) ~lengths ~src tree remaining =
+  let heap = scratch.heap and key = scratch.key and marks = scratch.is_target in
+  let st = scratch.stats in
   st.pops <- 0;
   st.scanned <- 0;
   st.relaxed <- 0;
@@ -71,22 +78,20 @@ let core (c : Graph.csr) ~lengths ~src tree heap is_target remaining st =
   and adj_off = c.Graph.csr_adj_off
   and adj_arc = c.Graph.csr_adj_arc in
   Dcn_util.Heap.clear heap;
-  Dcn_util.Heap.push heap 0.0 src;
+  Dcn_util.Heap.push_at heap dist src;
   let remaining = ref remaining in
   let continue_ = ref true in
   while !continue_ && not (Dcn_util.Heap.is_empty heap) do
-    let d = Dcn_util.Heap.min_key heap in
-    let u = Dcn_util.Heap.min_payload heap in
-    Dcn_util.Heap.remove_min heap;
+    let u = Dcn_util.Heap.pop_into heap key in
+    let d = Array.unsafe_get key 0 in
     st.pops <- st.pops + 1;
     (* Lazy deletion: skip stale entries. *)
     if d <= Array.unsafe_get dist u then begin
-      (match is_target with
-      | Some marks when Array.unsafe_get marks u ->
-          Array.unsafe_set marks u false;
-          decr remaining;
-          if !remaining = 0 then continue_ := false
-      | _ -> ());
+      if Array.unsafe_get marks u then begin
+        Array.unsafe_set marks u false;
+        decr remaining;
+        if !remaining = 0 then continue_ := false
+      end;
       if !continue_ then begin
         let start = Array.unsafe_get adj_off u in
         let stop = Array.unsafe_get adj_off (u + 1) in
@@ -102,7 +107,7 @@ let core (c : Graph.csr) ~lengths ~src tree heap is_target remaining st =
               st.relaxed <- st.relaxed + 1;
               Array.unsafe_set dist v nd;
               Array.unsafe_set parent_arc v a;
-              Dcn_util.Heap.push heap nd v
+              Dcn_util.Heap.push_at heap dist v
             end
           end
         done
@@ -111,10 +116,9 @@ let core (c : Graph.csr) ~lengths ~src tree heap is_target remaining st =
   done
 
 let shortest_tree_into g ~lengths ~src tree =
-  let heap = Dcn_util.Heap.create (Graph.n g) in
-  let st = { pops = 0; scanned = 0; relaxed = 0 } in
-  core (Graph.csr g) ~lengths ~src tree heap None (-1) st;
-  flush_stats st
+  let scratch = make_scratch (Graph.n g) in
+  core scratch (Graph.csr g) ~lengths ~src tree (-1);
+  flush_stats scratch.stats
 
 (* Target-limited variant for the FPTAS: stops once every destination in
    [targets] has been finalized (or the reachable set is exhausted —
@@ -137,7 +141,7 @@ let shortest_tree_targets scratch (c : Graph.csr) ~lengths ~src ~targets tree =
     tree.dist.(src) <- 0.0
   end
   else begin
-    core c ~lengths ~src tree scratch.heap (Some marks) !count scratch.stats;
+    core scratch c ~lengths ~src tree !count;
     flush_stats scratch.stats
   end;
   (* The core consumes marks as targets finalize; clear any leftover from
@@ -145,7 +149,7 @@ let shortest_tree_targets scratch (c : Graph.csr) ~lengths ~src ~targets tree =
   List.iter (fun v -> marks.(v) <- false) targets
 
 let shortest_tree_full scratch (c : Graph.csr) ~lengths ~src tree =
-  core c ~lengths ~src tree scratch.heap None (-1) scratch.stats;
+  core scratch c ~lengths ~src tree (-1);
   flush_stats scratch.stats
 
 (* Dynamic-SSSP repair for arc deletions / weight increases
@@ -229,16 +233,15 @@ let repair_tree scratch (c : Graph.csr) ~lengths ~arcs tree =
           end
         end
       done;
-      if dist.(v) < infinity then Dcn_util.Heap.push heap dist.(v) v
+      if dist.(v) < infinity then Dcn_util.Heap.push_at heap dist v
     done;
     (* Standard Dijkstra restricted, in effect, to the affected region:
        relaxations into the intact region never succeed (their labels are
        already optimal, see above), so the loop terminates once the
        invalidated frontier is settled. *)
     while not (Dcn_util.Heap.is_empty heap) do
-      let d = Dcn_util.Heap.min_key heap in
-      let u = Dcn_util.Heap.min_payload heap in
-      Dcn_util.Heap.remove_min heap;
+      let u = Dcn_util.Heap.pop_into heap scratch.key in
+      let d = Array.unsafe_get scratch.key 0 in
       st.pops <- st.pops + 1;
       if d <= Array.unsafe_get dist u then begin
         let start = Array.unsafe_get adj_off u in
@@ -255,7 +258,7 @@ let repair_tree scratch (c : Graph.csr) ~lengths ~arcs tree =
               st.relaxed <- st.relaxed + 1;
               Array.unsafe_set dist v nd;
               Array.unsafe_set parent_arc v a;
-              Dcn_util.Heap.push heap nd v
+              Dcn_util.Heap.push_at heap dist v
             end
           end
         done

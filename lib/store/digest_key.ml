@@ -7,10 +7,12 @@ type t = string
 let hex_length = 32 (* MD5 *)
 
 (* Bump on any change to Mcmf_fptas (or the metrics derived from its
-   output) that can alter the bits of a cached result. "fptas-2" is the
-   PR 1 solver: scratch-reusing Dijkstra, target-limited early exit,
-   optional lazy dual checks. *)
-let solver_version = "fptas-2"
+   output) that can alter the bits of a cached result; entries written
+   under an older version simply miss. "fptas-3" routes each phase on the
+   shortest paths stored by the previous phase's dual sweep (Fleischer's
+   reuse across phases) on top of "fptas-2" (scratch-reusing Dijkstra,
+   target-limited early exit, optional lazy dual checks). *)
+let solver_version = "fptas-3"
 
 let of_text text = Digest.to_hex (Digest.string text)
 

@@ -25,10 +25,18 @@ let grow h =
    others over it, writing it once at its final slot. Same comparisons and
    final layout as the classic swap-based version, about half the array
    traffic. Bounds checks are elided — indices are maintained in range by
-   construction. *)
+   construction.
 
-let sift_up h i key payload =
+   The moving key is read from [keys] inside the loops rather than passed
+   in: without cross-module inlining (dune's dev profile builds with
+   -opaque) a float argument or result is boxed, so [push_at] and
+   [pop_into] hand keys over through float arrays and Dijkstra's loop
+   allocates nothing. *)
+
+(* Sift the entry staged at slot [i] (the new last slot) up. *)
+let sift_up h i payload =
   let keys = h.keys and payloads = h.payloads in
+  let key = Array.unsafe_get keys i in
   let i = ref i in
   let continue_ = ref true in
   while !continue_ && !i > 0 do
@@ -43,10 +51,14 @@ let sift_up h i key payload =
   Array.unsafe_set keys !i key;
   Array.unsafe_set payloads !i payload
 
-let sift_down h i key payload =
+(* Sift the entry at slot [h.size] (just vacated, outside the heap) down
+   from the root. *)
+let sift_down h =
   let keys = h.keys and payloads = h.payloads in
   let size = h.size in
-  let i = ref i in
+  let key = Array.unsafe_get keys size in
+  let payload = Array.unsafe_get payloads size in
+  let i = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     let left = (2 * !i) + 1 in
@@ -74,17 +86,30 @@ let sift_down h i key payload =
 
 let push h key payload =
   if h.size = Array.length h.keys then grow h;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1) key payload
+  let i = h.size in
+  Array.unsafe_set h.keys i key;
+  h.size <- i + 1;
+  sift_up h i payload
+
+let push_at h (dist : float array) payload =
+  if h.size = Array.length h.keys then grow h;
+  let i = h.size in
+  Array.unsafe_set h.keys i (Array.get dist payload);
+  h.size <- i + 1;
+  sift_up h i payload
 
 let min_key h = Array.unsafe_get h.keys 0
 let min_payload h = Array.unsafe_get h.payloads 0
 
 let remove_min h =
-  let size = h.size - 1 in
-  h.size <- size;
-  if size > 0 then
-    sift_down h 0 (Array.unsafe_get h.keys size) (Array.unsafe_get h.payloads size)
+  h.size <- h.size - 1;
+  if h.size > 0 then sift_down h
+
+let pop_into h (key_out : float array) =
+  key_out.(0) <- Array.unsafe_get h.keys 0;
+  let payload = min_payload h in
+  remove_min h;
+  payload
 
 let pop_min h =
   if h.size = 0 then None

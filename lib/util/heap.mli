@@ -23,9 +23,19 @@ val pop_min : t -> (float * int) option
 
 (** {2 Allocation-free access}
 
-    [pop_min] boxes a float and a tuple per call; hot loops (Dijkstra under
-    the FPTAS) use the three calls below instead. All three are undefined
-    on an empty heap — guard with {!is_empty}. *)
+    Across modules a float argument or result is boxed (dune's dev profile
+    builds with [-opaque], so nothing is inlined): [push] boxes its key,
+    [pop_min] a float and a tuple. Hot loops (Dijkstra under the FPTAS)
+    pass keys through float arrays instead. The pop-side calls are
+    undefined on an empty heap — guard with {!is_empty}. *)
+
+val push_at : t -> float array -> int -> unit
+(** [push_at h dist v] is [push h dist.(v) v] without boxing the key. *)
+
+val pop_into : t -> float array -> int
+(** [pop_into h out] removes the minimum entry, writes its key to
+    [out.(0)] and returns its payload: the same entry, ties included,
+    that {!pop_min} would return. *)
 
 val min_key : t -> float
 (** Smallest key currently stored. *)

@@ -245,6 +245,73 @@ let test_fptas_dual_check_every_validated () =
     (Invalid_argument "Mcmf_fptas: dual_check_every must be >= 1") (fun () ->
       ignore (Mcmf_fptas.solve ~dual_check_every:0 g cs))
 
+(* Metrics are process-global: enable them for [f] only and zero what it
+   recorded, so other suites see the registry as they left it. *)
+let with_metrics f =
+  Dcn_obs.Metrics.set_enabled true;
+  Fun.protect f ~finally:(fun () ->
+      Dcn_obs.Metrics.set_enabled false;
+      Dcn_obs.Metrics.reset ())
+
+let counter name = Dcn_obs.Metrics.counter_value (Dcn_obs.Metrics.snapshot ()) name
+
+let test_fptas_routes_on_stored_paths () =
+  (* Every phase after a dual check starts on the sweep's stored paths, so
+     many sources route without a tree of their own. Without the reuse each
+     phase costs one sweep tree plus one routing tree per source group,
+     i.e. at least 2 * groups * phases Dijkstra runs. 12 servers per
+     switch, as in the benchmark's rrg:200,24,12, keeps each scaled demand
+     below a link's capacity; with demands above it a commodity splits
+     over several paths per phase and every split goes stale at once. *)
+  let st = Random.State.make [| 7 |] in
+  let topo = Dcn_topology.Rrg.topology st ~n:40 ~k:22 ~r:10 in
+  let g = topo.Dcn_topology.Topology.graph in
+  let cs =
+    Dcn_traffic.Traffic.to_commodities
+      (Dcn_traffic.Traffic.permutation st
+         ~servers:topo.Dcn_topology.Topology.servers)
+  in
+  let groups = Array.length (Commodity.group_by_source ~n:(Graph.n g) cs) in
+  let params = { tight_params with Mcmf_fptas.gap = 0.05 } in
+  with_metrics (fun () ->
+      let r = Mcmf_fptas.solve ~params g cs in
+      let phases = r.Mcmf_fptas.phases in
+      Alcotest.(check bool) "converged" true r.Mcmf_fptas.converged;
+      Alcotest.(check bool) "gap certified" true
+        (r.Mcmf_fptas.lambda_upper
+        <= (1.0 +. params.Mcmf_fptas.gap) *. r.Mcmf_fptas.lambda_lower +. 1e-9);
+      Alcotest.(check bool) "stored paths used" true
+        (counter "fptas.paths_reused" > 0);
+      let runs = counter "dijkstra.runs" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d runs < 2 * %d groups * %d phases" runs groups phases)
+        true
+        (runs < 2 * groups * phases))
+
+let test_fptas_stale_stored_path_rebuilds () =
+  (* One source feeding three destinations over a sparse graph: routing
+     the group's first commodities lengthens arcs its later stored paths
+     share, so some stored path goes stale and the group switches to a
+     fresh tree. The certificate must still bracket the LP optimum. *)
+  let st = Random.State.make [| 11 |] in
+  let g = Dcn_topology.Rrg.jellyfish st ~n:12 ~r:3 in
+  let cs =
+    [|
+      Commodity.make ~src:0 ~dst:6 ~demand:1.0;
+      Commodity.make ~src:0 ~dst:9 ~demand:2.0;
+      Commodity.make ~src:0 ~dst:4 ~demand:1.0;
+      Commodity.make ~src:11 ~dst:2 ~demand:1.5;
+    |]
+  in
+  let exact = (Mcmf_exact.solve g cs).Mcmf_exact.lambda in
+  with_metrics (fun () ->
+      let r = Mcmf_fptas.solve ~params:tight_params g cs in
+      Alcotest.(check bool) "stale branch taken" true
+        (counter "fptas.tree_rebuilds" > 0);
+      Alcotest.(check bool) "brackets exact" true
+        (r.Mcmf_fptas.lambda_lower <= exact +. 1e-6
+        && exact <= r.Mcmf_fptas.lambda_upper +. 1e-6))
+
 (* Property: FPTAS interval always brackets the exact LP optimum on random
    small instances. *)
 let prop_fptas_brackets =
@@ -350,6 +417,10 @@ let suite =
         test_fptas_lazy_dual_known_instance;
       Alcotest.test_case "fptas dual_check_every validated" `Quick
         test_fptas_dual_check_every_validated;
+      Alcotest.test_case "fptas routes on stored paths" `Quick
+        test_fptas_routes_on_stored_paths;
+      Alcotest.test_case "fptas stale stored path rebuilds" `Quick
+        test_fptas_stale_stored_path_rebuilds;
       QCheck_alcotest.to_alcotest prop_fptas_brackets;
       Alcotest.test_case "decomposition identity" `Quick
         test_throughput_decomposition_identity;

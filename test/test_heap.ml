@@ -88,6 +88,41 @@ let prop_heapsort =
       let popped = drain [] in
       popped = List.sort compare keys)
 
+let prop_array_api_matches =
+  (* [push_at]/[pop_into] against [push]/[pop_min] on the same interleaved
+     operations. Keys come from a small range so ties are common: both
+     pairs must pop the same payloads in the same order. [None] is a pop,
+     [Some k] pushes key [k] with the operation's index as payload. *)
+  QCheck.Test.make ~name:"push_at/pop_into match push/pop_min" ~count:300
+    QCheck.(list (option (int_bound 6)))
+    (fun ops ->
+      let ops = Array.of_list ops in
+      let dist = Array.map (function Some k -> float_of_int k | None -> 0.0) ops in
+      let a = Heap.create 2 and b = Heap.create 2 in
+      let key = [| 0.0 |] in
+      let ok = ref true in
+      Array.iteri
+        (fun i op ->
+          match op with
+          | Some _ ->
+              Heap.push a dist.(i) i;
+              Heap.push_at b dist i
+          | None -> (
+              match Heap.pop_min a with
+              | None -> ok := !ok && Heap.is_empty b
+              | Some (k, v) ->
+                  let v' = Heap.pop_into b key in
+                  ok := !ok && v = v' && Float.equal k key.(0)))
+        ops;
+      while not (Heap.is_empty a) do
+        match Heap.pop_min a with
+        | None -> ()
+        | Some (k, v) ->
+            let v' = Heap.pop_into b key in
+            ok := !ok && v = v' && Float.equal k key.(0)
+      done;
+      !ok && Heap.is_empty b)
+
 let suite =
   ( "heap",
     [
@@ -99,4 +134,5 @@ let suite =
       Alcotest.test_case "growth" `Quick test_growth;
       Alcotest.test_case "unboxed access" `Quick test_unboxed_api;
       QCheck_alcotest.to_alcotest prop_heapsort;
+      QCheck_alcotest.to_alcotest prop_array_api_matches;
     ] )

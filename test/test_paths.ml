@@ -69,6 +69,32 @@ let test_negative_length_rejected () =
     (Invalid_argument "Dijkstra: negative arc length") (fun () ->
       ignore (Dijkstra.shortest_tree g ~lengths ~src:0))
 
+let test_dijkstra_sweep_allocates_nothing () =
+  (* The heap hands keys over through float arrays, so a sweep on a reused
+     scratch allocates a constant handful of words, not one boxed float per
+     relaxation and pop (thousands on this graph). *)
+  let st = Random.State.make [| 7 |] in
+  let g = Dcn_topology.Rrg.jellyfish st ~n:200 ~r:12 in
+  let lengths =
+    Array.init (Graph.num_arcs g) (fun _ -> 1.0 +. Random.State.float st 1.0)
+  in
+  let csr = Graph.csr g in
+  let scratch = Dijkstra.make_scratch (Graph.n g) in
+  let tree =
+    { Dijkstra.dist = Array.make (Graph.n g) infinity;
+      parent_arc = Array.make (Graph.n g) (-1) }
+  in
+  Dijkstra.shortest_tree_full scratch csr ~lengths ~src:0 tree;
+  let calls = 50 in
+  let before = Gc.minor_words () in
+  for src = 1 to calls do
+    Dijkstra.shortest_tree_full scratch csr ~lengths ~src tree
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per sweep <= 16" per_call)
+    true (per_call <= 16.0)
+
 let test_aspl_line () =
   (* Line 0-1-2-3: pair distances 1,2,3,1,2,1 (x2 directions) / 12. *)
   let aspl, diam = Graph_metrics.aspl_and_diameter (path4 ()) in
@@ -132,6 +158,8 @@ let suite =
         test_dijkstra_skips_zero_capacity;
       Alcotest.test_case "negative lengths rejected" `Quick
         test_negative_length_rejected;
+      Alcotest.test_case "dijkstra sweep allocation-free" `Quick
+        test_dijkstra_sweep_allocates_nothing;
       Alcotest.test_case "aspl of a line" `Quick test_aspl_line;
       Alcotest.test_case "aspl of K5" `Quick test_aspl_complete;
       Alcotest.test_case "aspl requires connectivity" `Quick
