@@ -6,7 +6,7 @@
     current lengths. Commodities sharing a source reuse one shortest-path
     tree, rebuilt lazily when a used path's current length exceeds
     [(1 + eps)] times its length at tree-build time (Fleischer's rule).
-    Routing trees come from the previous phase's dual-bound sweep, which
+    Routing paths come from the previous phase's dual-bound sweep, which
     computes one tree per source at exactly the lengths the next phase
     starts from: it stores each commodity's path and distance, and the
     next phase routes on those paths under the same rule, building a
