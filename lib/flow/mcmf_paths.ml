@@ -1,4 +1,6 @@
 open Dcn_graph
+module Metrics = Dcn_obs.Metrics
+module Trace = Dcn_obs.Trace
 
 type commodity = {
   src : int;
@@ -37,103 +39,159 @@ let validate g commodities =
         c.paths)
     commodities
 
+(* The flat path store: path sets as CSR arrays, built once per solve.
+   Commodity [j] owns path ids [com_off.(j) .. com_off.(j+1) - 1], in the
+   order of its [paths] list; path [p] is the arc sequence
+   [arcs.(path_off.(p) .. path_off.(p+1) - 1)]. *)
+type store = { com_off : int array; path_off : int array; arcs : int array }
+
+let flatten commodities =
+  let k = Array.length commodities in
+  let num_paths = ref 0 and num_arcs = ref 0 in
+  Array.iter
+    (fun c ->
+      List.iter
+        (fun p ->
+          incr num_paths;
+          num_arcs := !num_arcs + List.length p)
+        c.paths)
+    commodities;
+  let com_off = Array.make (k + 1) 0 in
+  let path_off = Array.make (!num_paths + 1) 0 in
+  let arcs = Array.make !num_arcs 0 in
+  let next_path = ref 0 and next_arc = ref 0 in
+  Array.iteri
+    (fun j c ->
+      com_off.(j) <- !next_path;
+      List.iter
+        (fun p ->
+          path_off.(!next_path) <- !next_arc;
+          incr next_path;
+          List.iter
+            (fun a ->
+              arcs.(!next_arc) <- a;
+              incr next_arc)
+            p)
+        c.paths)
+    commodities;
+  com_off.(k) <- !next_path;
+  path_off.(!next_path) <- !next_arc;
+  { com_off; path_off; arcs }
+
 (* Demand conditioning, as in Mcmf_fptas: scale so λ* is Θ(1) using a
    capacity/shortest-length estimate over the given path sets. *)
-let demand_scale g commodities =
+let demand_scale g commodities { com_off; path_off; _ } =
   let capacity = Graph.total_capacity g in
-  let weighted_hops =
-    Array.fold_left
-      (fun acc c ->
-        let shortest =
-          List.fold_left (fun m p -> min m (List.length p)) max_int c.paths
-        in
-        acc +. (c.demand *. float_of_int shortest))
-      0.0 commodities
-  in
-  Float.max 1e-30 (capacity /. Float.max 1.0 weighted_hops)
+  let weighted_hops = ref 0.0 in
+  Array.iteri
+    (fun j c ->
+      let shortest = ref max_int in
+      for p = com_off.(j) to com_off.(j + 1) - 1 do
+        shortest := Int.min !shortest (path_off.(p + 1) - path_off.(p))
+      done;
+      weighted_hops := !weighted_hops +. (c.demand *. float_of_int !shortest))
+    commodities;
+  Float.max 1e-30 (capacity /. Float.max 1.0 !weighted_hops)
 
-let solve ?(params = Mcmf_fptas.default_params) g commodities =
-  validate g commodities;
+(* Solver-internal observability, flushed once per solve as in
+   Mcmf_fptas; the per-path loops never touch the registry. *)
+let m_solves = Metrics.counter "paths.solves"
+let m_phases = Metrics.counter "paths.phases"
+let m_eps_halvings = Metrics.counter "paths.eps_halvings"
+let m_unconverged = Metrics.counter "paths.unconverged"
+let m_solve_s = Metrics.histogram "paths.solve_s"
+
+(* All loops below run over the flat store and the CSR capacity array.
+   Float sums keep the order of a left fold over each path (and over arc
+   ids), and ties between equally long paths go to the earliest listed,
+   so results are bit for bit those of folding over the path lists. *)
+let solve_flat ~params ~halvings g commodities store =
+  let { com_off; path_off; arcs } = store in
+  let cap = (Graph.csr g).Graph.csr_arc_cap in
   (* Adaptive length step, as in Mcmf_fptas: both certificates remain
      valid when eps shrinks mid-run. *)
   let eps = ref params.Mcmf_fptas.eps in
   let m_all = Graph.num_arcs g in
-  let scale = demand_scale g commodities in
+  let scale = demand_scale g commodities store in
   let k = Array.length commodities in
   let demand = Array.map (fun c -> c.demand *. scale) commodities in
-  (* Paths as arrays for cheap iteration. *)
-  let paths =
-    Array.map (fun c -> Array.of_list (List.map Array.of_list c.paths)) commodities
-  in
   let m_pos = ref 0 in
-  Graph.iter_arcs g (fun a -> if Graph.arc_cap g a > 0.0 then incr m_pos);
+  for a = 0 to m_all - 1 do
+    if cap.(a) > 0.0 then incr m_pos
+  done;
   let delta = (float_of_int !m_pos /. (1.0 -. !eps)) ** (-1.0 /. !eps) in
   let lengths = Array.make m_all infinity in
-  Graph.iter_arcs g (fun a ->
-      if Graph.arc_cap g a > 0.0 then lengths.(a) <- delta /. Graph.arc_cap g a);
+  for a = 0 to m_all - 1 do
+    if cap.(a) > 0.0 then lengths.(a) <- delta /. cap.(a)
+  done;
   let flow = Array.make m_all 0.0 in
-  let path_length p =
-    Array.fold_left (fun acc a -> acc +. lengths.(a)) 0.0 p
-  in
+  (* [min_path j] returns the id of commodity [j]'s shortest path under
+     [lengths] and leaves its length in [min_len.(0)]. *)
+  let min_len = [| 0.0 |] in
   let min_path j =
-    let best = ref 0 and best_len = ref infinity in
-    Array.iteri
-      (fun i p ->
-        let len = path_length p in
-        if len < !best_len then begin
-          best := i;
-          best_len := len
-        end)
-      paths.(j);
-    (paths.(j).(!best), !best_len)
+    let best = ref com_off.(j) and best_len = ref infinity in
+    for p = com_off.(j) to com_off.(j + 1) - 1 do
+      let len = ref 0.0 in
+      for x = path_off.(p) to path_off.(p + 1) - 1 do
+        len := !len +. lengths.(arcs.(x))
+      done;
+      if !len < !best_len then begin
+        best := p;
+        best_len := !len
+      end
+    done;
+    min_len.(0) <- !best_len;
+    !best
   in
   let route_commodity j =
-    let rec go rem =
-      if rem > 0.0 then begin
-        let p, _ = min_path j in
-        let bottleneck =
-          Array.fold_left (fun acc a -> Float.min acc (Graph.arc_cap g a)) infinity p
-        in
-        let amount = Float.min rem bottleneck in
-        Array.iter
-          (fun a ->
-            flow.(a) <- flow.(a) +. amount;
-            let cap = Graph.arc_cap g a in
-            lengths.(a) <- lengths.(a) *. (1.0 +. (!eps *. amount /. cap)))
-          p;
-        go (rem -. amount)
-      end
-    in
-    go demand.(j)
+    let rem = ref demand.(j) in
+    while !rem > 0.0 do
+      let p = min_path j in
+      let first = path_off.(p) and last = path_off.(p + 1) - 1 in
+      let bottleneck = ref infinity in
+      for x = first to last do
+        bottleneck := Float.min !bottleneck cap.(arcs.(x))
+      done;
+      let amount = Float.min !rem !bottleneck in
+      let e = !eps in
+      for x = first to last do
+        let a = arcs.(x) in
+        flow.(a) <- flow.(a) +. amount;
+        lengths.(a) <- lengths.(a) *. (1.0 +. (e *. amount /. cap.(a)))
+      done;
+      rem := !rem -. amount
+    done
   in
   let rescale_lengths () =
     let max_len = ref 0.0 in
-    Graph.iter_arcs g (fun a ->
-        if Graph.arc_cap g a > 0.0 then max_len := Float.max !max_len lengths.(a));
+    for a = 0 to m_all - 1 do
+      if cap.(a) > 0.0 then max_len := Float.max !max_len lengths.(a)
+    done;
     if !max_len > 1e100 then begin
       let inv = 1.0 /. !max_len in
-      Graph.iter_arcs g (fun a ->
-          if Graph.arc_cap g a > 0.0 then lengths.(a) <- lengths.(a) *. inv)
+      for a = 0 to m_all - 1 do
+        if cap.(a) > 0.0 then lengths.(a) <- lengths.(a) *. inv
+      done
     end
   in
   let dual_bound () =
     let d_l = ref 0.0 in
-    Graph.iter_arcs g (fun a ->
-        if Graph.arc_cap g a > 0.0 then
-          d_l := !d_l +. (Graph.arc_cap g a *. lengths.(a)));
+    for a = 0 to m_all - 1 do
+      if cap.(a) > 0.0 then d_l := !d_l +. (cap.(a) *. lengths.(a))
+    done;
     let alpha = ref 0.0 in
     for j = 0 to k - 1 do
-      let _, len = min_path j in
-      alpha := !alpha +. (demand.(j) *. len)
+      ignore (min_path j : int);
+      alpha := !alpha +. (demand.(j) *. min_len.(0))
     done;
     let bound = !d_l /. !alpha in
     if Float.is_nan bound || bound <= 0.0 then infinity else bound
   in
   let congestion () =
     let mu = ref 0.0 in
-    Graph.iter_arcs g (fun a ->
-        if Graph.arc_cap g a > 0.0 then
-          mu := Float.max !mu (flow.(a) /. Graph.arc_cap g a));
+    for a = 0 to m_all - 1 do
+      if cap.(a) > 0.0 then mu := Float.max !mu (flow.(a) /. cap.(a))
+    done;
     !mu
   in
   let finish phases lambda_lo lambda_hi mu ~converged =
@@ -174,12 +232,40 @@ let solve ?(params = Mcmf_fptas.default_params) g commodities =
       let last_ratio = Float.min last_ratio ratio in
       if stalled >= stall_window && !eps > min_eps then begin
         eps := Float.max min_eps (!eps /. 2.0);
+        incr halvings;
         phase_loop phases best_dual last_ratio 0
       end
       else phase_loop phases best_dual last_ratio stalled
     end
   in
   phase_loop 0 infinity infinity 0
+
+let solve ?(params = Mcmf_fptas.default_params) g commodities =
+  validate g commodities;
+  let store = flatten commodities in
+  let sp = Trace.begin_span ~cat:"solver" "paths.solve" in
+  let t0 = Dcn_obs.Clock.now_ns () in
+  let halvings = ref 0 in
+  match solve_flat ~params ~halvings g commodities store with
+  | r ->
+      let gap = (r.lambda_upper /. r.lambda_lower) -. 1.0 in
+      if Metrics.enabled () then begin
+        Metrics.incr m_solves;
+        Metrics.add m_phases r.phases;
+        Metrics.add m_eps_halvings !halvings;
+        if not r.converged then Metrics.incr m_unconverged;
+        Metrics.observe m_solve_s (Dcn_obs.Clock.elapsed_s t0)
+      end;
+      Trace.end_span sp
+        ~args:
+          [ ("phases", Trace.Int r.phases);
+            ("gap", Trace.Float gap);
+            ("converged", Trace.Bool r.converged) ];
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trace.end_span sp;
+      Printexc.raise_with_backtrace e bt
 
 let lambda ?params g commodities =
   let r = solve ?params g commodities in

@@ -10,7 +10,19 @@
     Same multiplicative-weights scheme and the same certified primal–dual
     interval as {!Mcmf_fptas}, with path enumeration replacing Dijkstra:
     the dual uses [D(l) / Σⱼ dⱼ·min_{P∈paths(j)} l(P)], which is exactly
-    the dual of the path-restricted LP. *)
+    the dual of the path-restricted LP.
+
+    {b Flat path store.} [solve] converts the [int list list] path sets
+    once into three arrays in compressed-sparse-row form: per-commodity
+    offsets into the path ids, per-path offsets into one arc array, and
+    the arc array itself. Commodity [j] owns path ids
+    [com_off.(j) .. com_off.(j+1) - 1] in the order of its [paths] list,
+    and path [p] is [arcs.(path_off.(p) .. path_off.(p+1) - 1)]. Path
+    lengths, routing, the dual bound and the congestion scan then loop
+    over these arrays and the graph's CSR capacities, allocating nothing
+    per phase. Sums run in path order, and ties between equally long
+    paths go to the earliest listed, so results are exactly those of a
+    left fold over the lists. *)
 
 open Dcn_graph
 

@@ -13,7 +13,14 @@
     VL2's ECMP-to-intermediate behaviour. Paths that revisit a node are
     dropped (the fluid model would double-count their capacity). The
     direct shortest path is always included as a fallback so every pair
-    keeps at least one usable path. *)
+    keeps at least one usable path.
+
+    Segments are read off breadth-first parent trees, one per segment
+    start node, each built on first use and kept for the rest of the
+    call. A {!restrict} call therefore holds up to [n] trees of [n]
+    entries each. The random draws are those of
+    [Sampling.permutation st n] once per distinct connected switch
+    pair. *)
 
 open Dcn_graph
 

@@ -33,10 +33,15 @@ let shortest_paths g ~src ~dst ~limit =
   let dist = Bfs.distances g src in
   if dist.(dst) = max_int then []
   else begin
-    (* DFS backwards over the shortest-path DAG, collecting up to [limit]
-       paths. Arcs (u -> v) with dist v = dist u + 1 form the DAG. *)
+    (* DFS forwards from [src] over the shortest-path DAG, collecting up
+       to [limit] paths in arc-id order. Arcs (u -> v) with
+       dist v = dist u + 1 form the DAG. Distances rise strictly along it,
+       so a node other than [dst] with dist v >= dist dst cannot reach
+       [dst]; pruning those branches leaves the paths and their order
+       unchanged. *)
     let results = ref [] in
     let num = ref 0 in
+    let d_dst = dist.(dst) in
     let rec grow u suffix =
       if !num < limit then begin
         if u = dst then begin
@@ -47,7 +52,8 @@ let shortest_paths g ~src ~dst ~limit =
           Graph.iter_out g u (fun a ->
               if !num < limit && Graph.arc_cap g a > 0.0 then begin
                 let v = Graph.arc_dst g a in
-                if dist.(v) = dist.(u) + 1 then grow v (a :: suffix)
+                if dist.(v) = dist.(u) + 1 && (v = dst || dist.(v) < d_dst)
+                then grow v (a :: suffix)
               end)
       end
     in

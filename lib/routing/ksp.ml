@@ -1,107 +1,170 @@
 open Dcn_graph
 
-(* Dijkstra over unit arc lengths with node/arc masks — the subroutine
-   Yen's algorithm needs for its spur-path computations. *)
-let masked_shortest g ~src ~dst ~banned_nodes ~banned_arcs =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let queue = Queue.create () in
-  if not banned_nodes.(src) then begin
-    dist.(src) <- 0;
-    Queue.push src queue
+(* BFS scratch shared by every search of one [k_shortest] call. Visited
+   and banned marks are generation stamps: a node is visited in the
+   current search iff [visited.(v) = gen], and banned iff
+   [banned_node.(v) = ban] (likewise for arcs), so starting a new search
+   or a new ban set is one counter bump instead of an O(n + m) reset. *)
+type scratch = {
+  csr : Graph.csr;
+  queue : int array;
+  parent : int array;  (** BFS parent arc; valid only for visited nodes. *)
+  visited : int array;
+  banned_node : int array;
+  banned_arc : int array;
+  mutable gen : int;
+  mutable ban : int;
+}
+
+let scratch g =
+  let n = Graph.n g and m = Graph.num_arcs g in
+  {
+    csr = Graph.csr g;
+    queue = Array.make n 0;
+    parent = Array.make n (-1);
+    visited = Array.make n 0;
+    banned_node = Array.make n 0;
+    banned_arc = Array.make m 0;
+    gen = 0;
+    ban = 0;
+  }
+
+(* Start an empty ban set. *)
+let new_ban_set s = s.ban <- s.ban + 1
+let ban_node s v = s.banned_node.(v) <- s.ban
+let ban_arc s a = s.banned_arc.(a) <- s.ban
+
+(* Breadth-first search over positive-capacity, unbanned arcs, stopping as
+   soon as [dst] is discovered. Every node's parent is fixed at its
+   discovery, so the path read back from [dst] is the one a full search
+   would give. *)
+let search s ~src ~dst =
+  let c = s.csr in
+  s.gen <- s.gen + 1;
+  let gen = s.gen and ban = s.ban in
+  let visited = s.visited and parent = s.parent and queue = s.queue in
+  let found = ref false and head = ref 0 and tail = ref 0 in
+  if s.banned_node.(src) <> ban then begin
+    visited.(src) <- gen;
+    queue.(0) <- src;
+    tail := 1;
+    found := src = dst
   end;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Graph.iter_out g u (fun a ->
-        if Graph.arc_cap g a > 0.0 && not banned_arcs.(a) then begin
-          let v = Graph.arc_dst g a in
-          if (not banned_nodes.(v)) && dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            parent.(v) <- a;
-            Queue.push v queue
-          end
-        end)
+  while (not !found) && !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let i = ref c.Graph.csr_adj_off.(u) in
+    let stop = c.Graph.csr_adj_off.(u + 1) in
+    while (not !found) && !i < stop do
+      let a = c.Graph.csr_adj_arc.(!i) in
+      incr i;
+      if c.Graph.csr_arc_cap.(a) > 0.0 && s.banned_arc.(a) <> ban then begin
+        let v = c.Graph.csr_arc_dst.(a) in
+        if s.banned_node.(v) <> ban && visited.(v) <> gen then begin
+          visited.(v) <- gen;
+          parent.(v) <- a;
+          queue.(!tail) <- v;
+          incr tail;
+          if v = dst then found := true
+        end
+      end
+    done
   done;
-  if dist.(dst) = max_int then None
+  if not !found then None
   else begin
     let rec walk v acc =
-      match parent.(v) with
-      | -1 -> acc
-      | a -> walk (Graph.arc_src g a) (a :: acc)
+      if v = src then acc
+      else
+        let a = parent.(v) in
+        walk c.Graph.csr_arc_src.(a) (a :: acc)
     in
     Some (walk dst [])
   end
 
 let shortest_path g ~src ~dst =
-  let banned_nodes = Array.make (Graph.n g) false in
-  let banned_arcs = Array.make (Graph.num_arcs g) false in
-  masked_shortest g ~src ~dst ~banned_nodes ~banned_arcs
+  let s = scratch g in
+  new_ban_set s;
+  search s ~src ~dst
 
 let path_nodes g ~src arcs =
   src :: List.map (fun a -> Graph.arc_dst g a) arcs
 
+(* [Some a] if [p] starts with the [i] arcs [prefix.(0 .. i-1)] and has an
+   [i]-th arc [a]; [None] otherwise. *)
+let rec arc_after_prefix prefix i j p =
+  match p with
+  | [] -> None
+  | a :: rest ->
+      if j = i then Some a
+      else if a = prefix.(j) then arc_after_prefix prefix i (j + 1) rest
+      else None
+
+(* Polymorphic [compare] on the [(length, path)] pairs, i.e. shorter
+   first, then lexicographic on arc ids. *)
+let cmp_candidate ((l1, p1) : int * int list) (l2, p2) =
+  if l1 <> l2 then Int.compare l1 l2 else compare p1 p2
+
 let k_shortest g ~src ~dst ~k =
   if k < 1 then invalid_arg "Ksp.k_shortest: k < 1";
   if src = dst then invalid_arg "Ksp.k_shortest: src = dst";
-  match shortest_path g ~src ~dst with
+  let s = scratch g in
+  new_ban_set s;
+  match search s ~src ~dst with
   | None -> []
   | Some first ->
-      let n = Graph.n g and m = Graph.num_arcs g in
-      let accepted = ref [ first ] in
+      let accepted = ref [ first ] and num_accepted = ref 1 in
       (* Candidate set keyed by (length, path) so duplicates are merged. *)
       let candidates = ref [] in
       let add_candidate p =
-        let len = List.length p in
         if not (List.exists (fun (_, q) -> q = p) !candidates) then
-          candidates := (len, p) :: !candidates
-      in
-      let banned_nodes = Array.make n false in
-      let banned_arcs = Array.make m false in
-      let reset_masks () =
-        Array.fill banned_nodes 0 n false;
-        Array.fill banned_arcs 0 m false
+          candidates := (List.length p, p) :: !candidates
       in
       let rec extend () =
-        if List.length !accepted < k then begin
+        if !num_accepted < k then begin
           let prev = List.hd !accepted in
           let prev_nodes = Array.of_list (path_nodes g ~src prev) in
           let prev_arcs = Array.of_list prev in
-          (* Spur from every prefix of the latest accepted path. *)
+          (* Spur from every prefix of the latest accepted path; [root_rev]
+             is that prefix, reversed. *)
+          let root_rev = ref [] in
           for i = 0 to Array.length prev_arcs - 1 do
-            reset_masks ();
-            let spur_node = prev_nodes.(i) in
-            let root = Array.to_list (Array.sub prev_arcs 0 i) in
+            new_ban_set s;
             (* Ban arcs that would retrace any accepted path sharing this
                root (and their reverses, to keep paths simple overall). *)
             List.iter
               (fun p ->
-                let p_arr = Array.of_list p in
-                if Array.length p_arr > i
-                   && Array.to_list (Array.sub p_arr 0 i) = root
-                then begin
-                  banned_arcs.(p_arr.(i)) <- true;
-                  banned_arcs.(Graph.arc_rev g p_arr.(i)) <- true
-                end)
+                match arc_after_prefix prev_arcs i 0 p with
+                | Some a ->
+                    ban_arc s a;
+                    ban_arc s (Graph.arc_rev g a)
+                | None -> ())
               !accepted;
             (* Ban the root's interior nodes so spur paths are simple. *)
             for j = 0 to i - 1 do
-              banned_nodes.(prev_nodes.(j)) <- true
+              ban_node s prev_nodes.(j)
             done;
-            match
-              masked_shortest g ~src:spur_node ~dst ~banned_nodes ~banned_arcs
-            with
-            | None -> ()
-            | Some spur -> add_candidate (root @ spur)
+            (match search s ~src:prev_nodes.(i) ~dst with
+             | None -> ()
+             | Some spur -> add_candidate (List.rev_append !root_rev spur));
+            root_rev := prev_arcs.(i) :: !root_rev
           done;
-          (* Promote the best unused candidate. *)
-          let unused =
-            List.filter (fun (_, p) -> not (List.mem p !accepted)) !candidates
+          (* Promote the best unused candidate: the first minimum under
+             [cmp_candidate], as sorting and taking the head would. *)
+          let best =
+            List.fold_left
+              (fun best ((_, p) as c) ->
+                if List.mem p !accepted then best
+                else
+                  match best with
+                  | Some b when cmp_candidate b c <= 0 -> best
+                  | _ -> Some c)
+              None !candidates
           in
-          match List.sort compare unused with
-          | [] -> ()
-          | (_, best) :: _ ->
-              accepted := best :: !accepted;
+          match best with
+          | None -> ()
+          | Some (_, p) ->
+              accepted := p :: !accepted;
+              incr num_accepted;
               extend ()
         end
       in

@@ -2,13 +2,16 @@
 
     The packet-level validation (§8.2) routes MPTCP subflows over "as many
     as 8 shortest paths", exactly what this module provides. Paths are
-    returned as arc-id lists, shortest first, ties broken deterministically
-    by the underlying Dijkstra visit order. *)
+    returned as arc-id lists, shortest first. Searches are breadth-first
+    over positive-capacity arcs in adjacency (arc-id) order, which breaks
+    ties between equally short paths deterministically; candidates of
+    equal length are then taken in lexicographic arc-id order. *)
 
 open Dcn_graph
 
 val shortest_path : Graph.t -> src:int -> dst:int -> int list option
-(** One shortest path (arc ids), or [None] if disconnected. *)
+(** One shortest path (arc ids), or [None] if disconnected. With
+    [src = dst] the answer is [Some []]. *)
 
 val k_shortest : Graph.t -> src:int -> dst:int -> k:int -> int list list
 (** Up to [k] distinct loop-free paths in nondecreasing hop length. Fewer

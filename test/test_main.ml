@@ -16,6 +16,7 @@ let () =
       Test_topologies.suite;
       Test_bounds.suite;
       Test_routing.suite;
+      Test_path_oracle.suite;
       Test_packetsim.suite;
       Test_cuts.suite;
       Test_extensions.suite;

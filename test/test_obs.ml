@@ -726,6 +726,38 @@ let test_to_json_percentile_fields () =
           Alcotest.(check (float 0.0)) "p99 rendered" 2.0 p99
       | _ -> Alcotest.fail "p50/p95/p99 must be numbers for a non-empty histogram")
 
+let test_path_solver_metrics_recorded () =
+  let g, cs = fptas_instance () in
+  let params = Core.Scale.quick.Core.Scale.params in
+  let rcs = Core.Mcmf_paths.of_k_shortest g ~k:4 cs in
+  with_metrics (fun () ->
+      with_trace (fun () ->
+          let r = Core.Mcmf_paths.solve ~params g rcs in
+          let snap = Metrics.snapshot () in
+          Alcotest.(check int) "paths.solves" 1
+            (Metrics.counter_value snap "paths.solves");
+          Alcotest.(check int) "paths.phases matches result"
+            r.Core.Mcmf_paths.phases
+            (Metrics.counter_value snap "paths.phases");
+          Alcotest.(check int) "paths.unconverged"
+            (if r.Core.Mcmf_paths.converged then 0 else 1)
+            (Metrics.counter_value snap "paths.unconverged");
+          (match Metrics.find snap "paths.solve_s" with
+           | Some (Metrics.Histogram_v { counts; _ }) ->
+               Alcotest.(check int) "one solve timed" 1
+                 (Array.fold_left ( + ) 0 counts)
+           | _ -> Alcotest.fail "paths.solve_s histogram missing");
+          let path = temp_path ".json" in
+          Trace.write path;
+          let events = trace_events path in
+          Sys.remove path;
+          let solve_spans =
+            List.filter
+              (fun e -> Option.bind (member "name" e) str_opt = Some "paths.solve")
+              events
+          in
+          Alcotest.(check int) "one paths.solve span" 1 (List.length solve_spans)))
+
 let suite =
   ( "obs",
     [
@@ -761,6 +793,8 @@ let suite =
         test_instrumentation_is_inert;
       Alcotest.test_case "solver metrics recorded" `Quick
         test_solver_metrics_recorded;
+      Alcotest.test_case "path solver metrics recorded" `Quick
+        test_path_solver_metrics_recorded;
       Alcotest.test_case "histogram quantiles at bucket boundaries" `Quick
         test_histogram_quantiles;
       Alcotest.test_case "value_quantile from snapshot" `Quick

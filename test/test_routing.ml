@@ -114,6 +114,71 @@ let prop_ksp_sorted_and_simple =
            (fun p -> path_valid g ~src:0 ~dst p && is_simple g ~src:0 p)
            paths)
 
+(* ---- Path sets on the routing benchmark instance ----
+
+   rrg:100,24,12 at seed 1 with a permutation traffic matrix, built the
+   way `topobench routing` builds it: the VLB intermediates draw from the
+   traffic generator's advanced state. *)
+
+let routing_instance () =
+  let topo = Core.Cli.build_topology (Core.Cli.Rrg (100, 24, 12)) ~seed:1 in
+  let st = Random.State.make [| 1; 1 |] in
+  let cs =
+    Core.Traffic.to_commodities
+      (Core.Traffic.permutation st ~servers:topo.Core.Topology.servers)
+  in
+  (topo.Core.Topology.graph, st, cs)
+
+let render_path_sets buf model (rcs : Core.Mcmf_paths.commodity array) =
+  Buffer.add_string buf model;
+  Buffer.add_char buf '\n';
+  Array.iter
+    (fun (c : Core.Mcmf_paths.commodity) ->
+      Printf.bprintf buf "%d>%d:%s\n" c.Core.Mcmf_paths.src c.Core.Mcmf_paths.dst
+        (String.concat ";"
+           (List.map
+              (fun p -> String.concat "," (List.map string_of_int p))
+              c.Core.Mcmf_paths.paths)))
+    rcs
+
+(* The digest pins every path set, in order, to the output of the
+   list-based implementations in Routing_reference. Only integers are
+   rendered, so it is the same on every platform. *)
+let test_path_sets_golden () =
+  let g, st, cs = routing_instance () in
+  let buf = Buffer.create (1 lsl 20) in
+  render_path_sets buf "ksp:8" (Core.Mcmf_paths.of_k_shortest g ~k:8 cs);
+  render_path_sets buf "ecmp:64" (Core.Mcmf_paths.of_ecmp g ~limit:64 cs);
+  render_path_sets buf "vlb:8" (Core.Vlb.restrict st g ~intermediates:8 cs);
+  render_path_sets buf "single" (Core.Mcmf_paths.of_k_shortest g ~k:1 cs);
+  Alcotest.(check string) "path-set digest" "ab94f497670501aa86f1b30ace2defb9"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. before)
+
+(* Allocation budgets on the same instance: Yen's spur searches share one
+   BFS scratch, and the path-restricted solver runs on flat arrays. *)
+let test_allocation_budgets () =
+  let g, _, cs = routing_instance () in
+  let rcs, build_words =
+    minor_words (fun () -> Core.Mcmf_paths.of_k_shortest g ~k:8 cs)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "ksp:8 build allocates %.1fM minor words (<= 10M)"
+       (build_words /. 1e6))
+    true (build_words <= 10e6);
+  let params = Core.Cli.params_of 0.05 0.05 in
+  let _, solve_words =
+    minor_words (fun () -> Core.Mcmf_paths.solve ~params g rcs)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "ksp:8 solve allocates %.2fM minor words (<= 1M)"
+       (solve_words /. 1e6))
+    true (solve_words <= 1e6)
+
 let suite =
   ( "routing",
     [
@@ -129,4 +194,7 @@ let suite =
       Alcotest.test_case "ecmp count = enumeration" `Quick
         test_ecmp_count_matches_enumeration;
       QCheck_alcotest.to_alcotest prop_ksp_sorted_and_simple;
+      Alcotest.test_case "path sets golden digest" `Quick test_path_sets_golden;
+      Alcotest.test_case "path-set allocation budgets" `Quick
+        test_allocation_budgets;
     ] )
