@@ -380,25 +380,15 @@ let orchestrate_json ~serial_wall legs =
   in
   String.concat ",\n" (List.map leg_json legs)
 
-(* One JSON object per --serving engine leg: a warm closed-loop
-   keep-alive burst over cached variants, then an open-loop saturation
-   burst at 1.25x that engine's warm rate with cold seeds mixed in.
-   Both engines share the setup, client and request mix, so the
-   warm-throughput ratio isolates the transport: per-connection threads
-   + close-per-response vs the event loop's keep-alive + hot cache. *)
-type serving_leg = {
-  se_engine : string;
+(* The --serving run: a warm closed-loop keep-alive burst over cached
+   variants, then an open-loop saturation burst at 1.25x the warm rate
+   with cold seeds mixed in. *)
+type serving_run = {
   se_warm : Dcn_serve.Load_gen.report;
   se_sat : Dcn_serve.Load_gen.report;
 }
 
-let serving_threaded_rps legs =
-  match List.find_opt (fun l -> l.se_engine = "threaded") legs with
-  | Some l -> l.se_warm.Dcn_serve.Load_gen.rps
-  | None -> 0.0
-
-let serving_json legs =
-  let threaded_rps = serving_threaded_rps legs in
+let serving_json run =
   let phase (r : Dcn_serve.Load_gen.report) =
     Printf.sprintf
       "{\"rps\": %s, \"p50_s\": %s, \"p95_s\": %s, \"p99_s\": %s, \
@@ -415,17 +405,8 @@ let serving_json legs =
               Printf.sprintf "{\"status\": %d, \"count\": %d}" status count)
             r.Dcn_serve.Load_gen.by_status))
   in
-  String.concat ",\n"
-    (List.map
-       (fun l ->
-         Printf.sprintf
-           "    {\"engine\": \"%s\", \"warm\": %s, \"saturation\": %s, \
-            \"speedup_vs_threaded\": %s}"
-           (json_escape l.se_engine) (phase l.se_warm) (phase l.se_sat)
-           (if threaded_rps <= 0.0 then "null"
-            else
-              json_float (l.se_warm.Dcn_serve.Load_gen.rps /. threaded_rps)))
-       legs)
+  Printf.sprintf "{\"warm\": %s, \"saturation\": %s}" (phase run.se_warm)
+    (phase run.se_sat)
 
 let write_bench_json path ~mode ~jobs ~figures ~micro ~sweeps ~orch ~serving
     ~total_seconds =
@@ -498,10 +479,9 @@ let write_bench_json path ~mode ~jobs ~figures ~micro ~sweeps ~orch ~serving
       in
       Printf.fprintf oc "  \"orchestrate\": [\n%s\n  ],\n"
         (orchestrate_json ~serial_wall legs));
-  (match serving with
-  | [] -> ()
-  | legs ->
-      Printf.fprintf oc "  \"serving\": [\n%s\n  ],\n" (serving_json legs));
+  Option.iter
+    (fun run -> Printf.fprintf oc "  \"serving\": %s,\n" (serving_json run))
+    serving;
   output_string oc cache_json;
   Printf.fprintf oc "  \"metrics\": %s,\n" metrics_json;
   Printf.fprintf oc "  \"total_seconds\": %s\n" (json_float total_seconds);
@@ -653,7 +633,7 @@ let orchestrate_bench () =
   legs
 
 (* ------------------------------------------------------------------ *)
-(* Serving engines (--serving)                                         *)
+(* Serving (--serving)                                                *)
 
 let serving_body ~seed =
   Dcn_serve.Request.to_body
@@ -672,93 +652,80 @@ let serving_warm_requests = 2000
 let serving_sat_requests = 1000
 let serving_variants = 4
 
-let serving_leg ~root ~jobs engine =
+let serving_bench ~jobs () =
   let module Spawn = Dcn_orchestrate.Spawn in
   let exe =
     match Spawn.find_exe () with
     | Some exe -> exe
     | None -> die "serving bench: cannot locate the dcn_served executable"
   in
-  let dir = Filename.concat root engine in
-  let store_dir = Filename.concat dir "store" in
-  mkdir_p store_dir;
-  (* Both engines get the result store, so the threaded leg's warm
-     requests are store hits, not re-solves — the comparison measures
-     serving transport, not solver caching. *)
-  let proc =
-    Spawn.start ~exe ~scratch_dir:dir ~index:0 ~jobs
-      ~cache_dir:(Some store_dir)
-      ~extra_args:[ "--engine"; engine ] ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Spawn.stop [ proc ])
-    (fun () ->
-      match Spawn.endpoint proc with
-      | Error msg -> die "serving leg %s: %s" engine msg
-      | Ok ep ->
-          let host = ep.Dcn_orchestrate.Worker.host
-          and port = ep.Dcn_orchestrate.Worker.port in
-          let bodies =
-            Array.init serving_variants (fun i -> serving_body ~seed:(i + 1))
-          in
-          (* Populate the caches: every variant solved once. *)
-          ignore
-            (Dcn_serve.Load_gen.run ~host ~port ~bodies
-               ~requests:serving_variants ~concurrency:1 ~qps:0.0 ());
-          let warm, _ =
-            Dcn_serve.Load_gen.run ~host ~port ~bodies
-              ~requests:serving_warm_requests ~concurrency:8 ~qps:0.0 ()
-          in
-          let sat_bodies =
-            Array.init (serving_variants + 2) (fun i ->
-                serving_body ~seed:(i + 1))
-          in
-          let sat, _ =
-            Dcn_serve.Load_gen.run ~host ~port ~bodies:sat_bodies
-              ~requests:serving_sat_requests ~concurrency:8
-              ~qps:(warm.Dcn_serve.Load_gen.rps *. 1.25) ()
-          in
-          { se_engine = engine; se_warm = warm; se_sat = sat })
-
-let serving_bench ~jobs () =
-  let root =
+  let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "dcn-bench-serving.%d" (Unix.getpid ()))
   in
-  let legs = List.map (serving_leg ~root ~jobs) [ "threaded"; "epoll" ] in
-  let threaded_rps = serving_threaded_rps legs in
+  let store_dir = Filename.concat dir "store" in
+  mkdir_p store_dir;
+  (* With the result store, cold variants are solved once; the warm
+     burst then measures serving, not solving. *)
+  let proc =
+    Spawn.start ~exe ~scratch_dir:dir ~index:0 ~jobs
+      ~cache_dir:(Some store_dir) ()
+  in
+  let run =
+    Fun.protect
+      ~finally:(fun () -> Spawn.stop [ proc ])
+      (fun () ->
+        match Spawn.endpoint proc with
+        | Error msg -> die "serving bench: %s" msg
+        | Ok ep ->
+            let host = ep.Dcn_orchestrate.Worker.host
+            and port = ep.Dcn_orchestrate.Worker.port in
+            let bodies =
+              Array.init serving_variants (fun i -> serving_body ~seed:(i + 1))
+            in
+            (* Populate the caches: every variant solved once. *)
+            ignore
+              (Dcn_serve.Load_gen.run ~host ~port ~bodies
+                 ~requests:serving_variants ~concurrency:1 ~qps:0.0 ());
+            let warm, _ =
+              Dcn_serve.Load_gen.run ~host ~port ~bodies
+                ~requests:serving_warm_requests ~concurrency:8 ~qps:0.0 ()
+            in
+            let sat_bodies =
+              Array.init (serving_variants + 2) (fun i ->
+                  serving_body ~seed:(i + 1))
+            in
+            let sat, _ =
+              Dcn_serve.Load_gen.run ~host ~port ~bodies:sat_bodies
+                ~requests:serving_sat_requests ~concurrency:8
+                ~qps:(warm.Dcn_serve.Load_gen.rps *. 1.25) ()
+            in
+            { se_warm = warm; se_sat = sat })
+  in
   let table =
     Core.Table.create
       ~header:
-        [ "engine"; "warm_rps"; "speedup"; "p50_ms"; "p99_ms"; "reuse";
-          "sat_rps"; "sat_p99_ms"; "bound" ]
+        [ "warm_rps"; "p50_ms"; "p99_ms"; "reuse"; "sat_rps"; "sat_p99_ms";
+          "bound" ]
   in
   let ms s = Printf.sprintf "%.2f" (s *. 1e3) in
-  List.iter
-    (fun l ->
-      let w = l.se_warm and s = l.se_sat in
-      Core.Table.add_row table
-        [ l.se_engine;
-          Printf.sprintf "%.0f" w.Dcn_serve.Load_gen.rps;
-          (if threaded_rps <= 0.0 then "n/a"
-           else
-             Printf.sprintf "%.2f"
-               (w.Dcn_serve.Load_gen.rps /. threaded_rps));
-          ms w.Dcn_serve.Load_gen.p50; ms w.Dcn_serve.Load_gen.p99;
-          Printf.sprintf "%.3f" w.Dcn_serve.Load_gen.reuse_rate;
-          Printf.sprintf "%.0f" s.Dcn_serve.Load_gen.rps;
-          ms s.Dcn_serve.Load_gen.p99;
-          string_of_int s.Dcn_serve.Load_gen.bound_responses ])
-    legs;
+  let w = run.se_warm and s = run.se_sat in
+  Core.Table.add_row table
+    [ Printf.sprintf "%.0f" w.Dcn_serve.Load_gen.rps;
+      ms w.Dcn_serve.Load_gen.p50; ms w.Dcn_serve.Load_gen.p99;
+      Printf.sprintf "%.3f" w.Dcn_serve.Load_gen.reuse_rate;
+      Printf.sprintf "%.0f" s.Dcn_serve.Load_gen.rps;
+      ms s.Dcn_serve.Load_gen.p99;
+      string_of_int s.Dcn_serve.Load_gen.bound_responses ];
   Core.Table.print
     ~title:
       (Printf.sprintf
-         "serving engines — %d-request warm keep-alive burst, %d-request \
-          saturation (jobs=%d)"
+         "serving — %d-request warm keep-alive burst, %d-request saturation \
+          (jobs=%d)"
          serving_warm_requests serving_sat_requests jobs)
     table;
-  legs
+  run
 
 type options = {
   full : bool;
@@ -970,10 +937,12 @@ let () =
      fleets; wall-clock speedups land in --bench-json's "orchestrate"
      section. *)
   let orch = if opts.orchestrate then orchestrate_bench () else [] in
-  (* Serving engines: the daemon booted per engine and measured with the
-     keep-alive load generator; throughput/latency land in --bench-json's
-     "serving" section. *)
-  let serving = if opts.serving then serving_bench ~jobs:opts.jobs () else [] in
+  (* Serving: the daemon booted and measured with the keep-alive load
+     generator; throughput/latency land in --bench-json's "serving"
+     section. *)
+  let serving =
+    if opts.serving then Some (serving_bench ~jobs:opts.jobs ()) else None
+  in
   (match Core.Store.shared () with
   | Some store ->
       let c = Core.Store.counters store in

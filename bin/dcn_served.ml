@@ -1,10 +1,11 @@
 (* dcn_served — the topology-throughput solve daemon.
 
-   Thin cmdliner shell around Dcn_serve.Server: translate flags into a
-   Server.config, size the shared domain pool, install the result store,
-   and hand the thread to Server.serve until SIGTERM/SIGINT drains it.
-   The option vocabulary (--jobs, --cache-dir, --eps defaults, spec
-   syntax) is Core.Cli, the same as topobench and bench/main. *)
+   Thin cmdliner shell around the event-loop engine: translate flags into
+   a Dcn_engine.Engine.config (whose [base] is the Server.config the
+   request handler reads), size the shared domain pool, install the
+   result store, and hand the thread to Engine.serve until SIGTERM/SIGINT
+   drains it. The option vocabulary (--jobs, --cache-dir, --eps defaults,
+   spec syntax) is Core.Cli, the same as topobench and bench/main. *)
 
 open Cmdliner
 
@@ -22,13 +23,6 @@ let port_file_arg =
      race-free way to use $(b,--port) $(i,0) from scripts."
   in
   Arg.(value & opt (some string) None & info [ "port-file" ] ~doc ~docv:"FILE")
-
-let queue_arg =
-  let doc =
-    "Admission queue: requests admitted beyond the worker count before \
-     the server answers 429 with Retry-After."
-  in
-  Arg.(value & opt int 64 & info [ "queue" ] ~doc ~docv:"N")
 
 let timeout_arg =
   let doc =
@@ -63,70 +57,67 @@ let log_tag_arg =
 
 let engine_arg =
   let doc =
-    "Serving engine: $(b,threaded) (reference: blocking sockets, one \
-     pool task per connection) or $(b,epoll) (event loop: non-blocking \
-     keep-alive HTTP/1.1 with pipelining, topology-batched solves, hot \
-     LRU cache, load-shedding tiers). Response bodies are byte-identical \
-     across engines."
+    "Serving engine. $(b,epoll), the only one, is an event loop: \
+     non-blocking keep-alive HTTP/1.1 with pipelining, topology-batched \
+     solves, hot LRU cache, load-shedding tiers. Accepted so scripts \
+     that name it keep working."
   in
-  Arg.(value & opt (enum [ ("threaded", `Threaded); ("epoll", `Epoll) ])
-         `Threaded
+  Arg.(value & opt (enum [ ("epoll", ()) ]) ()
        & info [ "engine" ] ~doc ~docv:"ENGINE")
 
 let max_conns_arg =
   let doc =
-    "($(b,--engine epoll)) Open-connection budget; accepts beyond it are \
-     answered 429 and closed."
+    "Open-connection budget; accepts beyond it are answered 429 and \
+     closed."
   in
   Arg.(value & opt int 1024 & info [ "max-conns" ] ~doc ~docv:"N")
 
 let idle_timeout_arg =
   let doc =
-    "($(b,--engine epoll)) Close kept-alive connections idle this many \
-     seconds; 0 never closes idlers."
+    "Close kept-alive connections idle this many seconds; 0 never \
+     closes idlers."
   in
   Arg.(value & opt float 30.0 & info [ "idle-timeout" ] ~doc ~docv:"SECONDS")
 
 let hot_cache_arg =
   let doc =
-    "($(b,--engine epoll)) Hot result cache entries (LRU, byte-identical \
-     rendered bodies, in front of the result store); 0 disables."
+    "Hot result cache entries (LRU, byte-identical rendered bodies, in \
+     front of the result store); 0 disables."
   in
   Arg.(value & opt int 4096 & info [ "hot-cache" ] ~doc ~docv:"ENTRIES")
 
 let hot_cache_mb_arg =
-  let doc = "($(b,--engine epoll)) Hot result cache byte budget, in MiB." in
+  let doc = "Hot result cache byte budget, in MiB." in
   Arg.(value & opt int 64 & info [ "hot-cache-mb" ] ~doc ~docv:"MIB")
 
 let shed_queue_arg =
   let doc =
-    "($(b,--engine epoll)) Backlog high watermark: while more than \
-     $(docv) solve jobs queue behind a dispatched batch, solves are \
-     answered with certified upper bounds (\"tier\": \"bound\") instead \
-     of full FPTAS runs; full service resumes at half the watermark. \
-     0 disables shedding (the default — every answer is full tier)."
+    "Backlog high watermark: while more than $(docv) solve jobs queue \
+     behind a dispatched batch, solves are answered with certified upper \
+     bounds (\"tier\": \"bound\") instead of full FPTAS runs; full service \
+     resumes at half the watermark. 0 disables shedding (the default — \
+     every answer is full tier)."
   in
   Arg.(value & opt int 0 & info [ "shed-queue" ] ~doc ~docv:"N")
 
 let shed_latency_arg =
   let doc =
-    "($(b,--engine epoll)) Shed when the oldest queued solve has waited \
-     this many seconds; 0 disables the latency trigger."
+    "Shed when the oldest queued solve has waited this many seconds; 0 \
+     disables the latency trigger."
   in
   Arg.(value & opt float 0.0 & info [ "shed-latency" ] ~doc ~docv:"SECONDS")
 
 let batch_max_arg =
   let doc =
-    "($(b,--engine epoll)) Max solve jobs grouped into one topology \
-     batch (one topology build amortized across the batch)."
+    "Max solve jobs grouped into one topology batch (one topology build \
+     amortized across the batch)."
   in
   Arg.(value & opt int 8 & info [ "batch-max" ] ~doc ~docv:"N")
 
-let run host port port_file queue timeout jobs cache_dir no_cache metrics trace
-    access_log trace_buffer log_tag engine max_conns idle_timeout hot_cache
+let run host port port_file timeout jobs cache_dir no_cache metrics trace
+    access_log trace_buffer log_tag () max_conns idle_timeout hot_cache
     hot_cache_mb shed_queue shed_latency batch_max =
-  (* jobs handler domains; the main thread only accepts (threaded) or
-     runs the event loop (epoll). *)
+  (* jobs solver domains; the main thread runs the event loop. *)
   Core.Pool.set_workers jobs;
   ignore (Core.Cli.setup_store cache_dir no_cache);
   let base =
@@ -134,7 +125,6 @@ let run host port port_file queue timeout jobs cache_dir no_cache metrics trace
       Dcn_serve.Server.default_config with
       host;
       port;
-      queue_capacity = max 0 queue;
       default_timeout_s = (if timeout <= 0.0 then None else Some timeout);
       port_file;
       metrics_file = metrics;
@@ -144,20 +134,17 @@ let run host port port_file queue timeout jobs cache_dir no_cache metrics trace
       log_tag;
     }
   in
-  match engine with
-  | `Threaded -> Dcn_serve.Server.serve base
-  | `Epoll ->
-      Dcn_engine.Engine.serve
-        {
-          (Dcn_engine.Engine.default base) with
-          max_conns = max 1 max_conns;
-          idle_timeout_s = Float.max 0.0 idle_timeout;
-          hot_cache_entries = max 0 hot_cache;
-          hot_cache_bytes = max 0 hot_cache_mb * 1024 * 1024;
-          shed_queue = max 0 shed_queue;
-          shed_latency_s = Float.max 0.0 shed_latency;
-          batch_max = max 1 batch_max;
-        }
+  Dcn_engine.Engine.serve
+    {
+      (Dcn_engine.Engine.default base) with
+      max_conns = max 1 max_conns;
+      idle_timeout_s = Float.max 0.0 idle_timeout;
+      hot_cache_entries = max 0 hot_cache;
+      hot_cache_bytes = max 0 hot_cache_mb * 1024 * 1024;
+      shed_queue = max 0 shed_queue;
+      shed_latency_s = Float.max 0.0 shed_latency;
+      batch_max = max 1 batch_max;
+    }
 
 let cmd =
   let doc = "serve certified topology-throughput solves over HTTP" in
@@ -179,7 +166,7 @@ let cmd =
   Cmd.v
     (Cmd.info "dcn_served" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const run $ host_arg $ port_arg $ port_file_arg $ queue_arg $ timeout_arg
+      const run $ host_arg $ port_arg $ port_file_arg $ timeout_arg
       $ Core.Cli.jobs_arg $ Core.Cli.cache_dir_arg $ Core.Cli.no_cache_arg
       $ Core.Cli.metrics_arg $ Core.Cli.trace_arg $ access_log_arg
       $ trace_buffer_arg $ log_tag_arg $ engine_arg $ max_conns_arg

@@ -511,19 +511,15 @@ let client_cmd =
         let healthy = h.Dcn_orchestrate.Worker.ok && not h.Dcn_orchestrate.Worker.draining in
         if json then
           Printf.printf
-            "{\"ok\": %b, \"solver_version\": %s, \"jobs\": %d, \"queue\": %d, \
-             \"inflight\": %d, \"draining\": %b}\n"
+            "{\"ok\": %b, \"solver_version\": %s, \"jobs\": %d, \
+             \"draining\": %b}\n"
             healthy
             (q h.Dcn_orchestrate.Worker.solver_version)
-            h.Dcn_orchestrate.Worker.jobs h.Dcn_orchestrate.Worker.queue
-            h.Dcn_orchestrate.Worker.inflight h.Dcn_orchestrate.Worker.draining
+            h.Dcn_orchestrate.Worker.jobs h.Dcn_orchestrate.Worker.draining
         else
-          Printf.printf
-            "healthz %s:%d: %s (solver %s, jobs=%d, queue=%d, inflight=%d%s)\n"
-            host port
+          Printf.printf "healthz %s:%d: %s (solver %s, jobs=%d%s)\n" host port
             (if healthy then "ok" else "NOT healthy")
             h.Dcn_orchestrate.Worker.solver_version h.Dcn_orchestrate.Worker.jobs
-            h.Dcn_orchestrate.Worker.queue h.Dcn_orchestrate.Worker.inflight
             (if h.Dcn_orchestrate.Worker.draining then ", draining" else "");
         if not healthy then exit 1
   in

@@ -10,13 +10,13 @@
    arrival order per connection (slot sequencing), whatever order the
    pool finishes them in.
 
-   What stays byte-identical to the threaded engine: GET endpoints go
+   Every body is rendered by Server: GET endpoints and error paths go
    through Server.handle verbatim, and solves go through
-   Server.solve_resolved — same coalescing, same deadline handling, same
-   rendering — so the two engines differ in transport only. The hot LRU
-   (Lru) fronts that path with already-rendered bodies, and under queue
-   pressure the dispatcher switches batches to the bound tier (Shed),
-   escalating back to full FPTAS service as the backlog clears. *)
+   Server.solve_resolved — coalescing, deadline handling, rendering — so
+   this module is transport and scheduling only. The hot LRU (Lru) fronts
+   that path with already-rendered bodies, and under queue pressure the
+   dispatcher switches batches to the bound tier (Shed), escalating back
+   to full FPTAS service as the backlog clears. *)
 
 module Http = Dcn_serve.Http
 module Server = Dcn_serve.Server
@@ -372,8 +372,8 @@ let dispatch_request lp c slot (req : Http.request) =
                 }
                 lp.pending))
   | _ ->
-      (* GET /healthz, /metrics, /trace and every error path: the
-         threaded dispatcher verbatim, so bodies and metrics match. *)
+      (* GET /healthz, /metrics, /trace and every error path: Server's
+         dispatcher verbatim, so bodies and metrics match in-process. *)
       complete lp c slot
         (Server.handle lp.srv ~accept_ns req
         [@dcn.lint
@@ -575,12 +575,12 @@ let serve ?stop ?on_port cfg =
     }
   in
   Printf.printf
-    "%sdcn_served: listening on %s:%d (engine=epoll, handlers=%d, queue=%d, \
-     cache=%d, shed=%d)\n\
+    "%sdcn_served: listening on %s:%d (engine=epoll, handlers=%d, cache=%d, \
+     shed=%d)\n\
      %!"
     tag config.Server.host port
     (max 1 (Pool.workers ()))
-    config.Server.queue_capacity cfg.hot_cache_entries cfg.shed_queue;
+    cfg.hot_cache_entries cfg.shed_queue;
   let poller = Poller.create () in
   let drain_deadline = ref Int64.max_int in
   let running = ref true in

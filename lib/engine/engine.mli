@@ -1,4 +1,4 @@
-(** The event-loop serving engine ([--engine epoll]).
+(** The serving engine: [dcn_served]'s transport.
 
     A single thread multiplexes a non-blocking listener and keep-alive
     HTTP/1.1 connections over {!Poller} (poll(2) readiness), parsing
@@ -12,11 +12,12 @@
     bound tier ({!Shed}); full FPTAS service resumes as the backlog
     clears.
 
-    Response bodies are byte-identical to the threaded reference engine:
-    GET endpoints dispatch through {!Dcn_serve.Server.handle} verbatim
-    and solves through {!Dcn_serve.Server.solve_resolved} — the engines
-    differ in transport and scheduling only (the LRU returns previously
-    rendered bodies unchanged; the bound tier is off unless configured).
+    Response bodies are rendered by {!Dcn_serve.Server}: GET endpoints
+    dispatch through {!Dcn_serve.Server.handle} verbatim and solves
+    through {!Dcn_serve.Server.solve_resolved}, so a body served over
+    the wire is byte-identical to the in-process one (the LRU returns
+    previously rendered bodies unchanged; the bound tier is off unless
+    configured).
 
     Graceful drain: on SIGTERM/SIGINT (or [stop]) the loop marks the
     server draining ([/healthz] says so), keeps answering read-only

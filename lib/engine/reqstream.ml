@@ -3,10 +3,10 @@
    The engine feeds whatever bytes the socket produced; next () yields
    complete requests in order, however the bytes were split across reads,
    which is also what makes pipelining free: back-to-back requests in one
-   read simply yield twice. Bounds mirror the blocking reader's
-   (Http.max_header_line / max_head_bytes / max_header_count, plus the
-   caller's body bound); a violation is a terminal per-connection error —
-   the engine answers it and closes. *)
+   read simply yield twice. Bounds: Http.max_header_line /
+   max_head_bytes / max_header_count, plus the caller's body bound; a
+   violation is a terminal per-connection error — the engine answers it
+   and closes. *)
 
 module Http = Dcn_serve.Http
 

@@ -1,5 +1,5 @@
-(** Incremental HTTP/1.1 request parsing over a per-connection buffer —
-    the non-blocking counterpart of {!Dcn_serve.Http.read_request}.
+(** Incremental HTTP/1.1 request parsing over a per-connection buffer:
+    the engine's only request reader.
 
     {!feed} appends whatever bytes the socket produced; {!next} yields
     complete requests in order regardless of how they were split across

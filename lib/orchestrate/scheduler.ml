@@ -6,12 +6,11 @@
    client (Worker.solve) and the /healthz probe.
 
    Concurrency model: capacity(i) threads per worker (matching the
-   worker's handler count, so its admission queue stays shallow) plus
-   one health thread, all sharing one mutex-guarded state table. The
+   worker's handler count, so its solve queue stays shallow) plus one
+   health thread, all sharing one mutex-guarded state table. The
    blocking transport call runs outside the lock. OCaml's stdlib
    Condition has no timed wait, so waiting states (empty eligible set,
-   backoff gates, eviction) poll with Thread.delay at [poll_s] — the
-   same discipline as the server's select-with-timeout accept loop.
+   backoff gates, eviction) poll with Thread.delay at [poll_s].
 
    Policy, in dispatch order for an idle worker thread:
    - lowest-id pending unit this worker has NOT yet tried (spreads

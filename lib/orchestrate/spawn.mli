@@ -36,8 +36,8 @@ val start :
     [trace_buffer] (default false) starts the daemon with tracing
     buffered for [GET /trace] collection; [access_log] (default false)
     adds [--access-log <scratch>/workerN.access.jsonl]. [extra_args] are
-    appended verbatim — how the serving bench selects
-    [--engine epoll] and its tuning flags. *)
+    appended verbatim — engine tuning flags such as [--hot-cache] or
+    [--shed-queue]. *)
 
 val endpoint : ?wait_s:float -> proc -> (Worker.endpoint, string) result
 (** Poll the port file (50 ms ticks, default 30 s budget) until the

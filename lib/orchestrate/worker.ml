@@ -43,8 +43,6 @@ type health = {
   ok : bool;
   solver_version : string;
   jobs : int;
-  queue : int;
-  inflight : int;
   draining : bool;
 }
 
@@ -73,8 +71,6 @@ let healthz ?(timeout_s = 2.0) e =
                 | Some _ | None -> false);
               solver_version = Option.value ~default:"" (str "solver_version");
               jobs = int "jobs" ~default:1;
-              queue = int "queue" ~default:0;
-              inflight = int "inflight" ~default:0;
               draining = boolean "draining" ~default:false;
             })
   | Ok (status, _) -> Error (Printf.sprintf "healthz: HTTP %d" status)

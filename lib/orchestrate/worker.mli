@@ -18,8 +18,6 @@ type health = {
       (** Must equal the coordinator's {!Core.Digest_key.solver_version}
           — digests are only comparable across identical versions. *)
   jobs : int;  (** Handler capacity; sizes the dispatch window. *)
-  queue : int;
-  inflight : int;
   draining : bool;
 }
 

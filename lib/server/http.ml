@@ -1,10 +1,11 @@
 (* HTTP/1.1, the small closed-world subset the serving layer needs.
 
-   The threaded reference server speaks one request per connection (every
-   response carries Connection: close); the event-loop engine reuses this
-   module's types and serialization but keeps connections alive. Bodies
-   are delimited by Content-Length only; chunked encoding is not accepted
-   (411 from the caller's side). *)
+   Server side: the shared types, header parsing and budgets the engine's
+   incremental parser (Reqstream) uses, and response serialization.
+   Client side: a blocking reader over a socket, one-shot
+   connect-per-request exchanges and persistent keep-alive connections.
+   Bodies are delimited by Content-Length only; chunked encoding is not
+   accepted. *)
 
 type request = {
   meth : string;
@@ -19,7 +20,7 @@ type response = {
   body : string;
 }
 
-type read_error = Closed | Bad of string | Too_large | Headers_too_large
+type read_error = Closed | Bad of string | Headers_too_large
 
 let reason = function
   | 200 -> "OK"
@@ -36,8 +37,9 @@ let reason = function
   | 504 -> "Gateway Timeout"
   | _ -> "Status"
 
-(* Header budgets shared by the blocking reader and the engine's
-   incremental parser: one line, the whole head, and the header count. *)
+(* Header budgets of the engine's incremental parser: one line, the
+   whole head, and the header count. The client's reader bounds its
+   lines by the same [max_header_line]. *)
 let max_header_line = 8192
 let max_head_bytes = 32768
 let max_header_count = 100
@@ -105,8 +107,6 @@ let read_exact r n =
   in
   go 0
 
-let ( let* ) = Result.bind
-
 let parse_header line =
   match String.index_opt line ':' with
   | None -> Error (Bad (Printf.sprintf "malformed header %S" line))
@@ -142,45 +142,6 @@ let split_target target =
       in
       (path, params)
 
-let read_request ~max_body fd =
-  let r = make_reader fd in
-  let* first = read_line r ~max:max_header_line in
-  let* meth, target =
-    match String.split_on_char ' ' first with
-    | [ meth; target; version ]
-      when version = "HTTP/1.1" || version = "HTTP/1.0" ->
-        Ok (meth, target)
-    | _ -> Error (Bad (Printf.sprintf "malformed request line %S" first))
-  in
-  (* The whole head is bounded, not just each line: many maximal lines
-     would otherwise let a rogue client hold ~800 KiB per connection. *)
-  let rec headers acc count bytes =
-    if count > max_header_count then Error Headers_too_large
-    else
-      let* line = read_line r ~max:max_header_line in
-      let bytes = bytes + String.length line + 2 in
-      if bytes > max_head_bytes then Error Headers_too_large
-      else if line = "" then Ok (List.rev acc)
-      else
-        let* h = parse_header line in
-        headers (h :: acc) (count + 1) bytes
-  in
-  let* headers = headers [] 0 (String.length first + 2) in
-  let req = { meth; target; headers; body = "" } in
-  match header "content-length" req with
-  | None ->
-      if header "transfer-encoding" req <> None then
-        Error (Bad "chunked bodies are not supported")
-      else Ok req
-  | Some l -> (
-      match int_of_string_opt l with
-      | Some n when n >= 0 ->
-          if n > max_body then Error Too_large
-          else
-            let* body = read_exact r n in
-            Ok { req with body }
-      | _ -> Error (Bad (Printf.sprintf "bad Content-Length %S" l)))
-
 (* ---- writing ---- *)
 
 let write_all fd s =
@@ -194,8 +155,7 @@ let write_all fd s =
   go 0
 
 (* Keep-alive responses omit the Connection header (persistent is the
-   HTTP/1.1 default); the threaded server always closes, so the bytes it
-   wrote before this function existed are exactly [~keep_alive:false]. *)
+   HTTP/1.1 default); closing ones announce [Connection: close]. *)
 let serialize_response ?(keep_alive = false) resp =
   let buf = Buffer.create (String.length resp.body + 256) in
   Buffer.add_string buf
@@ -359,7 +319,6 @@ let conn_recv c =
           (match e with
           | Closed -> "server closed the connection mid-response"
           | Bad msg -> msg
-          | Too_large -> "response too large"
           | Headers_too_large -> "response header too large")
       in
       try
@@ -432,9 +391,9 @@ let conn_request c ~meth ~target ?headers ?body () =
   | Ok r -> Ok r
   | Error _ when reused ->
       (* The server may have dropped the kept-alive connection between
-         exchanges (idle timeout, or a close-per-request peer like the
-         threaded engine). One retry on a fresh connection is safe in
-         this idempotent closed world. *)
+         exchanges (idle timeout, or a close-per-request peer). One
+         retry on a fresh connection is safe in this idempotent closed
+         world. *)
       conn_close c;
       attempt ()
   | Error msg -> Error msg
@@ -479,7 +438,6 @@ let client_request ~host ~port ~meth ~target ?(headers = []) ?(body = "")
               (match e with
               | Closed -> "server closed the connection mid-response"
               | Bad msg -> msg
-              | Too_large -> "response too large"
               | Headers_too_large -> "response header too large")
           in
           match read_line r ~max:8192 with

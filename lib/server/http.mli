@@ -1,11 +1,12 @@
-(** HTTP/1.1, the one-request-per-connection subset the serving layer
-    speaks.
+(** HTTP/1.1, the closed-world subset the serving layer speaks.
 
-    Every response carries [Connection: close]: solve requests run for
-    seconds, so connection reuse buys nothing and closing keeps the
-    protocol a pure read-one/write-one/close exchange. Bodies are
-    delimited by [Content-Length] only; chunked transfer encoding is
-    rejected. *)
+    Server side: the request/response types, header parsing and head
+    budgets the engine's incremental parser ({!Dcn_engine.Reqstream})
+    enforces, and response serialization — keep-alive by default,
+    [Connection: close] when the engine is about to close. Client side:
+    one-shot exchanges ({!client_request}) and persistent connections
+    ({!conn}). Bodies are delimited by [Content-Length] only; chunked
+    transfer encoding is rejected. *)
 
 type request = {
   meth : string;
@@ -18,17 +19,14 @@ type response = {
   status : int;
   headers : (string * string) list;
       (** Extra headers; [Content-Length] and [Connection] are added by
-          {!write_response}. *)
+          {!serialize_response}. *)
   body : string;
 }
 
 type read_error =
-  | Closed  (** Peer closed before sending a request. *)
-  | Bad of string  (** Malformed request; respond 400. *)
-  | Too_large  (** Declared body exceeds the limit; respond 413. *)
-  | Headers_too_large
-      (** A header line, the header count, or the whole request head
-          exceeds its bound; respond 431. *)
+  | Closed  (** Peer closed before sending a message. *)
+  | Bad of string  (** Malformed message. *)
+  | Headers_too_large  (** A head line exceeds {!max_header_line}. *)
 
 val reason : int -> string
 (** Canonical reason phrase for the status codes the server emits. *)
@@ -48,24 +46,17 @@ val parse_header : string -> (string * string, read_error) result
 (** Parse one [Name: value] header line; the name comes back lowercased,
     the value trimmed. *)
 
-val read_request : max_body:int -> Unix.file_descr -> (request, read_error) result
-(** Blocking read of one request. The body is read fully iff a valid
-    [Content-Length] at most [max_body] is declared. The request head is
-    bounded ({!max_header_line}, {!max_head_bytes}, {!max_header_count});
-    overruns surface as [Headers_too_large] regardless of how the bytes
-    were split across reads. *)
-
 val serialize_response : ?keep_alive:bool -> response -> string
 (** Wire bytes of a response. [keep_alive:false] (default) appends
-    [Connection: close] exactly as {!write_response} always has;
-    [keep_alive:true] omits the Connection header (persistent is the
-    HTTP/1.1 default), leaving the body bytes identical. *)
+    [Connection: close]; [keep_alive:true] omits the Connection header
+    (persistent is the HTTP/1.1 default). The status line, the other
+    headers and the body are identical either way. *)
 
 val write_response : Unix.file_descr -> response -> unit
 (** Blocking write of the full response ([serialize_response
-    ~keep_alive:false]). Raises [Unix.Unix_error] (e.g. [EPIPE]) if the
-    peer is gone; callers ignore that — the response has no one to go
-    to. *)
+    ~keep_alive:false]) — the engine's one-shot 429 to a connection it
+    will not admit. Raises [Unix.Unix_error] (e.g. [EPIPE]) if the peer
+    is gone; callers ignore that — the response has no one to go to. *)
 
 val header : string -> request -> string option
 (** Case-insensitive header lookup (pass the name in lowercase). *)

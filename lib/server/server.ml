@@ -1,16 +1,10 @@
-(* The solve server.
+(* The solve server: the request -> response half of dcn_served.
 
-   Architecture: the main thread owns the listening socket and runs a
-   select-with-timeout accept loop so it can poll the stop flag set by
-   SIGTERM/SIGINT; every accepted connection becomes one detached task on
-   the shared domain pool (Pool.submit), where the blocking read, the
-   solve and the blocking write all happen. Admission control is an
-   atomic in-flight counter checked in the accept loop: beyond
-   workers + queue_capacity connections the server answers 429 with
-   Retry-After instead of queueing unboundedly, and once shutdown has
-   begun (Pool.submit refuses) it answers 503. Graceful drain is then
-   exactly Pool.shutdown: stop accepting, wait for every submitted
-   handler to finish, join the workers, flush the observability sinks.
+   This module owns no sockets. The event-loop engine (Dcn_engine.Engine)
+   accepts connections, parses requests and schedules solves; it hands
+   GET endpoints to [handle] and resolved solves to [solve_resolved], so
+   every response body is rendered here, and [create] + [handle] drive
+   the whole dispatch path in-process for the tests.
 
    Request identity: the body resolves to a Request.digest; concurrent
    requests with the same digest coalesce (Coalesce) so the solver runs
@@ -20,8 +14,8 @@
    later identical requests replay it from disk.
 
    Deadlines: measured from accept time (queue wait counts — a request
-   that waited 9 of its 10 seconds in the queue gets 1 second of solve),
-   enforced cooperatively at FPTAS phase boundaries via
+   that waited 9 of its 10 seconds in the engine's queue gets 1 second
+   of solve), enforced cooperatively at FPTAS phase boundaries via
    Mcmf_fptas.with_cancel. Riders on a coalesced solve share the
    leader's fate, including its cancellation. *)
 
@@ -35,7 +29,6 @@ module Event_log = Dcn_obs.Event_log
 type config = {
   host : string;
   port : int;  (* 0 = ephemeral; the bound port goes to port_file *)
-  queue_capacity : int;
   default_timeout_s : float option;
   max_body_bytes : int;
   port_file : string option;
@@ -50,7 +43,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 8080;
-    queue_capacity = 64;
     default_timeout_s = Some 300.0;
     max_body_bytes = 8 * 1024 * 1024;
     port_file = None;
@@ -64,12 +56,10 @@ let default_config =
 type t = {
   config : config;
   coalesce : string Coalesce.t;  (* digest -> rendered 200 body *)
-  inflight : int Atomic.t;
   started_ns : int64;
   access : Event_log.t option;
   (* Draining as reported by /healthz: the pool's own flag OR'd with this
-     one, which the serving loop (threaded drain phase, or the event-loop
-     engine) sets the moment it stops admitting solves. *)
+     one, which the engine sets the moment it stops admitting solves. *)
   draining : bool Atomic.t;
 }
 
@@ -77,7 +67,6 @@ let create config =
   {
     config;
     coalesce = Coalesce.create ();
-    inflight = Atomic.make 0;
     started_ns = Clock.now_ns ();
     access = Option.map (fun path -> Event_log.create path) config.access_log;
     draining = Atomic.make false;
@@ -100,7 +89,6 @@ let m_2xx = Metrics.counter "serve.status.2xx"
 let m_4xx = Metrics.counter "serve.status.4xx"
 let m_5xx = Metrics.counter "serve.status.5xx"
 let m_request_s = Metrics.histogram "serve.request_s"
-let g_inflight = Metrics.gauge "serve.inflight"
 
 (* ---- response rendering ---- *)
 
@@ -208,10 +196,9 @@ let parse_trace_header (req : Http.request) =
       | _ -> None)
 
 (* The coalesced solve for an already-resolved request. Exported: the
-   event-loop engine resolves requests itself (amortizing topology
-   construction across a batch) and then joins the exact same
-   coalescing/deadline/rendering path, which is what keeps its response
-   bodies byte-identical to the threaded engine's. *)
+   engine resolves requests itself (amortizing topology construction
+   across a batch) and then joins this coalescing/deadline/rendering
+   path, which is what keeps its bodies byte-identical to [handle]'s. *)
 let solve_resolved t ~accept_ns ?trace_ids ~digest (req : Request.t)
     (resolved : Request.resolved) =
   let deadline =
@@ -302,9 +289,9 @@ let trace_response t params =
        (Json.quote Core.Digest_key.solver_version)
        (uptime_ns t) (Unix.getpid ()) (Trace.enabled ()) events)
 
-(* Per-request accounting shared by both engines: latency histogram,
-   status-class counters, one access-log line. Returns the response so
-   dispatch tails straight into it. *)
+(* Per-request accounting shared by [handle] and the engine's own solve
+   dispatch: latency histogram, status-class counters, one access-log
+   line. Returns the response so dispatch tails straight into it. *)
 let account t ~accept_ns ~meth ~path (served : served) =
   let resp = served.resp in
   let wall_s = Clock.elapsed_s accept_ns in
@@ -357,18 +344,16 @@ let handle t ~accept_ns (req : Http.request) =
            probes: the solver version (digests are only comparable across
            identical versions, so a mismatched worker must be rejected),
            the handler capacity to size its dispatch window, and the
-           current load/drain state. *)
+           drain state. *)
         plain
           (Http.response ~headers:json_headers 200
              (Printf.sprintf
                 "{\"status\": \"ok\", \"solver_version\": %s, \"jobs\": %d, \
-                 \"queue\": %d, \"inflight\": %d, \"draining\": %b}\n"
+                 \"draining\": %b}\n"
                 (Json.quote Core.Digest_key.solver_version)
                 (max 1 (Core.Pool.workers ()))
-                t.config.queue_capacity (Atomic.get t.inflight)
                 (is_draining t)))
     | "GET", "/metrics" ->
-        Metrics.set g_inflight (float_of_int (Atomic.get t.inflight));
         plain
           (Http.response ~headers:json_headers 200
              (Metrics.to_json
@@ -388,79 +373,6 @@ let handle t ~accept_ns (req : Http.request) =
   in
   account t ~accept_ns ~meth:req.Http.meth ~path served
 
-(* ---- connection plumbing ---- *)
-
-let try_write fd resp =
-  (* The peer may already be gone (client timeout, ^C); its loss. *)
-  try Http.write_response fd resp with Unix.Unix_error _ -> ()
-
-let handle_conn t ~accept_ns fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* A stalled client must not pin a worker domain forever. *)
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0
-       with Unix.Unix_error _ -> ());
-      match Http.read_request ~max_body:t.config.max_body_bytes fd with
-      | exception Unix.Unix_error _ -> ()
-      | Error Http.Closed -> ()
-      | Error (Http.Bad msg) -> try_write fd (error_response 400 msg)
-      | Error Http.Too_large ->
-          try_write fd (error_response 413 "request body too large")
-      | Error Http.Headers_too_large ->
-          try_write fd (error_response 431 "request header too large")
-      | Ok req -> try_write fd (handle t ~accept_ns req))
-
-let admit t conn =
-  let accept_ns = Clock.now_ns () in
-  (* Handler slots = pool workers (or 1 when the pool is disabled and
-     handlers run on the accept thread itself). *)
-  let slots = max 1 (Core.Pool.workers ()) in
-  let capacity = slots + t.config.queue_capacity in
-  if Atomic.fetch_and_add t.inflight 1 >= capacity then begin
-    ignore (Atomic.fetch_and_add t.inflight (-1));
-    try_write conn (reject t `Capacity);
-    try Unix.close conn with Unix.Unix_error _ -> ()
-  end
-  else begin
-    Metrics.set g_inflight (float_of_int (Atomic.get t.inflight));
-    let task () =
-      Fun.protect
-        ~finally:(fun () ->
-          ignore (Atomic.fetch_and_add t.inflight (-1));
-          Metrics.set g_inflight (float_of_int (Atomic.get t.inflight)))
-        (fun () -> handle_conn t ~accept_ns conn)
-    in
-    if not (Core.Pool.submit task) then begin
-      ignore (Atomic.fetch_and_add t.inflight (-1));
-      try_write conn (reject t `Draining);
-      try Unix.close conn with Unix.Unix_error _ -> ()
-    end
-  end
-
-(* During graceful drain the read-only endpoints keep answering on the
-   accept thread itself (the pool is retiring), so an orchestrator probe
-   never misclassifies a draining worker as dead. Solves get the same
-   503 they would get from a refused submit. *)
-let serve_readonly t conn =
-  let accept_ns = Clock.now_ns () in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* A slow client must not stall the drain; one second is plenty for
-         a probe's request head. *)
-      (try Unix.setsockopt_float conn Unix.SO_RCVTIMEO 1.0
-       with Unix.Unix_error _ -> ());
-      match Http.read_request ~max_body:t.config.max_body_bytes conn with
-      | exception Unix.Unix_error _ -> ()
-      | Error _ -> ()
-      | Ok req -> (
-          let path, _ = Http.split_target req.Http.target in
-          match (req.Http.meth, path) with
-          | "GET", ("/healthz" | "/metrics" | "/trace") ->
-              try_write conn (handle t ~accept_ns req)
-          | _ -> try_write conn (reject t `Draining)))
-
 (* ---- lifecycle ---- *)
 
 let close_logs t = Option.iter Event_log.close t.access
@@ -470,86 +382,3 @@ let flush_sinks config =
   | Some path -> Metrics.write ~path (Metrics.snapshot ())
   | None -> ());
   match config.trace_file with Some path -> Trace.write path | None -> ()
-
-let serve config =
-  (* A peer resetting mid-write must surface as EPIPE, not kill the
-     process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Metrics.set_enabled true;
-  if config.trace_file <> None || config.trace_buffer then
-    Trace.set_enabled true;
-  (* Fleet log lines must be attributable after a coordinator interleaves
-     several workers' logs: prefix every line this daemon prints. *)
-  let tag =
-    match config.log_tag with
-    | Some tag -> Printf.sprintf "[%s pid=%d] " tag (Unix.getpid ())
-    | None -> ""
-  in
-  let t = create config in
-  let stop = Atomic.make false in
-  let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-  Sys.set_signal Sys.sigterm on_signal;
-  Sys.set_signal Sys.sigint on_signal;
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr =
-    try Unix.inet_addr_of_string config.host
-    with Failure _ -> (
-      try (Unix.gethostbyname config.host).Unix.h_addr_list.(0)
-      with Not_found -> failwith (Printf.sprintf "cannot resolve host %S" config.host))
-  in
-  Unix.bind listen_fd (Unix.ADDR_INET (addr, config.port));
-  Unix.listen listen_fd 128;
-  let port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.port
-  in
-  (* Atomic publish: a watcher polling for the file never reads a
-     half-written port number. *)
-  Option.iter
-    (fun path -> Json.atomic_write ~path (string_of_int port ^ "\n"))
-    config.port_file;
-  Printf.printf "%sdcn_served: listening on %s:%d (handlers=%d, queue=%d)\n%!"
-    tag config.host port
-    (max 1 (Core.Pool.workers ()))
-    config.queue_capacity;
-  while not (Atomic.get stop) do
-    (* Select with a short timeout, then poll the stop flag: the signal
-       handler only flips an atomic, so shutdown latency is one tick. *)
-    match Unix.select [ listen_fd ] [] [] 0.2 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept listen_fd with
-        | exception
-            Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            ()
-        | conn, _ -> admit t conn)
-  done;
-  (* Drain: stop admitting solves but keep the listener open so
-     /healthz, /metrics and /trace still answer while in-flight solves
-     flush; then retire the pool and flush the sinks. A 30 s cap bounds
-     the drain even if a handler wedges. *)
-  set_draining t true;
-  Printf.printf "%sdcn_served: draining %d in-flight request(s)\n%!" tag
-    (Atomic.get t.inflight);
-  let drain_deadline = Int64.add (Clock.now_ns ()) (ns_of_s 30.0) in
-  while Atomic.get t.inflight > 0 && Clock.now_ns () < drain_deadline do
-    match Unix.select [ listen_fd ] [] [] 0.05 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept listen_fd with
-        | exception
-            Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            ()
-        | conn, _ -> serve_readonly t conn)
-  done;
-  Unix.close listen_fd;
-  Core.Pool.shutdown ();
-  flush_sinks config;
-  close_logs t;
-  Printf.printf "%sdcn_served: drained, exiting\n%!" tag

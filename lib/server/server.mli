@@ -1,4 +1,11 @@
-(** The solve server.
+(** The solve server: the request → response half of [dcn_served].
+
+    This module owns no sockets. The event-loop engine
+    ({!Dcn_engine.Engine}) owns the transport — accept, keep-alive
+    parsing, batching, the hot cache, load shedding, drain — and calls
+    {!handle} for every endpoint except [POST /solve], whose resolved
+    requests it passes to {!solve_resolved}. Every response body is
+    rendered here.
 
     Endpoints:
     - [POST /solve] — JSON request ({!Request.of_json} schema) to JSON
@@ -8,8 +15,7 @@
       result store ({!Dcn_store}) when one is installed.
     - [GET /healthz] — liveness probe, carrying the worker facts a sweep
       coordinator needs: [solver_version] (digests only compare across
-      identical versions), [jobs] (handler capacity), [queue],
-      [inflight] and [draining].
+      identical versions), [jobs] (handler capacity) and [draining].
     - [GET /metrics] — {!Dcn_obs.Metrics} registry snapshot as JSON
       (solver counters, store hits/misses, request latency histogram with
       p50/p95/p99), prefixed with [solver_version] and [uptime_ns] meta
@@ -33,23 +39,13 @@
     [timeout_s] — excluded from the digest: telemetry never changes
     result identity.
 
-    Concurrency: the accept loop runs on the calling thread; each
-    connection is one detached task on the shared domain pool
-    ({!Dcn_util.Pool.submit}). Admission control bounds in-flight work at
-    [pool workers + queue_capacity] (429 + Retry-After beyond, 503 while
-    draining). Deadlines are measured from accept time and enforced at
-    FPTAS phase boundaries ({!Dcn_flow.Mcmf_fptas.with_cancel}); an
-    exceeded deadline is a 504, and riders of a coalesced solve share the
-    leader's fate. SIGTERM/SIGINT stop the accept loop, drain in-flight
-    requests ({!Dcn_util.Pool.shutdown}) and flush the observability
-    sinks before {!serve} returns. *)
+    Deadlines are measured from accept time and enforced at FPTAS phase
+    boundaries ({!Dcn_flow.Mcmf_fptas.with_cancel}); an exceeded deadline
+    is a 504, and riders of a coalesced solve share the leader's fate. *)
 
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; see [port_file]. *)
-  queue_capacity : int;
-      (** Admitted-but-not-yet-handled requests beyond the pool's worker
-          count; above this the server answers 429. *)
   default_timeout_s : float option;
       (** Deadline for requests that do not set ["timeout_s"]; [None]
           means no deadline. *)
@@ -73,8 +69,7 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:8080, queue 64, 300 s default deadline, 8 MiB bodies, no
-    files. *)
+(** 127.0.0.1:8080, 300 s default deadline, 8 MiB bodies, no files. *)
 
 type t
 
@@ -91,19 +86,18 @@ val coalesce_pending : t -> int
 (** In-flight coalesced solves (see {!Coalesce.pending}); tests use it to
     rendezvous a duplicate with its leader. *)
 
-(** {2 Building blocks for alternative serving loops}
+(** {2 Building blocks for the engine}
 
-    The event-loop engine ({!Dcn_engine.Engine}) owns its own sockets
-    and request parsing but reuses this module's dispatch pipeline piece
-    by piece, which is what keeps its response bodies byte-identical to
-    the threaded reference engine's. *)
+    The engine resolves and batches solves itself, then joins this
+    module's dispatch pipeline piece by piece, which is what keeps its
+    solve bodies byte-identical to {!handle}'s. *)
 
 type served = {
   resp : Http.response;
   sv_digest : string option;  (** Solve digest, when the body resolved. *)
   sv_role : string option;
-      (** Access-log role: ["led"] / ["coalesced"] from solves; an
-          alternative loop may add its own (["hot"], ["bound"]). *)
+      (** Access-log role: ["led"] / ["coalesced"] from solves; the
+          engine adds its own (["hot"], ["bound"]). *)
 }
 
 val plain : Http.response -> served
@@ -129,8 +123,8 @@ val solve_resolved :
 val account : t -> accept_ns:int64 -> meth:string -> path:string -> served -> Http.response
 (** Per-request accounting (latency histogram, status-class counters,
     access-log line); returns [served.resp]. {!handle} calls this
-    itself — only alternative loops that dispatched around {!handle}
-    need it. *)
+    itself — only the engine's solve dispatch, which goes around
+    {!handle}, needs it. *)
 
 val note_request : t -> solve:bool -> unit
 (** Count one incoming request (and one solve request) in the serve
@@ -155,11 +149,5 @@ val flush_sinks : config -> unit
 (** Write the metrics snapshot and trace file, when configured. *)
 
 val close_logs : t -> unit
-(** Close the access log, when configured; the last step of a serving
-    loop's shutdown. *)
-
-val serve : config -> unit
-(** Bind, listen, print the [listening] line, run the accept loop until
-    SIGTERM/SIGINT, drain, flush, return. Installs signal handlers and
-    ignores SIGPIPE; enables metrics recording. Runs handlers on the
-    shared pool — size it beforehand with {!Dcn_util.Pool.set_workers}. *)
+(** Close the access log, when configured; the last step of the
+    engine's shutdown. *)

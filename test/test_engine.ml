@@ -3,8 +3,8 @@
    bounded LRU hot cache (capacity, eviction order, byte cap, concurrent
    hits), the shed tier's certified bounds against a real FPTAS answer,
    and the engine end to end over real sockets — keep-alive reuse,
-   pipelined in-order responses, byte-identity with the threaded
-   dispatch path, and shed escalation/recovery under a request flood.
+   pipelined in-order responses, byte-identity with in-process
+   Server.handle, and shed escalation/recovery under a request flood.
 
    End-to-end tests run the engine in a background thread via
    [Engine.serve ~stop ~on_port] with the pool at zero workers: submit
@@ -48,7 +48,7 @@ let feed_string t s =
 
 let test_reqstream_byte_at_a_time () =
   let t = Reqstream.create ~max_body:1_000_000 () in
-  let raw = post_raw solve_body in
+  let raw = post_raw ~extra:"Content-Type: application/json\r\n" solve_body in
   let n = String.length raw in
   String.iteri
     (fun i c ->
@@ -59,7 +59,11 @@ let test_reqstream_byte_at_a_time () =
       | Reqstream.Request (req, keep_alive) ->
           if i < n - 1 then
             Alcotest.fail (Printf.sprintf "request yielded at byte %d/%d" i n);
+          Alcotest.(check string) "meth" "POST" req.Http.meth;
           Alcotest.(check string) "target" "/solve" req.Http.target;
+          Alcotest.(check (option string)) "header lowercased"
+            (Some "application/json")
+            (Http.header "content-type" req);
           Alcotest.(check string) "body" solve_body req.Http.body;
           Alcotest.(check bool) "keep-alive (1.1 default)" true keep_alive
       | Reqstream.Error e ->
@@ -283,7 +287,7 @@ let test_shed_cut_term_clustered () =
   let pg = plain.Request.topo.Dcn_topology.Topology.graph in
   let pterms = Shed.compute_terms ~dist:(dist_oracle pg) plain in
   Alcotest.(check bool) "unclustered has no cut term" true
-    (pterms.Shed.cut = None)
+    (Option.is_none pterms.Shed.cut)
 
 (* ---- Engine end to end (real sockets, background loop) ---- *)
 
@@ -299,7 +303,6 @@ let with_engine ?(tune = fun (c : Engine.config) -> c) f =
       Server.default_config with
       Server.port = 0;
       default_timeout_s = None;
-      queue_capacity = 64;
     }
   in
   let cfg = tune (Engine.default base) in
@@ -353,7 +356,7 @@ let test_engine_keepalive_and_identity () =
           Alcotest.(check int) "both requests on it" 2 (Http.conn_requests c);
           Alcotest.(check bool) "marked full tier" true
             (contains ~sub:"\"tier\": \"fptas\"" first);
-          (* The threaded dispatch path must render the same bytes. *)
+          (* In-process dispatch must render the same bytes. *)
           let srv =
             Server.create
               { Server.default_config with Server.default_timeout_s = None }
@@ -367,7 +370,7 @@ let test_engine_keepalive_and_identity () =
                 body = solve_body;
               }
           in
-          Alcotest.(check string) "engines byte-identical" resp.Http.body
+          Alcotest.(check string) "wire body = in-process body" resp.Http.body
             first))
 
 let read_all fd =

@@ -1,9 +1,10 @@
-(* Tests for the serving layer: JSON parsing, the HTTP codec over a
-   socketpair, typed request decoding, the request-digest identity
-   property, single-flight coalescing, and the server's dispatch /
-   deadline / byte-identity behavior — all in-process via Server.handle,
-   no sockets needed beyond the codec test (the CI smoke job exercises
-   the real daemon). *)
+(* Tests for the serving layer: JSON parsing, response serialization,
+   typed request decoding, the request-digest identity property,
+   single-flight coalescing, and the server's dispatch / deadline /
+   byte-identity behavior — all in-process via Server.handle, no sockets
+   (test_engine drives the engine over real ones, and the CI smoke jobs
+   the real daemon). Request parsing is Reqstream's, tested in
+   test_engine. *)
 
 module J = Dcn_serve.Json_parse
 module Http = Dcn_serve.Http
@@ -59,162 +60,23 @@ let test_json_parse_rejects () =
     [ "{"; "[1,]"; "{\"a\": 1} trailing"; "\"unterminated"; "{'single': 1}";
       "nul"; "{\"a\" 1}"; "\"bad \\q escape\"" ]
 
-(* ---- HTTP codec over a socketpair ---- *)
+(* ---- response serialization ---- *)
 
-let test_http_request_roundtrip () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-    (fun () ->
-      let body = "{\"topology\": \"rrg:12,6,3\"}" in
-      let raw =
-        Printf.sprintf
-          "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
-          (String.length body) body
-      in
-      let writer = Thread.create (fun () -> ignore (Unix.write_substring a raw 0 (String.length raw))) () in
-      (match Http.read_request ~max_body:1_000_000 b with
-      | Ok req ->
-          Alcotest.(check string) "meth" "POST" req.Http.meth;
-          Alcotest.(check string) "target" "/solve" req.Http.target;
-          Alcotest.(check (option string)) "header lowercased"
-            (Some "application/json")
-            (Http.header "content-type" req);
-          Alcotest.(check string) "body" body req.Http.body
-      | Error _ -> Alcotest.fail "read_request failed");
-      Thread.join writer)
-
-let test_http_body_limit () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-    (fun () ->
-      let raw = "POST /solve HTTP/1.1\r\nContent-Length: 999999\r\n\r\n" in
-      let writer = Thread.create (fun () -> ignore (Unix.write_substring a raw 0 (String.length raw))) () in
-      (match Http.read_request ~max_body:1024 b with
-      | Error Http.Too_large -> ()
-      | Ok _ | Error _ -> Alcotest.fail "oversized body must be Too_large");
-      Thread.join writer)
-
+(* The engine writes keep-alive responses without a Connection header
+   and closing ones with [Connection: close]; nothing else differs. *)
 let test_http_response_wire_format () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-    (fun () ->
-      let writer =
-        Thread.create
-          (fun () ->
-            Http.write_response a (Http.response ~headers:[ ("X-T", "1") ] 200 "hello");
-            Unix.close a)
-          ()
-      in
-      let buf = Buffer.create 256 in
-      let chunk = Bytes.create 256 in
-      let rec drain () =
-        let n = Unix.read b chunk 0 256 in
-        if n > 0 then begin
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-        end
-      in
-      drain ();
-      Thread.join writer;
-      let text = Buffer.contents buf in
-      let has s =
-        Alcotest.(check bool) (Printf.sprintf "contains %S" s) true
-          (let sl = String.length s and tl = String.length text in
-           let rec go i = i + sl <= tl && (String.sub text i sl = s || go (i + 1)) in
-           go 0)
-      in
-      has "HTTP/1.1 200 OK\r\n";
-      has "X-T: 1\r\n";
-      has "Content-Length: 5\r\n";
-      has "Connection: close\r\n\r\nhello")
-
-(* A request delivered one byte at a time: the reader must reassemble
-   it identically to a single write, whatever the read boundaries. *)
-let test_http_dribbled_request () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-    (fun () ->
-      let body = "{\"topology\": \"rrg:12,6,3\"}" in
-      let raw =
-        Printf.sprintf
-          "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
-          (String.length body) body
-      in
-      let writer =
-        Thread.create
-          (fun () ->
-            String.iter
-              (fun c ->
-                ignore (Unix.write_substring a (String.make 1 c) 0 1))
-              raw)
-          ()
-      in
-      (match Http.read_request ~max_body:1_000_000 b with
-      | Ok req ->
-          Alcotest.(check string) "target" "/solve" req.Http.target;
-          Alcotest.(check string) "body" body req.Http.body
-      | Error _ -> Alcotest.fail "dribbled read_request failed");
-      Thread.join writer)
-
-(* Unbounded header lines / header blocks must fail with the dedicated
-   431 error, not hang or allocate without limit. *)
-let test_http_oversized_headers () =
-  let giant_line () =
-    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-      (fun () ->
-        let raw =
-          "GET / HTTP/1.1\r\nX-Big: " ^ String.make (Http.max_header_line + 10) 'a'
-          ^ "\r\n\r\n"
-        in
-        let writer =
-          Thread.create
-            (fun () ->
-              (try ignore (Unix.write_substring a raw 0 (String.length raw))
-               with Unix.Unix_error _ -> ()))
-            ()
-        in
-        (match Http.read_request ~max_body:1024 b with
-        | Error Http.Headers_too_large -> ()
-        | Ok _ | Error _ ->
-            Alcotest.fail "oversized header line must be Headers_too_large");
-        Thread.join writer)
-  in
-  let too_many () =
-    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-      (fun () ->
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf "GET / HTTP/1.1\r\n";
-        for i = 0 to Http.max_header_count + 5 do
-          Buffer.add_string buf (Printf.sprintf "X-H%d: v\r\n" i)
-        done;
-        Buffer.add_string buf "\r\n";
-        let raw = Buffer.contents buf in
-        let writer =
-          Thread.create
-            (fun () ->
-              (try ignore (Unix.write_substring a raw 0 (String.length raw))
-               with Unix.Unix_error _ -> ()))
-            ()
-        in
-        (match Http.read_request ~max_body:1024 b with
-        | Error Http.Headers_too_large -> ()
-        | Ok _ | Error _ ->
-            Alcotest.fail "too many headers must be Headers_too_large");
-        Thread.join writer)
-  in
-  giant_line ();
-  too_many ();
+  let resp = Http.response ~headers:[ ("X-T", "1") ] 200 "hello" in
+  let head = "HTTP/1.1 200 OK\r\nX-T: 1\r\nContent-Length: 5\r\n" in
+  Alcotest.(check string) "close"
+    (head ^ "Connection: close\r\n\r\nhello")
+    (Http.serialize_response ~keep_alive:false resp);
+  Alcotest.(check string) "keep-alive" (head ^ "\r\nhello")
+    (Http.serialize_response ~keep_alive:true resp);
   (* 431 has a reason phrase on the wire. *)
-  Alcotest.(check bool) "431 reason" true
-    (String.length (Http.serialize_response (Http.response 431 "x")) > 0)
+  Alcotest.(check string) "431 reason"
+    "HTTP/1.1 431 Request Header Fields Too Large\r\n\
+     Content-Length: 1\r\nConnection: close\r\n\r\nx"
+    (Http.serialize_response (Http.response 431 "x"))
 
 (* ---- request decoding ---- *)
 
@@ -226,7 +88,7 @@ let test_request_defaults () =
       Alcotest.(check (float 0.0)) "eps" 0.05 r.Request.eps;
       Alcotest.(check (float 0.0)) "gap" 0.05 r.Request.gap;
       Alcotest.(check bool) "routing optimal" true (r.Request.routing = Request.Optimal);
-      Alcotest.(check bool) "no timeout" true (r.Request.timeout_s = None)
+      Alcotest.(check bool) "no timeout" true (Option.is_none r.Request.timeout_s)
 
 let test_request_rejects () =
   let rejects body =
@@ -479,6 +341,36 @@ let test_server_routing_modes () =
       let resp = handle srv (mkreq body) in
       Alcotest.(check int) (routing ^ " solves") 200 resp.Http.status)
     [ "ksp:4"; "ecmp:16"; "vlb:3" ]
+
+(* ---- golden response bodies ---- *)
+
+(* test/golden/serve holds the daemon's bodies for [topobench client
+   rrg:20,8,5 --eps 0.1 --gap 0.1 --seed S --routing M]; CI diffs the
+   wire bodies, cold and from the hot cache, against the same files.
+   In-process rendering must produce the very same bytes. *)
+let test_server_golden_bodies () =
+  let srv = Server.create no_timeout_config in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (routing, name) ->
+          let body =
+            Request.to_body
+              {
+                base_request with
+                Request.topology = Request.Spec (Core.Cli.Rrg (20, 8, 5));
+                seed;
+                routing;
+              }
+          in
+          let file = Printf.sprintf "golden/serve/s%d-%s.json" seed name in
+          let resp = handle srv (mkreq body) in
+          Alcotest.(check int) (file ^ " status") 200 resp.Http.status;
+          Alcotest.(check string) file
+            (In_channel.with_open_bin file In_channel.input_all)
+            resp.Http.body)
+        [ (Request.Optimal, "optimal"); (Request.Ksp 4, "ksp_4") ])
+    [ 1; 2; 3 ]
 
 let test_server_deadline_preflight () =
   let srv =
@@ -763,15 +655,8 @@ let suite =
     [
       Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
       Alcotest.test_case "json parse rejects" `Quick test_json_parse_rejects;
-      Alcotest.test_case "http request round-trip" `Quick
-        test_http_request_roundtrip;
-      Alcotest.test_case "http body limit" `Quick test_http_body_limit;
       Alcotest.test_case "http response wire format" `Quick
         test_http_response_wire_format;
-      Alcotest.test_case "http dribbled request" `Quick
-        test_http_dribbled_request;
-      Alcotest.test_case "http oversized headers get 431" `Quick
-        test_http_oversized_headers;
       Alcotest.test_case "request defaults" `Quick test_request_defaults;
       Alcotest.test_case "request rejects" `Quick test_request_rejects;
       Alcotest.test_case "routing round-trip" `Quick test_routing_roundtrip;
@@ -788,6 +673,8 @@ let suite =
         test_server_solve_ok;
       Alcotest.test_case "restricted routing modes solve" `Quick
         test_server_routing_modes;
+      Alcotest.test_case "golden bodies render byte-identically" `Quick
+        test_server_golden_bodies;
       Alcotest.test_case "deadline rejected before solve" `Quick
         test_server_deadline_preflight;
       Alcotest.test_case "deadline cancels mid-solve" `Quick
