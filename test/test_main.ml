@@ -27,6 +27,7 @@ let () =
       Test_edge_cases.suite;
       Test_resilience.suite;
       Test_warm.suite;
+      Test_pins.suite;
       Test_properties.suite;
       Test_serve.suite;
       Test_engine.suite;
