@@ -261,13 +261,6 @@ let microbenchmarks () =
         (Staged.stage (fun () ->
              ignore
                (Core.Mcmf_fptas.solve ~params:quick topo40.Core.Topology.graph cs)));
-      (* Same solve with the dual bound sampled every 8 phases instead of
-         every phase: identical certificate quality, fewer sweeps. *)
-      Test.make ~name:"mcmf-fptas-n40-perm-lazy-dual"
-        (Staged.stage (fun () ->
-             ignore
-               (Core.Mcmf_fptas.solve ~params:quick ~dual_check_every:8
-                  topo40.Core.Topology.graph cs)));
       Test.make ~name:"maxflow-dinic-n200"
         (Staged.stage (fun () ->
              ignore (Core.Maxflow.max_flow g200 ~src:0 ~dst:100)));

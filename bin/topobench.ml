@@ -221,9 +221,7 @@ let failures_cmd =
       Core.Traffic.permutation tm_st ~servers:topo.Core.Topology.servers
     in
     let cs = Core.Traffic.to_commodities tm in
-    let midpoint (r : Core.Mcmf_fptas.result) =
-      (r.Core.Mcmf_fptas.lambda_lower +. r.Core.Mcmf_fptas.lambda_upper) /. 2.0
-    in
+    let midpoint = Core.Gk_loop.midpoint in
     (* One group-tracked baseline; each non-zero fraction is an incremental
        delta-solve of the masked survivor against it (repaired trees,
        surviving flow reused) rather than a from-scratch solve. *)

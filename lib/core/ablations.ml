@@ -403,11 +403,8 @@ let traffic_proportionality scale =
         (Traffic.to_commodities tm)
     in
     warm := Some link;
-    let r = solved.Mcmf_fptas.result in
-    let lambda =
-      (r.Mcmf_fptas.lambda_lower +. r.Mcmf_fptas.lambda_upper) /. 2.0
-    in
-    lambda *. float_of_int tm.Traffic.flows_per_server
+    Dcn_flow.Gk_loop.midpoint solved.Mcmf_fptas.result
+    *. float_of_int tm.Traffic.flows_per_server
   in
   let servers = topo.Topology.servers in
   let a2a = rate (Traffic.all_to_all ~servers) in
@@ -519,9 +516,7 @@ let failure_resilience scale =
     let tm = Traffic.permutation tm_st ~servers:topo.Topology.servers in
     Traffic.to_commodities tm
   in
-  let midpoint (r : Mcmf_fptas.result) =
-    (r.Mcmf_fptas.lambda_lower +. r.Mcmf_fptas.lambda_upper) /. 2.0
-  in
+  let midpoint = Dcn_flow.Gk_loop.midpoint in
   let baseline (topo : Topology.t) =
     let cs = commodities_of topo in
     let solved, link =

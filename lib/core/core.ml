@@ -24,6 +24,7 @@ module Cuts = Dcn_graph.Cuts
 module Spectral = Dcn_graph.Spectral
 module Simplex = Dcn_lp.Simplex
 module Commodity = Dcn_flow.Commodity
+module Gk_loop = Dcn_flow.Gk_loop
 module Maxflow = Dcn_flow.Maxflow
 module Mcmf_exact = Dcn_flow.Mcmf_exact
 module Mcmf_fptas = Dcn_flow.Mcmf_fptas

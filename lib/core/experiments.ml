@@ -27,9 +27,7 @@ let rrg_throughput_ratio scale ~salt ~n ~r ~traffic =
     let result =
       Solve_cache.fptas ~params:scale.Scale.params topo.Topology.graph cs
     in
-    let lambda =
-      (result.Mcmf_fptas.lambda_lower +. result.Mcmf_fptas.lambda_upper) /. 2.0
-    in
+    let lambda = Dcn_flow.Gk_loop.midpoint result in
     (* The Theorem-1 bound treats every server-level flow as one unit;
        all-to-all has S(S-1) flows of unit demand, a permutation has S. *)
     let s = Traffic.num_servers ~servers in

@@ -4,6 +4,8 @@ let make ~src ~dst ~demand =
   if src = dst then invalid_arg "Commodity.make: src = dst";
   if demand <= 0.0 || Float.is_nan demand then
     invalid_arg "Commodity.make: demand must be positive";
+  if not (Float.is_finite demand) then
+    invalid_arg "Commodity.make: demand must be finite";
   { src; dst; demand }
 
 let total_demand cs = Array.fold_left (fun acc c -> acc +. c.demand) 0.0 cs

@@ -11,7 +11,7 @@ type t = { src : int; dst : int; demand : float }
 val make : src:int -> dst:int -> demand:float -> t
 (** Raises [Invalid_argument] if [src = dst] (intra-switch traffic uses no
     network capacity and must be filtered before solving) or the demand is
-    not strictly positive. *)
+    not strictly positive and finite. *)
 
 val total_demand : t array -> float
 

@@ -30,37 +30,15 @@ let m_warm_starts = Metrics.counter "fptas.warm_starts"
 let m_phases_saved = Metrics.counter "fptas.phases_saved"
 let m_delta_solves = Metrics.counter "fptas.delta_solves"
 
-type params = { eps : float; gap : float; max_phases : int }
+type params = Gk_loop.params = { eps : float; gap : float; max_phases : int }
 
-(* ---- cooperative cancellation ----
+exception Cancelled = Gk_loop.Cancelled
 
-   A per-domain stop check, installed by [with_cancel] and consulted at
-   phase boundaries (a phase is the natural atomic unit of work: both
-   certificates are valid after any complete phase, so stopping between
-   phases never leaves a torn state). Domain-local rather than a [solve]
-   parameter so callers layered above the solver — cached wrappers,
-   [Throughput.compute], path-restricted solves — inherit the deadline
-   without every intermediate API changing. *)
-
-exception Cancelled
-
-let cancel_key : (unit -> bool) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let with_cancel check f =
-  let old = Domain.DLS.get cancel_key in
-  Domain.DLS.set cancel_key (Some check);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set cancel_key old) f
-
-let check_cancelled () =
-  match Domain.DLS.get cancel_key with
-  | Some check when check () -> raise Cancelled
-  | _ -> ()
-
+let with_cancel = Gk_loop.with_cancel
 let default_params = { eps = 0.05; gap = 0.03; max_phases = 100_000 }
 let quick_params = { eps = 0.1; gap = 0.08; max_phases = 100_000 }
 
-type result = {
+type result = Gk_loop.result = {
   lambda_lower : float;
   lambda_upper : float;
   arc_flow : float array;
@@ -103,11 +81,6 @@ type warm_state = {
 
 type solve_state = { result : result; warm : warm_state }
 
-let validate_params p =
-  if p.eps <= 0.0 || p.eps >= 1.0 then invalid_arg "Mcmf_fptas: eps out of (0,1)";
-  if p.gap <= 0.0 then invalid_arg "Mcmf_fptas: gap must be positive";
-  if p.max_phases < 1 then invalid_arg "Mcmf_fptas: max_phases < 1"
-
 let commodities_equal a b =
   Array.length a = Array.length b
   &&
@@ -143,22 +116,15 @@ let demand_scale g commodities =
    length-seeded warm start, 2 = delta-solve), [o_inherited] the seed's
    certified phase count. *)
 type obs = {
-  mutable o_dual_checks : int;
+  o_loop : Gk_loop.stats;
   mutable o_tree_rebuilds : int;
   mutable o_paths_reused : int;
-  mutable o_eps_halvings : int;
   mutable o_mode : int;
   mutable o_inherited : int;
 }
 
-let stall_window = 30
-let min_eps = 0.0125
-
-let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
-    commodities =
-  validate_params params;
-  if dual_check_every < 1 then
-    invalid_arg "Mcmf_fptas: dual_check_every must be >= 1";
+let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
+  Gk_loop.validate params;
   if Array.length commodities = 0 then invalid_arg "Mcmf_fptas: no commodities";
   let n = Graph.n g in
   Commodity.validate ~n commodities;
@@ -188,17 +154,13 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
     | Some w when commodities_equal w.w_commodities commodities -> w.w_scale
     | _ -> demand_scale g commodities
   in
-  (* The length step shrinks adaptively: the primal value plateaus at
-     roughly λ*(1 - O(eps)), so when the certified gap stalls above target
-     the only cure is a finer step. Both certificates stay valid across a
-     change of eps: the primal bound only needs each phase to route full
-     demands, and the dual bound holds for any positive lengths. A warm
-     start resumes at the seed's reached eps (clamped to the requested
-     range) so the chain does not re-pay the halving ladder. *)
+  (* The length step shrinks adaptively ({!Gk_loop.run}). A warm start
+     resumes at the seed's reached eps (clamped to the requested range) so
+     the chain does not re-pay the halving ladder. *)
   let eps =
     ref
       (match warm with
-      | Some w -> Float.max min_eps (Float.min params.eps w.w_eps)
+      | Some w -> Gk_loop.warm_eps params w.w_eps
       | None -> params.eps)
   in
   let groups =
@@ -232,27 +194,23 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
   let sp_arcs = ref (Array.make (4 * ncomm) 0) in
   let sp_dist = Array.make ncomm 0.0 in
   let sp_valid = ref false in
-  let delta =
-    (float_of_int !m_pos /. (1.0 -. !eps)) ** (-1.0 /. !eps)
-  in
+  let csr = Graph.csr g in
+  let arc_src = csr.Graph.csr_arc_src and arc_cap = csr.Graph.csr_arc_cap in
   let lengths = Array.make m_all 0.0 in
+  Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths;
   (match warm with
   | Some w ->
       (* Seeded lengths: copy the seed (never mutate the caller's state);
          arcs the seed left at zero — e.g. capacity restored between
-         instances — get the cold floor so every usable arc has a positive
+         instances — keep the cold floor so every usable arc has a positive
          length. The dual bound is valid for any positive lengths, so this
          is purely a quality-of-start choice. *)
-      Graph.iter_arcs g (fun a ->
-          if Graph.arc_cap g a > 0.0 then begin
-            let seed = w.w_lengths.(a) in
-            lengths.(a) <-
-              (if seed > 0.0 then seed else delta /. Graph.arc_cap g a)
-          end)
-  | None ->
-      Graph.iter_arcs g (fun a ->
-          if Graph.arc_cap g a > 0.0 then
-            lengths.(a) <- delta /. Graph.arc_cap g a));
+      Array.iteri
+        (fun a c ->
+          let seed = w.w_lengths.(a) in
+          if c > 0.0 && seed > 0.0 then lengths.(a) <- seed)
+        arc_cap
+  | None -> ());
   (* A fine step inherited from the seed is the right pace only while we
      also keep the seed's lengths: a restart from the cold floor should
      pace itself like a cold solve. Each eps halving roughly doubles the
@@ -262,10 +220,7 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
   let cold_restart_lengths () =
     sp_valid := false;
     eps := params.eps;
-    let d = (float_of_int !m_pos /. (1.0 -. !eps)) ** (-1.0 /. !eps) in
-    Graph.iter_arcs g (fun a ->
-        lengths.(a) <-
-          (if Graph.arc_cap g a > 0.0 then d /. Graph.arc_cap g a else 0.0))
+    Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths
   in
   let flow = Array.make m_all 0.0 in
   (* Per-group flow tracking, requested by callers that want the returned
@@ -282,8 +237,6 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
     { Dijkstra.dist = Array.make n infinity; parent_arc = Array.make n (-1) }
   in
   let scratch = Dijkstra.make_scratch n in
-  let csr = Graph.csr g in
-  let arc_src = csr.Graph.csr_arc_src and arc_cap = csr.Graph.csr_arc_cap in
   let build_tree ~src ~targets =
     Dijkstra.shortest_tree_targets scratch csr ~lengths ~src ~targets tree
   in
@@ -385,38 +338,10 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
       commodities;
     if not !on_tree then obs.o_paths_reused <- obs.o_paths_reused + 1
   in
-  (* The algorithm depends only on relative lengths, and both the routing
-     and the dual bound are invariant under uniform scaling — so rescale
-     whenever lengths grow large, long before float overflow. *)
-  let rescale_lengths () =
-    let max_len = ref 0.0 in
-    for a = 0 to m_all - 1 do
-      max_len := Float.max !max_len (Array.unsafe_get lengths a)
-    done;
-    let max_len = !max_len in
-    if max_len > 1e100 then begin
-      sp_valid := false;
-      let inv = 1.0 /. max_len in
-      for a = 0 to m_all - 1 do
-        lengths.(a) <- lengths.(a) *. inv
-      done
-    end
-  in
-  (* D(l) = Σ_a cap_a · l_a; masked (zero-capacity) arcs drop out
-     automatically. *)
-  let length_volume () =
-    let d_l = ref 0.0 in
-    for a = 0 to m_all - 1 do
-      d_l :=
-        !d_l +. (Array.unsafe_get arc_cap a *. Array.unsafe_get lengths a)
-    done;
-    !d_l
-  in
-  (* Dual bound for the current lengths: D(l) / Σ_j d_j · dist_l(j). The
-     sweep's trees are the shortest paths the next phase starts from, so
-     their paths to the destinations are stored for it. *)
-  let dual_bound () =
-    let d_l = length_volume () in
+  (* Σ_j d_j · dist_l(j) for the dual bound. The sweep's trees are the
+     shortest paths the next phase starts from, so their paths to the
+     destinations are stored for it. *)
+  let alpha () =
     let alpha = ref 0.0 in
     let fill = ref 0 in
     Array.iteri
@@ -440,18 +365,9 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
           dests)
       groups;
     sp_valid := true;
-    let bound = d_l /. !alpha in
-    if Float.is_nan bound || bound <= 0.0 then infinity else bound
+    !alpha
   in
-  let congestion () =
-    let mu = ref 0.0 in
-    for a = 0 to m_all - 1 do
-      let cap = Array.unsafe_get arc_cap a in
-      if cap > 0.0 then
-        mu := Float.max !mu (Array.unsafe_get flow a /. cap)
-    done;
-    !mu
-  in
+  let congestion () = Gk_loop.congestion ~cap:arc_cap flow in
   (* ---- delta-solve preparation ----
 
      After masking the failed arcs, the inherited primal certificate is
@@ -484,7 +400,7 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
         match w.w_groups with
         | None -> cold_lengths_carry_dual w
         | Some gs ->
-            check_cancelled ();
+            Gk_loop.check_cancelled ();
             let failed_all =
               List.sort_uniq Int.compare
                 (List.concat_map
@@ -665,7 +581,7 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
                   dests;
                 let f0 = gs.gs_flow.(gi) in
                 if List.exists (fun a -> f0.(a) > 0.0) failed_all then begin
-                  check_cancelled ();
+                  Gk_loop.check_cancelled ();
                   let f = Array.copy f0 in
                   List.iter
                     (fun (dst, d) ->
@@ -736,10 +652,11 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
                       alpha := !alpha +. (d *. t.Dijkstra.dist.(dst)))
                     dests)
                 groups;
-              obs.o_dual_checks <- obs.o_dual_checks + 1;
+              obs.o_loop.dual_checks <- obs.o_loop.dual_checks + 1;
               let fresh =
-                let bound = length_volume () /. !alpha in
-                if Float.is_nan bound || bound <= 0.0 then infinity else bound
+                Gk_loop.dual_bound
+                  ~volume:(Gk_loop.volume ~cap:arc_cap lengths)
+                  ~alpha:!alpha
               in
               let start_dual = Float.min w.w_dual fresh in
               (* Re-ship the peeled amounts under the seeded lengths. They
@@ -751,10 +668,10 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
                   match reship.(gi) with
                   | [] -> ()
                   | rm ->
-                      check_cancelled ();
+                      Gk_loop.check_cancelled ();
                       route_source gi s rm (List.map fst rm))
                 groups;
-              rescale_lengths ();
+              Gk_loop.rescale_lengths lengths;
               (w.w_phases, start_dual)
             end)
     | _ -> (0, infinity)
@@ -785,19 +702,7 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
         in
         Some { gs_flow = gf; gs_tree = trees }
   in
-  let finish phases lambda_lo lambda_hi mu ~converged =
-    let arc_flow =
-      if mu > 0.0 then Array.map (fun f -> f /. mu) flow else Array.copy flow
-    in
-    let result =
-      {
-        lambda_lower = lambda_lo *. scale;
-        lambda_upper = lambda_hi *. scale;
-        arc_flow;
-        phases;
-        converged;
-      }
-    in
+  let finish ~phases ~lo ~hi ~mu ~converged =
     let warm_out =
       {
         w_n = n;
@@ -807,76 +712,22 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
         w_eps = !eps;
         w_phases = phases;
         w_executed = phases - !inherited;
-        w_dual = lambda_hi;
+        w_dual = hi;
         w_lengths = Array.copy lengths;
         w_groups = capture_groups ();
       }
     in
+    let result = Gk_loop.result ~scale ~flow ~phases ~lo ~hi ~mu ~converged in
     { result; warm = warm_out }
   in
-  let rec phase_loop phases best_dual last_ratio stalled =
-    (* Deadline check between phases: all flow and length state is
-       consistent here, so [Cancelled] aborts with no partial phase. *)
-    check_cancelled ();
-    (* One span per phase: the trace's phase-span count equals the number
-       of phases this call routed (cross-checked by the test suite). *)
-    let sp_phase = Trace.begin_span ~cat:"fptas" "phase" in
+  (* One phase of routing: every source group, starting on the paths the
+     previous phase's dual sweep stored when there was one. *)
+  let route () =
     let stored = !sp_valid in
     Array.iteri
       (fun gi (s, dests) -> route_source ~stored gi s dests group_targets.(gi))
       groups;
-    sp_valid := false;
-    rescale_lengths ();
-    let phases = phases + 1 in
-    let mu = congestion () in
-    let lambda_lo = float_of_int phases /. mu in
-    (* The dual bound is one full all-sources sweep — as costly as routing
-       a phase. Any positive lengths give a valid bound, so checking less
-       often is safe: the certificate just reflects the lengths at the last
-       check. With [dual_check_every = k > 1] we recompute every k-th phase
-       plus whenever the stale ratio says convergence is close (within 25%
-       of target) or the budget is exhausted; [k = 1] reproduces the
-       original every-phase trajectory exactly. *)
-    let best_dual =
-      let need_check =
-        dual_check_every = 1
-        || phases mod dual_check_every = 0
-        || phases >= params.max_phases
-        || best_dual /. lambda_lo <= (1.0 +. params.gap) *. 1.25
-      in
-      if need_check then begin
-        obs.o_dual_checks <- obs.o_dual_checks + 1;
-        let bound = Float.min best_dual (dual_bound ()) in
-        Trace.instant ~cat:"fptas" "dual_check"
-          ~args:
-            [ ("phase", Trace.Int phases);
-              ("ratio", Trace.Float (bound /. lambda_lo)) ];
-        bound
-      end
-      else best_dual
-    in
-    let ratio = best_dual /. lambda_lo in
-    Trace.end_span sp_phase
-      ~args:[ ("phase", Trace.Int phases); ("ratio", Trace.Float ratio) ];
-    if ratio <= 1.0 +. params.gap then
-      finish phases lambda_lo best_dual mu ~converged:true
-    else if phases >= params.max_phases then
-      (* The interval is still a valid certificate, just wider than asked;
-         callers can inspect [converged] and the realized gap. *)
-      finish phases lambda_lo best_dual mu ~converged:false
-    else begin
-      (* "Meaningful progress" = the gap shrank by at least 1% of its
-         distance to target this phase; anything slower counts as a stall. *)
-      let progress_step = Float.max 5e-4 (0.01 *. (ratio -. 1.0 -. params.gap)) in
-      let stalled = if ratio > last_ratio -. progress_step then stalled + 1 else 0 in
-      let last_ratio = Float.min last_ratio ratio in
-      if stalled >= stall_window && !eps > min_eps then begin
-        obs.o_eps_halvings <- obs.o_eps_halvings + 1;
-        eps := Float.max min_eps (!eps /. 2.0);
-        phase_loop phases best_dual last_ratio 0
-      end
-      else phase_loop phases best_dual last_ratio stalled
-    end
+    sp_valid := false
   in
   (* With the surviving flow restored and the stripped groups re-shipped,
      the inherited primal certificate is whole again: every commodity has
@@ -887,9 +738,11 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
     if start_phases > 0 then begin
       let mu = congestion () in
       if mu > 0.0 then begin
-        let lambda_lo = float_of_int start_phases /. mu in
+        let lambda_lo = Gk_loop.primal_bound ~phases:start_phases ~mu in
         if start_dual /. lambda_lo <= 1.0 +. params.gap then
-          Some (finish start_phases lambda_lo start_dual mu ~converged:true)
+          Some
+            (finish ~phases:start_phases ~lo:lambda_lo ~hi:start_dual ~mu
+               ~converged:true)
         else None
       end
       else None
@@ -909,7 +762,8 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
         if start_phases > 0 then begin
           let mu = congestion () in
           let lambda_lo =
-            if mu > 0.0 then float_of_int start_phases /. mu else infinity
+            if mu > 0.0 then Gk_loop.primal_bound ~phases:start_phases ~mu
+            else infinity
           in
           if start_dual /. lambda_lo > 1.0 +. (2.0 *. params.gap) then begin
             Array.fill flow 0 m_all 0.0;
@@ -924,25 +778,23 @@ let solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
         end
         else (start_phases, start_dual)
       in
-      phase_loop start_phases start_dual infinity 0
+      Gk_loop.run ~cat:"fptas" ~params ~stats:obs.o_loop ~eps ~cap:arc_cap
+        ~flow ~lengths ~route ~alpha ~phases:start_phases ~best_dual:start_dual
+        ~finish
 
-let run ~params ~dual_check_every ~warm ~failed ~track_groups g commodities =
+let run ~params ~warm ~failed ~track_groups g commodities =
   let sp = Trace.begin_span ~cat:"solver" "fptas.solve" in
   let t0 = Dcn_obs.Clock.now_ns () in
   let obs =
     {
-      o_dual_checks = 0;
+      o_loop = Gk_loop.new_stats ();
       o_tree_rebuilds = 0;
       o_paths_reused = 0;
-      o_eps_halvings = 0;
       o_mode = 0;
       o_inherited = 0;
     }
   in
-  match
-    solve_impl ~params ~dual_check_every ~obs ~warm ~failed ~track_groups g
-      commodities
-  with
+  match solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities with
   | st ->
       let r = st.result in
       let executed = st.warm.w_executed in
@@ -950,10 +802,10 @@ let run ~params ~dual_check_every ~warm ~failed ~track_groups g commodities =
       if Metrics.enabled () then begin
         Metrics.incr m_solves;
         Metrics.add m_phases executed;
-        Metrics.add m_dual_checks obs.o_dual_checks;
+        Metrics.add m_dual_checks obs.o_loop.dual_checks;
         Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
         Metrics.add m_paths_reused obs.o_paths_reused;
-        Metrics.add m_eps_halvings obs.o_eps_halvings;
+        Metrics.add m_eps_halvings obs.o_loop.eps_halvings;
         if obs.o_mode >= 1 then begin
           Metrics.incr m_warm_starts;
           Metrics.add m_phases_saved (max 0 (obs.o_inherited - executed))
@@ -975,17 +827,15 @@ let run ~params ~dual_check_every ~warm ~failed ~track_groups g commodities =
       Trace.end_span sp;
       Printexc.raise_with_backtrace e bt
 
-let solve ?(params = default_params) ?(dual_check_every = 1) g commodities =
-  (run ~params ~dual_check_every ~warm:None ~failed:None ~track_groups:false g
-     commodities)
-    .result
+let solve ?(params = default_params) g commodities =
+  (run ~params ~warm:None ~failed:None ~track_groups:false g commodities).result
 
-let solve_with_state ?(params = default_params) ?(dual_check_every = 1) ?warm
-    ?(track_groups = false) g commodities =
-  run ~params ~dual_check_every ~warm ~failed:None ~track_groups g commodities
+let solve_with_state ?(params = default_params) ?warm ?(track_groups = false) g
+    commodities =
+  run ~params ~warm ~failed:None ~track_groups g commodities
 
-let resolve_after_failure ?(params = default_params) ?(dual_check_every = 1)
-    ?(track_groups = false) ~warm ~failed g commodities =
+let resolve_after_failure ?(params = default_params) ?(track_groups = false)
+    ~warm ~failed g commodities =
   if warm.w_num_arcs <> Graph.num_arcs g || warm.w_n <> Graph.n g then
     invalid_arg "Mcmf_fptas.resolve_after_failure: instance shape mismatch";
   if not (commodities_equal warm.w_commodities commodities) then
@@ -996,9 +846,7 @@ let resolve_after_failure ?(params = default_params) ?(dual_check_every = 1)
       if a < 0 || a >= Graph.num_arcs g then
         invalid_arg "Mcmf_fptas.resolve_after_failure: arc id out of range")
     failed;
-  run ~params ~dual_check_every ~warm:(Some warm) ~failed:(Some failed)
-    ~track_groups g commodities
+  run ~params ~warm:(Some warm) ~failed:(Some failed) ~track_groups g
+    commodities
 
-let lambda ?params ?dual_check_every g commodities =
-  let r = solve ?params ?dual_check_every g commodities in
-  (r.lambda_lower +. r.lambda_upper) /. 2.0
+let lambda ?params g commodities = Gk_loop.midpoint (solve ?params g commodities)

@@ -11,26 +11,19 @@
     starts from: it stores each commodity's path and distance, and the
     next phase routes on those paths under the same rule, building a
     fresh tree for a source only once one of its stored paths goes stale.
-    Phases that do not follow a dual sweep (the first phase, phases after
-    one without a check) build a fresh tree per source.
+    The first phase follows no dual sweep and builds a fresh tree per
+    source.
 
     Rather than relying on the worst-case scaling analysis, the solver
-    certifies its own answer each phase:
-
-    - primal: after [p] complete phases each commodity has shipped
-      [p·demand]; dividing all flow by the peak congestion [μ] gives a
-      feasible solution with concurrency [λ_lo = p / μ];
-    - dual: any positive length function [l] yields the bound
-      [λ* ≤ D(l) / Σⱼ dⱼ·dist_l(sⱼ,tⱼ)] (LP duality); the smallest bound
-      seen so far is [λ_hi].
-
-    Iteration stops once [λ_hi / λ_lo ≤ 1 + gap], so the returned interval
-    is trustworthy independently of the theory's constants. *)
+    certifies its own answer each phase, a primal [λ_lo] and a dual
+    [λ_hi], and stops once [λ_hi / λ_lo ≤ 1 + gap]. The phase loop, both
+    certificates, the stopping rule and the adaptive eps halving are
+    {!Gk_loop}'s, shared with {!Mcmf_paths}; this module supplies the
+    shortest-path routing and the dual-bound sweep. *)
 
 open Dcn_graph
 
-
-type params = {
+type params = Gk_loop.params = {
   eps : float;  (** Multiplicative length step (0 < eps < 1). *)
   gap : float;  (** Certified relative gap at which to stop. *)
   max_phases : int;
@@ -68,12 +61,7 @@ val with_cancel : (unit -> bool) -> (unit -> 'a) -> 'a
 
     The check must be cheap (called once per phase) and must not raise. *)
 
-val check_cancelled : unit -> unit
-(** Raise {!Cancelled} if this domain's installed predicate fires. Exposed
-    so sibling phase-structured solvers ({!Dcn_flow.Mcmf_paths}) honor the
-    same deadline; a no-op when no predicate is installed. *)
-
-type result = {
+type result = Gk_loop.result = {
   lambda_lower : float;  (** Concurrency of the returned feasible flow. *)
   lambda_upper : float;  (** Certified upper bound on the optimum. *)
   arc_flow : float array;
@@ -135,8 +123,8 @@ type warm_state = {
 type solve_state = { result : result; warm : warm_state }
 
 val solve_with_state :
-  ?params:params -> ?dual_check_every:int -> ?warm:warm_state ->
-  ?track_groups:bool -> Graph.t -> Commodity.t array -> solve_state
+  ?params:params -> ?warm:warm_state -> ?track_groups:bool -> Graph.t ->
+  Commodity.t array -> solve_state
 (** Like {!solve}, returning the warm state alongside the result. Without
     [warm] (and with [track_groups = false], the default) the trajectory —
     and hence the result — is bit-identical to {!solve}.
@@ -155,9 +143,8 @@ val solve_with_state :
     {!resolve_after_failure} baseline. *)
 
 val resolve_after_failure :
-  ?params:params -> ?dual_check_every:int -> ?track_groups:bool ->
-  warm:warm_state -> failed:int list -> Graph.t -> Commodity.t array ->
-  solve_state
+  ?params:params -> ?track_groups:bool -> warm:warm_state ->
+  failed:int list -> Graph.t -> Commodity.t array -> solve_state
 (** [resolve_after_failure ~warm ~failed g cs] re-solves after the arcs in
     [failed] (and their reverses) lost their capacity, where [g] is the
     masked survivor graph — same node numbering and arc ids as the
@@ -178,28 +165,9 @@ val resolve_after_failure :
     from the warm state's, if an arc id is out of range, or if the failure
     disconnects a commodity. *)
 
-val solve :
-  ?params:params -> ?dual_check_every:int -> Graph.t -> Commodity.t array ->
-  result
+val solve : ?params:params -> Graph.t -> Commodity.t array -> result
 (** Raises [Invalid_argument] if there are no commodities, if a commodity's
-    endpoints are disconnected, or if params are out of range.
+    endpoints are disconnected, or if params are out of range. *)
 
-    [dual_check_every] (default 1) evaluates the dual bound only every k-th
-    phase. The bound costs a full all-sources shortest-path sweep — as much
-    as routing a phase — and is valid for {e any} positive lengths, so
-    checking less often is provably safe: the returned interval is still a
-    correct certificate, merely derived from slightly fewer length
-    snapshots. The solver additionally checks every phase once the stale
-    ratio comes within 25% of the target gap (so convergence is detected
-    promptly) and at the phase budget. With k > 1 expect the same
-    certified gap with the stop point shifted by a few phases, but little
-    or no saving: a phase without a check also loses path reuse, so the
-    next phase builds a fresh tree per source instead of routing on the
-    sweep's stored paths (on rrg:200,24,12 permutation traffic, k = 8 and
-    k = 1 take the same wall time within run-to-run noise). *)
-
-val lambda :
-  ?params:params -> ?dual_check_every:int -> Graph.t -> Commodity.t array ->
-  float
-(** Shorthand for the midpoint estimate
-    [(lambda_lower + lambda_upper) / 2]. *)
+val lambda : ?params:params -> Graph.t -> Commodity.t array -> float
+(** Shorthand for {!Gk_loop.midpoint} of {!solve}. *)

@@ -9,7 +9,7 @@ type commodity = {
   paths : int list list;
 }
 
-type result = {
+type result = Mcmf_fptas.result = {
   lambda_lower : float;
   lambda_upper : float;
   arc_flow : float array;
@@ -23,6 +23,8 @@ let validate g commodities =
     (fun c ->
       if c.src = c.dst then invalid_arg "Mcmf_paths: src = dst";
       if c.demand <= 0.0 then invalid_arg "Mcmf_paths: non-positive demand";
+      if not (Float.is_finite c.demand) then
+        invalid_arg "Mcmf_paths: non-finite demand";
       if c.paths = [] then invalid_arg "Mcmf_paths: commodity without paths";
       List.iter
         (fun p ->
@@ -105,25 +107,16 @@ let m_solve_s = Metrics.histogram "paths.solve_s"
    Float sums keep the order of a left fold over each path (and over arc
    ids), and ties between equally long paths go to the earliest listed,
    so results are bit for bit those of folding over the path lists. *)
-let solve_flat ~params ~halvings g commodities store =
+let solve_flat ~params ~stats g commodities store =
   let { com_off; path_off; arcs } = store in
   let cap = (Graph.csr g).Graph.csr_arc_cap in
-  (* Adaptive length step, as in Mcmf_fptas: both certificates remain
-     valid when eps shrinks mid-run. *)
   let eps = ref params.Mcmf_fptas.eps in
   let m_all = Graph.num_arcs g in
   let scale = demand_scale g commodities store in
   let k = Array.length commodities in
   let demand = Array.map (fun c -> c.demand *. scale) commodities in
-  let m_pos = ref 0 in
-  for a = 0 to m_all - 1 do
-    if cap.(a) > 0.0 then incr m_pos
-  done;
-  let delta = (float_of_int !m_pos /. (1.0 -. !eps)) ** (-1.0 /. !eps) in
-  let lengths = Array.make m_all infinity in
-  for a = 0 to m_all - 1 do
-    if cap.(a) > 0.0 then lengths.(a) <- delta /. cap.(a)
-  done;
+  let lengths = Array.make m_all 0.0 in
+  Gk_loop.init_lengths ~eps:!eps ~cap lengths;
   let flow = Array.make m_all 0.0 in
   (* [min_path j] returns the id of commodity [j]'s shortest path under
      [lengths] and leaves its length in [min_len.(0)]. *)
@@ -162,97 +155,37 @@ let solve_flat ~params ~halvings g commodities store =
       rem := !rem -. amount
     done
   in
-  let rescale_lengths () =
-    let max_len = ref 0.0 in
-    for a = 0 to m_all - 1 do
-      if cap.(a) > 0.0 then max_len := Float.max !max_len lengths.(a)
-    done;
-    if !max_len > 1e100 then begin
-      let inv = 1.0 /. !max_len in
-      for a = 0 to m_all - 1 do
-        if cap.(a) > 0.0 then lengths.(a) <- lengths.(a) *. inv
-      done
-    end
+  let route () =
+    for j = 0 to k - 1 do
+      route_commodity j
+    done
   in
-  let dual_bound () =
-    let d_l = ref 0.0 in
-    for a = 0 to m_all - 1 do
-      if cap.(a) > 0.0 then d_l := !d_l +. (cap.(a) *. lengths.(a))
-    done;
+  let alpha () =
     let alpha = ref 0.0 in
     for j = 0 to k - 1 do
       ignore (min_path j : int);
       alpha := !alpha +. (demand.(j) *. min_len.(0))
     done;
-    let bound = !d_l /. !alpha in
-    if Float.is_nan bound || bound <= 0.0 then infinity else bound
+    !alpha
   in
-  let congestion () =
-    let mu = ref 0.0 in
-    for a = 0 to m_all - 1 do
-      if cap.(a) > 0.0 then mu := Float.max !mu (flow.(a) /. cap.(a))
-    done;
-    !mu
-  in
-  let finish phases lambda_lo lambda_hi mu ~converged =
-    let arc_flow =
-      if mu > 0.0 then Array.map (fun f -> f /. mu) flow else Array.copy flow
-    in
-    {
-      lambda_lower = lambda_lo *. scale;
-      lambda_upper = lambda_hi *. scale;
-      arc_flow;
-      phases;
-      converged;
-    }
-  in
-  let stall_window = 30 in
-  let min_eps = 0.0125 in
-  let rec phase_loop phases best_dual last_ratio stalled =
-    (* Same phase-boundary deadline as the unrestricted solver. *)
-    Mcmf_fptas.check_cancelled ();
-    for j = 0 to k - 1 do
-      route_commodity j
-    done;
-    rescale_lengths ();
-    let phases = phases + 1 in
-    let mu = congestion () in
-    let lambda_lo = float_of_int phases /. mu in
-    let best_dual = Float.min best_dual (dual_bound ()) in
-    let ratio = best_dual /. lambda_lo in
-    if ratio <= 1.0 +. params.Mcmf_fptas.gap then
-      finish phases lambda_lo best_dual mu ~converged:true
-    else if phases >= params.Mcmf_fptas.max_phases then
-      finish phases lambda_lo best_dual mu ~converged:false
-    else begin
-      let progress_step =
-        Float.max 5e-4 (0.01 *. (ratio -. 1.0 -. params.Mcmf_fptas.gap))
-      in
-      let stalled = if ratio > last_ratio -. progress_step then stalled + 1 else 0 in
-      let last_ratio = Float.min last_ratio ratio in
-      if stalled >= stall_window && !eps > min_eps then begin
-        eps := Float.max min_eps (!eps /. 2.0);
-        incr halvings;
-        phase_loop phases best_dual last_ratio 0
-      end
-      else phase_loop phases best_dual last_ratio stalled
-    end
-  in
-  phase_loop 0 infinity infinity 0
+  Gk_loop.run ~cat:"paths" ~params ~stats ~eps ~cap ~flow ~lengths ~route
+    ~alpha ~phases:0 ~best_dual:infinity
+    ~finish:(Gk_loop.result ~scale ~flow)
 
 let solve ?(params = Mcmf_fptas.default_params) g commodities =
+  Gk_loop.validate params;
   validate g commodities;
   let store = flatten commodities in
   let sp = Trace.begin_span ~cat:"solver" "paths.solve" in
   let t0 = Dcn_obs.Clock.now_ns () in
-  let halvings = ref 0 in
-  match solve_flat ~params ~halvings g commodities store with
+  let stats = Gk_loop.new_stats () in
+  match solve_flat ~params ~stats g commodities store with
   | r ->
       let gap = (r.lambda_upper /. r.lambda_lower) -. 1.0 in
       if Metrics.enabled () then begin
         Metrics.incr m_solves;
         Metrics.add m_phases r.phases;
-        Metrics.add m_eps_halvings !halvings;
+        Metrics.add m_eps_halvings stats.Gk_loop.eps_halvings;
         if not r.converged then Metrics.incr m_unconverged;
         Metrics.observe m_solve_s (Dcn_obs.Clock.elapsed_s t0)
       end;
@@ -267,9 +200,7 @@ let solve ?(params = Mcmf_fptas.default_params) g commodities =
       Trace.end_span sp;
       Printexc.raise_with_backtrace e bt
 
-let lambda ?params g commodities =
-  let r = solve ?params g commodities in
-  (r.lambda_lower +. r.lambda_upper) /. 2.0
+let lambda ?params g commodities = Gk_loop.midpoint (solve ?params g commodities)
 
 let with_cached_paths enumerate commodities =
   let cache = Hashtbl.create 64 in

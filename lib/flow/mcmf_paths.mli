@@ -7,10 +7,11 @@
     routing-restriction penalty the paper and Jellyfish discuss (§8): ECMP
     alone loses noticeably, 8-shortest-path multipath is near optimal.
 
-    Same multiplicative-weights scheme and the same certified primal–dual
-    interval as {!Mcmf_fptas}, with path enumeration replacing Dijkstra:
-    the dual uses [D(l) / Σⱼ dⱼ·min_{P∈paths(j)} l(P)], which is exactly
-    the dual of the path-restricted LP.
+    The multiplicative-weights scheme and its certified primal–dual
+    interval are {!Gk_loop}'s, the phase loop {!Mcmf_fptas} runs on too,
+    with path enumeration replacing Dijkstra: the dual uses
+    [D(l) / Σⱼ dⱼ·min_{P∈paths(j)} l(P)], which is exactly the dual of
+    the path-restricted LP.
 
     {b Flat path store.} [solve] converts the [int list list] path sets
     once into three arrays in compressed-sparse-row form: per-commodity
@@ -33,7 +34,7 @@ type commodity = {
   paths : int list list;  (** Arc-id paths from [src] to [dst]. *)
 }
 
-type result = {
+type result = Mcmf_fptas.result = {
   lambda_lower : float;
   lambda_upper : float;
   arc_flow : float array;
@@ -43,13 +44,14 @@ type result = {
 
 val solve :
   ?params:Mcmf_fptas.params -> Graph.t -> commodity array -> result
-(** Raises [Invalid_argument] if a commodity has no paths, a path does not
-    run from its source to its destination, or an endpoint repeats
-    ([src = dst]). *)
+(** Raises [Invalid_argument] if params are out of range, a commodity has
+    no paths or a demand that is not positive and finite, a path does not
+    run from its source to its destination or crosses a zero-capacity
+    arc, or an endpoint repeats ([src = dst]). *)
 
 val lambda :
   ?params:Mcmf_fptas.params -> Graph.t -> commodity array -> float
-(** Midpoint of the certified interval. *)
+(** {!Gk_loop.midpoint} of {!solve}. *)
 
 val of_k_shortest :
   Graph.t -> k:int -> Commodity.t array -> commodity array

@@ -48,6 +48,7 @@ let of_string text =
         if u = v then fail lineno "intra-switch demand";
         let d = float_of d in
         if d <= 0.0 then fail lineno "demand must be positive";
+        if not (Float.is_finite d) then fail lineno "demand must be finite";
         demands := (u, v, d) :: !demands
     | keyword :: _ -> fail lineno ("unknown directive " ^ keyword)
   in

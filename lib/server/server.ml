@@ -156,7 +156,7 @@ let compute_solve (req : Request.t) (resolved : Request.resolved) =
         | Request.Optimal -> assert false
       in
       let r = Core.Mcmf_paths.solve ~params g rcs in
-      ( (r.Core.Mcmf_paths.lambda_lower +. r.Core.Mcmf_paths.lambda_upper) /. 2.0,
+      ( Core.Gk_loop.midpoint r,
         (r.Core.Mcmf_paths.lambda_lower, r.Core.Mcmf_paths.lambda_upper) )
 
 let with_deadline deadline f =

@@ -11,7 +11,7 @@ let hex_length = 32 (* MD5 *)
    under an older version simply miss. "fptas-3" routes each phase on the
    shortest paths stored by the previous phase's dual sweep (Fleischer's
    reuse across phases) on top of "fptas-2" (scratch-reusing Dijkstra,
-   target-limited early exit, optional lazy dual checks). *)
+   target-limited early exit). *)
 let solver_version = "fptas-3"
 
 let of_text text = Digest.to_hex (Digest.string text)
@@ -36,17 +36,19 @@ let commodities_text cs =
     cs;
   Buffer.contents buf
 
-let params_text ~params ~dual_check_every =
-  Printf.sprintf "eps %s\ngap %s\nmax_phases %d\ndual_check_every %d\n"
+let params_text ~params =
+  Printf.sprintf "eps %s\ngap %s\nmax_phases %d\ndual_check_every 1\n"
     (Float_text.to_string params.Dcn_flow.Mcmf_fptas.eps)
     (Float_text.to_string params.Dcn_flow.Mcmf_fptas.gap)
-    params.Dcn_flow.Mcmf_fptas.max_phases dual_check_every
+    params.Dcn_flow.Mcmf_fptas.max_phases
 
-let of_solve ~kind ~params ~dual_check_every ?(extras = []) g cs =
+let of_solve ~kind ~params ?(dual_check_every = 1) ?(extras = []) g cs =
+  if dual_check_every <> 1 then
+    invalid_arg "Digest_key.of_solve: dual_check_every must be 1";
   let buf = Buffer.create 8192 in
   Buffer.add_string buf (Printf.sprintf "kind %s\n" kind);
   Buffer.add_string buf (Printf.sprintf "solver %s\n" solver_version);
-  Buffer.add_string buf (params_text ~params ~dual_check_every);
+  Buffer.add_string buf (params_text ~params);
   List.iter (fun line -> Buffer.add_string buf (line ^ "\n")) extras;
   Buffer.add_string buf (graph_text g);
   Buffer.add_string buf (commodities_text cs);

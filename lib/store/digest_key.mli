@@ -34,14 +34,15 @@ val commodities_text : Dcn_flow.Commodity.t array -> string
     are already deterministic: {!Dcn_traffic.Traffic.to_commodities} is a
     pure function of the matrix). *)
 
-val params_text :
-  params:Dcn_flow.Mcmf_fptas.params -> dual_check_every:int -> string
-(** Canonical rendering of FPTAS parameters; every field participates. *)
+val params_text : params:Dcn_flow.Mcmf_fptas.params -> string
+(** Canonical rendering of FPTAS parameters; every field participates.
+    A constant [dual_check_every 1] line, left from when the dual-check
+    cadence was a parameter, keeps existing store keys valid. *)
 
 val of_solve :
   kind:string ->
   params:Dcn_flow.Mcmf_fptas.params ->
-  dual_check_every:int ->
+  ?dual_check_every:int ->
   ?extras:string list ->
   Dcn_graph.Graph.t ->
   Dcn_flow.Commodity.t array ->
@@ -49,6 +50,8 @@ val of_solve :
 (** Key of one solver invocation. [kind] names the cached computation
     ("fptas", "throughput-fptas", ...) so different result payloads never
     collide even on identical inputs. Includes {!solver_version}.
+
+    [dual_check_every] must be [1] (the default), else [Invalid_argument].
 
     [extras] (default none) are additional canonical lines folded into the
     digest — the warm-provenance channel: a warm-started solve's result

@@ -1,3 +1,4 @@
+module Gk_loop = Dcn_flow.Gk_loop
 module Mcmf_fptas = Dcn_flow.Mcmf_fptas
 module Throughput = Dcn_flow.Throughput
 module Metrics = Dcn_obs.Metrics
@@ -45,13 +46,11 @@ let cached ~key ~encode ~decode compute =
             Metrics.observe m_write_s (Clock.elapsed_s tw);
           value)
 
-let fptas ?(params = Mcmf_fptas.default_params) ?(dual_check_every = 1) g cs =
-  let key =
-    Digest_key.of_solve ~kind:"fptas" ~params ~dual_check_every g cs
-  in
+let fptas ?(params = Mcmf_fptas.default_params) g cs =
+  let key = Digest_key.of_solve ~kind:"fptas" ~params g cs in
   cached ~key ~encode:Codec.fptas_result_to_string
     ~decode:Codec.fptas_result_of_string (fun () ->
-      Mcmf_fptas.solve ~params ~dual_check_every g cs)
+      Mcmf_fptas.solve ~params g cs)
 
 (* ---- warm-started variants ----
 
@@ -70,8 +69,8 @@ type warm_link = {
 let link key (st : Mcmf_fptas.solve_state) =
   (st, { wl_state = st.Mcmf_fptas.warm; wl_from = key })
 
-let fptas_with_state ?(params = Mcmf_fptas.default_params)
-    ?(dual_check_every = 1) ?warm ?(track_groups = false) g cs =
+let fptas_with_state ?(params = Mcmf_fptas.default_params) ?warm
+    ?(track_groups = false) g cs =
   let extras =
     (match warm with
     | Some w -> [ Printf.sprintf "warm lengths %s" w.wl_from ]
@@ -79,20 +78,19 @@ let fptas_with_state ?(params = Mcmf_fptas.default_params)
     @ if track_groups then [ "state groups" ] else []
   in
   let key =
-    Digest_key.of_solve ~kind:"fptas-state" ~params ~dual_check_every ~extras
-      g cs
+    Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
   in
   let st =
     cached ~key ~encode:Codec.fptas_state_to_string
       ~decode:Codec.fptas_state_of_string (fun () ->
-        Mcmf_fptas.solve_with_state ~params ~dual_check_every
+        Mcmf_fptas.solve_with_state ~params
           ?warm:(Option.map (fun w -> w.wl_state) warm)
           ~track_groups g cs)
   in
   link key st
 
-let fptas_delta ?(params = Mcmf_fptas.default_params) ?(dual_check_every = 1)
-    ?(track_groups = false) ~warm ~failed g cs =
+let fptas_delta ?(params = Mcmf_fptas.default_params) ?(track_groups = false)
+    ~warm ~failed g cs =
   let extras =
     [
       Printf.sprintf "warm delta %s" warm.wl_from;
@@ -102,20 +100,16 @@ let fptas_delta ?(params = Mcmf_fptas.default_params) ?(dual_check_every = 1)
     @ if track_groups then [ "state groups" ] else []
   in
   let key =
-    Digest_key.of_solve ~kind:"fptas-state" ~params ~dual_check_every ~extras
-      g cs
+    Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
   in
   let st =
     cached ~key ~encode:Codec.fptas_state_to_string
       ~decode:Codec.fptas_state_of_string (fun () ->
-        Mcmf_fptas.resolve_after_failure ~params ~dual_check_every
-          ~track_groups ~warm:warm.wl_state ~failed g cs)
+        Mcmf_fptas.resolve_after_failure ~params ~track_groups ~warm:warm.wl_state ~failed g cs)
   in
   link key st
 
-let fptas_lambda ?params ?dual_check_every g cs =
-  let r = fptas ?params ?dual_check_every g cs in
-  (r.Mcmf_fptas.lambda_lower +. r.Mcmf_fptas.lambda_upper) /. 2.0
+let fptas_lambda ?params g cs = Gk_loop.midpoint (fptas ?params g cs)
 
 let throughput ?(solver = Throughput.Fptas Mcmf_fptas.default_params) g cs =
   let kind, params =
@@ -125,7 +119,7 @@ let throughput ?(solver = Throughput.Fptas Mcmf_fptas.default_params) g cs =
        entries and the constant params below are inert key filler. *)
     | Throughput.Exact -> ("throughput-exact", Mcmf_fptas.default_params)
   in
-  let key = Digest_key.of_solve ~kind ~params ~dual_check_every:1 g cs in
+  let key = Digest_key.of_solve ~kind ~params g cs in
   cached ~key ~encode:Codec.throughput_to_string
     ~decode:Codec.throughput_of_string (fun () ->
       Throughput.compute ~solver g cs)

@@ -14,7 +14,6 @@
 
 val fptas :
   ?params:Dcn_flow.Mcmf_fptas.params ->
-  ?dual_check_every:int ->
   Dcn_graph.Graph.t ->
   Dcn_flow.Commodity.t array ->
   Dcn_flow.Mcmf_fptas.result
@@ -40,7 +39,6 @@ type warm_link = {
 
 val fptas_with_state :
   ?params:Dcn_flow.Mcmf_fptas.params ->
-  ?dual_check_every:int ->
   ?warm:warm_link ->
   ?track_groups:bool ->
   Dcn_graph.Graph.t ->
@@ -52,7 +50,6 @@ val fptas_with_state :
 
 val fptas_delta :
   ?params:Dcn_flow.Mcmf_fptas.params ->
-  ?dual_check_every:int ->
   ?track_groups:bool ->
   warm:warm_link ->
   failed:int list ->
@@ -66,7 +63,6 @@ val fptas_delta :
 
 val fptas_lambda :
   ?params:Dcn_flow.Mcmf_fptas.params ->
-  ?dual_check_every:int ->
   Dcn_graph.Graph.t ->
   Dcn_flow.Commodity.t array ->
   float

@@ -91,6 +91,35 @@ let test_paths_validation () =
         (Mcmf_paths.solve g
            [| { Mcmf_paths.src = 0; dst = 3; demand = 1.0; paths = wrong } |]))
 
+(* An infinite demand used to make the routing loop spin forever: the
+   remaining demand never dropped, and cancellation is only checked
+   between phases. *)
+let test_paths_non_finite_demand () =
+  let g = diamond () in
+  let paths = Ksp.k_shortest g ~src:0 ~dst:3 ~k:2 in
+  Alcotest.check_raises "infinite demand"
+    (Invalid_argument "Mcmf_paths: non-finite demand") (fun () ->
+      ignore
+        (Mcmf_paths.solve g
+           [| { Mcmf_paths.src = 0; dst = 3; demand = infinity; paths } |]))
+
+(* Both solvers run on the same phase loop, so both reject the same
+   out-of-range parameters (the path solver used to run its whole phase
+   budget on eps = 1.5). *)
+let test_paths_params_validated () =
+  let g = diamond () in
+  let paths = Ksp.k_shortest g ~src:0 ~dst:3 ~k:2 in
+  let bad = { Mcmf_fptas.eps = 1.5; gap = 0.05; max_phases = 1000 } in
+  let expected = Invalid_argument "Gk_loop: eps out of (0,1)" in
+  Alcotest.check_raises "paths" expected (fun () ->
+      ignore
+        (Mcmf_paths.solve ~params:bad g
+           [| { Mcmf_paths.src = 0; dst = 3; demand = 1.0; paths } |]));
+  Alcotest.check_raises "fptas" expected (fun () ->
+      ignore
+        (Mcmf_fptas.solve ~params:bad g
+           [| Commodity.make ~src:0 ~dst:3 ~demand:1.0 |]))
+
 let test_paths_vs_exact_when_paths_cover () =
   (* On a tree there is a unique path per pair: restricted = unrestricted
      = exact. *)
@@ -290,6 +319,10 @@ let suite =
       Alcotest.test_case "paths: more paths help" `Slow test_paths_more_paths_help;
       Alcotest.test_case "paths: flow feasible" `Quick test_paths_flow_feasible;
       Alcotest.test_case "paths: validation" `Quick test_paths_validation;
+      Alcotest.test_case "paths: non-finite demand" `Quick
+        test_paths_non_finite_demand;
+      Alcotest.test_case "paths: params validated" `Quick
+        test_paths_params_validated;
       Alcotest.test_case "paths: exact on a tree" `Quick
         test_paths_vs_exact_when_paths_cover;
       Alcotest.test_case "expand: regularity" `Quick test_expand_preserves_regularity;

@@ -14,6 +14,13 @@ let test_commodity_validation () =
     (Invalid_argument "Commodity.make: demand must be positive") (fun () ->
       ignore (Commodity.make ~src:0 ~dst:1 ~demand:0.0))
 
+(* An infinite demand used to reach the FPTAS and come back as a NaN
+   interval. *)
+let test_commodity_non_finite () =
+  Alcotest.check_raises "infinite demand"
+    (Invalid_argument "Commodity.make: demand must be finite") (fun () ->
+      ignore (Commodity.make ~src:0 ~dst:5 ~demand:infinity))
+
 let test_commodity_grouping () =
   let cs =
     [|
@@ -180,71 +187,6 @@ let test_fptas_no_commodities_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Mcmf_fptas: no commodities")
     (fun () -> ignore (Mcmf_fptas.solve g [||]))
 
-let test_fptas_lazy_dual_certificate () =
-  (* Skipping dual-bound evaluations must not weaken the certificate: for
-     any check period the solve still converges on these instances, the
-     certified gap holds, and the interval brackets the exact optimum. *)
-  let st = Random.State.make [| 31 |] in
-  let g = Dcn_topology.Rrg.jellyfish st ~n:12 ~r:3 in
-  let cs =
-    [|
-      Commodity.make ~src:0 ~dst:6 ~demand:1.0;
-      Commodity.make ~src:3 ~dst:9 ~demand:2.0;
-      Commodity.make ~src:11 ~dst:2 ~demand:1.5;
-    |]
-  in
-  let exact = (Mcmf_exact.solve g cs).Mcmf_exact.lambda in
-  List.iter
-    (fun k ->
-      let r = Mcmf_fptas.solve ~params:tight_params ~dual_check_every:k g cs in
-      let label fmt = Printf.sprintf "k=%d: %s" k fmt in
-      Alcotest.(check bool) (label "converged") true r.Mcmf_fptas.converged;
-      Alcotest.(check bool) (label "gap certified") true
-        (r.Mcmf_fptas.lambda_upper
-        <= (1.0 +. tight_params.Mcmf_fptas.gap) *. r.Mcmf_fptas.lambda_lower
-           +. 1e-9);
-      Alcotest.(check bool) (label "brackets exact") true
-        (r.Mcmf_fptas.lambda_lower <= exact +. 1e-6
-        && exact <= r.Mcmf_fptas.lambda_upper +. 1e-6))
-    [ 2; 8; 64 ]
-
-let test_fptas_lazy_dual_default_identical () =
-  (* [dual_check_every:1] is the documented default: results must be
-     bit-identical to an unadorned solve. *)
-  let st = Random.State.make [| 37 |] in
-  let g = Dcn_topology.Rrg.jellyfish st ~n:10 ~r:3 in
-  let cs =
-    [|
-      Commodity.make ~src:0 ~dst:5 ~demand:1.0;
-      Commodity.make ~src:2 ~dst:8 ~demand:1.0;
-    |]
-  in
-  let a = Mcmf_fptas.solve ~params:tight_params g cs in
-  let b = Mcmf_fptas.solve ~params:tight_params ~dual_check_every:1 g cs in
-  Alcotest.(check (float 0.0)) "lambda_lower" a.Mcmf_fptas.lambda_lower
-    b.Mcmf_fptas.lambda_lower;
-  Alcotest.(check (float 0.0)) "lambda_upper" a.Mcmf_fptas.lambda_upper
-    b.Mcmf_fptas.lambda_upper;
-  Alcotest.(check int) "phases" a.Mcmf_fptas.phases b.Mcmf_fptas.phases
-
-let test_fptas_lazy_dual_known_instance () =
-  (* Diamond: known optimum 2.0 for the single unit commodity. The
-     skipped-dual path must converge and bracket it. *)
-  let g = diamond () in
-  let cs = [| Commodity.make ~src:0 ~dst:3 ~demand:1.0 |] in
-  let r = Mcmf_fptas.solve ~params:tight_params ~dual_check_every:8 g cs in
-  Alcotest.(check bool) "converged" true r.Mcmf_fptas.converged;
-  Alcotest.(check bool) "brackets 2.0" true
-    (r.Mcmf_fptas.lambda_lower <= 2.0 +. 1e-6
-    && 2.0 <= r.Mcmf_fptas.lambda_upper +. 1e-6)
-
-let test_fptas_dual_check_every_validated () =
-  let g = diamond () in
-  let cs = [| Commodity.make ~src:0 ~dst:3 ~demand:1.0 |] in
-  Alcotest.check_raises "zero rejected"
-    (Invalid_argument "Mcmf_fptas: dual_check_every must be >= 1") (fun () ->
-      ignore (Mcmf_fptas.solve ~dual_check_every:0 g cs))
-
 (* Metrics are process-global: enable them for [f] only and zero what it
    recorded, so other suites see the registry as they left it. *)
 let with_metrics f =
@@ -387,6 +329,8 @@ let suite =
   ( "flow",
     [
       Alcotest.test_case "commodity validation" `Quick test_commodity_validation;
+      Alcotest.test_case "commodity non-finite demand" `Quick
+        test_commodity_non_finite;
       Alcotest.test_case "commodity grouping" `Quick test_commodity_grouping;
       Alcotest.test_case "maxflow diamond" `Quick test_maxflow_diamond;
       Alcotest.test_case "maxflow bottleneck" `Quick test_maxflow_bottleneck;
@@ -409,14 +353,6 @@ let suite =
         test_fptas_disconnected_rejected;
       Alcotest.test_case "fptas rejects empty input" `Quick
         test_fptas_no_commodities_rejected;
-      Alcotest.test_case "fptas lazy dual certificate" `Quick
-        test_fptas_lazy_dual_certificate;
-      Alcotest.test_case "fptas lazy dual default identical" `Quick
-        test_fptas_lazy_dual_default_identical;
-      Alcotest.test_case "fptas lazy dual known instance" `Quick
-        test_fptas_lazy_dual_known_instance;
-      Alcotest.test_case "fptas dual_check_every validated" `Quick
-        test_fptas_dual_check_every_validated;
       Alcotest.test_case "fptas routes on stored paths" `Quick
         test_fptas_routes_on_stored_paths;
       Alcotest.test_case "fptas stale stored path rebuilds" `Quick

@@ -212,6 +212,15 @@ let prop_capacity_exact =
       | [ (0, 1, c) ] -> Int64.bits_of_float c = Int64.bits_of_float cap
       | _ -> false)
 
+(* [float_of_string] reads "inf" and "nan"; neither is a demand. *)
+let test_traffic_non_finite_demand () =
+  List.iter
+    (fun d ->
+      match Traffic_io.of_string ("demand 0 1 " ^ d ^ "\n") with
+      | _ -> Alcotest.fail (d ^ ": expected failure")
+      | exception Failure _ -> ())
+    [ "inf"; "nan" ]
+
 let suite =
   ( "io",
     [
@@ -223,6 +232,8 @@ let suite =
         test_topology_file_roundtrip;
       Alcotest.test_case "traffic roundtrip" `Quick test_traffic_roundtrip;
       Alcotest.test_case "traffic parse errors" `Quick test_traffic_parse_errors;
+      Alcotest.test_case "traffic non-finite demand" `Quick
+        test_traffic_non_finite_demand;
       Alcotest.test_case "traffic file roundtrip" `Quick test_traffic_file_roundtrip;
       QCheck_alcotest.to_alcotest prop_topology_roundtrip;
       Alcotest.test_case "all families roundtrip + canonical" `Quick

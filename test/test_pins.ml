@@ -69,10 +69,21 @@ let test_resolve_after_failure () =
   pin "delta" ~lower:"0x1.d0a2abcd97695p-1" ~upper:"0x1.dec787f155e98p-1"
     ~phases:159 delta.Mcmf_fptas.result
 
+(* Keys keep the text they had while the dual-check cadence was a
+   parameter, so stores written then still hit. The cadence argument
+   survives only as the constant 1. *)
 let test_digest_key () =
   let g, cs = instance ~seed:1 in
-  Alcotest.(check string) "of_solve hex" "08e5f12baeb7b59b9c2771673ea6e305"
-    (Digest_key.of_solve ~kind:"fptas" ~params ~dual_check_every:1 g cs)
+  let hex = "08e5f12baeb7b59b9c2771673ea6e305" in
+  Alcotest.(check string) "of_solve hex" hex
+    (Digest_key.of_solve ~kind:"fptas" ~params g cs);
+  Alcotest.(check string) "explicit cadence 1" hex
+    (Digest_key.of_solve ~kind:"fptas" ~params ~dual_check_every:1 g cs);
+  Alcotest.check_raises "other cadence"
+    (Invalid_argument "Digest_key.of_solve: dual_check_every must be 1")
+    (fun () ->
+      ignore
+        (Digest_key.of_solve ~kind:"fptas" ~params ~dual_check_every:8 g cs))
 
 let suite =
   ( "pins",

@@ -61,7 +61,7 @@ let params = Mcmf_fptas.quick_params
 let test_digest_stability () =
   let g, cs = small_instance () in
   let key () =
-    Digest_key.of_solve ~kind:"fptas" ~params ~dual_check_every:1 g cs
+    Digest_key.of_solve ~kind:"fptas" ~params g cs
   in
   Alcotest.(check string) "same request, same key" (key ()) (key ());
   Alcotest.(check int) "hex width" Digest_key.hex_length
@@ -69,16 +69,11 @@ let test_digest_stability () =
   let other =
     Digest_key.of_solve ~kind:"fptas"
       ~params:{ params with Mcmf_fptas.gap = 0.5 }
-      ~dual_check_every:1 g cs
+      g cs
   in
   Alcotest.(check bool) "params change the key" true (key () <> other);
-  let lazier =
-    Digest_key.of_solve ~kind:"fptas" ~params ~dual_check_every:8 g cs
-  in
-  Alcotest.(check bool) "dual cadence changes the key" true (key () <> lazier);
   let other_kind =
-    Digest_key.of_solve ~kind:"throughput-fptas" ~params ~dual_check_every:1 g
-      cs
+    Digest_key.of_solve ~kind:"throughput-fptas" ~params g cs
   in
   Alcotest.(check bool) "kind namespaces the key" true (key () <> other_kind)
 
