@@ -758,6 +758,34 @@ let test_path_solver_metrics_recorded () =
           in
           Alcotest.(check int) "one paths.solve span" 1 (List.length solve_spans)))
 
+(* The path-restricted solver runs on the FPTAS's phase loop, so its
+   trace carries the same per-phase span and dual-check instant, under its
+   own category. *)
+let test_paths_phase_spans () =
+  let g, cs = fptas_instance () in
+  let params = Core.Scale.quick.Core.Scale.params in
+  with_trace (fun () ->
+      let r =
+        Core.Mcmf_paths.solve ~params g (Core.Mcmf_paths.of_k_shortest g ~k:4 cs)
+      in
+      let path = temp_path ".json" in
+      Trace.write path;
+      let events = trace_events path in
+      Sys.remove path;
+      let count ph name =
+        List.length
+          (List.filter
+             (fun e ->
+               Option.bind (member "ph" e) str_opt = Some ph
+               && Option.bind (member "cat" e) str_opt = Some "paths"
+               && Option.bind (member "name" e) str_opt = Some name)
+             events)
+      in
+      Alcotest.(check int) "phase spans = phases" r.Core.Mcmf_paths.phases
+        (count "X" "phase");
+      Alcotest.(check int) "dual checks = phases" r.Core.Mcmf_paths.phases
+        (count "i" "dual_check"))
+
 let suite =
   ( "obs",
     [
@@ -789,6 +817,7 @@ let suite =
         test_event_log_roundtrip_and_torn_line;
       Alcotest.test_case "fptas gap + phase spans" `Quick
         test_fptas_gap_and_phase_spans;
+      Alcotest.test_case "paths phase spans" `Quick test_paths_phase_spans;
       Alcotest.test_case "instrumentation is inert" `Quick
         test_instrumentation_is_inert;
       Alcotest.test_case "solver metrics recorded" `Quick
