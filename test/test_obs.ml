@@ -786,6 +786,82 @@ let test_paths_phase_spans () =
       Alcotest.(check int) "dual checks = phases" r.Core.Mcmf_paths.phases
         (count "i" "dual_check"))
 
+(* ---- rendered bytes, pinned ----------------------------------------
+
+   The exact bytes the trace and event-log renderers emit for every
+   scalar kind: ints, finite and non-finite floats (JSON has no literal
+   for the latter, so they render as null), strings needing escapes, and
+   bools. Timestamps vary run to run and are stripped. *)
+
+let pinned_args_json =
+  "{\"n\":42,\"neg\":-7,\"x\":0.1,\"big\":1.5e+300,\"inf\":null,\"nan\":null,\"s\":\"q\\\"b\\\\s\\n\\t\\r\\u0001\",\"t\":true,\"f\":false}"
+
+let test_trace_args_bytes_pinned () =
+  with_trace (fun () ->
+      Trace.instant ~cat:"pin" "pinned"
+        ~args:
+          [
+            ("n", Trace.Int 42);
+            ("neg", Trace.Int (-7));
+            ("x", Trace.Float 0.1);
+            ("big", Trace.Float 1.5e300);
+            ("inf", Trace.Float infinity);
+            ("nan", Trace.Float nan);
+            ("s", Trace.String "q\"b\\s\n\t\r\001");
+            ("t", Trace.Bool true);
+            ("f", Trace.Bool false);
+          ];
+      let fragment = Trace.serialize ~drain:true () in
+      let find_sub sub s =
+        let n = String.length sub in
+        let rec go i =
+          if i + n > String.length s then None
+          else if String.sub s i n = sub then Some i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let line =
+        List.find
+          (fun l -> find_sub "\"name\":\"pinned\"" l <> None)
+          (String.split_on_char '\n' fragment)
+      in
+      let marker = ",\"args\":" in
+      let start = Option.get (find_sub marker line) + String.length marker in
+      (* The event object closes right after its args object. *)
+      let args = String.sub line start (String.length line - start - 1) in
+      Alcotest.(check string) "rendered args" pinned_args_json args)
+
+let test_event_log_line_pinned () =
+  let path = temp_path ".jsonl" in
+  let log = Event_log.create path in
+  Event_log.log log ~ev:"pin"
+    [
+      ("unit", Event_log.Int 3);
+      ("seconds", Event_log.Float 0.25);
+      ("backoff_s", Event_log.Float neg_infinity);
+      ("label", Event_log.Str "a \"b\"\n\\c");
+      ("hedged", Event_log.Bool false);
+    ];
+  Event_log.close log;
+  let line =
+    match Event_log.read_lines path with
+    | [ l ] -> l
+    | lines ->
+        Alcotest.fail (Printf.sprintf "expected 1 line, got %d" (List.length lines))
+  in
+  Sys.remove path;
+  let prefix = "{\"ts_ms\":" in
+  Alcotest.(check string) "line opens with ts_ms" prefix
+    (String.sub line 0 (String.length prefix));
+  let rest =
+    let i = String.index_from line (String.length prefix) ',' in
+    String.sub line (i + 1) (String.length line - i - 1)
+  in
+  Alcotest.(check string) "line after ts_ms"
+    "\"ev\":\"pin\",\"unit\":3,\"seconds\":0.25,\"backoff_s\":null,\"label\":\"a \\\"b\\\"\\n\\\\c\",\"hedged\":false}"
+    rest
+
 let suite =
   ( "obs",
     [
@@ -813,6 +889,10 @@ let suite =
         test_trace_serialize_drain;
       Alcotest.test_case "flow events + context ids" `Quick
         test_trace_flow_events_and_context_ids;
+      Alcotest.test_case "trace args bytes pinned" `Quick
+        test_trace_args_bytes_pinned;
+      Alcotest.test_case "event log line pinned" `Quick
+        test_event_log_line_pinned;
       Alcotest.test_case "event log round-trip + torn line" `Quick
         test_event_log_roundtrip_and_torn_line;
       Alcotest.test_case "fptas gap + phase spans" `Quick
