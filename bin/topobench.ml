@@ -460,15 +460,10 @@ let client_cmd =
                  seed..seed+V-1, round robin), so the mix exercises both \
                  coalescing/cache hits and cold solves deterministically.")
   in
-  let no_keepalive_arg =
-    Arg.(value & flag & info [ "no-keepalive" ]
-           ~doc:"Dial a fresh connection per request in $(b,--load) mode \
-                 instead of per-worker HTTP/1.1 keep-alive connections.")
-  in
   let pipeline_arg =
     Arg.(value & opt int 1 & info [ "pipeline" ] ~docv:"DEPTH"
            ~doc:"Write $(docv) requests per connection before reading the \
-                 responses back in order (keep-alive mode only).")
+                 responses back in order.")
   in
   let expect_2xx_arg =
     Arg.(value & flag & info [ "expect-2xx" ]
@@ -522,41 +517,34 @@ let client_cmd =
         if not healthy then exit 1
   in
   let report_json (report : Dcn_serve.Load_gen.report) ~transport_errors =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "{\n";
-    let field ?(last = false) name value =
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: %s%s\n" (Core.Obs.Json.quote name) value
-           (if last then "" else ","))
-    in
+    let module L = Dcn_serve.Load_gen in
     let n = Core.Obs.Json.number in
-    field "total" (string_of_int report.Dcn_serve.Load_gen.total);
-    field "by_status"
-      ("["
-      ^ String.concat ", "
-          (List.map
-             (fun (status, count) ->
-               Printf.sprintf "{\"status\": %d, \"count\": %d}" status count)
-             report.Dcn_serve.Load_gen.by_status)
-      ^ "]");
-    field "transport_errors" (string_of_int transport_errors);
-    field "p50_s" (n report.Dcn_serve.Load_gen.p50);
-    field "p95_s" (n report.Dcn_serve.Load_gen.p95);
-    field "p99_s" (n report.Dcn_serve.Load_gen.p99);
-    field "max_s" (n report.Dcn_serve.Load_gen.max_s);
-    field "elapsed_s" (n report.Dcn_serve.Load_gen.elapsed_s);
-    field "rps" (n report.Dcn_serve.Load_gen.rps);
-    field "connects" (string_of_int report.Dcn_serve.Load_gen.connects);
-    field "reuse_rate" (n report.Dcn_serve.Load_gen.reuse_rate);
-    field "bound_responses"
-      (string_of_int report.Dcn_serve.Load_gen.bound_responses);
-    field "duplicates_identical" ~last:true
-      (string_of_bool report.Dcn_serve.Load_gen.duplicates_identical);
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf
+    Core.Obs.Json.pretty_object
+      [
+        ("total", string_of_int report.L.total);
+        ( "by_status",
+          "["
+          ^ String.concat ", "
+              (List.map
+                 (fun (status, count) ->
+                   Printf.sprintf "{\"status\": %d, \"count\": %d}" status count)
+                 report.L.by_status)
+          ^ "]" );
+        ("transport_errors", string_of_int transport_errors);
+        ("p50_s", n report.L.p50);
+        ("p95_s", n report.L.p95);
+        ("p99_s", n report.L.p99);
+        ("max_s", n report.L.max_s);
+        ("elapsed_s", n report.L.elapsed_s);
+        ("rps", n report.L.rps);
+        ("connects", string_of_int report.L.connects);
+        ("reuse_rate", n report.L.reuse_rate);
+        ("bound_responses", string_of_int report.L.bound_responses);
+        ("duplicates_identical", string_of_bool report.L.duplicates_identical);
+      ]
   in
   let run spec host port traffic seed eps gap routing timeout load qps
-      concurrency variants no_keepalive pipeline expect_2xx json probe =
+      concurrency variants pipeline expect_2xx json probe =
     if probe then probe_healthz ~host ~port ~json
     else begin
     let spec =
@@ -587,9 +575,8 @@ let client_cmd =
     else begin
       let bodies = Array.init (max 1 variants) (fun i -> body (seed + i)) in
       let report, _rows =
-        Dcn_serve.Load_gen.run ~keepalive:(not no_keepalive)
-          ~pipeline:(max 1 pipeline) ~host ~port ~bodies ~requests:load
-          ~concurrency ~qps ()
+        Dcn_serve.Load_gen.run ~pipeline:(max 1 pipeline) ~host ~port ~bodies
+          ~requests:load ~concurrency ~qps ()
       in
       let transport_errors =
         List.fold_left
@@ -633,7 +620,7 @@ let client_cmd =
     Term.(
       const run $ topo_opt_arg $ host_arg $ port_arg $ traffic_arg $ seed_arg
       $ eps_arg $ gap_arg $ routing_arg $ timeout_arg $ load_arg $ qps_arg
-      $ concurrency_arg $ variants_arg $ no_keepalive_arg $ pipeline_arg
+      $ concurrency_arg $ variants_arg $ pipeline_arg
       $ expect_2xx_arg $ json_arg $ probe_arg)
 
 (* ---- orchestrate command ---- *)

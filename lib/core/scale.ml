@@ -63,7 +63,7 @@ let samples t ~salt f =
         let t0 = Dcn_obs.Clock.now_ns () in
         let v =
           Dcn_obs.Trace.with_span ~cat:"sample" label
-            ~args:[ ("salt", Dcn_obs.Trace.Int salt); ("run", Dcn_obs.Trace.Int i) ]
+            ~args:[ ("salt", Dcn_obs.Json.Int salt); ("run", Dcn_obs.Json.Int i) ]
             (fun () -> run i)
         in
         let dt = Dcn_obs.Clock.elapsed_s t0 in

@@ -95,39 +95,29 @@ let bound_body ~digest ~(req : Request.t) ~(resolved : Request.resolved)
     ~terms =
   let topo = resolved.Request.topo in
   let f = Core.Float_text.to_string in
-  let buf = Buffer.create 512 in
-  let field ?(last = false) name value =
-    Buffer.add_string buf
-      (Printf.sprintf "  %s: %s%s\n" (Json.quote name) value
-         (if last then "" else ","))
-  in
   let lambda = certified terms in
-  Buffer.add_string buf "{\n";
-  field "digest" (Json.quote digest);
-  field "topology" (Json.quote topo.Dcn_topology.Topology.name);
-  field "switches"
-    (string_of_int (Dcn_graph.Graph.n topo.Dcn_topology.Topology.graph));
-  field "servers"
-    (string_of_int (Dcn_topology.Topology.num_servers topo));
-  field "commodities" (string_of_int (Array.length resolved.Request.commodities));
-  field "traffic" (Json.quote (Core.Cli.traffic_to_string req.Request.traffic));
-  field "routing" (Json.quote (Request.routing_to_string req.Request.routing));
-  field "eps" (f req.Request.eps);
-  field "gap" (f req.Request.gap);
-  field "tier" (Json.quote "bound");
-  field "lambda" (f lambda);
-  field "lambda_lower" (f 0.0);
-  field "lambda_upper" (f lambda);
-  field "bound_capacity" (f terms.capacity);
-  (match terms.cut with
-  | Some c -> field "bound_cut" (f c)
-  | None -> ());
-  (match terms.dstar with
-  | Some d -> field "bound_dstar" (f d)
-  | None -> ());
-  field "shed" "true" ~last:true;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let optional name = Option.fold ~none:[] ~some:(fun x -> [ (name, f x) ]) in
+  Json.pretty_object
+    ([
+       ("digest", Json.quote digest);
+       ("topology", Json.quote topo.Dcn_topology.Topology.name);
+       ( "switches",
+         string_of_int (Dcn_graph.Graph.n topo.Dcn_topology.Topology.graph) );
+       ("servers", string_of_int (Dcn_topology.Topology.num_servers topo));
+       ("commodities", string_of_int (Array.length resolved.Request.commodities));
+       ("traffic", Json.quote (Core.Cli.traffic_to_string req.Request.traffic));
+       ("routing", Json.quote (Request.routing_to_string req.Request.routing));
+       ("eps", f req.Request.eps);
+       ("gap", f req.Request.gap);
+       ("tier", Json.quote "bound");
+       ("lambda", f lambda);
+       ("lambda_lower", f 0.0);
+       ("lambda_upper", f lambda);
+       ("bound_capacity", f terms.capacity);
+     ]
+    @ optional "bound_cut" terms.cut
+    @ optional "bound_dstar" terms.dstar
+    @ [ ("shed", "true") ])
 
 let json_headers = [ ("Content-Type", "application/json") ]
 

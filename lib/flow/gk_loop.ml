@@ -1,4 +1,5 @@
 module Trace = Dcn_obs.Trace
+module Json = Dcn_obs.Json
 
 type params = { eps : float; gap : float; max_phases : int }
 
@@ -113,7 +114,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~phases
     (* Trace arguments are built only when tracing is on, so a phase
        allocates nothing for them otherwise. *)
     if Trace.enabled () then begin
-      let args = [ ("phase", Trace.Int phases); ("ratio", Trace.Float ratio) ] in
+      let args = [ ("phase", Json.Int phases); ("ratio", Json.Num ratio) ] in
       Trace.instant ~cat "dual_check" ~args;
       Trace.end_span sp_phase ~args
     end;

@@ -1,6 +1,7 @@
 open Dcn_graph
 module Metrics = Dcn_obs.Metrics
 module Trace = Dcn_obs.Trace
+module Json = Dcn_obs.Json
 
 (* Solver-internal observability. Counters are flushed once per solve (or
    bumped on events that already cost a full sweep), never inside the
@@ -817,9 +818,9 @@ let run ~params ~warm ~failed ~track_groups g commodities =
       end;
       Trace.end_span sp
         ~args:
-          [ ("phases", Trace.Int r.phases);
-            ("gap", Trace.Float gap);
-            ("converged", Trace.Bool r.converged) ];
+          [ ("phases", Json.Int r.phases);
+            ("gap", Json.Num gap);
+            ("converged", Json.Bool r.converged) ];
       st
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in

@@ -1,6 +1,7 @@
 open Dcn_graph
 module Metrics = Dcn_obs.Metrics
 module Trace = Dcn_obs.Trace
+module Json = Dcn_obs.Json
 
 type commodity = {
   src : int;
@@ -191,9 +192,9 @@ let solve ?(params = Mcmf_fptas.default_params) g commodities =
       end;
       Trace.end_span sp
         ~args:
-          [ ("phases", Trace.Int r.phases);
-            ("gap", Trace.Float gap);
-            ("converged", Trace.Bool r.converged) ];
+          [ ("phases", Json.Int r.phases);
+            ("gap", Json.Num gap);
+            ("converged", Json.Bool r.converged) ];
       r
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in

@@ -205,7 +205,7 @@ let render_json report ~fresh ~grandfathered ~stale =
     (Printf.sprintf "  \"stale_baseline\": [%s],\n"
        (String.concat ", "
           (List.map
-             (fun e -> Finding.json_quote (Baseline.to_line e))
+             (fun e -> Dcn_obs.Json.quote (Baseline.to_line e))
              stale)));
   Buffer.add_string buf
     (Printf.sprintf "  \"suppressed\": [%s]\n"
@@ -213,7 +213,7 @@ let render_json report ~fresh ~grandfathered ~stale =
           (List.map
              (fun ((f : Finding.t), reason) ->
                Printf.sprintf "{\"finding\": %s, \"reason\": %s}"
-                 (Finding.to_json f) (Finding.json_quote reason))
+                 (Finding.to_json f) (Dcn_obs.Json.quote reason))
              report.suppressed)));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

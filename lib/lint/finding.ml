@@ -32,24 +32,7 @@ let compare a b =
 let to_string t =
   Printf.sprintf "%s:%d:%d: [%s] %s" t.file t.line t.col t.rule t.message
 
-let json_quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json t =
   Printf.sprintf "{\"file\": %s, \"line\": %d, \"col\": %d, \"rule\": %s, \"message\": %s}"
-    (json_quote t.file) t.line t.col (json_quote t.rule) (json_quote t.message)
+    (Dcn_obs.Json.quote t.file) t.line t.col (Dcn_obs.Json.quote t.rule)
+    (Dcn_obs.Json.quote t.message)

@@ -18,6 +18,3 @@ val to_string : t -> string
 
 val to_json : t -> string
 (** One finding as a JSON object (stable key order). *)
-
-val json_quote : string -> string
-(** RFC 8259 string quoting, exposed for the driver's report envelope. *)

@@ -1,5 +1,6 @@
 module Metrics = Dcn_obs.Metrics
 module Trace = Dcn_obs.Trace
+module Json = Dcn_obs.Json
 
 (* Pivot-level observability, tallied locally during a solve and flushed
    to the registry once at the end. (A dense tableau has no basis
@@ -282,10 +283,10 @@ let solve ?max_iterations p =
       end;
       Trace.end_span sp
         ~args:
-          [ ("pivots", Trace.Int stats.pivots);
-            ("degenerate", Trace.Int stats.degenerate);
+          [ ("pivots", Json.Int stats.pivots);
+            ("degenerate", Json.Int stats.degenerate);
             ("outcome",
-             Trace.String
+             Json.Str
                (match outcome with
                | Optimal _ -> "optimal"
                | Infeasible -> "infeasible"

@@ -16,3 +16,8 @@ val seconds_between : int64 -> int64 -> float
 
 val elapsed_s : int64 -> float
 (** [elapsed_s t0] is [seconds_between t0 (now_ns ())]. *)
+
+val ns_of_s : float -> int64
+(** Seconds to nanoseconds, saturating at ±2{^62} ns (about 146 years) so
+    that [Int64.add (now_ns ()) (ns_of_s s)] cannot overflow for any [s],
+    however large; NaN maps to [0L]. *)

@@ -1,5 +1,3 @@
-type field = Int of int | Float of float | Str of string | Bool of bool
-
 type t = {
   fd : Unix.file_descr;
   path : string;
@@ -25,18 +23,10 @@ let log t ~ev fields =
   Buffer.clear t.buf;
   Buffer.add_string t.buf
     (Printf.sprintf "{\"ts_ms\":%.3f,\"ev\":%s" (elapsed_ms t) (Json.quote ev));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char t.buf ',';
-      Buffer.add_string t.buf (Json.quote k);
-      Buffer.add_char t.buf ':';
-      Buffer.add_string t.buf
-        (match v with
-        | Int n -> string_of_int n
-        | Float x -> Json.number x
-        | Str s -> Json.quote s
-        | Bool b -> string_of_bool b))
-    fields;
+  if fields <> [] then begin
+    Buffer.add_char t.buf ',';
+    Json.add_members t.buf fields
+  end;
   Buffer.add_string t.buf "}\n";
   let line = Buffer.contents t.buf in
   (* One write call under O_APPEND: appends of a short line are

@@ -13,8 +13,6 @@
     {!Trace.epoch_ns} — to align event timestamps with a trace's
     timeline). *)
 
-type field = Int of int | Float of float | Str of string | Bool of bool
-
 type t
 
 val create : ?t0_ns:int64 -> string -> t
@@ -26,13 +24,14 @@ val path : t -> string
 val elapsed_ms : t -> float
 (** Milliseconds of monotonic time since the log's epoch. *)
 
-val log : t -> ev:string -> (string * field) list -> unit
-(** Append one event line. Thread-safe; never raises. *)
+val log : t -> ev:string -> (string * Json.t) list -> unit
+(** Append one event line; the fields render through
+    {!Json.add_members}. Thread-safe; never raises. *)
 
 val close : t -> unit
 
 val read_lines : string -> string list
 (** All complete (newline-terminated, non-blank) lines of an event-log
     file; a torn final fragment is dropped. Returns [[]] if the file
-    does not exist. Lines are returned raw — callers parse the JSON
-    (the obs layer deliberately has no JSON reader). *)
+    does not exist. Lines are returned raw; {!Json.parse}
+    reads them. *)

@@ -2,8 +2,6 @@ let on = Atomic.make false
 let set_enabled b = Atomic.set on b
 let enabled () = Atomic.get on
 
-type arg = Int of int | Float of float | String of string | Bool of bool
-
 (* Events are buffered structured, not pre-rendered: cross-process merge
    re-renders a worker's buffer relative to the *coordinator's* epoch (the
    monotonic clock is shared by every process on one machine, only the
@@ -17,7 +15,7 @@ type ev = {
   e_ts : int64; (* absolute CLOCK_MONOTONIC ns *)
   e_dur : int64; (* ns; spans only *)
   e_id : int; (* flow-binding id; -1 = none *)
-  e_args : (string * arg) list;
+  e_args : (string * Json.t) list;
 }
 
 (* One sink per domain. The sink's mutex is only contended by [serialize]
@@ -71,7 +69,7 @@ let record ~ph ?(dur = 0L) ?(id = -1) ~cat ?(args = []) ~ts name =
     match Context.ids () with
     | None -> args
     | Some (trace, unit_id) ->
-        args @ [ ("trace", String trace); ("unit", Int unit_id) ]
+        args @ [ ("trace", Json.Str trace); ("unit", Json.Int unit_id) ]
   in
   let s = Domain.DLS.get sink_key in
   Mutex.lock s.lock;
@@ -127,18 +125,7 @@ let render_args buf = function
   | [] -> ()
   | args ->
       Buffer.add_string buf ",\"args\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Json.quote k);
-          Buffer.add_char buf ':';
-          Buffer.add_string buf
-            (match v with
-            | Int n -> string_of_int n
-            | Float x -> Json.number x
-            | String s -> Json.quote s
-            | Bool b -> string_of_bool b))
-        args;
+      Json.add_members buf args;
       Buffer.add_char buf '}'
 
 let render_ev buf ~epoch ~tid e =

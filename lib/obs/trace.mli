@@ -52,9 +52,6 @@ val new_trace_id : unit -> string
 
 (** {1 Events} *)
 
-type arg = Int of int | Float of float | String of string | Bool of bool
-(** Values for the ["args"] payload shown in the trace viewer. *)
-
 type span
 (** An open span: name, category and start timestamp. Begin and end must
     happen on the same domain (true of every use in this repository —
@@ -62,24 +59,24 @@ type span
 
 val begin_span : cat:string -> string -> span
 
-val end_span : ?args:(string * arg) list -> span -> unit
+val end_span : ?args:(string * Json.t) list -> span -> unit
 (** Emits the complete event; [args] typically carries results computed
     during the span (phase counts, achieved gap). A span begun while
     tracing was disabled is dropped silently. *)
 
-val with_span : cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
+val with_span : cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [with_span ~cat name f] wraps [f ()] in a span; exceptions propagate
     unchanged (the span is still closed). *)
 
-val instant : cat:string -> ?args:(string * arg) list -> string -> unit
+val instant : cat:string -> ?args:(string * Json.t) list -> string -> unit
 (** Thread-scoped instant event. *)
 
-val flow_out : cat:string -> id:int -> ?args:(string * arg) list -> string -> unit
+val flow_out : cat:string -> id:int -> ?args:(string * Json.t) list -> string -> unit
 (** Flow start ("s"): emit inside the span that hands work off (e.g. a
     coordinator's dispatch span). Viewers draw an arrow from here to the
     {!flow_in} carrying the same [id]. *)
 
-val flow_in : cat:string -> id:int -> ?args:(string * arg) list -> string -> unit
+val flow_in : cat:string -> id:int -> ?args:(string * Json.t) list -> string -> unit
 (** Flow finish ("f", binding to the enclosing slice): emit inside the
     span that receives the work (e.g. a worker's solve span). *)
 

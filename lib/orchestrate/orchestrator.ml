@@ -105,72 +105,67 @@ type summary = {
 let serial_worker = "serial"
 
 let summary_to_json s =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  let field ?(last = false) name value =
-    Buffer.add_string buf
-      (Printf.sprintf "  %s: %s%s\n" (Json.quote name) value
-         (if last then "" else ","))
-  in
   let objects render l = "[" ^ String.concat ", " (List.map render l) ^ "]" in
   let opt_num = function None -> "null" | Some x -> Json.number x in
-  field "total" (string_of_int s.total);
-  field "from_cache" (string_of_int s.from_cache);
-  field "computed" (string_of_int s.computed);
-  field "dispatched" (string_of_int s.dispatched);
-  field "retried" (string_of_int s.retried);
-  field "hedged" (string_of_int s.hedged);
-  field "discarded" (string_of_int s.discarded);
-  field "evicted" (string_of_int s.evicted);
-  field "readmitted" (string_of_int s.readmitted);
-  field "wall_s" (Json.number s.wall_s);
-  field "trace_id"
-    (match s.trace_id with Some t -> Json.quote t | None -> "null");
-  (* The same decision counts the sched.* metrics counters track and the
-     event log records line by line — the reconciliation surface. *)
-  field "sched"
-    (Printf.sprintf
-       "{\"dispatched\": %d, \"retried\": %d, \"hedged\": %d, \"discarded\": \
-        %d, \"evicted\": %d, \"readmitted\": %d, \"completed\": %d, \
-        \"failed\": %d}"
-       s.dispatched s.retried s.hedged s.discarded s.evicted s.readmitted
-       s.computed (List.length s.failed));
-  field "per_worker"
-    (objects
-       (fun (worker, units) ->
-         Printf.sprintf "{\"worker\": %s, \"units\": %d}" (Json.quote worker)
-           units)
-       s.per_worker);
-  field "workers"
-    (objects
-       (fun ws ->
-         Printf.sprintf
-           "{\"worker\": %s, \"pid\": %s, \"log\": %s, \"units\": %d, \
-            \"solves\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-            \"solve_p50_s\": %s, \"solve_p95_s\": %s, \"solve_p99_s\": %s, \
-            \"queue_p95_s\": %s}"
-           (Json.quote ws.ws_worker)
-           (match ws.ws_pid with Some p -> string_of_int p | None -> "null")
-           (match ws.ws_log with Some l -> Json.quote l | None -> "null")
-           ws.ws_units ws.ws_solves ws.ws_cache_hits ws.ws_cache_misses
-           (opt_num ws.ws_solve_p50_s) (opt_num ws.ws_solve_p95_s)
-           (opt_num ws.ws_solve_p99_s) (opt_num ws.ws_queue_p95_s))
-       s.worker_stats);
-  field "failed" ~last:true
-    (objects
-       (fun (unit_label, error) ->
-         Printf.sprintf "{\"unit\": %s, \"error\": %s}" (Json.quote unit_label)
-           (Json.quote error))
-       s.failed);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.pretty_object
+    [
+      ("total", string_of_int s.total);
+      ("from_cache", string_of_int s.from_cache);
+      ("computed", string_of_int s.computed);
+      ("dispatched", string_of_int s.dispatched);
+      ("retried", string_of_int s.retried);
+      ("hedged", string_of_int s.hedged);
+      ("discarded", string_of_int s.discarded);
+      ("evicted", string_of_int s.evicted);
+      ("readmitted", string_of_int s.readmitted);
+      ("wall_s", Json.number s.wall_s);
+      ( "trace_id",
+        match s.trace_id with Some t -> Json.quote t | None -> "null" );
+      (* The same decision counts the sched.* metrics counters track and
+         the event log records line by line — the reconciliation
+         surface. *)
+      ( "sched",
+        Printf.sprintf
+          "{\"dispatched\": %d, \"retried\": %d, \"hedged\": %d, \"discarded\": \
+           %d, \"evicted\": %d, \"readmitted\": %d, \"completed\": %d, \
+           \"failed\": %d}"
+          s.dispatched s.retried s.hedged s.discarded s.evicted s.readmitted
+          s.computed (List.length s.failed) );
+      ( "per_worker",
+        objects
+          (fun (worker, units) ->
+            Printf.sprintf "{\"worker\": %s, \"units\": %d}" (Json.quote worker)
+              units)
+          s.per_worker );
+      ( "workers",
+        objects
+          (fun ws ->
+            Printf.sprintf
+              "{\"worker\": %s, \"pid\": %s, \"log\": %s, \"units\": %d, \
+               \"solves\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
+               \"solve_p50_s\": %s, \"solve_p95_s\": %s, \"solve_p99_s\": %s, \
+               \"queue_p95_s\": %s}"
+              (Json.quote ws.ws_worker)
+              (match ws.ws_pid with Some p -> string_of_int p | None -> "null")
+              (match ws.ws_log with Some l -> Json.quote l | None -> "null")
+              ws.ws_units ws.ws_solves ws.ws_cache_hits ws.ws_cache_misses
+              (opt_num ws.ws_solve_p50_s) (opt_num ws.ws_solve_p95_s)
+              (opt_num ws.ws_solve_p99_s) (opt_num ws.ws_queue_p95_s))
+          s.worker_stats );
+      ( "failed",
+        objects
+          (fun (unit_label, error) ->
+            Printf.sprintf "{\"unit\": %s, \"error\": %s}" (Json.quote unit_label)
+              (Json.quote error))
+          s.failed );
+    ]
 
 (* One event-log line per scheduler decision; workers appear by name,
    not index, so the log is readable without the workers array. *)
 let sched_event_fields names ev =
   let w i =
     ( "worker",
-      E.Str
+      Json.Str
         (if i >= 0 && i < Array.length names then names.(i)
          else string_of_int i) )
   in
@@ -178,51 +173,51 @@ let sched_event_fields names ev =
   | Scheduler.Dispatch { unit_id; label; worker; attempt; hedged } ->
       ( "dispatch",
         [
-          ("unit", E.Int unit_id);
-          ("label", E.Str label);
+          ("unit", Json.Int unit_id);
+          ("label", Json.Str label);
           w worker;
-          ("attempt", E.Int attempt);
-          ("hedged", E.Bool hedged);
+          ("attempt", Json.Int attempt);
+          ("hedged", Json.Bool hedged);
         ] )
   | Scheduler.Complete { unit_id; label; worker; attempts; hedged; seconds } ->
       ( "complete",
         [
-          ("unit", E.Int unit_id);
-          ("label", E.Str label);
+          ("unit", Json.Int unit_id);
+          ("label", Json.Str label);
           w worker;
-          ("attempts", E.Int attempts);
-          ("hedged", E.Bool hedged);
-          ("seconds", E.Float seconds);
+          ("attempts", Json.Int attempts);
+          ("hedged", Json.Bool hedged);
+          ("seconds", Json.Num seconds);
         ] )
   | Scheduler.Discard { unit_id; label; worker; seconds } ->
       ( "discard",
         [
-          ("unit", E.Int unit_id);
-          ("label", E.Str label);
+          ("unit", Json.Int unit_id);
+          ("label", Json.Str label);
           w worker;
-          ("seconds", E.Float seconds);
+          ("seconds", Json.Num seconds);
         ] )
   | Scheduler.Backoff { unit_id; label; worker; failures; backoff_s; error } ->
       ( "backoff",
         [
-          ("unit", E.Int unit_id);
-          ("label", E.Str label);
+          ("unit", Json.Int unit_id);
+          ("label", Json.Str label);
           w worker;
-          ("failures", E.Int failures);
-          ("backoff_s", E.Float backoff_s);
-          ("error", E.Str error);
+          ("failures", Json.Int failures);
+          ("backoff_s", Json.Num backoff_s);
+          ("error", Json.Str error);
         ] )
   | Scheduler.Unit_failed { unit_id; label; worker; error } ->
       ( "unit_failed",
         [
-          ("unit", E.Int unit_id);
-          ("label", E.Str label);
+          ("unit", Json.Int unit_id);
+          ("label", Json.Str label);
           w worker;
-          ("error", E.Str error);
+          ("error", Json.Str error);
         ] )
   | Scheduler.Evict { worker } -> ("evict", [ w worker ])
   | Scheduler.Readmit { worker } -> ("readmit", [ w worker ])
-  | Scheduler.Probe { worker; ok } -> ("probe", [ w worker; ("ok", E.Bool ok) ])
+  | Scheduler.Probe { worker; ok } -> ("probe", [ w worker; ("ok", Json.Bool ok) ])
 
 (* Merge the coordinator's buffered spans with per-worker fragments
    (already rendered by the workers against the coordinator's epoch)
@@ -357,9 +352,9 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
     (fun l ->
       E.log l ~ev:"run_start"
         [
-          ("trace_id", E.Str (Option.value ~default:"" trace_id));
-          ("units", E.Int (List.length units));
-          ("workers", E.Int (Array.length worker_names));
+          ("trace_id", Json.Str (Option.value ~default:"" trace_id));
+          ("units", Json.Int (List.length units));
+          ("workers", Json.Int (Array.length worker_names));
         ])
     elog;
   (* Flow-binding ids pair each dispatch span's flow-out with the remote
@@ -431,8 +426,8 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
         (fun l ->
           E.log l ~ev:"cache_replay"
             [
-              ("unit", E.Int o.o_unit.Grid.id);
-              ("label", E.Str o.o_unit.Grid.label);
+              ("unit", Json.Int o.o_unit.Grid.id);
+              ("label", Json.Str o.o_unit.Grid.label);
             ])
         elog;
       emit o)
@@ -590,7 +585,7 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
                     ~unit_id:u.Grid.id
                     (fun () ->
                       Trace.with_span ~cat:"orch"
-                        ~args:[ ("worker", Trace.String (Worker.name e)) ]
+                        ~args:[ ("worker", Json.Str (Worker.name e)) ]
                         ("dispatch " ^ u.Grid.label)
                         (fun () ->
                           Trace.flow_out ~cat:"orch" ~id:flow
@@ -706,7 +701,7 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
   | Error msg ->
       Option.iter
         (fun l ->
-          E.log l ~ev:"run_abort" [ ("error", E.Str msg) ];
+          E.log l ~ev:"run_abort" [ ("error", Json.Str msg) ];
           E.close l)
         elog;
       Option.iter Status.finish status;
@@ -752,10 +747,10 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
         (fun l ->
           E.log l ~ev:"run_end"
             [
-              ("computed", E.Int summary.computed);
-              ("from_cache", E.Int summary.from_cache);
-              ("failed", E.Int (List.length failed));
-              ("wall_s", E.Float summary.wall_s);
+              ("computed", Json.Int summary.computed);
+              ("from_cache", Json.Int summary.from_cache);
+              ("failed", Json.Int (List.length failed));
+              ("wall_s", Json.Num summary.wall_s);
             ];
           E.close l)
         elog;

@@ -162,8 +162,6 @@ type counters = {
   mutable c_readmitted : int;
 }
 
-let ns_of_s s = Int64.of_float (s *. 1e9)
-
 let run ?(config = default_config) ~workers ~capacity ~transport ?health
     ?on_event ?on_result units =
   let n = Array.length workers in
@@ -256,7 +254,7 @@ let run ?(config = default_config) ~workers ~capacity ~transport ?health
         match config.hedge_after_s with
         | None -> None
         | Some h ->
-            let h_ns = ns_of_s h in
+            let h_ns = Clock.ns_of_s h in
             let cand = ref None in
             Array.iter
               (fun st ->
@@ -357,7 +355,8 @@ let run ?(config = default_config) ~workers ~capacity ~transport ?health
                   (config.backoff_base_s
                   *. (2.0 ** float_of_int (st.failures - 1)))
               in
-              st.not_before_ns <- Int64.add (Clock.now_ns ()) (ns_of_s backoff);
+              st.not_before_ns <-
+                Int64.add (Clock.now_ns ()) (Clock.ns_of_s backoff);
               evq :=
                 Backoff
                   { unit_id = st.u.Grid.id; label = st.u.Grid.label;

@@ -4,7 +4,7 @@
    retry policy keys on. *)
 
 module Http = Dcn_serve.Http
-module J = Dcn_serve.Json_parse
+module J = Dcn_obs.Json
 
 type endpoint = { host : string; port : int }
 

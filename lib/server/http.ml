@@ -2,10 +2,10 @@
 
    Server side: the shared types, header parsing and budgets the engine's
    incremental parser (Reqstream) uses, and response serialization.
-   Client side: a blocking reader over a socket, one-shot
-   connect-per-request exchanges and persistent keep-alive connections.
-   Bodies are delimited by Content-Length only; chunked encoding is not
-   accepted. *)
+   Client side: a blocking reader over a socket and persistent
+   keep-alive connections; a one-shot exchange is a connection used for
+   one request. Bodies are delimited by Content-Length only; chunked
+   encoding is not accepted. *)
 
 type request = {
   meth : string;
@@ -93,19 +93,30 @@ let read_line r ~max =
   in
   go ()
 
+(* The buffer grows only as bytes arrive: a declared length is the
+   peer's claim, and a hostile one must not make us allocate it. *)
 let read_exact r n =
-  let out = Bytes.create n in
-  let rec go filled =
-    if filled >= n then Ok (Bytes.unsafe_to_string out)
+  let out = Buffer.create (min n 65536) in
+  let rec go () =
+    let missing = n - Buffer.length out in
+    if missing = 0 then Ok (Buffer.contents out)
     else if not (refill r) then Error (Bad "connection closed mid-body")
     else begin
-      let take = min (n - filled) (r.len - r.pos) in
-      Bytes.blit r.buf r.pos out filled take;
+      let take = min missing (r.len - r.pos) in
+      Buffer.add_subbytes out r.buf r.pos take;
       r.pos <- r.pos + take;
-      go (filled + take)
+      go ()
     end
   in
-  go 0
+  go ()
+
+let read_to_eof r =
+  let out = Buffer.create 1024 in
+  while refill r do
+    Buffer.add_subbytes out r.buf r.pos (r.len - r.pos);
+    r.pos <- r.len
+  done;
+  Buffer.contents out
 
 let parse_header line =
   match String.index_opt line ':' with
@@ -295,7 +306,8 @@ let conn_send c ~meth ~target ?(headers = []) ?(body = "") () =
              (fun (name, value) -> Printf.sprintf "%s: %s\r\n" name value)
              headers)
       in
-      (* No Connection header: persistent is the HTTP/1.1 default. *)
+      (* No Connection header of our own: persistent is the HTTP/1.1
+         default. *)
       match
         write_all fd
           (Printf.sprintf "%s %s HTTP/1.1\r\nHost: %s\r\n%s%s\r\n%s" meth
@@ -308,77 +320,62 @@ let conn_send c ~meth ~target ?(headers = []) ?(body = "") () =
           conn_close c;
           Error (transport_error c fn e))
 
+(* Content-Length is digits only: a sign, a hex prefix or garbage is
+   a framing error, never a reason to guess where the body ends. *)
+let content_length v =
+  if v <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) v
+  then int_of_string_opt v
+  else None
+
 let conn_recv c =
   match c.c_sock with
   | None -> Error "not connected"
-  | Some (fd, r) -> (
-      ignore fd;
-      let fail e =
+  | Some (_, r) -> (
+      let fail msg =
         conn_close c;
-        Error
-          (match e with
-          | Closed -> "server closed the connection mid-response"
-          | Bad msg -> msg
-          | Headers_too_large -> "response header too large")
+        Error msg
+      in
+      let ( let* ) res k =
+        match res with
+        | Ok x -> k x
+        | Error Closed -> fail "server closed the connection mid-response"
+        | Error (Bad msg) -> fail msg
+        | Error Headers_too_large -> fail "response header too large"
+      in
+      let rec headers length close =
+        match read_line r ~max:max_header_line with
+        | Error e -> Error e
+        | Ok "" -> Ok (length, close)
+        | Ok line -> (
+            match parse_header line with
+            | Ok ("content-length", v) -> (
+                match content_length v with
+                | Some n -> headers (Some n) close
+                | None -> Error (Bad (Printf.sprintf "bad Content-Length %S" v)))
+            | Ok ("connection", v) ->
+                headers length (String.lowercase_ascii v = "close")
+            | Ok _ -> headers length close
+            | Error e -> Error e)
       in
       try
-        match read_line r ~max:max_header_line with
-        | Error e -> fail e
-        | Ok status_line -> (
-            match
-              match String.split_on_char ' ' status_line with
-              | _ :: code :: _ -> int_of_string_opt code
-              | _ -> None
-            with
-            | None ->
-                conn_close c;
-                Error (Printf.sprintf "bad status line %S" status_line)
-            | Some status -> (
-                let rec headers length close =
-                  match read_line r ~max:max_header_line with
-                  | Error e -> Error e
-                  | Ok "" -> Ok (length, close)
-                  | Ok line -> (
-                      match parse_header line with
-                      | Ok ("content-length", v) ->
-                          headers (int_of_string_opt v) close
-                      | Ok ("connection", v) ->
-                          headers length
-                            (String.lowercase_ascii (String.trim v) = "close")
-                      | Ok _ -> headers length close
-                      | Error e -> Error e)
-                in
-                match headers None false with
-                | Error e -> fail e
-                | Ok (length, close) -> (
-                    match length with
-                    | Some n -> (
-                        match read_exact r n with
-                        | Ok body ->
-                            c.c_used <- true;
-                            if close then conn_close c;
-                            Ok (status, body)
-                        | Error _ ->
-                            conn_close c;
-                            Error "connection closed mid-body")
-                    | None ->
-                        (* No Content-Length: the body is EOF-delimited, so
-                           the connection cannot be reused afterwards. *)
-                        let buf = Buffer.create 1024 in
-                        let rec drain () =
-                          match read_byte r with
-                          | Some ch ->
-                              Buffer.add_char buf ch;
-                              drain ()
-                          | None -> ()
-                        in
-                        drain ();
-                        c.c_used <- true;
-                        conn_close c;
-                        Ok (status, Buffer.contents buf))))
-      with Unix.Unix_error (e, fn, _) ->
-        conn_close c;
-        Error (transport_error c fn e))
+        let* status_line = read_line r ~max:max_header_line in
+        match
+          match String.split_on_char ' ' status_line with
+          | _ :: code :: _ -> int_of_string_opt code
+          | _ -> None
+        with
+        | None -> fail (Printf.sprintf "bad status line %S" status_line)
+        | Some status ->
+            let* length, close = headers None false in
+            (* Without Content-Length the body is EOF-delimited, so the
+               connection cannot be reused afterwards. *)
+            let* body =
+              match length with Some n -> read_exact r n | None -> Ok (read_to_eof r)
+            in
+            c.c_used <- true;
+            if close || length = None then conn_close c;
+            Ok (status, body)
+      with Unix.Unix_error (e, fn, _) -> fail (transport_error c fn e))
 
 let conn_request c ~meth ~target ?headers ?body () =
   let attempt () =
@@ -398,98 +395,14 @@ let conn_request c ~meth ~target ?headers ?body () =
       attempt ()
   | Error msg -> Error msg
 
-let client_request ~host ~port ~meth ~target ?(headers = []) ?(body = "")
-    ?timeout_s () =
-  match
-    try Ok (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> (
-      try Ok (Unix.inet_addr_of_string host)
-      with Failure _ -> Error (Printf.sprintf "cannot resolve host %S" host))
-  with
-  | Error msg -> Error msg
-  | Ok addr -> (
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+(* A one-shot exchange: a fresh connection that announces it will close
+   after one request, and is closed whatever happens. *)
+let client_request ~host ~port ~meth ~target ?(headers = []) ?body ?timeout_s
+    () =
+  let c = conn_create ~host ~port ?timeout_s () in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> conn_close c)
     (fun () ->
-      match connect_opt_timeout fd (Unix.ADDR_INET (addr, port)) ~host ~port timeout_s with
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e))
-      | () -> (
-          try
-          let content =
-            if body = "" && meth = "GET" then ""
-            else
-              Printf.sprintf "Content-Type: application/json\r\nContent-Length: %d\r\n"
-                (String.length body)
-          in
-          let extra =
-            String.concat ""
-              (List.map
-                 (fun (name, value) -> Printf.sprintf "%s: %s\r\n" name value)
-                 headers)
-          in
-          write_all fd
-            (Printf.sprintf "%s %s HTTP/1.1\r\nHost: %s\r\n%s%sConnection: close\r\n\r\n%s"
-               meth target host extra content body);
-          let r = make_reader fd in
-          let fail e =
-            Error
-              (match e with
-              | Closed -> "server closed the connection mid-response"
-              | Bad msg -> msg
-              | Headers_too_large -> "response header too large")
-          in
-          match read_line r ~max:8192 with
-          | Error e -> fail e
-          | Ok status_line -> (
-              let status_opt =
-                match String.split_on_char ' ' status_line with
-                | _ :: code :: _ -> int_of_string_opt code
-                | _ -> None
-              in
-              match status_opt with
-              | None -> Error (Printf.sprintf "bad status line %S" status_line)
-              | Some status -> (
-                  (* Drain headers, then read the body: by Content-Length
-                     when present, to EOF otherwise (we sent
-                     Connection: close). *)
-                  let rec headers length =
-                    match read_line r ~max:8192 with
-                    | Error e -> fail e
-                    | Ok "" -> Ok length
-                    | Ok line -> (
-                        match parse_header line with
-                        | Ok ("content-length", v) -> headers (int_of_string_opt v)
-                        | Ok _ -> headers length
-                        | Error e -> fail e)
-                  in
-                  match headers None with
-                  | Error msg -> Error msg
-                  | Ok (Some n) -> (
-                      match read_exact r n with
-                      | Ok body -> Ok (status, body)
-                      | Error _ -> Error "connection closed mid-body")
-                  | Ok None ->
-                      let buf = Buffer.create 1024 in
-                      let rec drain () =
-                        match read_byte r with
-                        | Some c ->
-                            Buffer.add_char buf c;
-                            drain ()
-                        | None -> ()
-                      in
-                      drain ();
-                      Ok (status, Buffer.contents buf)))
-          with Unix.Unix_error (e, fn, _) ->
-            (* Reset/EPIPE mid-exchange, or an SO_RCVTIMEO/SO_SNDTIMEO
-               expiry (EAGAIN): a transport error, never an exception — the
-               load generator and the orchestrator retry on these. *)
-            let what =
-              if e = Unix.EAGAIN || e = Unix.EWOULDBLOCK then "timed out"
-              else Unix.error_message e
-            in
-            Error
-              (Printf.sprintf "%s %s:%d: %s"
-                 (if fn = "" then "exchange" else fn)
-                 host port what))))
+      conn_request c ~meth ~target
+        ~headers:(headers @ [ ("Connection", "close") ])
+        ?body ())

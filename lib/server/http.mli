@@ -4,9 +4,10 @@
     budgets the engine's incremental parser ({!Dcn_engine.Reqstream})
     enforces, and response serialization — keep-alive by default,
     [Connection: close] when the engine is about to close. Client side:
-    one-shot exchanges ({!client_request}) and persistent connections
-    ({!conn}). Bodies are delimited by [Content-Length] only; chunked
-    transfer encoding is rejected. *)
+    persistent connections ({!conn}), which hold the one request writer
+    and the one response reader, and {!client_request}, a one-shot
+    exchange over a fresh [conn]. Bodies are delimited by
+    [Content-Length] only; chunked transfer encoding is rejected. *)
 
 type request = {
   meth : string;
@@ -77,13 +78,16 @@ val client_request :
   ?timeout_s:float ->
   unit ->
   (int * string, string) result
-(** One client exchange: connect, send, read (status, body), close. Used
-    by [topobench client], the orchestrator's worker client and the
-    tests; errors are connection-level (refused, reset, timed out,
-    malformed response), never HTTP statuses, and never exceptions.
-    [timeout_s] bounds the connect and each subsequent read/write
-    (kernel [SO_RCVTIMEO]/[SO_SNDTIMEO]); omitted means block
-    indefinitely, as before. [headers] adds extra request headers (e.g.
+(** One-shot exchange: a wrapper over {!conn} that creates a connection,
+    runs one {!conn_request} with an extra [Connection: close] header,
+    and closes the connection in a [finally]. Used by [topobench client],
+    the orchestrator's worker client, perfbench and the tests. Errors are
+    connection-level (refused, reset, timed out, malformed response —
+    including a [Content-Length] that is not a non-negative decimal or
+    promises more bytes than arrive), never HTTP statuses, and never
+    exceptions. [timeout_s] bounds the connect and each subsequent
+    read/write (kernel [SO_RCVTIMEO]/[SO_SNDTIMEO]); omitted means block
+    indefinitely. [headers] adds extra request headers (e.g.
     [x-dcn-trace]) after [Host]. *)
 
 (** {2 Persistent client connections}
@@ -91,7 +95,8 @@ val client_request :
     A [conn] is a lazily-connected, reusable HTTP/1.1 client connection:
     the load generator holds one per worker so a keep-alive server sees a
     long-lived socket instead of connect-per-request churn. Requests are
-    sent without a [Connection] header (persistent by default); the
+    sent without a [Connection] header of their own (persistent by
+    default); the
     connection is dropped when the server answers [Connection: close],
     when a response is EOF-delimited, or on any transport error — the
     next send transparently reconnects. *)
@@ -128,9 +133,11 @@ val conn_send :
     times before any {!conn_recv} to pipeline requests on the wire. *)
 
 val conn_recv : conn -> (int * string, string) result
-(** Read one response (status, body) in send order. Transport errors
-    close the socket and come back as [Error]; HTTP error statuses are
-    [Ok]. *)
+(** Read one response (status, body) in send order. Transport and
+    framing errors — including a non-numeric or negative
+    [Content-Length], or fewer body bytes than it declares — close the
+    socket and come back as [Error]; the body buffer grows only as bytes
+    arrive. HTTP error statuses are [Ok]. *)
 
 val conn_request :
   conn ->

@@ -1,188 +1,6 @@
-(* Minimal recursive-descent JSON reader.
+(* The JSON value type, parser and accessors live in Dcn_obs.Json; these
+   aliases keep perfbench/main.ml compiling unchanged. *)
 
-   The repository renders JSON through Dcn_obs.Json but never had to read
-   any until the serving layer; this parser is the other half. It accepts
-   strict JSON (RFC 8259) minus two relaxations nobody needs here: no
-   surrogate-pair decoding (\uXXXX escapes outside the BMP are kept as a
-   replacement character) and numbers are IEEE doubles, like every other
-   float in the tree. Inputs are small request bodies, so the parser
-   favors clarity over throughput. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Bad of string
-
-type state = { text : string; mutable pos : int }
-
-let error st fmt =
-  Printf.ksprintf (fun msg -> raise (Bad (Printf.sprintf "at byte %d: %s" st.pos msg))) fmt
-
-let peek st = if st.pos < String.length st.text then Some st.text.[st.pos] else None
-
-let next st =
-  match peek st with
-  | Some c ->
-      st.pos <- st.pos + 1;
-      c
-  | None -> error st "unexpected end of input"
-
-let skip_ws st =
-  let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        st.pos <- st.pos + 1;
-        go ()
-    | _ -> ()
-  in
-  go ()
-
-let expect st c =
-  let got = next st in
-  if got <> c then error st "expected %C, got %C" c got
-
-let literal st word value =
-  String.iter (fun c -> expect st c) word;
-  value
-
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match next st with
-    | '"' -> Buffer.contents buf
-    | '\\' -> (
-        (match next st with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            let hex = Bytes.create 4 in
-            for i = 0 to 3 do
-              Bytes.set hex i (next st)
-            done;
-            let code =
-              try int_of_string ("0x" ^ Bytes.to_string hex)
-              with Failure _ -> error st "bad \\u escape"
-            in
-            (* UTF-8 encode the BMP code point; surrogates degrade to
-               U+FFFD rather than failing the whole request. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else if code >= 0xD800 && code <= 0xDFFF then
-              Buffer.add_string buf "\xEF\xBF\xBD"
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-        | c -> error st "bad escape \\%C" c);
-        go ())
-    | c when Char.code c < 0x20 -> error st "raw control character in string"
-    | c ->
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
-
-let parse_number st =
-  let start = st.pos in
-  let num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek st with Some c -> num_char c | None -> false) do
-    st.pos <- st.pos + 1
-  done;
-  let text = String.sub st.text start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some x -> Num x
-  | None -> error st "malformed number %S" text
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> error st "unexpected end of input"
-  | Some '{' ->
-      st.pos <- st.pos + 1;
-      skip_ws st;
-      if peek st = Some '}' then (st.pos <- st.pos + 1; Obj [])
-      else
-        let rec members acc =
-          skip_ws st;
-          let key = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          skip_ws st;
-          match next st with
-          | ',' -> members ((key, v) :: acc)
-          | '}' -> Obj (List.rev ((key, v) :: acc))
-          | c -> error st "expected ',' or '}' in object, got %C" c
-        in
-        members []
-  | Some '[' ->
-      st.pos <- st.pos + 1;
-      skip_ws st;
-      if peek st = Some ']' then (st.pos <- st.pos + 1; Arr [])
-      else
-        let rec elements acc =
-          let v = parse_value st in
-          skip_ws st;
-          match next st with
-          | ',' -> elements (v :: acc)
-          | ']' -> Arr (List.rev (v :: acc))
-          | c -> error st "expected ',' or ']' in array, got %C" c
-        in
-        elements []
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> error st "unexpected character %C" c
-
-let parse text =
-  let st = { text; pos = 0 } in
-  match parse_value st with
-  | v ->
-      skip_ws st;
-      if st.pos <> String.length text then
-        Error (Printf.sprintf "at byte %d: trailing garbage after value" st.pos)
-      else Ok v
-  | exception Bad msg -> Error msg
-
-(* ---- accessors ---- *)
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | Null | Bool _ | Num _ | Str _ | Arr _ -> None
-
-let to_string_opt = function
-  | Str s -> Some s
-  | Null | Bool _ | Num _ | Arr _ | Obj _ -> None
-
-let to_float_opt = function
-  | Num x -> Some x
-  | Null | Bool _ | Str _ | Arr _ | Obj _ -> None
-
-let to_bool_opt = function
-  | Bool b -> Some b
-  | Null | Num _ | Str _ | Arr _ | Obj _ -> None
-
-let to_int_opt = function
-  | Num x when Float.is_integer x && Float.abs x <= 1e15 -> Some (int_of_float x)
-  | Null | Bool _ | Num _ | Str _ | Arr _ | Obj _ -> None
+let parse = Dcn_obs.Json.parse
+let member = Dcn_obs.Json.member
+let to_float_opt = Dcn_obs.Json.to_float_opt

@@ -1,29 +1,6 @@
-(** Minimal JSON reader for request bodies.
+(** Aliases of {!Dcn_obs.Json}'s parser and two of its accessors, kept
+    for [perfbench/main.ml]; new code uses {!Dcn_obs.Json} directly. *)
 
-    The rendering half lives in {!Dcn_obs.Json}; this is the parsing half,
-    added with the serving layer. Strict RFC 8259 JSON with two documented
-    simplifications: [\uXXXX] escapes are decoded as BMP code points (no
-    surrogate pairs — they become U+FFFD), and numbers are IEEE doubles. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-val parse : string -> (t, string) result
-(** Whole-input parse; the error message carries a byte offset. *)
-
-(** {1 Accessors} *)
-
-val member : string -> t -> t option
-(** Field of an object; [None] on missing field or non-object. *)
-
-val to_string_opt : t -> string option
-val to_float_opt : t -> float option
-val to_bool_opt : t -> bool option
-
-val to_int_opt : t -> int option
-(** Numbers that are exact integers within [1e15]; [None] otherwise. *)
+val parse : string -> (Dcn_obs.Json.t, string) result
+val member : string -> Dcn_obs.Json.t -> Dcn_obs.Json.t option
+val to_float_opt : Dcn_obs.Json.t -> float option

@@ -10,12 +10,10 @@
    otherwise (each thread fires as fast as its responses return).
 
    Each worker thread holds one persistent keep-alive connection
-   (Http.conn) and reuses it across its requests; [keepalive:false]
-   falls back to one connection per request (Http.client_request), and
-   [pipeline] > 1 writes that many requests onto the wire before reading
-   the responses back in order. The report's reuse_rate
-   (1 - connects/requests) is how the CI smoke test asserts keep-alive
-   actually held across a burst.
+   (Http.conn) and reuses it across its requests; [pipeline] > 1 writes
+   that many requests onto the wire before reading the responses back in
+   order. The report's reuse_rate (1 - connects/requests) is how the CI
+   smoke test asserts keep-alive actually held across a burst.
 
    Latency percentiles are bucketed through the same fixed-grid machinery
    as the server's own histograms (Metrics.bucket_index /
@@ -63,8 +61,7 @@ let contains ~sub s =
    exactly this spelling, as solve_body does for "fptas"). *)
 let is_bound_body body = contains ~sub:"\"tier\": \"bound\"" body
 
-let run ?(keepalive = true) ?(pipeline = 1) ~host ~port ~bodies ~requests
-    ~concurrency ~qps () =
+let run ?(pipeline = 1) ~host ~port ~bodies ~requests ~concurrency ~qps () =
   if Array.length bodies = 0 then invalid_arg "Load_gen.run: no request bodies";
   if requests < 1 then invalid_arg "Load_gen.run: requests < 1";
   let pipeline = max 1 pipeline in
@@ -88,22 +85,7 @@ let run ?(keepalive = true) ?(pipeline = 1) ~host ~port ~bodies ~requests
     rows.(i) <- { status; latency_s = Clock.elapsed_s sent; body }
   in
   (* Thread t owns slots t, t+concurrency, ... — no slot is shared. *)
-  let worker_fresh t =
-    (* keepalive off: the original one-connection-per-request client. *)
-    let own = ref 0 in
-    let i = ref t in
-    while !i < requests do
-      pace !i;
-      let sent = Clock.now_ns () in
-      record !i sent
-        (Http.client_request ~host ~port ~meth:"POST" ~target:"/solve"
-           ~body:(body_of !i) ());
-      incr own;
-      i := !i + concurrency
-    done;
-    ignore (Atomic.fetch_and_add connects !own)
-  in
-  let worker_conn t =
+  let worker t =
     let c = Http.conn_create ~host ~port () in
     let i = ref t in
     if pipeline = 1 then
@@ -166,7 +148,6 @@ let run ?(keepalive = true) ?(pipeline = 1) ~host ~port ~bodies ~requests
     ignore (Atomic.fetch_and_add connects (Http.conn_connects c));
     Http.conn_close c
   in
-  let worker = if keepalive then worker_conn else worker_fresh in
   let threads = List.init concurrency (fun t -> Thread.create worker t) in
   List.iter Thread.join threads;
   let elapsed_s = Clock.elapsed_s t0 in

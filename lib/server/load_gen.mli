@@ -42,7 +42,6 @@ val is_bound_body : string -> bool
 (** Whether a response body is marked ["tier": "bound"] (shed tier). *)
 
 val run :
-  ?keepalive:bool ->
   ?pipeline:int ->
   host:string ->
   port:int ->
@@ -54,12 +53,10 @@ val run :
   report * row array
 (** Fire [requests] POSTs at [/solve] from [concurrency] worker threads;
     returns the report and the per-request rows (slot [i] is request
-    [i]). [keepalive] (default true) gives each worker one persistent
-    connection; [false] dials per request. [pipeline] (default 1, only
-    meaningful with keep-alive) writes up to that many requests onto the
-    wire before reading the responses back in order — a mid-chunk
-    failure poisons the rest of the chunk, which reports as transport
-    errors. Raises [Invalid_argument] on an empty [bodies] or
+    [i]). Each worker holds one persistent connection. [pipeline]
+    (default 1) writes up to that many requests onto the wire before
+    reading the responses back in order — a mid-chunk failure poisons
+    the rest of the chunk, which reports as transport errors. Raises [Invalid_argument] on an empty [bodies] or
     [requests < 1]. *)
 
 val print_report : report -> unit

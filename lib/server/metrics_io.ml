@@ -10,22 +10,23 @@ open Dcn_obs
 let ( let* ) = Result.bind
 
 let num_field name j =
-  match j with
-  | Json_parse.Num x -> Ok x
-  | Json_parse.Null | Bool _ | Str _ | Arr _ | Obj _ ->
-      Error (Printf.sprintf "metrics: %s is not a number" name)
+  match Json.to_float_opt j with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "metrics: %s is not a number" name)
 
 let float_array name j =
   match j with
-  | Json_parse.Arr xs ->
+  | Json.Arr xs ->
       let rec go acc = function
         | [] -> Ok (Array.of_list (List.rev acc))
-        | Json_parse.Num x :: rest -> go (x :: acc) rest
-        | (Json_parse.Null | Bool _ | Str _ | Arr _ | Obj _) :: _ ->
-            Error (Printf.sprintf "metrics: %s has a non-number element" name)
+        | x :: rest -> (
+            match Json.to_float_opt x with
+            | Some x -> go (x :: acc) rest
+            | None ->
+                Error (Printf.sprintf "metrics: %s has a non-number element" name))
       in
       go [] xs
-  | Json_parse.Null | Bool _ | Num _ | Str _ | Obj _ ->
+  | Json.Null | Bool _ | Int _ | Num _ | Str _ | Obj _ ->
       Error (Printf.sprintf "metrics: %s is not an array" name)
 
 let int_array name j =
@@ -43,8 +44,7 @@ let int_array name j =
 
 let histogram name j =
   match
-    (Json_parse.member "bounds" j, Json_parse.member "counts" j,
-     Json_parse.member "sum" j)
+    (Json.member "bounds" j, Json.member "counts" j, Json.member "sum" j)
   with
   | Some bounds, Some counts, Some sum ->
       let* bounds = float_array (name ^ ".bounds") bounds in
@@ -56,16 +56,16 @@ let histogram name j =
   | _ -> Error (Printf.sprintf "metrics: %s is missing bounds/counts/sum" name)
 
 let section name decode j acc =
-  match Json_parse.member name j with
-  | None | Some Json_parse.Null -> Ok acc
-  | Some (Json_parse.Obj fields) ->
+  match Json.member name j with
+  | None | Some Json.Null -> Ok acc
+  | Some (Json.Obj fields) ->
       List.fold_left
         (fun acc (k, v) ->
           let* acc = acc in
           let* value = decode k v in
           Ok ((k, value) :: acc))
         (Ok acc) fields
-  | Some (Json_parse.Bool _ | Num _ | Str _ | Arr _) ->
+  | Some (Json.Bool _ | Int _ | Num _ | Str _ | Arr _) ->
       Error (Printf.sprintf "metrics: %s is not an object" name)
 
 let snapshot_of_json j =
@@ -91,5 +91,5 @@ let snapshot_of_json j =
   Ok (List.sort (fun (a, _) (b, _) -> String.compare a b) entries)
 
 let snapshot_of_body body =
-  let* j = Json_parse.parse body in
+  let* j = Json.parse body in
   snapshot_of_json j

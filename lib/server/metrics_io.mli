@@ -12,10 +12,10 @@
     merge arithmetic. *)
 
 val snapshot_of_json :
-  Json_parse.t -> (Dcn_obs.Metrics.snapshot, string) result
+  Dcn_obs.Json.t -> (Dcn_obs.Metrics.snapshot, string) result
 (** Decode a parsed metrics document. Entries are returned sorted by
     name, matching {!Dcn_obs.Metrics.snapshot} order. *)
 
 val snapshot_of_body :
   string -> (Dcn_obs.Metrics.snapshot, string) result
-(** [Json_parse.parse] then {!snapshot_of_json}. *)
+(** {!Dcn_obs.Json.parse} then {!snapshot_of_json}. *)

@@ -63,14 +63,15 @@ let parse_routing s =
 (* ---- JSON decoding ---- *)
 
 let ( let* ) = Result.bind
-module J = Json_parse
+module J = Dcn_obs.Json
 
 let field_error name what = Error (Printf.sprintf "field %S %s" name what)
 
 let opt_field json name decode ~default =
   match J.member name json with
   | None | Some J.Null -> Ok default
-  | Some ((J.Bool _ | J.Num _ | J.Str _ | J.Arr _ | J.Obj _) as v) -> decode v
+  | Some ((J.Bool _ | J.Int _ | J.Num _ | J.Str _ | J.Arr _ | J.Obj _) as v) ->
+      decode v
 
 let decode_unit_open name v =
   match J.to_float_opt v with
@@ -90,7 +91,7 @@ let of_json json =
         match Option.bind (J.member "inline" o) J.to_string_opt with
         | Some text -> Ok (Inline text)
         | None -> field_error "topology" "object form needs a string \"inline\"")
-    | Some (J.Null | J.Bool _ | J.Num _ | J.Arr _) ->
+    | Some (J.Null | J.Bool _ | J.Int _ | J.Num _ | J.Arr _) ->
         field_error "topology" "must be a spec string or {\"inline\": TEXT}"
   in
   let* seed =
@@ -123,7 +124,7 @@ let of_json json =
   Ok { topology; seed; traffic; eps; gap; routing; timeout_s }
 
 let of_body body =
-  match Json_parse.parse body with
+  match J.parse body with
   | Error msg -> Error (Printf.sprintf "invalid JSON: %s" msg)
   | Ok json -> of_json json
 

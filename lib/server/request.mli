@@ -32,7 +32,7 @@ val routing_to_string : routing -> string
 val parse_routing : string -> (routing, string) result
 (** [optimal | ksp:K | ecmp[:LIMIT] | vlb:N] (bare [ecmp] means limit 64). *)
 
-val of_json : Json_parse.t -> (t, string) result
+val of_json : Dcn_obs.Json.t -> (t, string) result
 (** Decode the request object. Only ["topology"] is required; defaults:
     seed 1, permutation traffic, eps 0.05, gap 0.05, optimal routing, no
     per-request timeout. *)

@@ -105,27 +105,22 @@ let solve_body ~digest ~(req : Request.t) ~(resolved : Request.resolved)
     ~lambda ~bounds:(lo, hi) =
   let topo = resolved.Request.topo in
   let f = Core.Float_text.to_string in
-  let buf = Buffer.create 512 in
-  let field ?(last = false) name value =
-    Buffer.add_string buf
-      (Printf.sprintf "  %s: %s%s\n" (Json.quote name) value (if last then "" else ","))
-  in
-  Buffer.add_string buf "{\n";
-  field "digest" (Json.quote digest);
-  field "topology" (Json.quote topo.Core.Topology.name);
-  field "switches" (string_of_int (Core.Graph.n topo.Core.Topology.graph));
-  field "servers" (string_of_int (Core.Topology.num_servers topo));
-  field "commodities" (string_of_int (Array.length resolved.Request.commodities));
-  field "traffic" (Json.quote (Core.Cli.traffic_to_string req.Request.traffic));
-  field "routing" (Json.quote (Request.routing_to_string req.Request.routing));
-  field "eps" (f req.Request.eps);
-  field "gap" (f req.Request.gap);
-  field "tier" (Json.quote "fptas");
-  field "lambda" (f lambda);
-  field "lambda_lower" (f lo);
-  field "lambda_upper" (f hi) ~last:true;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.pretty_object
+    [
+      ("digest", Json.quote digest);
+      ("topology", Json.quote topo.Core.Topology.name);
+      ("switches", string_of_int (Core.Graph.n topo.Core.Topology.graph));
+      ("servers", string_of_int (Core.Topology.num_servers topo));
+      ("commodities", string_of_int (Array.length resolved.Request.commodities));
+      ("traffic", Json.quote (Core.Cli.traffic_to_string req.Request.traffic));
+      ("routing", Json.quote (Request.routing_to_string req.Request.routing));
+      ("eps", f req.Request.eps);
+      ("gap", f req.Request.gap);
+      ("tier", Json.quote "fptas");
+      ("lambda", f lambda);
+      ("lambda_lower", f lo);
+      ("lambda_upper", f hi);
+    ]
 
 (* ---- the solve itself ---- *)
 
@@ -166,8 +161,6 @@ let with_deadline deadline f =
 
 (* ---- dispatch ---- *)
 
-let ns_of_s s = Int64.of_float (s *. 1e9)
-
 (* What the access log wants to know about a handled request beyond the
    response itself: the solve digest (when the body resolved to one) and
    whether this request led the coalesced solve or rode on a leader. *)
@@ -203,7 +196,7 @@ let solve_resolved t ~accept_ns ?trace_ids ~digest (req : Request.t)
     (resolved : Request.resolved) =
   let deadline =
     match (req.Request.timeout_s, t.config.default_timeout_s) with
-    | Some s, _ | None, Some s -> Some (Int64.add accept_ns (ns_of_s s))
+    | Some s, _ | None, Some s -> Some (Int64.add accept_ns (Clock.ns_of_s s))
     | None, None -> None
   in
   let timed_out () =
@@ -304,17 +297,17 @@ let account t ~accept_ns ~meth ~path (served : served) =
   | Some log ->
       Event_log.log log ~ev:"request"
         ([
-           ("method", Event_log.Str meth);
-           ("path", Event_log.Str path);
-           ("status", Event_log.Int resp.Http.status);
-           ("wall_ms", Event_log.Float (wall_s *. 1e3));
+           ("method", Json.Str meth);
+           ("path", Json.Str path);
+           ("status", Json.Int resp.Http.status);
+           ("wall_ms", Json.Num (wall_s *. 1e3));
          ]
         @ (match served.sv_digest with
-          | Some d -> [ ("digest", Event_log.Str d) ]
+          | Some d -> [ ("digest", Json.Str d) ]
           | None -> [])
         @
         match served.sv_role with
-        | Some r -> [ ("role", Event_log.Str r) ]
+        | Some r -> [ ("role", Json.Str r) ]
         | None -> [])
   | None -> ());
   resp

@@ -193,7 +193,7 @@ let run ~total f =
           end;
           let sp = Trace.begin_span ~cat:"pool" "task" in
           task i;
-          Trace.end_span sp ~args:[ ("index", Trace.Int i) ];
+          Trace.end_span sp ~args:[ ("index", Dcn_obs.Json.Int i) ];
           if Metrics.enabled () then begin
             let t1 = Dcn_obs.Clock.now_ns () in
             Metrics.observe m_task_run_s

@@ -19,7 +19,7 @@ module Lru = Dcn_engine.Lru
 module Reqstream = Dcn_engine.Reqstream
 module Shed = Dcn_engine.Shed
 module Clock = Dcn_obs.Clock
-module J = Dcn_serve.Json_parse
+module J = Dcn_obs.Json
 
 let solve_body = "{\"topology\": \"rrg:12,6,3\", \"eps\": 0.2, \"gap\": 0.2}"
 

@@ -373,15 +373,15 @@ let test_trace_file_well_formed () =
   with_trace (fun () ->
       Trace.with_span ~cat:"test" "outer" (fun () ->
           Trace.instant ~cat:"test" "tick"
-            ~args:[ ("k", Trace.String "v\"quoted\"") ];
+            ~args:[ ("k", Json.Str "v\"quoted\"") ];
           Trace.with_span ~cat:"test" "inner"
-            ~args:[ ("n", Trace.Int 3); ("x", Trace.Float 0.5) ]
+            ~args:[ ("n", Json.Int 3); ("x", Json.Num 0.5) ]
             (fun () -> ()));
       (* Spans emitted from pool workers land on their own tracks. *)
       with_workers 2 (fun () ->
           Pool.run ~total:8 (fun i ->
               Trace.with_span ~cat:"test" "task"
-                ~args:[ ("i", Trace.Int i) ]
+                ~args:[ ("i", Json.Int i) ]
                 (fun () -> ())));
       let path = temp_path ".json" in
       Trace.write path;
@@ -525,13 +525,13 @@ let test_event_log_roundtrip_and_torn_line () =
   let log = Event_log.create path in
   Event_log.log log ~ev:"dispatch"
     [
-      ("unit", Event_log.Int 3);
-      ("label", Event_log.Str "rrg:20,8,5 seed=1 \"q\"");
-      ("worker", Event_log.Str "127.0.0.1:9999");
-      ("hedged", Event_log.Bool false);
+      ("unit", Json.Int 3);
+      ("label", Json.Str "rrg:20,8,5 seed=1 \"q\"");
+      ("worker", Json.Str "127.0.0.1:9999");
+      ("hedged", Json.Bool false);
     ];
   Event_log.log log ~ev:"complete"
-    [ ("unit", Event_log.Int 3); ("seconds", Event_log.Float 0.25) ];
+    [ ("unit", Json.Int 3); ("seconds", Json.Num 0.25) ];
   Event_log.close log;
   (match Event_log.read_lines path with
   | [ l1; l2 ] ->
@@ -801,15 +801,15 @@ let test_trace_args_bytes_pinned () =
       Trace.instant ~cat:"pin" "pinned"
         ~args:
           [
-            ("n", Trace.Int 42);
-            ("neg", Trace.Int (-7));
-            ("x", Trace.Float 0.1);
-            ("big", Trace.Float 1.5e300);
-            ("inf", Trace.Float infinity);
-            ("nan", Trace.Float nan);
-            ("s", Trace.String "q\"b\\s\n\t\r\001");
-            ("t", Trace.Bool true);
-            ("f", Trace.Bool false);
+            ("n", Json.Int 42);
+            ("neg", Json.Int (-7));
+            ("x", Json.Num 0.1);
+            ("big", Json.Num 1.5e300);
+            ("inf", Json.Num infinity);
+            ("nan", Json.Num nan);
+            ("s", Json.Str "q\"b\\s\n\t\r\001");
+            ("t", Json.Bool true);
+            ("f", Json.Bool false);
           ];
       let fragment = Trace.serialize ~drain:true () in
       let find_sub sub s =
@@ -837,11 +837,11 @@ let test_event_log_line_pinned () =
   let log = Event_log.create path in
   Event_log.log log ~ev:"pin"
     [
-      ("unit", Event_log.Int 3);
-      ("seconds", Event_log.Float 0.25);
-      ("backoff_s", Event_log.Float neg_infinity);
-      ("label", Event_log.Str "a \"b\"\n\\c");
-      ("hedged", Event_log.Bool false);
+      ("unit", Json.Int 3);
+      ("seconds", Json.Num 0.25);
+      ("backoff_s", Json.Num neg_infinity);
+      ("label", Json.Str "a \"b\"\n\\c");
+      ("hedged", Json.Bool false);
     ];
   Event_log.close log;
   let line =

@@ -15,7 +15,7 @@ module Orchestrator = Dcn_orchestrate.Orchestrator
 module Store = Dcn_store.Store
 module Manifest = Dcn_store.Manifest
 module Request = Dcn_serve.Request
-module J = Dcn_serve.Json_parse
+module J = Dcn_obs.Json
 module Trace = Dcn_obs.Trace
 module Event_log = Dcn_obs.Event_log
 

@@ -6,7 +6,7 @@
    the real daemon). Request parsing is Reqstream's, tested in
    test_engine. *)
 
-module J = Dcn_serve.Json_parse
+module J = Dcn_obs.Json
 module Http = Dcn_serve.Http
 module Request = Dcn_serve.Request
 module Coalesce = Dcn_serve.Coalesce
@@ -44,8 +44,13 @@ let test_json_parse_basics () =
           Alcotest.(check (option string)) "escaped string" (Some "x\ny")
             (J.to_string_opt s);
           Alcotest.(check (option bool)) "true" (Some true) (J.to_bool_opt t);
-          Alcotest.(check bool) "null" true (n = J.Null)
+          Alcotest.(check bool) "null" true (n = J.Null);
+          Alcotest.(check bool) "numbers parse as Num" true
+            (match one with J.Num _ -> true | _ -> false)
       | _ -> Alcotest.fail "array shape");
+      Alcotest.(check (option int)) "Int as int" (Some 7) (J.to_int_opt (J.Int 7));
+      Alcotest.(check (option (float 0.0))) "Int as float" (Some 7.0)
+        (J.to_float_opt (J.Int 7));
       Alcotest.(check (option string)) "unicode escape" (Some "A")
         (Option.bind (J.member "b" v) (fun b ->
              Option.bind (J.member "c" b) J.to_string_opt))
@@ -58,7 +63,7 @@ let test_json_parse_rejects () =
   in
   List.iter rejects
     [ "{"; "[1,]"; "{\"a\": 1} trailing"; "\"unterminated"; "{'single': 1}";
-      "nul"; "{\"a\" 1}"; "\"bad \\q escape\"" ]
+      "nul"; "{\"a\" 1}"; "\"bad \\q escape\""; "1e999"; "[-1e999]" ]
 
 (* ---- response serialization ---- *)
 
@@ -77,6 +82,78 @@ let test_http_response_wire_format () =
     "HTTP/1.1 431 Request Header Fields Too Large\r\n\
      Content-Length: 1\r\nConnection: close\r\n\r\nx"
     (Http.serialize_response (Http.response 431 "x"))
+
+(* ---- client response framing ---- *)
+
+(* A loopback peer that answers its i-th connection with the i-th canned
+   response, after reading the request head, and then closes it. *)
+let canned_peer responses =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 8;
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let serve () =
+    List.iter
+      (fun resp ->
+        let fd, _ = Unix.accept sock in
+        let buf = Bytes.create 4096 in
+        let head = Buffer.create 256 in
+        let rec read_head () =
+          let n = Unix.read fd buf 0 (Bytes.length buf) in
+          Buffer.add_subbytes head buf 0 n;
+          let h = Buffer.contents head in
+          let l = String.length h in
+          if n > 0 && not (l >= 4 && String.sub h (l - 4) 4 = "\r\n\r\n") then
+            read_head ()
+        in
+        read_head ();
+        (try ignore (Unix.write_substring fd resp 0 (String.length resp))
+         with Unix.Unix_error _ -> ());
+        Unix.close fd)
+      responses;
+    Unix.close sock
+  in
+  (port, Thread.create serve ())
+
+let test_http_hostile_content_length () =
+  let hostile =
+    [
+      "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nbody";
+      "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999\r\n\r\npartial";
+      "HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\nbody";
+    ]
+  in
+  let good = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok" in
+  let port, peer =
+    canned_peer (hostile @ List.concat_map (fun h -> [ h; good ]) hostile)
+  in
+  let expect_error what = function
+    | Ok (status, body) ->
+        Alcotest.fail (Printf.sprintf "%s: accepted %d %S" what status body)
+    | Error _ -> ()
+  in
+  List.iter
+    (fun h ->
+      expect_error ("client_request: " ^ h)
+        (Http.client_request ~host:"127.0.0.1" ~port ~meth:"GET" ~target:"/x"
+           ~timeout_s:5.0 ()))
+    hostile;
+  let c = Http.conn_create ~host:"127.0.0.1" ~port ~timeout_s:5.0 () in
+  List.iter
+    (fun h ->
+      expect_error ("conn_request: " ^ h)
+        (Http.conn_request c ~meth:"GET" ~target:"/x" ());
+      Alcotest.(check (result (pair int string) string))
+        "conn works on its next request" (Ok (200, "ok"))
+        (Http.conn_request c ~meth:"GET" ~target:"/x" ()))
+    hostile;
+  Http.conn_close c;
+  Thread.join peer
 
 (* ---- request decoding ---- *)
 
@@ -382,6 +459,22 @@ let test_server_deadline_preflight () =
   let resp = Server.handle srv ~accept_ns:stale (mkreq solve_body) in
   Alcotest.(check int) "504 before solving" 504 resp.Http.status
 
+(* A timeout too large for an int64 of nanoseconds saturates to "no
+   practical deadline"; one that overflows a double is not JSON we
+   accept. *)
+let test_server_huge_timeout () =
+  let srv = Server.create no_timeout_config in
+  let status timeout =
+    (handle srv
+       (mkreq
+          (Printf.sprintf
+             "{\"topology\":\"rrg:20,8,5\",\"eps\":0.1,\"gap\":0.1,\"timeout_s\":%s}"
+             timeout)))
+      .Http.status
+  in
+  Alcotest.(check int) "1e999 is rejected" 400 (status "1e999");
+  Alcotest.(check int) "1e10 solves" 200 (status "1e10")
+
 let test_server_deadline_cancels_solve () =
   let srv = Server.create no_timeout_config in
   (* A solve that needs well over 50ms, with a 50ms budget: cancellation
@@ -655,6 +748,8 @@ let suite =
     [
       Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
       Alcotest.test_case "json parse rejects" `Quick test_json_parse_rejects;
+      Alcotest.test_case "http clients reject hostile Content-Length" `Quick
+        test_http_hostile_content_length;
       Alcotest.test_case "http response wire format" `Quick
         test_http_response_wire_format;
       Alcotest.test_case "request defaults" `Quick test_request_defaults;
@@ -677,6 +772,8 @@ let suite =
         test_server_golden_bodies;
       Alcotest.test_case "deadline rejected before solve" `Quick
         test_server_deadline_preflight;
+      Alcotest.test_case "huge timeout_s: 400 or solved" `Quick
+        test_server_huge_timeout;
       Alcotest.test_case "deadline cancels mid-solve" `Quick
         test_server_deadline_cancels_solve;
       Alcotest.test_case "concurrent duplicates coalesce" `Quick
