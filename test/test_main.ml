@@ -33,5 +33,6 @@ let () =
       Test_engine.suite;
       Test_orchestrate.suite;
       Test_lint.suite;
+      Test_documents.suite;
       Test_integration.suite;
     ]
