@@ -299,79 +299,86 @@ let microbenchmarks () =
 (* ------------------------------------------------------------------ *)
 (* Timing report (--bench-json)                                        *)
 
-(* JSON text helpers come from the observability library ([number] maps
-   non-finite floats to null — JSON has no NaN/Infinity literals). *)
-let json_escape = Dcn_obs.Json.escape
-let json_float = Dcn_obs.Json.number
+module J = Dcn_obs.Json
+
+let num x = J.Num x
 
 (* One JSON object per --sweep-warm report: every grid point's two legs
    plus the aggregate geomeans/flags CI asserts on. *)
 let sweep_warm_json (r : Core.Experiments.sweep_warm_report) =
   let open Core.Experiments in
-  let points =
-    List.map
-      (fun p ->
-        Printf.sprintf
-          "      {\"label\": \"%s\", \"cold_phases\": %d, \"warm_phases\": \
-           %d, \"speedup_phases\": %s, \"cold_seconds\": %s, \
-           \"warm_seconds\": %s, \"speedup_wall\": %s, \"cold_lower\": %s, \
-           \"cold_upper\": %s, \"warm_lower\": %s, \"warm_upper\": %s, \
-           \"certified\": %b, \"overlap\": %b}"
-          (json_escape p.swp_label) p.swp_cold_phases p.swp_warm_phases
-          (json_float (speedup_phases p))
-          (json_float p.swp_cold_seconds)
-          (json_float p.swp_warm_seconds)
-          (json_float (speedup_wall p))
-          (json_float p.swp_cold_lower) (json_float p.swp_cold_upper)
-          (json_float p.swp_warm_lower) (json_float p.swp_warm_upper)
-          p.swp_certified p.swp_overlap)
-      r.swr_points
+  let point p =
+    J.Obj
+      [
+        ("label", J.Str p.swp_label);
+        ("cold_phases", J.Int p.swp_cold_phases);
+        ("warm_phases", J.Int p.swp_warm_phases);
+        ("speedup_phases", num (speedup_phases p));
+        ("cold_seconds", num p.swp_cold_seconds);
+        ("warm_seconds", num p.swp_warm_seconds);
+        ("speedup_wall", num (speedup_wall p));
+        ("cold_lower", num p.swp_cold_lower);
+        ("cold_upper", num p.swp_cold_upper);
+        ("warm_lower", num p.swp_warm_lower);
+        ("warm_upper", num p.swp_warm_upper);
+        ("certified", J.Bool p.swp_certified);
+        ("overlap", J.Bool p.swp_overlap);
+      ]
   in
-  Printf.sprintf
-    "    {\"name\": \"%s\", \"requested_gap\": %s, \"baseline_phases\": %d, \
-     \"baseline_seconds\": %s,\n\
-     \     \"points\": [\n%s\n     ],\n\
-     \     \"cold_phases_total\": %d, \"warm_phases_total\": %d, \
-     \"geomean_phases\": %s, \"geomean_wall\": %s, \"all_certified\": %b, \
-     \"all_overlap\": %b}"
-    (json_escape r.swr_name)
-    (json_float r.swr_requested_gap)
-    r.swr_baseline_phases
-    (json_float r.swr_baseline_seconds)
-    (String.concat ",\n" points)
-    r.swr_cold_phases r.swr_warm_phases
-    (json_float r.swr_geomean_phases)
-    (json_float r.swr_geomean_wall)
-    r.swr_all_certified r.swr_all_overlap
+  J.Obj
+    [
+      ("name", J.Str r.swr_name);
+      ("requested_gap", num r.swr_requested_gap);
+      ("baseline_phases", J.Int r.swr_baseline_phases);
+      ("baseline_seconds", num r.swr_baseline_seconds);
+      ("points", J.Arr (List.map point r.swr_points));
+      ("cold_phases_total", J.Int r.swr_cold_phases);
+      ("warm_phases_total", J.Int r.swr_warm_phases);
+      ("geomean_phases", num r.swr_geomean_phases);
+      ("geomean_wall", num r.swr_geomean_wall);
+      ("all_certified", J.Bool r.swr_all_certified);
+      ("all_overlap", J.Bool r.swr_all_overlap);
+    ]
 
 (* One JSON object per --orchestrate leg: the same grid run serially and
    over 1/2/4 spawned workers, with the scheduler's counters and the
    wall-clock speedup relative to the serial leg. *)
 type orch_leg = { ol_label : string; ol_workers : int; ol_summary : Orch.summary }
 
-let orchestrate_json ~serial_wall legs =
+let orchestrate_json legs =
+  let serial_wall =
+    match List.find_opt (fun l -> l.ol_workers = 0) legs with
+    | Some l -> l.ol_summary.Orch.wall_s
+    | None -> 0.0
+  in
   let leg_json l =
     let s = l.ol_summary in
     let speedup =
       if l.ol_workers = 0 || s.Orch.wall_s <= 0.0 then 1.0
       else serial_wall /. s.Orch.wall_s
     in
-    Printf.sprintf
-      "    {\"label\": \"%s\", \"workers\": %d, \"total\": %d, \"computed\": \
-       %d, \"wall_s\": %s, \"speedup_vs_serial\": %s, \"dispatched\": %d, \
-       \"retried\": %d, \"hedged\": %d, \"discarded\": %d, \"evicted\": %d, \
-       \"per_worker\": [%s]}"
-      (json_escape l.ol_label) l.ol_workers s.Orch.total s.Orch.computed
-      (json_float s.Orch.wall_s) (json_float speedup) s.Orch.dispatched
-      s.Orch.retried s.Orch.hedged s.Orch.discarded s.Orch.evicted
-      (String.concat ", "
-         (List.map
-            (fun (worker, units) ->
-              Printf.sprintf "{\"worker\": \"%s\", \"units\": %d}"
-                (json_escape worker) units)
-            s.Orch.per_worker))
+    J.Obj
+      [
+        ("label", J.Str l.ol_label);
+        ("workers", J.Int l.ol_workers);
+        ("total", J.Int s.Orch.total);
+        ("computed", J.Int s.Orch.computed);
+        ("wall_s", num s.Orch.wall_s);
+        ("speedup_vs_serial", num speedup);
+        ("dispatched", J.Int s.Orch.dispatched);
+        ("retried", J.Int s.Orch.retried);
+        ("hedged", J.Int s.Orch.hedged);
+        ("discarded", J.Int s.Orch.discarded);
+        ("evicted", J.Int s.Orch.evicted);
+        ( "per_worker",
+          J.Arr
+            (List.map
+               (fun (worker, units) ->
+                 J.Obj [ ("worker", J.Str worker); ("units", J.Int units) ])
+               s.Orch.per_worker) );
+      ]
   in
-  String.concat ",\n" (List.map leg_json legs)
+  J.Arr (List.map leg_json legs)
 
 (* The --serving run: a warm closed-loop keep-alive burst over cached
    variants, then an open-loop saturation burst at 1.25x the warm rate
@@ -383,103 +390,87 @@ type serving_run = {
 
 let serving_json run =
   let phase (r : Dcn_serve.Load_gen.report) =
-    Printf.sprintf
-      "{\"rps\": %s, \"p50_s\": %s, \"p95_s\": %s, \"p99_s\": %s, \
-       \"reuse_rate\": %s, \"bound_responses\": %d, \"by_status\": [%s]}"
-      (json_float r.Dcn_serve.Load_gen.rps)
-      (json_float r.Dcn_serve.Load_gen.p50)
-      (json_float r.Dcn_serve.Load_gen.p95)
-      (json_float r.Dcn_serve.Load_gen.p99)
-      (json_float r.Dcn_serve.Load_gen.reuse_rate)
-      r.Dcn_serve.Load_gen.bound_responses
-      (String.concat ", "
-         (List.map
-            (fun (status, count) ->
-              Printf.sprintf "{\"status\": %d, \"count\": %d}" status count)
-            r.Dcn_serve.Load_gen.by_status))
+    let module L = Dcn_serve.Load_gen in
+    J.Obj
+      [
+        ("rps", num r.L.rps);
+        ("p50_s", num r.L.p50);
+        ("p95_s", num r.L.p95);
+        ("p99_s", num r.L.p99);
+        ("reuse_rate", num r.L.reuse_rate);
+        ("bound_responses", J.Int r.L.bound_responses);
+        ( "by_status",
+          J.Arr
+            (List.map
+               (fun (status, count) ->
+                 J.Obj [ ("status", J.Int status); ("count", J.Int count) ])
+               r.L.by_status) );
+      ]
   in
-  Printf.sprintf "{\"warm\": %s, \"saturation\": %s}" (phase run.se_warm)
-    (phase run.se_sat)
+  J.Obj [ ("warm", phase run.se_warm); ("saturation", phase run.se_sat) ]
 
 let write_bench_json path ~mode ~jobs ~figures ~micro ~sweeps ~orch ~serving
     ~total_seconds =
-  let figure_entries =
-    List.map
-      (fun r ->
-        let metrics_field =
-          match r.fr_metrics with
-          | None -> ""
-          | Some snap ->
-              Printf.sprintf ", \"metrics\": %s"
-                (String.trim (Metrics.to_json snap))
-        in
-        Printf.sprintf
-          "    {\"name\": \"%s\", \"seconds\": %s, \"resumed\": %b%s}"
-          (json_escape r.fr_name) (json_float r.fr_dt) r.fr_resumed
-          metrics_field)
-      figures
+  let figure r =
+    J.Obj
+      ([
+         ("name", J.Str r.fr_name);
+         ("seconds", num r.fr_dt);
+         ("resumed", J.Bool r.fr_resumed);
+       ]
+      @ Option.fold ~none:[] ~some:(fun snap -> [ ("metrics", Metrics.json snap) ])
+          r.fr_metrics)
   in
-  let micro_entries =
-    List.map
-      (fun (name, est) ->
-        Printf.sprintf "    {\"name\": \"%s\", \"time_per_run_ns\": %s}"
-          (json_escape name)
-          (match est with Some e -> json_float e | None -> "null"))
-      micro
+  let micro_entry (name, est) =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("time_per_run_ns", Option.fold ~none:J.Null ~some:num est);
+      ]
   in
   (* The result store's counters: the cache smoke test in CI asserts a
      warm run reports hits > 0 and misses = 0 here. *)
   let cache_json =
     match Core.Store.shared () with
-    | None -> "  \"cache\": {\"enabled\": false},\n"
+    | None -> J.Obj [ ("enabled", J.Bool false) ]
     | Some store ->
         let c = Core.Store.counters store in
         let total = c.Core.Store.hits + c.Core.Store.misses in
-        Printf.sprintf
-          "  \"cache\": {\"enabled\": true, \"hits\": %d, \"misses\": %d, \
-           \"bytes_read\": %d, \"bytes_written\": %d, \"hit_rate\": %s},\n"
-          c.Core.Store.hits c.Core.Store.misses c.Core.Store.bytes_read
-          c.Core.Store.bytes_written
-          (if total = 0 then "null"
-           else json_float (float_of_int c.Core.Store.hits /. float_of_int total))
+        J.Obj
+          [
+            ("enabled", J.Bool true);
+            ("hits", J.Int c.Core.Store.hits);
+            ("misses", J.Int c.Core.Store.misses);
+            ("bytes_read", J.Int c.Core.Store.bytes_read);
+            ("bytes_written", J.Int c.Core.Store.bytes_written);
+            ( "hit_rate",
+              if total = 0 then J.Null
+              else num (float_of_int c.Core.Store.hits /. float_of_int total) );
+          ]
   in
-  (* The process-wide registry snapshot: solver-internal counters for the
-     whole invocation (all figures + micro), null when recording was off. *)
-  let metrics_json =
-    if Metrics.enabled () then String.trim (Metrics.to_json (Metrics.snapshot ()))
-    else "null"
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"mode\": \"%s\",\n" (json_escape mode);
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"figures\": [\n%s\n  ],\n"
-    (String.concat ",\n" figure_entries);
-  Printf.fprintf oc "  \"micro\": [\n%s\n  ],\n"
-    (String.concat ",\n" micro_entries);
-  (match sweeps with
-  | [] -> ()
-  | sweeps ->
-      Printf.fprintf oc "  \"sweep_warm\": [\n%s\n  ],\n"
-        (String.concat ",\n" (List.map sweep_warm_json sweeps)));
-  (match orch with
-  | [] -> ()
-  | legs ->
-      let serial_wall =
-        match List.find_opt (fun l -> l.ol_workers = 0) legs with
-        | Some l -> l.ol_summary.Orch.wall_s
-        | None -> 0.0
-      in
-      Printf.fprintf oc "  \"orchestrate\": [\n%s\n  ],\n"
-        (orchestrate_json ~serial_wall legs));
-  Option.iter
-    (fun run -> Printf.fprintf oc "  \"serving\": %s,\n" (serving_json run))
-    serving;
-  output_string oc cache_json;
-  Printf.fprintf oc "  \"metrics\": %s,\n" metrics_json;
-  Printf.fprintf oc "  \"total_seconds\": %s\n" (json_float total_seconds);
-  Printf.fprintf oc "}\n";
-  close_out oc
+  let optional name value = function [] -> [] | l -> [ (name, value l) ] in
+  J.atomic_write ~path
+    (J.pretty
+       ([
+          ("mode", J.Str mode);
+          ("jobs", J.Int jobs);
+          ("figures", J.Arr (List.map figure figures));
+          ("micro", J.Arr (List.map micro_entry micro));
+        ]
+       @ optional "sweep_warm" (fun l -> J.Arr (List.map sweep_warm_json l)) sweeps
+       @ optional "orchestrate" orchestrate_json orch
+       @ Option.fold ~none:[] ~some:(fun run -> [ ("serving", serving_json run) ])
+           serving
+       @ [
+           ("cache", cache_json);
+           (* The process-wide registry snapshot: solver-internal counters
+              for the whole invocation (all figures + micro), null when
+              recording was off. *)
+           ( "metrics",
+             if Metrics.enabled () then Metrics.json (Metrics.snapshot ())
+             else J.Null );
+           ("total_seconds", num total_seconds);
+         ]))
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)

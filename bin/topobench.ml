@@ -492,23 +492,27 @@ let client_cmd =
         timeout_s = (if timeout > 0.0 then Some timeout else None);
       }
   in
+  let module J = Core.Obs.Json in
   let probe_healthz ~host ~port ~json =
-    let q = Core.Obs.Json.quote in
     match Dcn_orchestrate.Worker.healthz { Dcn_orchestrate.Worker.host; port } with
     | Error msg ->
         if json then
-          Printf.printf "{\"ok\": false, \"error\": %s}\n" (q msg)
+          print_endline
+            (J.to_string (J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ]))
         else prerr_endline ("topobench client: " ^ msg);
         exit 1
     | Ok h ->
         let healthy = h.Dcn_orchestrate.Worker.ok && not h.Dcn_orchestrate.Worker.draining in
         if json then
-          Printf.printf
-            "{\"ok\": %b, \"solver_version\": %s, \"jobs\": %d, \
-             \"draining\": %b}\n"
-            healthy
-            (q h.Dcn_orchestrate.Worker.solver_version)
-            h.Dcn_orchestrate.Worker.jobs h.Dcn_orchestrate.Worker.draining
+          print_endline
+            (J.to_string
+               (J.Obj
+                  [
+                    ("ok", J.Bool healthy);
+                    ("solver_version", J.Str h.Dcn_orchestrate.Worker.solver_version);
+                    ("jobs", J.Int h.Dcn_orchestrate.Worker.jobs);
+                    ("draining", J.Bool h.Dcn_orchestrate.Worker.draining);
+                  ]))
         else
           Printf.printf "healthz %s:%d: %s (solver %s, jobs=%d%s)\n" host port
             (if healthy then "ok" else "NOT healthy")
@@ -518,29 +522,27 @@ let client_cmd =
   in
   let report_json (report : Dcn_serve.Load_gen.report) ~transport_errors =
     let module L = Dcn_serve.Load_gen in
-    let n = Core.Obs.Json.number in
-    Core.Obs.Json.pretty_object
+    let num x = J.Num x in
+    J.pretty
       [
-        ("total", string_of_int report.L.total);
+        ("total", J.Int report.L.total);
         ( "by_status",
-          "["
-          ^ String.concat ", "
-              (List.map
-                 (fun (status, count) ->
-                   Printf.sprintf "{\"status\": %d, \"count\": %d}" status count)
-                 report.L.by_status)
-          ^ "]" );
-        ("transport_errors", string_of_int transport_errors);
-        ("p50_s", n report.L.p50);
-        ("p95_s", n report.L.p95);
-        ("p99_s", n report.L.p99);
-        ("max_s", n report.L.max_s);
-        ("elapsed_s", n report.L.elapsed_s);
-        ("rps", n report.L.rps);
-        ("connects", string_of_int report.L.connects);
-        ("reuse_rate", n report.L.reuse_rate);
-        ("bound_responses", string_of_int report.L.bound_responses);
-        ("duplicates_identical", string_of_bool report.L.duplicates_identical);
+          J.Arr
+            (List.map
+               (fun (status, count) ->
+                 J.Obj [ ("status", J.Int status); ("count", J.Int count) ])
+               report.L.by_status) );
+        ("transport_errors", J.Int transport_errors);
+        ("p50_s", num report.L.p50);
+        ("p95_s", num report.L.p95);
+        ("p99_s", num report.L.p99);
+        ("max_s", num report.L.max_s);
+        ("elapsed_s", num report.L.elapsed_s);
+        ("rps", num report.L.rps);
+        ("connects", J.Int report.L.connects);
+        ("reuse_rate", num report.L.reuse_rate);
+        ("bound_responses", J.Int report.L.bound_responses);
+        ("duplicates_identical", J.Bool report.L.duplicates_identical);
       ]
   in
   let run spec host port traffic seed eps gap routing timeout load qps

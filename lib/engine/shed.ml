@@ -88,36 +88,25 @@ let certified terms =
   | Some c -> Float.min terms.capacity c
   | None -> terms.capacity
 
-(* Mirrors Server.solve_body field for field (same exact float
-   rendering) so clients parse one schema; the tier marker and the open
-   lower end are the only semantic differences. *)
-let bound_body ~digest ~(req : Request.t) ~(resolved : Request.resolved)
-    ~terms =
-  let topo = resolved.Request.topo in
-  let f = Core.Float_text.to_string in
+(* Opens with Server.answer_head so clients parse one schema; the tier
+   marker and the open lower end are the only semantic differences. *)
+let bound_body ~digest ~req ~resolved ~terms =
   let lambda = certified terms in
-  let optional name = Option.fold ~none:[] ~some:(fun x -> [ (name, f x) ]) in
-  Json.pretty_object
-    ([
-       ("digest", Json.quote digest);
-       ("topology", Json.quote topo.Dcn_topology.Topology.name);
-       ( "switches",
-         string_of_int (Dcn_graph.Graph.n topo.Dcn_topology.Topology.graph) );
-       ("servers", string_of_int (Dcn_topology.Topology.num_servers topo));
-       ("commodities", string_of_int (Array.length resolved.Request.commodities));
-       ("traffic", Json.quote (Core.Cli.traffic_to_string req.Request.traffic));
-       ("routing", Json.quote (Request.routing_to_string req.Request.routing));
-       ("eps", f req.Request.eps);
-       ("gap", f req.Request.gap);
-       ("tier", Json.quote "bound");
-       ("lambda", f lambda);
-       ("lambda_lower", f 0.0);
-       ("lambda_upper", f lambda);
-       ("bound_capacity", f terms.capacity);
-     ]
+  let optional name =
+    Option.fold ~none:[] ~some:(fun x -> [ (name, Json.Num x) ])
+  in
+  Json.pretty
+    (Server.answer_head ~digest ~req ~resolved
+    @ [
+        ("tier", Json.Str "bound");
+        ("lambda", Json.Num lambda);
+        ("lambda_lower", Json.Num 0.0);
+        ("lambda_upper", Json.Num lambda);
+        ("bound_capacity", Json.Num terms.capacity);
+      ]
     @ optional "bound_cut" terms.cut
     @ optional "bound_dstar" terms.dstar
-    @ [ ("shed", "true") ])
+    @ [ ("shed", Json.Bool true) ])
 
 let json_headers = [ ("Content-Type", "application/json") ]
 

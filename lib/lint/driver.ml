@@ -187,33 +187,19 @@ let run opts paths =
   }
 
 let render_json report ~fresh ~grandfathered ~stale =
-  let buf = Buffer.create 1024 in
-  let finding_array fs =
-    "["
-    ^ String.concat ", " (List.map Finding.to_json fs)
-    ^ "]"
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"files\": %d,\n  \"errors\": %d,\n" report.files
-       (List.length report.errors));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"new\": %s,\n" (finding_array fresh));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"baselined\": %s,\n" (finding_array grandfathered));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"stale_baseline\": [%s],\n"
-       (String.concat ", "
+  let module J = Dcn_obs.Json in
+  let findings fs = J.Arr (List.map Finding.json fs) in
+  J.pretty
+    [
+      ("files", J.Int report.files);
+      ("errors", J.Int (List.length report.errors));
+      ("new", findings fresh);
+      ("baselined", findings grandfathered);
+      ("stale_baseline", J.Arr (List.map (fun e -> J.Str (Baseline.to_line e)) stale));
+      ( "suppressed",
+        J.Arr
           (List.map
-             (fun e -> Dcn_obs.Json.quote (Baseline.to_line e))
-             stale)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"suppressed\": [%s]\n"
-       (String.concat ", "
-          (List.map
-             (fun ((f : Finding.t), reason) ->
-               Printf.sprintf "{\"finding\": %s, \"reason\": %s}"
-                 (Finding.to_json f) (Dcn_obs.Json.quote reason))
-             report.suppressed)));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+             (fun (f, reason) ->
+               J.Obj [ ("finding", Finding.json f); ("reason", J.Str reason) ])
+             report.suppressed) );
+    ]

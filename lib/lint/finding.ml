@@ -32,7 +32,15 @@ let compare a b =
 let to_string t =
   Printf.sprintf "%s:%d:%d: [%s] %s" t.file t.line t.col t.rule t.message
 
-let to_json t =
-  Printf.sprintf "{\"file\": %s, \"line\": %d, \"col\": %d, \"rule\": %s, \"message\": %s}"
-    (Dcn_obs.Json.quote t.file) t.line t.col (Dcn_obs.Json.quote t.rule)
-    (Dcn_obs.Json.quote t.message)
+let json t =
+  let module J = Dcn_obs.Json in
+  J.Obj
+    [
+      ("file", J.Str t.file);
+      ("line", J.Int t.line);
+      ("col", J.Int t.col);
+      ("rule", J.Str t.rule);
+      ("message", J.Str t.message);
+    ]
+
+let to_json t = Dcn_obs.Json.to_string (json t)

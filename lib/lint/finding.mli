@@ -16,5 +16,8 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** [file:line:col: [rule] message] — the grep-able one-line form. *)
 
-val to_json : t -> string
+val json : t -> Dcn_obs.Json.t
 (** One finding as a JSON object (stable key order). *)
+
+val to_json : t -> string
+(** {!json} in the inline document form. *)

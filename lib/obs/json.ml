@@ -9,8 +9,8 @@ type t =
 
 (* ---- rendering ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let add_quoted buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -23,49 +23,77 @@ let escape s =
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"'
+
+let quote s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_quoted buf s;
   Buffer.contents buf
 
-let quote s = "\"" ^ escape s ^ "\""
-let number x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
+(* Shortest round-tripping form: %.17g always round-trips for finite
+   doubles; prefer the shorter renderings when they happen to be exact
+   (which keeps "1", "2.5" and "0.05" short). *)
+let round_trip x =
+  if not (Float.is_finite x) then "null"
+  else
+    let exact s = Float.equal (float_of_string s) x in
+    let g = Printf.sprintf "%g" x in
+    if exact g then g
+    else
+      let g12 = Printf.sprintf "%.12g" x in
+      if exact g12 then g12 else Printf.sprintf "%.17g" x
 
-let rec add_value buf = function
+(* The two layouts differ in float text and spacing only: compact
+   telemetry lines ([doc = false]) round floats to %.6g and use no spaces,
+   documents keep every float exact and separate with ", " and ": ". *)
+let rec add_value ~doc buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int n -> Buffer.add_string buf (string_of_int n)
-  | Num x -> Buffer.add_string buf (number x)
-  | Str s -> Buffer.add_string buf (quote s)
+  | Num x when doc || not (Float.is_finite x) -> Buffer.add_string buf (round_trip x)
+  | Num x -> Buffer.add_string buf (Printf.sprintf "%.6g" x)
+  | Str s -> add_quoted buf s
   | Arr xs ->
       Buffer.add_char buf '[';
       List.iteri
         (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_value buf x)
+          if i > 0 then Buffer.add_string buf (if doc then ", " else ",");
+          add_value ~doc buf x)
         xs;
       Buffer.add_char buf ']'
   | Obj members ->
       Buffer.add_char buf '{';
-      add_members buf members;
+      add_fields ~doc buf members;
       Buffer.add_char buf '}'
 
-and add_members buf members =
+and add_fields ~doc buf members =
   List.iteri
     (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (quote k);
-      Buffer.add_char buf ':';
-      add_value buf v)
+      if i > 0 then Buffer.add_string buf (if doc then ", " else ",");
+      add_quoted buf k;
+      Buffer.add_string buf (if doc then ": " else ":");
+      add_value ~doc buf v)
     members
 
-let pretty_object members =
-  let buf = Buffer.create 512 in
+let add_members buf members = add_fields ~doc:false buf members
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  add_value ~doc:true buf v;
+  Buffer.contents buf
+
+let pretty members =
+  let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  let last = List.length members - 1 in
   List.iteri
-    (fun i (name, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: %s%s\n" (quote name) value
-           (if i = last then "" else ",")))
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      Buffer.add_string buf "  ";
+      add_quoted buf k;
+      Buffer.add_string buf ": ";
+      add_value ~doc:true buf v)
     members;
+  if members <> [] then Buffer.add_char buf '\n';
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 

@@ -9,12 +9,19 @@
     Renderers, by output:
     - {!add_members}: compact ["k":v,...] members, no spaces — trace
       event ["args"] ({!Trace}) and event-log lines ({!Event_log}).
-    - {!pretty_object}: one member per line, values rendered by the
-      caller — served [/solve] bodies (floats via [Float_text], exact
-      round-trip), shed-tier bound bodies, the orchestrator summary and
-      [topobench client --json].
-    - {!quote}/{!number}: the building blocks for every other
-      hand-written producer (metrics snapshots, lint reports). *)
+    - {!to_string}: the inline document form [{"k": v, "k2": [a, b]}] —
+      request wire bodies, error and [/healthz] bodies, lint findings.
+    - {!pretty}: one top-level member per line, each value rendered by
+      {!to_string} — served [/solve] and bound bodies, [/metrics] and
+      [--metrics] files, the grid artifact, the orchestrator summary,
+      lint reports, [topobench client --json] and [bench --bench-json].
+
+    Float text follows one rule. Compact telemetry lines render [Num] at
+    [%.6g]. Documents render it exactly, in the shortest decimal form
+    that reads back to the same double ({!round_trip}), so a reader
+    decoding a served interval or a metrics sum sees the very bits the
+    process held. Both write NaN and infinities as [null]: JSON has no
+    literals for them. *)
 
 type t =
   | Null
@@ -29,28 +36,31 @@ type t =
 
 (** {1 Rendering} *)
 
-val escape : string -> string
-(** Body of a JSON string literal: escapes quotes, backslashes and control
-    characters. The caller supplies the surrounding quotes. *)
-
 val quote : string -> string
-(** [quote s] is [escape s] wrapped in double quotes. *)
+(** A JSON string literal: quotes, backslashes and control characters
+    escaped, wrapped in double quotes. *)
 
-val number : float -> string
-(** A JSON-safe rendering of a float: ["%.6g"] for finite values, ["null"]
-    for NaN and infinities (JSON has no literals for them). *)
+val round_trip : float -> string
+(** The document float rule: the shortest of [%g], [%.12g] and [%.17g]
+    that parses back to the input bit for bit; ["null"] for NaN and
+    infinities. {!Dcn_util.Float_text} uses the same text for finite
+    values. *)
 
 val add_members : Buffer.t -> (string * t) list -> unit
 (** Append [members] compactly, comma-separated with no spaces and no
     enclosing braces: ["a":1,"b":"x"]. [Int] renders as [string_of_int],
-    [Num] through {!number}, [Str] through {!quote}, [Bool] as
-    [true]/[false]; arrays and objects nest in the same compact form. *)
+    [Num] at [%.6g] (["null"] when not finite), [Str] through {!quote},
+    [Bool] as [true]/[false]; arrays and objects nest in the same compact
+    form. *)
 
-val pretty_object : (string * string) list -> string
-(** [pretty_object [(name, rendered_value); ...]] is ["{\n"], one
-    ["  \"name\": value"] line per member (comma-terminated except the
-    last), then ["}\n"]. Values are inserted verbatim, so the caller
-    chooses their rendering. *)
+val to_string : t -> string
+(** The inline document form: [{"k": v, "k2": v2}] and [[a, b]], with
+    [Num] through {!round_trip}. No trailing newline. *)
+
+val pretty : (string * t) list -> string
+(** ["{\n"], one ["  \"name\": value"] line per member (comma-terminated
+    except the last) with the value rendered by {!to_string}, then
+    ["}\n"]. *)
 
 (** {1 Parsing} *)
 

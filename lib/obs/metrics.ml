@@ -217,55 +217,44 @@ let merge a b =
       | None, None -> None)
     names
 
-let to_json ?(meta = []) snap =
-  let buf = Buffer.create 1024 in
+let sections snap =
   let section kind render =
-    let entries =
-      List.filter_map
-        (fun (name, v) -> Option.map (fun s -> (name, s)) (render v))
-        snap
-    in
-    Buffer.add_string buf (Printf.sprintf "  %s: {" (Json.quote kind));
-    List.iteri
-      (fun i (name, s) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\n    %s: %s" (Json.quote name) s))
-      entries;
-    if entries <> [] then Buffer.add_string buf "\n  ";
-    Buffer.add_char buf '}'
+    ( kind,
+      Json.Obj
+        (List.filter_map
+           (fun (name, v) -> Option.map (fun j -> (name, j)) (render v))
+           snap) )
   in
-  Buffer.add_string buf "{\n";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf "  %s: %s,\n" (Json.quote k) v))
-    meta;
-  section "counters" (function
-    | Counter_v n -> Some (string_of_int n)
-    | Gauge_v _ | Histogram_v _ -> None);
-  Buffer.add_string buf ",\n";
-  section "gauges" (function
-    | Gauge_v v -> Some (Json.number v)
-    | Counter_v _ | Histogram_v _ -> None);
-  Buffer.add_string buf ",\n";
-  section "histograms" (function
-    | Histogram_v { bounds; counts; sum } ->
-        let arr render xs =
-          "[" ^ String.concat "," (List.map render (Array.to_list xs)) ^ "]"
-        in
-        let count = Array.fold_left ( + ) 0 counts in
-        (* Bucketed percentile summaries ([Json.number] maps the empty
-           histogram's NaN and the overflow bucket's infinity to null). *)
-        let q p = Json.number (histogram_quantile ~bounds ~counts p) in
-        Some
-          (Printf.sprintf
-             "{\"bounds\": %s, \"counts\": %s, \"sum\": %s, \"count\": %d, \
-              \"p50\": %s, \"p95\": %s, \"p99\": %s}"
-             (arr Json.number bounds)
-             (arr string_of_int counts)
-             (Json.number sum) count (q 0.5) (q 0.95) (q 0.99))
-    | Counter_v _ | Gauge_v _ -> None);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let nums xs = Json.Arr (Array.to_list (Array.map (fun x -> Json.Num x) xs)) in
+  [
+    section "counters" (function
+      | Counter_v n -> Some (Json.Int n)
+      | Gauge_v _ | Histogram_v _ -> None);
+    section "gauges" (function
+      | Gauge_v v -> Some (Json.Num v)
+      | Counter_v _ | Histogram_v _ -> None);
+    section "histograms" (function
+      | Histogram_v { bounds; counts; sum } ->
+          (* Bucketed percentile summaries: the empty histogram's NaN and
+             the overflow bucket's infinity render as null. *)
+          let q p = Json.Num (histogram_quantile ~bounds ~counts p) in
+          Some
+            (Json.Obj
+               [
+                 ("bounds", nums bounds);
+                 ( "counts",
+                   Json.Arr (Array.to_list (Array.map (fun c -> Json.Int c) counts)) );
+                 ("sum", Json.Num sum);
+                 ("count", Json.Int (Array.fold_left ( + ) 0 counts));
+                 ("p50", q 0.5);
+                 ("p95", q 0.95);
+                 ("p99", q 0.99);
+               ])
+      | Counter_v _ | Gauge_v _ -> None);
+  ]
+
+let json snap = Json.Obj (sections snap)
+let to_json ?(meta = []) snap = Json.pretty (meta @ sections snap)
 
 let write ~path snap = Json.atomic_write ~path (to_json snap)
 

@@ -112,15 +112,18 @@ val find : snapshot -> string -> value option
 val counter_value : snapshot -> string -> int
 (** The counter's value in the snapshot, [0] if absent. *)
 
-val to_json : ?meta:(string * string) list -> snapshot -> string
-(** Render as [{"counters": {...}, "gauges": {...}, "histograms": {...}}];
-    histogram entries carry [bounds], [counts], [sum], [count] and the
-    bucketed [p50]/[p95]/[p99] summaries ([null] when empty or in the
-    overflow bucket). Names are sorted, so equal snapshots render
-    byte-identically. [meta] prepends extra top-level fields (key,
-    pre-rendered JSON value) — e.g. [solver_version]/[uptime_ns] on the
-    daemon's [/metrics] response; readers of the three sections ignore
-    them. *)
+val json : snapshot -> Json.t
+(** The snapshot as [{"counters": {...}, "gauges": {...}, "histograms":
+    {...}}]; histogram entries carry [bounds], [counts], [sum], [count]
+    and the bucketed [p50]/[p95]/[p99] summaries ([null] when empty or in
+    the overflow bucket, as is a non-finite gauge or sum). Names are
+    sorted, so equal snapshots render byte-identically. *)
+
+val to_json : ?meta:(string * Json.t) list -> snapshot -> string
+(** {!json}'s three sections as a {!Json.pretty} document, floats exact.
+    [meta] prepends extra top-level fields — e.g.
+    [solver_version]/[uptime_ns] on the daemon's [/metrics] response;
+    readers of the three sections ignore them. *)
 
 val write : path:string -> snapshot -> unit
 (** [to_json] through {!Json.atomic_write}. *)

@@ -148,6 +148,19 @@ let render_ev buf ~epoch ~tid e =
   render_args buf e.e_args;
   Buffer.add_char buf '}'
 
+(* A metadata ("M") event naming or ordering a process or thread track. *)
+let add_metadata buf ~pid ~tid name args =
+  Buffer.add_char buf '{';
+  Json.add_members buf
+    [
+      ("name", Json.Str name);
+      ("ph", Json.Str "M");
+      ("pid", Json.Int pid);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj args);
+    ];
+  Buffer.add_char buf '}'
+
 let serialize ?(epoch_ns = epoch) ?(drain = false) () =
   Mutex.lock sinks_mutex;
   let all = List.sort (fun a b -> compare a.tid b.tid) !sinks in
@@ -168,15 +181,11 @@ let serialize ?(epoch_ns = epoch) ?(drain = false) () =
            buffer serializes to nothing rather than re-sending metadata
            for now-empty tracks. *)
         sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-             pid s.tid s.tid);
+        add_metadata buf ~pid ~tid:s.tid "thread_name"
+          [ ("name", Json.Str (Printf.sprintf "domain-%d" s.tid)) ];
         sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"sort_index\":%d}}"
-             pid s.tid s.tid);
+        add_metadata buf ~pid ~tid:s.tid "thread_sort_index"
+          [ ("sort_index", Json.Int s.tid) ];
         List.iter
           (fun e ->
             sep ();
@@ -186,20 +195,60 @@ let serialize ?(epoch_ns = epoch) ?(drain = false) () =
     all;
   Buffer.contents buf
 
-let write ?(clear = false) path =
-  let events = serialize ~drain:clear () in
-  let buf = Buffer.create (String.length events + 256) in
+let write_processes ~path processes =
+  let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"dcn\"}}"
-       pid);
-  if events <> "" then begin
-    Buffer.add_string buf ",\n";
-    Buffer.add_string buf events
-  end;
+  List.iteri
+    (fun i (ppid, name, events) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      add_metadata buf ~pid:ppid ~tid:0 "process_name" [ ("name", Json.Str name) ];
+      Buffer.add_string buf ",\n";
+      add_metadata buf ~pid:ppid ~tid:0 "process_sort_index"
+        [ ("sort_index", Json.Int i) ];
+      if events <> "" then begin
+        Buffer.add_string buf ",\n";
+        Buffer.add_string buf events
+      end)
+    processes;
   Buffer.add_string buf "\n]}\n";
   Json.atomic_write ~path (Buffer.contents buf)
+
+let write ?(clear = false) path =
+  write_processes ~path [ (pid, "dcn", serialize ~drain:clear ()) ]
+
+(* The [GET /trace] envelope: a head object, then the events fragment
+   spliced verbatim (never re-rendered, so a worker's timestamps reach the
+   merged trace bit-exactly). The marker cannot occur inside the head:
+   quoted strings never hold a raw newline. *)
+let events_marker = ", \"events\": [\n"
+
+let envelope ~meta events =
+  let head =
+    Json.to_string
+      (Json.Obj
+         (meta @ [ ("pid", Json.Int pid); ("enabled", Json.Bool (enabled ())) ]))
+  in
+  String.concat ""
+    [ String.sub head 0 (String.length head - 1); events_marker; events; "\n]}\n" ]
+
+let of_envelope body =
+  let m = String.length events_marker in
+  let pid head =
+    match Json.parse (head ^ "}") with
+    | Ok v -> Option.bind (Json.member "pid" v) Json.to_int_opt
+    | Error _ -> None
+  in
+  (* The first raw newline ends the marker. *)
+  match String.index_opt body '\n' with
+  | Some nl
+    when nl + 1 >= m && String.equal (String.sub body (nl + 1 - m) m) events_marker
+    -> (
+      match (pid (String.sub body 0 (nl + 1 - m)), String.rindex_opt body ']') with
+      | None, _ -> Error "trace: no pid in response"
+      | Some p, Some stop when stop > nl ->
+          Ok (p, String.trim (String.sub body (nl + 1) (stop - nl - 1)))
+      | Some _, (Some _ | None) -> Error "trace: unterminated events array")
+  | Some _ | None -> Error "trace: no events array in response"
 
 let reset () =
   Mutex.lock sinks_mutex;

@@ -92,14 +92,32 @@ val serialize : ?epoch_ns:int64 -> ?drain:bool -> unit -> string
     daemon neither re-sends nor unboundedly accumulates old events.
     Returns [""] when nothing is buffered. *)
 
+val write_processes : path:string -> (int * string * string) list -> unit
+(** [write_processes ~path [(pid, name, events); ...]] writes one Chrome
+    trace JSON object ([{"traceEvents": [...]}]) through
+    {!Json.atomic_write}: each process track is named [name] and ordered
+    by its list position, followed by its {!serialize} fragment. *)
+
 val write : ?clear:bool -> string -> unit
-(** Write every buffered event to the given path as a Chrome trace JSON
-    object ([{"traceEvents": [...]}]) with process- and thread-name
-    metadata. By default buffers are kept: a later [write] after more
-    work supersedes the file with a longer trace. With [~clear:true] the
-    buffers are drained (long-lived daemons flushing periodically should
-    clear, or each flush re-writes — and re-accumulates — the full
+(** {!write_processes} of this process alone (named ["dcn"]) with every
+    buffered event. By default buffers are kept: a later [write] after
+    more work supersedes the file with a longer trace. With [~clear:true]
+    the buffers are drained (long-lived daemons flushing periodically
+    should clear, or each flush re-writes — and re-accumulates — the full
     history). *)
+
+(** {1 Cross-process collection} *)
+
+val envelope : meta:(string * Json.t) list -> string -> string
+(** [envelope ~meta events] is a [GET /trace] response body: an object
+    holding [meta], this process's ["pid"], whether tracing is
+    ["enabled"], and ["events"] — the {!serialize} fragment spliced in
+    verbatim. *)
+
+val of_envelope : string -> (int * string, string) result
+(** The sender's pid and the raw events fragment of an {!envelope}, ready
+    to pass to {!write_processes}. The fragment is cut out as text, not
+    re-rendered, so the sender's timestamps survive bit-exactly. *)
 
 val reset : unit -> unit
 (** Drop all buffered events (sinks and track ids survive). *)

@@ -136,22 +136,16 @@ let fingerprint units =
     ("orchestrate-grid/1" :: List.map (fun u -> (u.digest : string)) units)
 
 let to_json t =
-  let q s = Dcn_obs.Json.quote s in
-  let f = Core.Float_text.to_string in
-  let arr render l = "[" ^ String.concat ", " (List.map render l) ^ "]" in
-  Printf.sprintf
-    "{\n\
-    \  \"solver_version\": %s,\n\
-    \  \"topologies\": %s,\n\
-    \  \"seeds\": %s,\n\
-    \  \"traffics\": %s,\n\
-    \  \"eps\": %s,\n\
-    \  \"gap\": %s,\n\
-    \  \"routings\": %s\n\
-     }\n"
-    (q Core.Digest_key.solver_version)
-    (arr (fun s -> q (Cli.topo_spec_to_string s)) t.topos)
-    (arr string_of_int t.seeds)
-    (arr (fun k -> q (Cli.traffic_to_string k)) t.traffics)
-    (arr f t.epses) (arr f t.gaps)
-    (arr (fun r -> q (Request.routing_to_string r)) t.routings)
+  let module J = Dcn_obs.Json in
+  let arr f l = J.Arr (List.map f l) in
+  let num x = J.Num x in
+  J.pretty
+    [
+      ("solver_version", J.Str Core.Digest_key.solver_version);
+      ("topologies", arr (fun s -> J.Str (Cli.topo_spec_to_string s)) t.topos);
+      ("seeds", arr (fun s -> J.Int s) t.seeds);
+      ("traffics", arr (fun k -> J.Str (Cli.traffic_to_string k)) t.traffics);
+      ("eps", arr num t.epses);
+      ("gap", arr num t.gaps);
+      ("routings", arr (fun r -> J.Str (Request.routing_to_string r)) t.routings);
+    ]

@@ -105,59 +105,67 @@ type summary = {
 let serial_worker = "serial"
 
 let summary_to_json s =
-  let objects render l = "[" ^ String.concat ", " (List.map render l) ^ "]" in
-  let opt_num = function None -> "null" | Some x -> Json.number x in
-  Json.pretty_object
+  let opt some = function Some x -> some x | None -> Json.Null in
+  let num x = Json.Num x in
+  Json.pretty
     [
-      ("total", string_of_int s.total);
-      ("from_cache", string_of_int s.from_cache);
-      ("computed", string_of_int s.computed);
-      ("dispatched", string_of_int s.dispatched);
-      ("retried", string_of_int s.retried);
-      ("hedged", string_of_int s.hedged);
-      ("discarded", string_of_int s.discarded);
-      ("evicted", string_of_int s.evicted);
-      ("readmitted", string_of_int s.readmitted);
-      ("wall_s", Json.number s.wall_s);
-      ( "trace_id",
-        match s.trace_id with Some t -> Json.quote t | None -> "null" );
+      ("total", Json.Int s.total);
+      ("from_cache", Json.Int s.from_cache);
+      ("computed", Json.Int s.computed);
+      ("dispatched", Json.Int s.dispatched);
+      ("retried", Json.Int s.retried);
+      ("hedged", Json.Int s.hedged);
+      ("discarded", Json.Int s.discarded);
+      ("evicted", Json.Int s.evicted);
+      ("readmitted", Json.Int s.readmitted);
+      ("wall_s", num s.wall_s);
+      ("trace_id", opt (fun t -> Json.Str t) s.trace_id);
       (* The same decision counts the sched.* metrics counters track and
          the event log records line by line — the reconciliation
          surface. *)
       ( "sched",
-        Printf.sprintf
-          "{\"dispatched\": %d, \"retried\": %d, \"hedged\": %d, \"discarded\": \
-           %d, \"evicted\": %d, \"readmitted\": %d, \"completed\": %d, \
-           \"failed\": %d}"
-          s.dispatched s.retried s.hedged s.discarded s.evicted s.readmitted
-          s.computed (List.length s.failed) );
+        Json.Obj
+          [
+            ("dispatched", Json.Int s.dispatched);
+            ("retried", Json.Int s.retried);
+            ("hedged", Json.Int s.hedged);
+            ("discarded", Json.Int s.discarded);
+            ("evicted", Json.Int s.evicted);
+            ("readmitted", Json.Int s.readmitted);
+            ("completed", Json.Int s.computed);
+            ("failed", Json.Int (List.length s.failed));
+          ] );
       ( "per_worker",
-        objects
-          (fun (worker, units) ->
-            Printf.sprintf "{\"worker\": %s, \"units\": %d}" (Json.quote worker)
-              units)
-          s.per_worker );
+        Json.Arr
+          (List.map
+             (fun (worker, units) ->
+               Json.Obj [ ("worker", Json.Str worker); ("units", Json.Int units) ])
+             s.per_worker) );
       ( "workers",
-        objects
-          (fun ws ->
-            Printf.sprintf
-              "{\"worker\": %s, \"pid\": %s, \"log\": %s, \"units\": %d, \
-               \"solves\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-               \"solve_p50_s\": %s, \"solve_p95_s\": %s, \"solve_p99_s\": %s, \
-               \"queue_p95_s\": %s}"
-              (Json.quote ws.ws_worker)
-              (match ws.ws_pid with Some p -> string_of_int p | None -> "null")
-              (match ws.ws_log with Some l -> Json.quote l | None -> "null")
-              ws.ws_units ws.ws_solves ws.ws_cache_hits ws.ws_cache_misses
-              (opt_num ws.ws_solve_p50_s) (opt_num ws.ws_solve_p95_s)
-              (opt_num ws.ws_solve_p99_s) (opt_num ws.ws_queue_p95_s))
-          s.worker_stats );
+        Json.Arr
+          (List.map
+             (fun ws ->
+               Json.Obj
+                 [
+                   ("worker", Json.Str ws.ws_worker);
+                   ("pid", opt (fun p -> Json.Int p) ws.ws_pid);
+                   ("log", opt (fun l -> Json.Str l) ws.ws_log);
+                   ("units", Json.Int ws.ws_units);
+                   ("solves", Json.Int ws.ws_solves);
+                   ("cache_hits", Json.Int ws.ws_cache_hits);
+                   ("cache_misses", Json.Int ws.ws_cache_misses);
+                   ("solve_p50_s", opt num ws.ws_solve_p50_s);
+                   ("solve_p95_s", opt num ws.ws_solve_p95_s);
+                   ("solve_p99_s", opt num ws.ws_solve_p99_s);
+                   ("queue_p95_s", opt num ws.ws_queue_p95_s);
+                 ])
+             s.worker_stats) );
       ( "failed",
-        objects
-          (fun (unit_label, error) ->
-            Printf.sprintf "{\"unit\": %s, \"error\": %s}" (Json.quote unit_label)
-              (Json.quote error))
-          s.failed );
+        Json.Arr
+          (List.map
+             (fun (unit_label, error) ->
+               Json.Obj [ ("unit", Json.Str unit_label); ("error", Json.Str error) ])
+             s.failed) );
     ]
 
 (* One event-log line per scheduler decision; workers appear by name,
@@ -218,44 +226,6 @@ let sched_event_fields names ev =
   | Scheduler.Evict { worker } -> ("evict", [ w worker ])
   | Scheduler.Readmit { worker } -> ("readmit", [ w worker ])
   | Scheduler.Probe { worker; ok } -> ("probe", [ w worker; ("ok", Json.Bool ok) ])
-
-(* Merge the coordinator's buffered spans with per-worker fragments
-   (already rendered by the workers against the coordinator's epoch)
-   into one Chrome trace: one process track per participant, keyed by
-   real pid, named so Perfetto's track list reads as the fleet. *)
-let write_merged_trace ~path dumps =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_string buf ",\n" in
-  let process ~pid ~name ~sort =
-    sep ();
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}}"
-         pid (Json.quote name));
-    sep ();
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"sort_index\":%d}}"
-         pid sort)
-  in
-  process ~pid:(Unix.getpid ()) ~name:"coordinator" ~sort:0;
-  let coordinator = Trace.serialize () in
-  if coordinator <> "" then begin
-    sep ();
-    Buffer.add_string buf coordinator
-  end;
-  List.iteri
-    (fun i (name, wpid, events) ->
-      process ~pid:wpid ~name ~sort:(i + 1);
-      if events <> "" then begin
-        sep ();
-        Buffer.add_string buf events
-      end)
-    dumps;
-  Buffer.add_string buf "\n]}\n";
-  Json.atomic_write ~path (Buffer.contents buf)
 
 let quantile_of snap name q =
   match Metrics.find snap name with
@@ -674,12 +644,11 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
                           Worker.trace_dump ~epoch_ns:(Trace.epoch_ns ())
                             ~drain:true e
                         with
-                        | Ok d ->
+                        | Ok (pid, events) ->
                             Some
-                              ( Printf.sprintf "%s pid=%d" (Worker.name e)
-                                  d.Worker.t_pid,
-                                d.Worker.t_pid,
-                                d.Worker.t_events )
+                              ( pid,
+                                Printf.sprintf "%s pid=%d" (Worker.name e) pid,
+                                events )
                         | Error msg ->
                             Printf.eprintf
                               "orchestrate: trace collection from %s failed: \
@@ -742,7 +711,15 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
           worker_stats;
         }
       in
-      Option.iter (fun path -> write_merged_trace ~path dumps) telemetry.t_trace;
+      (* One Chrome trace: the coordinator's buffered spans, then each
+         worker's fragment (already rendered against the coordinator's
+         epoch), one process track per participant keyed by real pid and
+         named so Perfetto's track list reads as the fleet. *)
+      Option.iter
+        (fun path ->
+          Trace.write_processes ~path
+            ((Unix.getpid (), "coordinator", Trace.serialize ()) :: dumps))
+        telemetry.t_trace;
       Option.iter
         (fun l ->
           E.log l ~ev:"run_end"

@@ -108,27 +108,6 @@ let metrics ?(timeout_s = 5.0) e =
   | Ok (200, body) -> Dcn_serve.Metrics_io.snapshot_of_body body
   | Ok (status, _) -> Error (Printf.sprintf "metrics: HTTP %d" status)
 
-type trace_dump = { t_pid : int; t_uptime_ns : int64; t_events : string }
-
-(* The events fragment is extracted as raw text, not re-rendered through
-   the parser: the coordinator splices it verbatim into the merged trace,
-   so worker-rendered timestamps survive bit-exactly. *)
-let extract_events body =
-  let marker = "\"events\": [" in
-  let rec find i =
-    if i + String.length marker > String.length body then None
-    else if String.sub body i (String.length marker) = marker then
-      Some (i + String.length marker)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> Error "trace: no events array in response"
-  | Some start -> (
-      match String.rindex_opt body ']' with
-      | Some stop when stop >= start ->
-          Ok (String.trim (String.sub body start (stop - start)))
-      | Some _ | None -> Error "trace: unterminated events array")
-
 let trace_dump ?(timeout_s = 10.0) ?epoch_ns ?(drain = false) e =
   let target =
     let params =
@@ -147,45 +126,5 @@ let trace_dump ?(timeout_s = 10.0) ?epoch_ns ?(drain = false) e =
       ~timeout_s ()
   with
   | Error msg -> Error msg
-  | Ok (200, body) -> (
-      match extract_events body with
-      | Error msg -> Error msg
-      | Ok events -> (
-          (* The envelope fields precede the (potentially huge) events
-             array; scan them textually rather than parse the whole
-             document just to read two numbers. *)
-          let scan_int key =
-            let marker = Printf.sprintf "\"%s\": " key in
-            let rec find i =
-              if i + String.length marker > String.length body then None
-              else if String.sub body i (String.length marker) = marker then
-                Some (i + String.length marker)
-              else find (i + 1)
-            in
-            match find 0 with
-            | None -> None
-            | Some start ->
-                let stop = ref start in
-                while
-                  !stop < String.length body
-                  && (match body.[!stop] with
-                     | '0' .. '9' | '-' -> true
-                     | _ -> false)
-                do
-                  incr stop
-                done;
-                if !stop > start then
-                  Int64.of_string_opt (String.sub body start (!stop - start))
-                else None
-          in
-          match scan_int "pid" with
-          | None -> Error "trace: no pid in response"
-          | Some pid ->
-              Ok
-                {
-                  t_pid = Int64.to_int pid;
-                  t_uptime_ns =
-                    Option.value ~default:0L (scan_int "uptime_ns");
-                  t_events = events;
-                }))
+  | Ok (200, body) -> Dcn_obs.Trace.of_envelope body
   | Ok (status, _) -> Error (Printf.sprintf "trace: HTTP %d" status)

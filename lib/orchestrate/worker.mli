@@ -46,22 +46,16 @@ val metrics :
 (** [GET /metrics], decoded through {!Dcn_serve.Metrics_io} into the
     local snapshot algebra (diff/merge-ready). Default timeout 5 s. *)
 
-type trace_dump = {
-  t_pid : int;  (** The worker process's pid — its process track id. *)
-  t_uptime_ns : int64;
-  t_events : string;
-      (** Raw contents of the ["events"] array (comma-separated trace
-          event objects), spliced verbatim into a merged trace. *)
-}
-
 val trace_dump :
   ?timeout_s:float ->
   ?epoch_ns:int64 ->
   ?drain:bool ->
   endpoint ->
-  (trace_dump, string) result
-(** [GET /trace]. [epoch_ns] asks the worker to render timestamps
-    relative to the caller's trace epoch ({!Dcn_obs.Trace.epoch_ns}),
-    aligning both processes' events on one timeline (same-host
-    monotonic clocks share a zero). [drain] empties the worker's
-    buffers as they are read. Default timeout 10 s. *)
+  (int * string, string) result
+(** [GET /trace]: the worker's pid (its process track id) and the raw
+    events fragment, read by {!Dcn_obs.Trace.of_envelope}. [epoch_ns]
+    asks the worker to render timestamps relative to the caller's trace
+    epoch ({!Dcn_obs.Trace.epoch_ns}), aligning both processes' events on
+    one timeline (same-host monotonic clocks share a zero). [drain]
+    empties the worker's buffers as they are read. Default timeout
+    10 s. *)

@@ -14,6 +14,13 @@ let num_field name j =
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "metrics: %s is not a number" name)
 
+(* [Metrics.to_json] writes a non-finite gauge or sum as null (JSON has
+   no literal for it); read that back as nan rather than failing the
+   whole snapshot. *)
+let float_field name = function
+  | Json.Null -> Ok Float.nan
+  | (Json.Bool _ | Int _ | Num _ | Str _ | Arr _ | Obj _) as j -> num_field name j
+
 let float_array name j =
   match j with
   | Json.Arr xs ->
@@ -49,7 +56,7 @@ let histogram name j =
   | Some bounds, Some counts, Some sum ->
       let* bounds = float_array (name ^ ".bounds") bounds in
       let* counts = int_array (name ^ ".counts") counts in
-      let* sum = num_field (name ^ ".sum") sum in
+      let* sum = float_field (name ^ ".sum") sum in
       if Array.length counts <> Array.length bounds + 1 then
         Error (Printf.sprintf "metrics: %s bucket/bound mismatch" name)
       else Ok (Metrics.Histogram_v { bounds; counts; sum })
@@ -82,7 +89,7 @@ let snapshot_of_json j =
     let* acc =
       section "gauges"
         (fun k v ->
-          let* x = num_field k v in
+          let* x = float_field k v in
           Ok (Metrics.Gauge_v x))
         j acc
     in

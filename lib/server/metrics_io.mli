@@ -7,9 +7,13 @@
     [merge] across the fleet — to remote telemetry. Meta fields outside
     the [counters]/[gauges]/[histograms] sections ([solver_version],
     [uptime_ns]) and the derived histogram summaries ([count],
-    [p50]/[p95]/[p99]) are ignored; bounds survive only to [%.6g]
-    precision, which shifts quantile edges invisibly but never counts or
-    merge arithmetic. *)
+    [p50]/[p95]/[p99]) are ignored.
+
+    Precision: the document renders every float exactly, so finite
+    gauges, histogram sums and bounds decode bit for bit, and a diff or
+    merge of decoded snapshots equals the same operation on the
+    originals. A non-finite gauge or sum renders as [null] and decodes
+    as [nan]. *)
 
 val snapshot_of_json :
   Dcn_obs.Json.t -> (Dcn_obs.Metrics.snapshot, string) result

@@ -136,23 +136,23 @@ let of_body body =
    body is self-describing even where it matches the defaults. *)
 
 let to_body t =
-  let f = Core.Float_text.to_string in
-  let q = Dcn_obs.Json.quote in
+  let module J = Dcn_obs.Json in
   let topology =
     match t.topology with
-    | Spec spec -> q (Cli.topo_spec_to_string spec)
-    | Inline text -> Printf.sprintf "{\"inline\": %s}" (q text)
+    | Spec spec -> J.Str (Cli.topo_spec_to_string spec)
+    | Inline text -> J.Obj [ ("inline", J.Str text) ]
   in
-  Printf.sprintf
-    "{\"topology\": %s, \"seed\": %d, \"traffic\": %s, \"eps\": %s, \
-     \"gap\": %s, \"routing\": %s%s}"
-    topology t.seed
-    (q (Cli.traffic_to_string t.traffic))
-    (f t.eps) (f t.gap)
-    (q (routing_to_string t.routing))
-    (match t.timeout_s with
-    | None -> ""
-    | Some s -> Printf.sprintf ", \"timeout_s\": %s" (f s))
+  J.to_string
+    (J.Obj
+       ([
+          ("topology", topology);
+          ("seed", J.Int t.seed);
+          ("traffic", J.Str (Cli.traffic_to_string t.traffic));
+          ("eps", J.Num t.eps);
+          ("gap", J.Num t.gap);
+          ("routing", J.Str (routing_to_string t.routing));
+        ]
+       @ Option.fold ~none:[] ~some:(fun s -> [ ("timeout_s", J.Num s) ]) t.timeout_s))
 
 (* ---- resolution ---- *)
 

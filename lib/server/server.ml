@@ -94,33 +94,38 @@ let m_request_s = Metrics.histogram "serve.request_s"
 
 let json_headers = [ ("Content-Type", "application/json") ]
 
-let error_body msg = Printf.sprintf "{\"error\": %s}\n" (Json.quote msg)
+let error_body msg = Json.to_string (Json.Obj [ ("error", Json.Str msg) ]) ^ "\n"
 
 let error_response ?(headers = []) status msg =
   Http.response ~headers:(json_headers @ headers) status (error_body msg)
 
-(* Result floats use the exact round-tripping decimal form, not %.6g:
-   clients replaying a body must see the very bits the solver certified. *)
-let solve_body ~digest ~(req : Request.t) ~(resolved : Request.resolved)
-    ~lambda ~bounds:(lo, hi) =
+(* The members every [/solve] answer opens with, whichever tier produced
+   it, so clients parse one schema. Floats render exactly
+   ({!Json.pretty}), not at %.6g: clients replaying a body must see the
+   very bits the solver certified. *)
+let answer_head ~digest ~(req : Request.t) ~(resolved : Request.resolved) =
   let topo = resolved.Request.topo in
-  let f = Core.Float_text.to_string in
-  Json.pretty_object
-    [
-      ("digest", Json.quote digest);
-      ("topology", Json.quote topo.Core.Topology.name);
-      ("switches", string_of_int (Core.Graph.n topo.Core.Topology.graph));
-      ("servers", string_of_int (Core.Topology.num_servers topo));
-      ("commodities", string_of_int (Array.length resolved.Request.commodities));
-      ("traffic", Json.quote (Core.Cli.traffic_to_string req.Request.traffic));
-      ("routing", Json.quote (Request.routing_to_string req.Request.routing));
-      ("eps", f req.Request.eps);
-      ("gap", f req.Request.gap);
-      ("tier", Json.quote "fptas");
-      ("lambda", f lambda);
-      ("lambda_lower", f lo);
-      ("lambda_upper", f hi);
-    ]
+  [
+    ("digest", Json.Str digest);
+    ("topology", Json.Str topo.Core.Topology.name);
+    ("switches", Json.Int (Core.Graph.n topo.Core.Topology.graph));
+    ("servers", Json.Int (Core.Topology.num_servers topo));
+    ("commodities", Json.Int (Array.length resolved.Request.commodities));
+    ("traffic", Json.Str (Core.Cli.traffic_to_string req.Request.traffic));
+    ("routing", Json.Str (Request.routing_to_string req.Request.routing));
+    ("eps", Json.Num req.Request.eps);
+    ("gap", Json.Num req.Request.gap);
+  ]
+
+let solve_body ~digest ~req ~resolved ~lambda ~bounds:(lo, hi) =
+  Json.pretty
+    (answer_head ~digest ~req ~resolved
+    @ [
+        ("tier", Json.Str "fptas");
+        ("lambda", Json.Num lambda);
+        ("lambda_lower", Json.Num lo);
+        ("lambda_upper", Json.Num hi);
+      ])
 
 (* ---- the solve itself ---- *)
 
@@ -269,18 +274,14 @@ let trace_response t params =
     | Some s -> Int64.of_string_opt s
     | None -> None
   in
-  let events = Trace.serialize ?epoch_ns ~drain () in
   Http.response ~headers:json_headers 200
-    (Printf.sprintf
-       "{\"solver_version\": %s,\n\
-        \ \"uptime_ns\": %Ld,\n\
-        \ \"pid\": %d,\n\
-        \ \"enabled\": %b,\n\
-        \ \"events\": [\n\
-        %s\n\
-        ]}\n"
-       (Json.quote Core.Digest_key.solver_version)
-       (uptime_ns t) (Unix.getpid ()) (Trace.enabled ()) events)
+    (Trace.envelope
+       ~meta:
+         [
+           ("solver_version", Json.Str Core.Digest_key.solver_version);
+           ("uptime_ns", Json.Int (Int64.to_int (uptime_ns t)));
+         ]
+       (Trace.serialize ?epoch_ns ~drain ()))
 
 (* Per-request accounting shared by [handle] and the engine's own solve
    dispatch: latency histogram, status-class counters, one access-log
@@ -340,20 +341,23 @@ let handle t ~accept_ns (req : Http.request) =
            drain state. *)
         plain
           (Http.response ~headers:json_headers 200
-             (Printf.sprintf
-                "{\"status\": \"ok\", \"solver_version\": %s, \"jobs\": %d, \
-                 \"draining\": %b}\n"
-                (Json.quote Core.Digest_key.solver_version)
-                (max 1 (Core.Pool.workers ()))
-                (is_draining t)))
+             (Json.to_string
+                (Json.Obj
+                   [
+                     ("status", Json.Str "ok");
+                     ("solver_version", Json.Str Core.Digest_key.solver_version);
+                     ("jobs", Json.Int (max 1 (Core.Pool.workers ())));
+                     ("draining", Json.Bool (is_draining t));
+                   ])
+             ^ "\n"))
     | "GET", "/metrics" ->
         plain
           (Http.response ~headers:json_headers 200
              (Metrics.to_json
                 ~meta:
                   [
-                    ("solver_version", Json.quote Core.Digest_key.solver_version);
-                    ("uptime_ns", Printf.sprintf "%Ld" (uptime_ns t));
+                    ("solver_version", Json.Str Core.Digest_key.solver_version);
+                    ("uptime_ns", Json.Int (Int64.to_int (uptime_ns t)));
                   ]
                 (Metrics.snapshot ())))
     | "GET", "/trace" -> plain (trace_response t params)

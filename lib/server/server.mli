@@ -107,6 +107,15 @@ val error_response :
   ?headers:(string * string) list -> int -> string -> Http.response
 (** The canonical [{"error": ...}] JSON error body. *)
 
+val answer_head :
+  digest:string ->
+  req:Request.t ->
+  resolved:Request.resolved ->
+  (string * Dcn_obs.Json.t) list
+(** The members every [/solve] answer body opens with, whichever tier
+    produced it: [digest], [topology], [switches], [servers],
+    [commodities], [traffic], [routing], [eps], [gap]. *)
+
 val solve_resolved :
   t ->
   accept_ns:int64 ->

@@ -2,18 +2,7 @@ let to_string x =
   if Float.is_nan x then "nan"
   else if Float.equal x Float.infinity then "inf"
   else if Float.equal x Float.neg_infinity then "-inf"
-  else begin
-    (* Shortest round-tripping form: %.17g always round-trips for finite
-       doubles; prefer the shorter renderings when they happen to be
-       exact (which covers every value used by the topology generators). *)
-    let exact s = Float.equal (float_of_string s) x in
-    let g = Printf.sprintf "%g" x in
-    if exact g then g
-    else begin
-      let g12 = Printf.sprintf "%.12g" x in
-      if exact g12 then g12 else Printf.sprintf "%.17g" x
-    end
-  end
+  else Dcn_obs.Json.round_trip x
 
 let of_string = float_of_string
 let of_string_opt = float_of_string_opt

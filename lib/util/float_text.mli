@@ -6,7 +6,9 @@
     printed, so serialized forms are stable digest inputs. [%g] alone
     satisfies neither: it rounds to 6 significant digits. This module
     prints the shortest of %g/%.12g/%.17g that round-trips, which keeps
-    common values ("1", "2.5", "0.05") short while remaining exact. *)
+    common values ("1", "2.5", "0.05") short while remaining exact. The
+    rule for finite values is {!Dcn_obs.Json.round_trip}, the float text
+    of every JSON document, so both formats print a value identically. *)
 
 val to_string : float -> string
 (** Shortest decimal form [s] with [float_of_string s] equal to the input

@@ -12,179 +12,26 @@ module Clock = Dcn_obs.Clock
 module Json = Dcn_obs.Json
 module Pool = Dcn_util.Pool
 
-(* ---- a minimal JSON parser ----------------------------------------
+(* ---- reading what the layer emits --------------------------------- *)
 
-   The repository deliberately has no JSON library; this recursive-descent
-   parser is just enough to validate what the observability layer emits
-   (objects, arrays, strings with the emitter's escapes, numbers, bools,
-   null). Failing to parse is a test failure by exception. *)
+let parse_json s =
+  match Json.parse s with
+  | Ok v -> v
+  | Error msg -> Alcotest.fail ("invalid JSON: " ^ msg)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let lit word v =
-    let k = String.length word in
-    if !pos + k <= n && String.sub s !pos k = word then begin
-      pos := !pos + k;
-      v
-    end
-    else fail word
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-          incr pos;
-          Buffer.contents buf
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "dangling escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              (* The emitter only \u-escapes control bytes. *)
-              if !pos + 4 >= n then fail "short \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              if code > 0xff then fail "unexpected non-latin \\u escape";
-              Buffer.add_char buf (Char.chr code);
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "unknown escape '%c'" c));
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> J_num f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> parse_obj ()
-    | Some '[' -> parse_arr ()
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' -> lit "true" (J_bool true)
-    | Some 'f' -> lit "false" (J_bool false)
-    | Some 'n' -> lit "null" J_null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> fail "expected a value"
-  and parse_arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then begin
-      incr pos;
-      J_arr []
-    end
-    else begin
-      let items = ref [] in
-      let rec go () =
-        items := parse_value () :: !items;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            go ()
-        | Some ']' -> incr pos
-        | _ -> fail "expected ',' or ']'"
-      in
-      go ();
-      J_arr (List.rev !items)
-    end
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then begin
-      incr pos;
-      J_obj []
-    end
-    else begin
-      let fields = ref [] in
-      let rec go () =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            go ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}'"
-      in
-      go ();
-      J_obj (List.rev !fields)
-    end
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
-
-let member k = function J_obj kvs -> List.assoc_opt k kvs | _ -> None
+let member = Json.member
 
 let member_exn k j =
   match member k j with
   | Some v -> v
   | None -> Alcotest.fail (Printf.sprintf "missing key %S" k)
 
-let num_exn = function
-  | J_num f -> f
-  | _ -> Alcotest.fail "expected a JSON number"
+let num_exn j =
+  match Json.to_float_opt j with
+  | Some f -> f
+  | None -> Alcotest.fail "expected a JSON number"
 
-let str_opt = function J_str s -> Some s | _ -> None
+let str_opt = Json.to_string_opt
 
 (* ---- fixtures ------------------------------------------------------ *)
 
@@ -330,12 +177,12 @@ let test_metrics_json_parses () =
       let h = member_exn "test.json.hist" (member_exn "histograms" j) in
       let counts =
         match member_exn "counts" h with
-        | J_arr xs -> List.map num_exn xs
+        | Json.Arr xs -> List.map num_exn xs
         | _ -> Alcotest.fail "counts not an array"
       in
       let bounds =
         match member_exn "bounds" h with
-        | J_arr xs -> xs
+        | Json.Arr xs -> xs
         | _ -> Alcotest.fail "bounds not an array"
       in
       Alcotest.(check int) "one more count than bound (overflow bucket)"
@@ -350,7 +197,7 @@ let test_metrics_json_parses () =
 let test_escape_roundtrip () =
   let nasty = "a\"b\\c\nd\te\r\001end" in
   match parse_json (Json.quote nasty) with
-  | J_str s -> Alcotest.(check string) "escape round-trips" nasty s
+  | Json.Str s -> Alcotest.(check string) "escape round-trips" nasty s
   | _ -> Alcotest.fail "quoted string did not parse as a string"
 
 let test_atomic_write_creates_parents () =
@@ -366,7 +213,7 @@ let test_atomic_write_creates_parents () =
 
 let trace_events path =
   match member_exn "traceEvents" (parse_json (read_file path)) with
-  | J_arr events -> events
+  | Json.Arr events -> events
   | _ -> Alcotest.fail "traceEvents is not an array"
 
 let test_trace_file_well_formed () =
@@ -422,7 +269,7 @@ let test_trace_file_well_formed () =
            (process_name is pinned to tid 0) don't create a track, and
            whether the submitting domain claims any task of its own batch
            is a race against the workers. *)
-        List.sort_uniq compare
+        List.sort_uniq Float.compare
           (List.filter_map
              (fun e ->
                match Option.bind (member "ph" e) str_opt with
@@ -431,7 +278,7 @@ let test_trace_file_well_formed () =
              events)
       in
       let named_tids =
-        List.sort_uniq compare
+        List.sort_uniq Float.compare
           (List.map (fun e -> num_exn (member_exn "tid" e)) thread_names)
       in
       Alcotest.(check (list (float 0.0))) "every track is named" tids
@@ -708,7 +555,7 @@ let test_value_quantile_from_snapshot () =
       match Metrics.find (Metrics.snapshot ()) "test.q.counter" with
       | Some v ->
           Alcotest.(check bool) "counters have no quantile" true
-            (Metrics.value_quantile v 0.5 = None)
+            (Option.is_none (Metrics.value_quantile v 0.5))
       | None -> Alcotest.fail "counter missing")
 
 let test_to_json_percentile_fields () =
@@ -720,7 +567,7 @@ let test_to_json_percentile_fields () =
       match
         (member_exn "p50" entry, member_exn "p95" entry, member_exn "p99" entry)
       with
-      | J_num p50, J_num p95, J_num p99 ->
+      | Json.Num p50, Json.Num p95, Json.Num p99 ->
           Alcotest.(check (float 0.0)) "p50 rendered" 2.0 p50;
           Alcotest.(check (float 0.0)) "p95 rendered" 2.0 p95;
           Alcotest.(check (float 0.0)) "p99 rendered" 2.0 p99

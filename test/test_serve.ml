@@ -676,9 +676,8 @@ let test_server_access_log () =
 
 let test_metrics_io_roundtrip_merge () =
   with_metrics (fun () ->
-      (* Controlled values on every axis so the %.6g rendering is exact:
-         integer counters, short decimal gauge/sums, bucket bounds that
-         render losslessly. *)
+      (* Short decimal values first; the unrounded input below covers
+         values no short rendering reproduces. *)
       let c = Metrics.counter "io.rt.counter" in
       let g = Metrics.gauge "io.rt.gauge" in
       let h =
@@ -709,6 +708,37 @@ let test_metrics_io_roundtrip_merge () =
       Alcotest.(check string) "merge commutes with the wire format"
         (Metrics.to_json (Metrics.merge a b))
         (Metrics.to_json (Metrics.merge (reparse a) (reparse b)));
+      (* Unrounded values: every finite float must come back bit for bit
+         (sums feed merge arithmetic), and an infinite gauge, rendered as
+         null, must decode as nan without failing the snapshot. *)
+      let fine = Metrics.histogram "io.rt.fine" in
+      for i = 1 to 1000 do
+        Metrics.observe fine (0.0012345678 *. float_of_int i)
+      done;
+      Metrics.set (Metrics.gauge "io.rt.fine_gauge") 1234.56789;
+      Metrics.set (Metrics.gauge "io.rt.inf") Float.infinity;
+      let c = Metrics.snapshot () in
+      let back = reparse c in
+      let bits name snap =
+        match Metrics.find snap name with
+        | Some (Metrics.Gauge_v x) -> [| Int64.bits_of_float x |]
+        | Some (Metrics.Histogram_v { bounds; sum; _ }) ->
+            Array.map Int64.bits_of_float (Array.append [| sum |] bounds)
+        | Some (Metrics.Counter_v _) | None -> Alcotest.fail (name ^ " missing")
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check (array int64)) (name ^ " bit-exact") (bits name c)
+            (bits name back))
+        [ "io.rt.fine"; "io.rt.fine_gauge"; "io.rt.hist" ];
+      (match Metrics.find back "io.rt.inf" with
+      | Some (Metrics.Gauge_v x) ->
+          Alcotest.(check bool) "infinite gauge decodes as nan" true
+            (Float.is_nan x)
+      | Some (Metrics.Counter_v _ | Metrics.Histogram_v _) | None ->
+          Alcotest.fail "infinite gauge missing");
+      Alcotest.(check int) "counter survives" 42
+        (Metrics.counter_value back "io.rt.counter");
       (* Decoder rejections: histograms must be structurally sound. *)
       match
         Metrics_io.snapshot_of_body
