@@ -34,6 +34,11 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 let with_store f =
   let dir = fresh_dir () in
   Fun.protect
@@ -434,6 +439,68 @@ let test_orchestrator_serial_and_resume () =
         (List.map (fun o -> o.Orchestrator.o_body) outcomes)
         (List.map (fun o -> o.Orchestrator.o_body) healed))
 
+(* ---- serial orchestrator: units the server rejects ---- *)
+
+let test_orchestrator_serial_failures () =
+  (* eps = 0 is rejected by the /solve schema: two of the four units come
+     back 400. A 400 is deterministic, so each fails on its only
+     dispatch; the run still completes the other two and reports the
+     failures instead of erroring out. *)
+  with_store (fun store ->
+      let elog_path = Filename.temp_file "dcn_orch_fail" ".jsonl" in
+      Sys.remove elog_path;
+      Fun.protect ~finally:(fun () ->
+          if Sys.file_exists elog_path then Sys.remove elog_path)
+      @@ fun () ->
+      let grid =
+        Grid.create
+          ~topos:[ Core.Cli.Rrg (20, 8, 5) ]
+          ~seeds:[ 1; 2 ] ~epses:[ 0.1; 0.0 ] ~gaps:[ 0.1 ] ()
+      in
+      let telemetry =
+        { Orchestrator.no_telemetry with t_event_log = Some elog_path }
+      in
+      let summary =
+        match Orchestrator.run ~telemetry ~store ~grid Orchestrator.Serial with
+        | Error msg -> Alcotest.fail msg
+        | Ok (_, summary) -> summary
+      in
+      Alcotest.(check int) "valid units computed" 2
+        summary.Orchestrator.computed;
+      Alcotest.(check int) "every unit dispatched once" 4
+        summary.Orchestrator.dispatched;
+      Alcotest.(check int) "a 400 is never retried" 0
+        summary.Orchestrator.retried;
+      Alcotest.(check int) "two failures reported" 2
+        (List.length summary.Orchestrator.failed);
+      List.iter
+        (fun (_, error) ->
+          let prefix = "HTTP 400: " in
+          Alcotest.(check bool) "failure carries the HTTP status" true
+            (String.starts_with ~prefix error);
+          let body =
+            String.sub error (String.length prefix)
+              (String.length error - String.length prefix)
+          in
+          match Option.bind (Result.to_option (J.parse body)) (J.member "error") with
+          | Some (J.Str msg) ->
+              Alcotest.(check bool) "failure names the bad field" true
+                (contains ~sub:"\"eps\"" msg)
+          | Some _ | None -> Alcotest.fail ("error body must be JSON: " ^ body))
+        summary.Orchestrator.failed;
+      let failed_lines =
+        List.filter
+          (fun line ->
+            match J.parse line with
+            | Ok v ->
+                Option.bind (J.member "ev" v) J.to_string_opt
+                = Some "unit_failed"
+            | Error msg -> Alcotest.fail ("event line must be JSON: " ^ msg))
+          (Event_log.read_lines elog_path)
+      in
+      Alcotest.(check int) "one unit_failed line per failure" 2
+        (List.length failed_lines))
+
 (* ---- the scheduler event stream reconciles with its stats ---- *)
 
 let test_scheduler_event_stream_reconciles () =
@@ -676,4 +743,6 @@ let suite =
         test_orchestrator_serial_telemetry;
       Alcotest.test_case "orchestrator serial, resume, corruption" `Quick
         test_orchestrator_serial_and_resume;
+      Alcotest.test_case "orchestrator serial failures" `Quick
+        test_orchestrator_serial_failures;
     ] )
