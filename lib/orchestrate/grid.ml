@@ -92,7 +92,14 @@ let expand t =
                   timeout_s = None;
                 }
               in
-              let resolved = Request.resolve base in
+              let resolved =
+                try Request.resolve base
+                with Invalid_argument msg | Failure msg | Sys_error msg ->
+                  invalid_arg
+                    (Printf.sprintf "topology %s: %s"
+                       (Core.Cli.topo_spec_to_string topo)
+                       msg)
+              in
               List.iter
                 (fun eps ->
                   List.iter

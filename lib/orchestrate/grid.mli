@@ -46,8 +46,10 @@ val size : t -> int
 val expand : t -> unit_ list
 (** Deterministic expansion, nested left-to-right in declaration order,
     deduplicated by digest (first occurrence wins). Resolves each
-    (topology, seed, traffic) instance once. May raise what
-    {!Dcn_serve.Request.resolve} raises on semantically invalid specs. *)
+    (topology, seed, traffic) instance once. Raises [Invalid_argument]
+    naming the topology spec and {!Dcn_serve.Request.resolve}'s message
+    when a spec is semantically invalid (e.g. an RRG degree at least its
+    switch count). *)
 
 val fingerprint : unit_ list -> string
 (** Run identity for {!Dcn_store.Manifest.dir}: the ordered unit

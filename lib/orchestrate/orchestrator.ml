@@ -11,19 +11,22 @@
    store entry is missing or corrupt is loudly recomputed, never
    silently trusted.
 
-   Serial mode drives the full server dispatch stack in-process
-   (Server.handle — no sockets), so serial and distributed runs execute
-   the same code path end to end and their stores come out
+   Both execution modes are a fleet handed to the one Scheduler.run
+   call. Serial mode is a one-member fleet: the full server dispatch
+   stack in-process (Server.handle — no sockets), capacity 1, no health
+   probe, and no retries (an in-process failure is deterministic). So
+   serial and distributed runs execute the same code path end to end,
+   count the same sched.* decisions, and their stores come out
    byte-identical; that equality is what the CI smoke job asserts.
 
    Distributed mode admits each endpoint via /healthz, hard-failing on a
    solver-version mismatch (digests are only comparable across identical
    versions), sizes per-worker concurrency from the advertised handler
-   count, and hands the units to the Scheduler with the HTTP transport.
-   The per-unit timeout is injected into the request body (so the worker
-   itself gives up with a 504 at the same deadline the client stops
-   waiting) — the timeout is excluded from the digest and the response,
-   so byte-identity is preserved.
+   count, and dispatches over HTTP with a health probe. The per-unit
+   timeout is injected into the request body (so the worker itself gives
+   up with a 504 at the same deadline the client stops waiting) — the
+   timeout is excluded from the digest and the response, so
+   byte-identity is preserved.
 
    Telemetry (all of it optional, all observational): the run mints a
    trace id carried to workers in the x-dcn-trace header (a header, not
@@ -254,8 +257,24 @@ let stat_of_delta ~worker ~pid ~log ~units delta =
     ws_queue_p95_s = quant "pool.queue_wait_s" 0.95;
   }
 
+(* A fleet member: the in-process server a serial run dispatches to, or
+   an admitted dcn_served endpoint. Both go through the one
+   Scheduler.run call below. *)
+type member = In_process of Server.t | Remote of Worker.endpoint
+
+let member_name = function
+  | In_process _ -> serial_worker
+  | Remote e -> Worker.name e
+
+(* The member's metrics registry, read before and after the run for the
+   per-worker delta: this process's for the in-process server, GET
+   /metrics for a daemon ([None] when it cannot be polled). *)
+let member_metrics = function
+  | In_process _ -> Some (Metrics.snapshot ())
+  | Remote e -> Result.to_option (Worker.metrics e)
+
 (* /healthz admission: reachable, healthy, and running the coordinator's
-   exact solver version. Returns (endpoint, advertised jobs) pairs. *)
+   exact solver version. Returns (member, advertised jobs) pairs. *)
 let admit_fleet ~probe_timeout_s endpoints =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -274,15 +293,68 @@ let admit_fleet ~probe_timeout_s endpoints =
                     results would not be comparable; refusing the fleet"
                    (Worker.name e) h.Worker.solver_version
                    Core.Digest_key.solver_version)
-            else go ((e, max 1 h.Worker.jobs) :: acc) rest)
+            else go ((Remote e, max 1 h.Worker.jobs) :: acc) rest)
   in
   go [] endpoints
+
+(* A serial run is a one-member fleet: the in-process server, capacity
+   1, so units run one at a time in id order. *)
+let members ~probe_timeout_s = function
+  | Serial ->
+      let config =
+        { Server.default_config with Server.default_timeout_s = None }
+      in
+      Ok [ (In_process (Server.create config), 1) ]
+  | Fleet endpoints -> admit_fleet ~probe_timeout_s endpoints
+
+(* POST /solve to one member. The in-process server runs the full
+   dispatch stack with no sockets; any non-200 it returns is
+   deterministic — retrying would fail identically — so it is Fatal. A
+   daemon gets the per-unit deadline injected into the body (it 504s at
+   the same deadline the client stops waiting; digest and response both
+   exclude the timeout, so byte-identity holds) and a looser client-side
+   bound, so the server's 504 arrives first and classifies as Retry. *)
+let post_solve ~unit_timeout_s ?trace member (u : Grid.unit_) =
+  match member with
+  | In_process server ->
+      let headers =
+        match trace with None -> [] | Some h -> [ ("x-dcn-trace", h) ]
+      in
+      let resp =
+        Server.handle server ~accept_ns:(Clock.now_ns ())
+          { Http.meth = "POST"; target = "/solve"; headers; body = u.Grid.body }
+      in
+      if resp.Http.status = 200 then Ok resp.Http.body
+      else
+        Error
+          (Scheduler.Fatal
+             (Printf.sprintf "HTTP %d: %s" resp.Http.status
+                (String.trim resp.Http.body)))
+  | Remote e ->
+      let body =
+        Request.to_body
+          { u.Grid.request with Request.timeout_s = Some unit_timeout_s }
+      in
+      Worker.solve ~timeout_s:(unit_timeout_s +. 10.0) ?trace e ~body
+
+let outcome_of (r : member Scheduler.result_) =
+  {
+    o_unit = r.Scheduler.r_unit;
+    o_body = r.Scheduler.r_body;
+    o_source = Computed (member_name r.Scheduler.r_worker);
+    o_attempts = r.Scheduler.r_attempts;
+    o_hedged = r.Scheduler.r_hedged;
+    o_seconds = r.Scheduler.r_seconds;
+  }
 
 let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
     ?(probe_timeout_s = 2.0) ?(resume = false) ?(telemetry = no_telemetry)
     ?on_outcome ~store ~grid exec =
+  let ( let* ) = Result.bind in
   let t0 = Clock.now_ns () in
-  let units = Grid.expand grid in
+  let* units =
+    try Ok (Grid.expand grid) with Invalid_argument msg -> Error msg
+  in
   let worker_names =
     match exec with
     | Serial -> [| serial_worker |]
@@ -307,16 +379,18 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
       Some (Status.create ~total:(List.length units) ~workers:worker_names ())
     else None
   in
-  let fire ev =
-    Option.iter (fun s -> Status.event s ev) status;
-    Option.iter
-      (fun l ->
-        let name, fields = sched_event_fields worker_names ev in
-        E.log l ~ev:name fields)
-      elog
-  in
   let on_event =
-    match (status, elog) with None, None -> None | _ -> Some fire
+    match (status, elog) with
+    | None, None -> None
+    | _ ->
+        Some
+          (fun ev ->
+            Option.iter (fun s -> Status.event s ev) status;
+            Option.iter
+              (fun l ->
+                let name, fields = sched_event_fields worker_names ev in
+                E.log l ~ev:name fields)
+              elog)
   in
   Option.iter
     (fun l ->
@@ -327,15 +401,24 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
           ("workers", Json.Int (Array.length worker_names));
         ])
     elog;
-  (* Flow-binding ids pair each dispatch span's flow-out with the remote
-     solve span's flow-in; unique per dispatch, including hedges. *)
+  (* Flow-binding ids pair each dispatch span's flow-out with the solve
+     span's flow-in; unique per dispatch, including hedges. *)
   let flow_seq = Atomic.make 1 in
-  let trace_header u =
+  let transport member (u : Grid.unit_) =
     match trace_id with
-    | None -> None
+    | None -> post_solve ~unit_timeout_s member u
     | Some tid ->
         let flow = Atomic.fetch_and_add flow_seq 1 in
-        Some (flow, Printf.sprintf "%s/%d/%d" tid u.Grid.id flow)
+        Context.with_ids ~trace:tid ~unit_id:u.Grid.id (fun () ->
+            Trace.with_span ~cat:"orch"
+              ~args:[ ("worker", Json.Str (member_name member)) ]
+              ("dispatch " ^ u.Grid.label)
+              (fun () ->
+                Trace.flow_out ~cat:"orch" ~id:flow
+                  ("u" ^ string_of_int u.Grid.id);
+                post_solve ~unit_timeout_s
+                  ~trace:(Printf.sprintf "%s/%d/%d" tid u.Grid.id flow)
+                  member u))
   in
   let dir = Manifest.dir ~store ~fingerprint:(Grid.fingerprint units) in
   Manifest.write_artifact ~dir ~name:"grid.json" (Grid.to_json grid);
@@ -402,271 +485,104 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
         elog;
       emit o)
     cached;
-  let publish ~worker u body seconds =
-    Store.add store u.Grid.digest body;
+  let on_result r =
+    let o = outcome_of r in
+    let u = o.o_unit in
+    Store.add store u.Grid.digest o.o_body;
     Manifest.mark_unit ~dir
       {
         Manifest.u_target = u.Grid.label;
         u_digest = u.Grid.digest;
-        u_worker = worker;
-        u_seconds = seconds;
-      }
+        u_worker = member_name r.Scheduler.r_worker;
+        u_seconds = o.o_seconds;
+      };
+    emit o
   in
-  let computed_result =
-    match exec with
-    | Serial ->
-        (* The full dispatch stack in-process: same code path as a
-           worker, no sockets. Solve_cache consults the process-shared
-           store, so point it at ours for the duration. *)
-        let previous_shared = Store.shared () in
-        Store.set_shared (Some store);
-        Fun.protect
-          ~finally:(fun () -> Store.set_shared previous_shared)
-          (fun () ->
-            let server =
-              Server.create
-                { Server.default_config with Server.default_timeout_s = None }
-            in
-            let metrics_before = Metrics.snapshot () in
-            let outcomes = ref [] and failures = ref [] in
-            List.iter
-              (fun u ->
-                fire
-                  (Scheduler.Dispatch
-                     {
-                       unit_id = u.Grid.id;
-                       label = u.Grid.label;
-                       worker = 0;
-                       attempt = 1;
-                       hedged = false;
-                     });
-                let t1 = Clock.now_ns () in
-                let handle headers =
-                  Server.handle server ~accept_ns:t1
-                    {
-                      Http.meth = "POST";
-                      target = "/solve";
-                      headers;
-                      body = u.Grid.body;
-                    }
-                in
-                let resp =
-                  match trace_header u with
-                  | None -> handle []
-                  | Some (flow, header) ->
-                      Context.with_ids
-                        ~trace:(Option.get trace_id)
-                        ~unit_id:u.Grid.id
-                        (fun () ->
-                          Trace.with_span ~cat:"orch"
-                            ("dispatch " ^ u.Grid.label)
-                            (fun () ->
-                              Trace.flow_out ~cat:"orch" ~id:flow
-                                ("u" ^ string_of_int u.Grid.id);
-                              handle [ ("x-dcn-trace", header) ]))
-                in
-                let seconds = Clock.elapsed_s t1 in
-                if resp.Http.status = 200 then begin
-                  publish ~worker:serial_worker u resp.Http.body seconds;
-                  fire
-                    (Scheduler.Complete
-                       {
-                         unit_id = u.Grid.id;
-                         label = u.Grid.label;
-                         worker = 0;
-                         attempts = 1;
-                         hedged = false;
-                         seconds;
-                       });
-                  let o =
-                    {
-                      o_unit = u;
-                      o_body = resp.Http.body;
-                      o_source = Computed serial_worker;
-                      o_attempts = 1;
-                      o_hedged = false;
-                      o_seconds = seconds;
-                    }
-                  in
-                  emit o;
-                  outcomes := o :: !outcomes
-                end
-                else begin
-                  let error =
-                    Printf.sprintf "HTTP %d: %s" resp.Http.status
-                      (String.trim resp.Http.body)
-                  in
-                  fire
-                    (Scheduler.Unit_failed
-                       {
-                         unit_id = u.Grid.id;
-                         label = u.Grid.label;
-                         worker = 0;
-                         error;
-                       });
-                  failures := (u.Grid.label, error) :: !failures
-                end)
-              todo;
-            let delta =
-              Metrics.diff ~before:metrics_before ~after:(Metrics.snapshot ())
-            in
-            let ws =
-              stat_of_delta ~worker:serial_worker ~pid:(Some (Unix.getpid ()))
-                ~log:None
-                ~units:(List.length !outcomes)
-                (Some delta)
-            in
-            Ok
-              ( List.rev !outcomes,
-                List.rev !failures,
-                [ (serial_worker, List.length !outcomes) ],
-                None,
-                [ ws ],
-                [] ))
-    | Fleet endpoints -> (
-        match admit_fleet ~probe_timeout_s endpoints with
-        | Error msg -> Error msg
-        | Ok admitted -> (
-            let weighted = Array.of_list admitted in
-            let workers = Array.map fst weighted in
-            let metrics_before =
-              Array.map (fun e -> Result.to_option (Worker.metrics e)) workers
-            in
-            let transport e (u : Grid.unit_) =
-              (* Inject the per-unit deadline into the body: the worker
-                 504s at the same deadline the client stops waiting.
-                 Digest and response both exclude the timeout, so
-                 byte-identity with serial runs is preserved. *)
-              let body =
-                Request.to_body
-                  { u.Grid.request with Request.timeout_s = Some unit_timeout_s }
-              in
-              (* The client-side bound is looser than the server's: the
-                 server should answer 504 first, which classifies as
-                 Retry with the server's message. *)
-              let solve ?trace () =
-                Worker.solve ~timeout_s:(unit_timeout_s +. 10.0) ?trace e ~body
-              in
-              match trace_header u with
-              | None -> solve ()
-              | Some (flow, header) ->
-                  Context.with_ids
-                    ~trace:(Option.get trace_id)
-                    ~unit_id:u.Grid.id
-                    (fun () ->
-                      Trace.with_span ~cat:"orch"
-                        ~args:[ ("worker", Json.Str (Worker.name e)) ]
-                        ("dispatch " ^ u.Grid.label)
-                        (fun () ->
-                          Trace.flow_out ~cat:"orch" ~id:flow
-                            ("u" ^ string_of_int u.Grid.id);
-                          solve ~trace:header ()))
-            in
-            let on_result (r : Worker.endpoint Scheduler.result_) =
-              let worker = Worker.name r.Scheduler.r_worker in
-              publish ~worker r.Scheduler.r_unit r.Scheduler.r_body
-                r.Scheduler.r_seconds;
-              emit
-                {
-                  o_unit = r.Scheduler.r_unit;
-                  o_body = r.Scheduler.r_body;
-                  o_source = Computed worker;
-                  o_attempts = r.Scheduler.r_attempts;
-                  o_hedged = r.Scheduler.r_hedged;
-                  o_seconds = r.Scheduler.r_seconds;
-                }
-            in
-            match
-              Scheduler.run ~config:scheduler ~workers
-                ~capacity:(fun i _ -> snd weighted.(i))
-                ~transport
-                ~health:(Worker.alive ~timeout_s:probe_timeout_s)
-                ?on_event ~on_result todo
-            with
-            | Error msg -> Error msg
-            | Ok out ->
-                let outcomes =
-                  List.map
-                    (fun (r : Worker.endpoint Scheduler.result_) ->
-                      {
-                        o_unit = r.Scheduler.r_unit;
-                        o_body = r.Scheduler.r_body;
-                        o_source = Computed (Worker.name r.Scheduler.r_worker);
-                        o_attempts = r.Scheduler.r_attempts;
-                        o_hedged = r.Scheduler.r_hedged;
-                        o_seconds = r.Scheduler.r_seconds;
-                      })
-                    out.Scheduler.results
-                in
-                let per_worker =
-                  Array.to_list
-                    (Array.mapi
-                       (fun i e ->
-                         (Worker.name e, out.Scheduler.stats.Scheduler.per_worker.(i)))
-                       workers)
-                in
-                let failed =
-                  List.map
-                    (fun (u, msg) -> (u.Grid.label, msg))
-                    out.Scheduler.failed
-                in
-                let worker_stats =
-                  Array.to_list
-                    (Array.mapi
-                       (fun i e ->
-                         let name = Worker.name e in
-                         let info =
-                           Option.value
-                             ~default:{ wi_pid = None; wi_log = None }
-                             (List.assoc_opt name telemetry.t_worker_info)
-                         in
-                         let delta =
-                           match
-                             ( metrics_before.(i),
-                               Result.to_option (Worker.metrics e) )
-                           with
-                           | Some before, Some after ->
-                               Some (Metrics.diff ~before ~after)
-                           | _ -> None
-                         in
-                         stat_of_delta ~worker:name ~pid:info.wi_pid
-                           ~log:info.wi_log
-                           ~units:out.Scheduler.stats.Scheduler.per_worker.(i)
-                           delta)
-                       workers)
-                in
-                let dumps =
-                  if telemetry.t_trace = None then []
-                  else
-                    List.filter_map
-                      (fun e ->
-                        match
-                          Worker.trace_dump ~epoch_ns:(Trace.epoch_ns ())
-                            ~drain:true e
-                        with
-                        | Ok (pid, events) ->
-                            Some
-                              ( pid,
-                                Printf.sprintf "%s pid=%d" (Worker.name e) pid,
-                                events )
-                        | Error msg ->
-                            Printf.eprintf
-                              "orchestrate: trace collection from %s failed: \
-                               %s\n\
-                               %!"
-                              (Worker.name e) msg;
-                            None)
-                      endpoints
-                in
-                Ok
-                  ( outcomes,
-                    failed,
-                    per_worker,
-                    Some out.Scheduler.stats,
-                    worker_stats,
-                    dumps )))
+  let dispatched =
+    let* admitted = members ~probe_timeout_s exec in
+    let weighted = Array.of_list admitted in
+    let fleet = Array.map fst weighted in
+    let metrics_before = Array.map member_metrics fleet in
+    let schedule () =
+      Scheduler.run ~config:scheduler ~workers:fleet
+        ~capacity:(fun i _ -> snd weighted.(i))
+        ~transport
+        ?health:
+          (match exec with
+          | Serial -> None
+          | Fleet _ ->
+              Some
+                (function
+                | Remote e -> Worker.alive ~timeout_s:probe_timeout_s e
+                | In_process _ -> true))
+        ?on_event ~on_result todo
+    in
+    let* out =
+      match exec with
+      | Fleet _ -> schedule ()
+      | Serial ->
+          (* Solve_cache consults the process-shared store; the
+             in-process member must see ours for the duration. *)
+          let previous_shared = Store.shared () in
+          Store.set_shared (Some store);
+          Fun.protect
+            ~finally:(fun () -> Store.set_shared previous_shared)
+            schedule
+    in
+    let completed = out.Scheduler.stats.Scheduler.per_worker in
+    let worker_stats =
+      Array.to_list
+        (Array.mapi
+           (fun i m ->
+             let delta =
+               match (metrics_before.(i), member_metrics m) with
+               | Some before, Some after -> Some (Metrics.diff ~before ~after)
+               | _ -> None
+             in
+             let info =
+               match m with
+               | In_process _ ->
+                   { wi_pid = Some (Unix.getpid ()); wi_log = None }
+               | Remote _ ->
+                   Option.value ~default:{ wi_pid = None; wi_log = None }
+                     (List.assoc_opt (member_name m) telemetry.t_worker_info)
+             in
+             stat_of_delta ~worker:(member_name m) ~pid:info.wi_pid
+               ~log:info.wi_log ~units:completed.(i) delta)
+           fleet)
+    in
+    (* The in-process member's spans are already in this process's
+       buffers; daemons' are drained over GET /trace. *)
+    let dumps =
+      if telemetry.t_trace = None then []
+      else
+        List.filter_map
+          (function
+            | In_process _ -> None
+            | Remote e -> (
+                match
+                  Worker.trace_dump ~epoch_ns:(Trace.epoch_ns ()) ~drain:true e
+                with
+                | Ok (pid, events) ->
+                    Some
+                      ( pid,
+                        Printf.sprintf "%s pid=%d" (Worker.name e) pid,
+                        events )
+                | Error msg ->
+                    Printf.eprintf
+                      "orchestrate: trace collection from %s failed: %s\n%!"
+                      (Worker.name e) msg;
+                    None))
+          (Array.to_list fleet)
+    in
+    Ok
+      ( out,
+        Array.to_list
+          (Array.mapi (fun i m -> (member_name m, completed.(i))) fleet),
+        worker_stats,
+        dumps )
   in
-  match computed_result with
+  match dispatched with
   | Error msg ->
       Option.iter
         (fun l ->
@@ -675,36 +591,24 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
         elog;
       Option.iter Status.finish status;
       Error msg
-  | Ok (computed, failed, per_worker, stats, worker_stats, dumps) ->
-      let all =
-        List.sort
-          (fun a b -> Int.compare a.o_unit.Grid.id b.o_unit.Grid.id)
-          (cached @ computed)
+  | Ok (out, per_worker, worker_stats, dumps) ->
+      let computed = List.map outcome_of out.Scheduler.results in
+      let failed =
+        List.map (fun (u, msg) -> (u.Grid.label, msg)) out.Scheduler.failed
       in
-      let dispatched, retried, hedged, discarded, evicted, readmitted =
-        match stats with
-        | None ->
-            (List.length computed + List.length failed, 0, 0, 0, 0, 0)
-        | Some (s : Scheduler.stats) ->
-            ( s.Scheduler.dispatched,
-              s.Scheduler.retried,
-              s.Scheduler.hedged,
-              s.Scheduler.discarded,
-              s.Scheduler.evicted,
-              s.Scheduler.readmitted )
-      in
+      let s = out.Scheduler.stats in
       let summary =
         {
           total = List.length units;
           from_cache = List.length cached;
           computed = List.length computed;
           per_worker;
-          dispatched;
-          retried;
-          hedged;
-          discarded;
-          evicted;
-          readmitted;
+          dispatched = s.Scheduler.dispatched;
+          retried = s.Scheduler.retried;
+          hedged = s.Scheduler.hedged;
+          discarded = s.Scheduler.discarded;
+          evicted = s.Scheduler.evicted;
+          readmitted = s.Scheduler.readmitted;
           failed;
           wall_s = Clock.elapsed_s t0;
           trace_id;
@@ -734,4 +638,9 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
       Option.iter Status.finish status;
       Manifest.write_artifact ~dir ~name:"summary.json"
         (summary_to_json summary);
+      let all =
+        List.sort
+          (fun a b -> Int.compare a.o_unit.Grid.id b.o_unit.Grid.id)
+          (cached @ computed)
+      in
       Ok (all, summary)

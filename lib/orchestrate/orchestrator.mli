@@ -4,9 +4,11 @@
 
     The store is the source of truth: a unit whose digest is present
     (entries self-validate on read) is complete regardless of who
-    computed it. Serial mode drives the full server dispatch stack
-    in-process, so serial and distributed runs produce byte-identical
-    stores — the property the CI smoke job asserts with [diff -r].
+    computed it. Both modes dispatch through the one {!Scheduler.run}
+    call; serial mode is a one-member fleet driving the full server
+    dispatch stack in-process, so serial and distributed runs produce
+    byte-identical stores — the property the CI smoke job asserts with
+    [diff -r] — and count the same [sched.*] decisions.
 
     Telemetry is strictly observational: the trace id rides in the
     [x-dcn-trace] header (never the body, so digests are unchanged), and
@@ -15,7 +17,11 @@
     count. *)
 
 type exec =
-  | Serial  (** In-process {!Dcn_serve.Server.handle}, one unit at a time. *)
+  | Serial
+      (** A one-member fleet: in-process {!Dcn_serve.Server.handle},
+          capacity 1 (one unit at a time, in id order), no health probe.
+          A non-200 answer fails the unit at once — in-process failures
+          are deterministic, so it is never retried. *)
   | Fleet of Worker.endpoint list
       (** Scheduler dispatch over [dcn_served] workers. Each endpoint is
           admitted via [/healthz]; a solver-version mismatch fails the
@@ -128,7 +134,8 @@ val run :
     deltas; serial runs observe the in-process pipeline with a single
     ["serial"] worker track. [on_outcome] streams results as they land
     (serialized; called from worker threads). Outcomes are returned
-    sorted by unit id. [Error] is orchestration-level (unreachable/
-    mismatched fleet, all workers lost); per-unit failures land in
+    sorted by unit id. [Error] is orchestration-level (a grid point
+    whose topology cannot be built, unreachable/mismatched fleet, all
+    workers lost); per-unit failures land in
     [summary.failed]. The summary is also written as the [summary.json]
     manifest artifact. *)

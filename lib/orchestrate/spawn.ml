@@ -14,15 +14,6 @@ type proc = {
   mutable reaped : bool;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    if not (try Sys.is_directory dir with Sys_error _ -> false) then
-      failwith (Printf.sprintf "spawn: cannot create directory %s" dir)
-  end
-
 (* The daemon binary: $DCN_SERVED_EXE, else next to the calling
    executable (the dune layout for bin/topobench + bin/dcn_served), else
    ../bin relative to it (bench/main.exe in _build/default/bench). *)
@@ -40,9 +31,9 @@ let find_exe () =
             "dcn_served.exe";
         ]
 
-let start ?(trace_buffer = false) ?(access_log = false) ?(extra_args = [])
-    ~exe ~scratch_dir ~index ~jobs ~cache_dir () =
-  mkdir_p scratch_dir;
+let start ?(trace_buffer = false) ?(extra_args = []) ~exe ~scratch_dir ~index
+    ~jobs ~cache_dir () =
+  Dcn_obs.Json.mkdir_p scratch_dir;
   let port_file =
     Filename.concat scratch_dir (Printf.sprintf "worker%d.port" index)
   in
@@ -59,13 +50,6 @@ let start ?(trace_buffer = false) ?(access_log = false) ?(extra_args = [])
       | Some d -> [ "--cache-dir"; d ]
       | None -> [ "--no-cache" ])
     @ (if trace_buffer then [ "--trace-buffer" ] else [])
-    @ (if access_log then
-         [
-           "--access-log";
-           Filename.concat scratch_dir
-             (Printf.sprintf "worker%d.access.jsonl" index);
-         ]
-       else [])
     @ extra_args
   in
   let log_fd =

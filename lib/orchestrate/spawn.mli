@@ -20,7 +20,6 @@ val find_exe : unit -> string option
 
 val start :
   ?trace_buffer:bool ->
-  ?access_log:bool ->
   ?extra_args:string list ->
   exe:string ->
   scratch_dir:string ->
@@ -34,9 +33,8 @@ val start :
     a serial run's. [None] passes [--no-cache]. Every worker runs with
     [--log-tag workerN], so its log lines carry its identity and pid.
     [trace_buffer] (default false) starts the daemon with tracing
-    buffered for [GET /trace] collection; [access_log] (default false)
-    adds [--access-log <scratch>/workerN.access.jsonl]. [extra_args] are
-    appended verbatim — engine tuning flags such as [--hot-cache] or
+    buffered for [GET /trace] collection. [extra_args] are appended
+    verbatim — engine tuning flags such as [--hot-cache] or
     [--shed-queue]. *)
 
 val endpoint : ?wait_s:float -> proc -> (Worker.endpoint, string) result

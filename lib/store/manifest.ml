@@ -2,22 +2,13 @@ type entry = { target : string; seconds : float }
 
 let manifest_file dir = Filename.concat dir "manifest"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    if not (try Sys.is_directory dir with Sys_error _ -> false) then
-      failwith (Printf.sprintf "manifest: cannot create directory %s" dir)
-  end
-
 let dir ~store ~fingerprint =
   let d =
     Filename.concat (Store.root store)
       (Filename.concat "runs"
          (Digest_key.of_run ~kind:"run-manifest" ~fingerprint))
   in
-  mkdir_p d;
+  Dcn_obs.Json.mkdir_p d;
   d
 
 let parse_line line =
@@ -128,15 +119,8 @@ let mark_unit ~dir u =
        u.u_digest u.u_worker u.u_target)
 
 let write_artifact ~dir ~name payload =
-  let final = Filename.concat dir name in
-  let staged = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  try
-    let oc = Out_channel.open_bin staged in
-    Fun.protect
-      ~finally:(fun () -> Out_channel.close oc)
-      (fun () -> Out_channel.output_string oc payload);
-    Sys.rename staged final
-  with Sys_error _ -> (try Sys.remove staged with Sys_error _ -> ())
+  try Dcn_obs.Json.atomic_write ~path:(Filename.concat dir name) payload
+  with Sys_error _ -> ()
 
 let read_artifact ~dir ~name =
   match In_channel.open_bin (Filename.concat dir name) with

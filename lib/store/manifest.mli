@@ -23,7 +23,8 @@ type entry = {
 
 val dir : store:Store.t -> fingerprint:string -> string
 (** Manifest directory of the run identified by the caller's fingerprint
-    (e.g. {!Core.Scale.fingerprint}); created on first use. The solver
+    (e.g. {!Core.Scale.fingerprint}); created on first use ([Sys_error]
+    if it cannot be). The solver
     version participates in the digest, so incompatible runs never share
     a directory. *)
 
@@ -63,6 +64,8 @@ val mark_unit : dir:string -> unit_entry -> unit
 (** Append one work-unit completion record (single [O_APPEND] write). *)
 
 val write_artifact : dir:string -> name:string -> string -> unit
-(** Atomically write [dir/name]. *)
+(** Atomically write [dir/name] through {!Dcn_obs.Json.atomic_write}
+    (staged, fsynced, renamed). An unwritable destination is ignored:
+    artifacts are an audit trail, never a reason to fail a run. *)
 
 val read_artifact : dir:string -> name:string -> string option

@@ -18,6 +18,7 @@ module Request = Dcn_serve.Request
 module J = Dcn_obs.Json
 module Trace = Dcn_obs.Trace
 module Event_log = Dcn_obs.Event_log
+module Metrics = Dcn_obs.Metrics
 
 let tmp_counter = ref 0
 
@@ -501,6 +502,26 @@ let test_orchestrator_serial_failures () =
       Alcotest.(check int) "one unit_failed line per failure" 2
         (List.length failed_lines))
 
+(* ---- a grid point that cannot be built ---- *)
+
+let test_orchestrator_expansion_error () =
+  (* rrg:4,8,6 asks for degree 6 on 4 switches: resolving it fails before
+     anything is dispatched. The run reports which topology and why
+     instead of raising out of the coordinator. *)
+  with_store (fun store ->
+      let grid =
+        Grid.create
+          ~topos:[ Core.Cli.Rrg (20, 8, 5); Core.Cli.Rrg (4, 8, 6) ]
+          ~epses:[ 0.1 ] ~gaps:[ 0.1 ] ()
+      in
+      match Orchestrator.run ~store ~grid Orchestrator.Serial with
+      | Ok _ -> Alcotest.fail "an unbuildable topology must fail the run"
+      | Error msg ->
+          Alcotest.(check bool) "error names the topology spec" true
+            (contains ~sub:"rrg:4,8,6" msg);
+          Alcotest.(check bool) "error keeps the original message" true
+            (contains ~sub:"degree must be below the switch count" msg))
+
 (* ---- the scheduler event stream reconciles with its stats ---- *)
 
 let test_scheduler_event_stream_reconciles () =
@@ -593,7 +614,10 @@ let test_orchestrator_serial_telemetry () =
       let trace_path = Filename.temp_file "dcn_orch_trace" ".json" in
       let elog_path = Filename.temp_file "dcn_orch_events" ".jsonl" in
       Sys.remove elog_path;
+      let metrics_were_enabled = Metrics.enabled () in
+      Metrics.set_enabled true;
       let cleanup () =
+        Metrics.set_enabled metrics_were_enabled;
         Trace.set_enabled false;
         Trace.reset ();
         if Sys.file_exists trace_path then Sys.remove trace_path;
@@ -609,6 +633,7 @@ let test_orchestrator_serial_telemetry () =
           t_worker_info = [];
         }
       in
+      let metrics_before = Metrics.snapshot () in
       let summary =
         match
           Orchestrator.run ~telemetry ~store ~grid Orchestrator.Serial
@@ -616,8 +641,29 @@ let test_orchestrator_serial_telemetry () =
         | Error msg -> Alcotest.fail msg
         | Ok (_, summary) -> summary
       in
+      let sched_delta =
+        Metrics.diff ~before:metrics_before ~after:(Metrics.snapshot ())
+      in
       Alcotest.(check int) "all units computed" 4
         summary.Orchestrator.computed;
+      (* The sched.* counters count the same decisions as the summary's
+         "sched" object: a serial run goes through the scheduler too. *)
+      (match
+         Option.bind
+           (Result.to_option (J.parse (Orchestrator.summary_to_json summary)))
+           (J.member "sched")
+       with
+      | None -> Alcotest.fail "summary must carry a sched object"
+      | Some sched ->
+          List.iter
+            (fun name ->
+              Alcotest.(check (option int))
+                ("sched." ^ name ^ " matches the summary")
+                (Option.bind (J.member name sched) J.to_int_opt)
+                (Some (Metrics.counter_value sched_delta ("sched." ^ name))))
+            [ "dispatched"; "completed"; "failed" ]);
+      Alcotest.(check int) "no health probes for the in-process member" 0
+        (Metrics.counter_value sched_delta "sched.probes");
       (* The summary names the trace and attributes the one serial
          worker. *)
       let trace_id =
@@ -745,4 +791,6 @@ let suite =
         test_orchestrator_serial_and_resume;
       Alcotest.test_case "orchestrator serial failures" `Quick
         test_orchestrator_serial_failures;
+      Alcotest.test_case "orchestrator expansion error" `Quick
+        test_orchestrator_expansion_error;
     ] )
