@@ -18,6 +18,13 @@
      dune exec bench/main.exe -- --progress              # per-sample lines on stderr
      dune exec bench/main.exe -- --sweep-warm            # cold-vs-warm sweep speedups
 
+   The figure list, and computing, recording and replaying a figure, live
+   in Core.Figures, shared with `topobench figure`; the options are
+   Core.Cli's, shared with every other front end. This file adds the
+   console rendering, the CSV directory, the microbenchmarks and the
+   --sweep-warm/--orchestrate/--serving sections and their --bench-json
+   report.
+
    [--jobs j] sets the total parallelism (defaults to the machine's
    recommended domain count): the shared domain pool gets [j - 1] workers
    and both the figure level and the per-point run level dispatch onto it.
@@ -31,8 +38,9 @@
    Completed targets are also recorded in a run manifest inside the cache
    directory; [--resume] replays those wholesale, so an interrupted suite
    pays only for its unfinished targets (and, within those, only for data
-   points whose solves are not cached yet). [--no-cache] ignores the
-   store and the manifest for this invocation.
+   points whose solves are not cached yet). The manifest is shared with
+   `topobench figure`, so either tool can finish a run the other started.
+   [--no-cache] ignores the store and the manifest for this invocation.
 
    [--metrics FILE] snapshots the process-wide metrics registry (FPTAS
    phases and Dijkstra work, simplex pivots, pool queue-wait/run-time
@@ -48,189 +56,42 @@
    Every figure prints the same series the paper plots; EXPERIMENTS.md
    records the expected shapes and the paper-vs-measured comparison. *)
 
+open Cmdliner
 module Metrics = Dcn_obs.Metrics
-module Trace = Dcn_obs.Trace
 module Clock = Dcn_obs.Clock
+module Figures = Core.Figures
 module Orch = Dcn_orchestrate.Orchestrator
 
-let figures : (string * string * (Core.Scale.t -> Core.Table.t)) list =
-  [
-    ("fig1a", "RRG throughput vs Theorem-1 bound, N=40, degree sweep",
-     Core.Experiments.fig1a);
-    ("fig1b", "RRG ASPL vs Cerf bound, N=40, degree sweep",
-     Core.Experiments.fig1b);
-    ("fig2a", "RRG throughput vs bound, r=10, size sweep", Core.Experiments.fig2a);
-    ("fig2b", "RRG ASPL vs bound, r=10, size sweep", Core.Experiments.fig2b);
-    ("fig3", "ASPL curved steps, degree 4, log-scale sizes", Core.Experiments.fig3);
-    ("fig4a", "server distribution sweep, port ratios", Core.Hetero_experiments.fig4a);
-    ("fig4b", "server distribution sweep, small-switch counts",
-     Core.Hetero_experiments.fig4b);
-    ("fig4c", "server distribution sweep, oversubscription",
-     Core.Hetero_experiments.fig4c);
-    ("fig5", "power-law ports, servers ~ port^beta", Core.Hetero_experiments.fig5);
-    ("fig6a", "cross-cluster sweep, port ratios", Core.Hetero_experiments.fig6a);
-    ("fig6b", "cross-cluster sweep, small-switch counts",
-     Core.Hetero_experiments.fig6b);
-    ("fig6c", "cross-cluster sweep, oversubscription", Core.Hetero_experiments.fig6c);
-    ("fig7a", "joint sweep, ports 30/10", Core.Hetero_experiments.fig7a);
-    ("fig7b", "joint sweep, ports 30/20", Core.Hetero_experiments.fig7b);
-    ("fig8a", "mixed line-speeds, server splits", Core.Hetero_experiments.fig8a);
-    ("fig8b", "mixed line-speeds, high-speed rates", Core.Hetero_experiments.fig8b);
-    ("fig8c", "mixed line-speeds, high-speed link counts",
-     Core.Hetero_experiments.fig8c);
-    ("fig9a", "decomposition along fig4c sweep", Core.Hetero_experiments.fig9a);
-    ("fig9b", "decomposition along fig6c sweep", Core.Hetero_experiments.fig9b);
-    ("fig9c", "decomposition along fig8c sweep", Core.Hetero_experiments.fig9c);
-    ("fig10a", "Eqn-1 bound vs observed, uniform speeds",
-     Core.Hetero_experiments.fig10a);
-    ("fig10b", "Eqn-1 bound vs observed, mixed speeds",
-     Core.Hetero_experiments.fig10b);
-    ("fig11", "C-bar* thresholds over 18 configs", Core.Hetero_experiments.fig11);
-    ("fig12a", "rewired VL2 capacity ratio", Core.Vl2_study.fig12a);
-    ("fig12b", "chunky traffic on rewired VL2", Core.Vl2_study.fig12b);
-    ("fig12c", "capacity ratio per traffic matrix", Core.Vl2_study.fig12c);
-    ("fig13", "packet-level vs flow-level throughput",
-     Core.Packet_experiments.fig13);
-    ("ablation_bisection", "bisection bandwidth vs throughput (par. 6)",
-     Core.Ablations.bisection_vs_throughput);
-    ("ablation_eps", "FPTAS certified interval vs exact LP",
-     Core.Ablations.fptas_accuracy);
-    ("ablation_topologies", "equal-equipment topology comparison (par. 4)",
-     Core.Ablations.equal_equipment_topologies);
-    ("ablation_rrg", "jellyfish vs pairing RRG construction",
-     Core.Ablations.rrg_construction);
-    ("ablation_routing", "optimal vs k-shortest vs ECMP vs single path",
-     Core.Ablations.routing_restriction);
-    ("ablation_expansion", "incremental expansion vs fresh RRG",
-     Core.Ablations.incremental_expansion);
-    ("ablation_local_search", "hill climbing from RRG vs from a ring",
-     Core.Ablations.local_search_gain);
-    ("ablation_cabling", "cable shortening at fixed degrees",
-     Core.Ablations.cabling);
-    ("ablation_structured", "BCube/DCell/Dragonfly vs RRG",
-     Core.Ablations.structured_topologies);
-    ("ablation_spectral", "expansion quality vs throughput (par. 6.2)",
-     Core.Ablations.spectral_vs_throughput);
-    ("ablation_proportionality", "a2a bounds other workloads (par. 9)",
-     Core.Ablations.traffic_proportionality);
-    ("ablation_vlb", "Valiant load balancing vs optimal routing",
-     Core.Ablations.vlb_routing);
-    ("ablation_transport", "Reno vs DCTCP transport in the packet sim",
-     Core.Ablations.transport_comparison);
-    ("ablation_failures", "link-failure resilience: RRG vs fat-tree",
-     Core.Ablations.failure_resilience);
-    ("ablation_multiclass", "3-class placement exponent sweep (par. 9 future work)",
-     Core.Ablations.multi_class_placement);
-  ]
+(* Runtime errors (an unusable directory, a failed orchestration leg):
+   one line on stderr, exit 2. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
 
-(* One finished target, whether freshly computed or replayed from a run
-   manifest. [table_text]/[csv_text] are the rendering a fresh computation
-   would produce (the manifest stores exactly these artifacts, so resumed
-   targets are indistinguishable downstream). *)
-type figure_result = {
-  fr_name : string;
-  fr_rendered : string;  (** Full console block: title, table, timing. *)
-  fr_table_text : string;
-  fr_csv_text : string;
-  fr_dt : float;
-  fr_resumed : bool;
-  fr_metrics : Metrics.snapshot option;
-      (** Rollup of what this figure's computation did (solves, phases,
-          pivots, cache traffic). Only attributable when figures run
-          serially — with the pool enabled, concurrent figures interleave
-          in the global registry, so this stays [None]. *)
-}
+let mkdir_p dir =
+  try Dcn_obs.Json.mkdir_p dir with Sys_error msg -> fail "%s" msg
 
-let render_table table =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.fprintf ppf "%a@." Core.Table.pp table;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
-
-let render_block ~name ~description ~table_text ~timing_line =
-  let title = Printf.sprintf "%s — %s" name description in
-  Printf.sprintf "%s\n%s\n%s%s\n\n" title
+(* Print a finished figure as one block (title, table, timing) and write
+   its CSV. Rendered strings keep parallel output un-interleaved. *)
+let emit_figure ~csv_dir (r : Figures.result) =
+  let name = r.Figures.figure.Figures.name in
+  let title = Printf.sprintf "%s — %s" name r.Figures.figure.Figures.description in
+  Printf.printf "%s\n%s\n%s%s\n\n%!" title
     (String.make (String.length title) '=')
-    table_text timing_line
-
-(* Compute a figure and render it to a string so parallel workers don't
-   interleave output. The figure name labels the observability layer: a
-   span per figure, and (via Scale.with_figure) every sample span and
-   progress line underneath it. *)
-let compute_figure scale (name, description, f) =
-  let rollup = Metrics.enabled () && not (Core.Pool.enabled ()) in
-  let before = if rollup then Some (Metrics.snapshot ()) else None in
-  let t0 = Clock.now_ns () in
-  let table =
-    Core.Scale.with_figure name (fun () ->
-        Trace.with_span ~cat:"figure" name (fun () -> f scale))
-  in
-  let dt = Clock.elapsed_s t0 in
-  let fr_metrics =
-    Option.map
-      (fun before -> Metrics.diff ~before ~after:(Metrics.snapshot ()))
-      before
-  in
-  let table_text = render_table table in
-  {
-    fr_name = name;
-    fr_rendered =
-      render_block ~name ~description ~table_text
-        ~timing_line:(Printf.sprintf "(%s completed in %.1fs)" name dt);
-    fr_table_text = table_text;
-    fr_csv_text = Core.Table.to_csv table;
-    fr_dt = dt;
-    fr_resumed = false;
-    fr_metrics;
-  }
-
-(* Replay a target recorded in the run manifest: both artifacts must be
-   present, else the caller recomputes (a half-written run dir degrades to
-   a plain cached run, never to wrong output). *)
-let resume_figure ~run_dir ~seconds (name, description, _f) =
-  match
-    ( Core.Manifest.read_artifact ~dir:run_dir ~name:(name ^ ".table"),
-      Core.Manifest.read_artifact ~dir:run_dir ~name:(name ^ ".csv") )
-  with
-  | Some table_text, Some csv_text ->
-      Some
-        {
-          fr_name = name;
-          fr_rendered =
-            render_block ~name ~description ~table_text
-              ~timing_line:
-                (Printf.sprintf "(%s resumed from manifest; originally %.1fs)"
-                   name seconds);
-          fr_table_text = table_text;
-          fr_csv_text = csv_text;
-          fr_dt = seconds;
-          fr_resumed = true;
-          fr_metrics = None;
-        }
-  | _ -> None
-
-let emit_figure ~csv_dir ~run_dir r =
-  print_string r.fr_rendered;
-  flush stdout;
-  (match csv_dir with
-  | None -> ()
-  | Some dir ->
-      let path = Filename.concat dir (r.fr_name ^ ".csv") in
-      let oc = open_out path in
-      output_string oc r.fr_csv_text;
-      close_out oc);
-  (* Record completions as they stream out (even without --resume), so any
-     later invocation can pick up where this one was killed. *)
-  match run_dir with
-  | Some dir when not r.fr_resumed ->
-      Core.Manifest.write_artifact ~dir ~name:(r.fr_name ^ ".table")
-        r.fr_table_text;
-      Core.Manifest.write_artifact ~dir ~name:(r.fr_name ^ ".csv")
-        r.fr_csv_text;
-      Core.Manifest.mark_done ~dir
-        { Core.Manifest.target = r.fr_name; seconds = r.fr_dt }
-  | _ -> ()
+    r.Figures.table_text
+    (if r.Figures.resumed then
+       Printf.sprintf "(%s resumed from manifest; originally %.1fs)" name
+         r.Figures.seconds
+     else Printf.sprintf "(%s completed in %.1fs)" name r.Figures.seconds);
+  Option.iter
+    (fun dir ->
+      Dcn_obs.Json.atomic_write
+        ~path:(Filename.concat dir (name ^ ".csv"))
+        r.Figures.csv_text)
+    csv_dir
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the kernels                             *)
@@ -411,15 +272,15 @@ let serving_json run =
 
 let write_bench_json path ~mode ~jobs ~figures ~micro ~sweeps ~orch ~serving
     ~total_seconds =
-  let figure r =
+  let figure (r : Figures.result) =
     J.Obj
       ([
-         ("name", J.Str r.fr_name);
-         ("seconds", num r.fr_dt);
-         ("resumed", J.Bool r.fr_resumed);
+         ("name", J.Str r.Figures.figure.Figures.name);
+         ("seconds", num r.Figures.seconds);
+         ("resumed", J.Bool r.Figures.resumed);
        ]
       @ Option.fold ~none:[] ~some:(fun snap -> [ ("metrics", Metrics.json snap) ])
-          r.fr_metrics)
+          r.Figures.metrics)
   in
   let micro_entry (name, est) =
     J.Obj
@@ -473,41 +334,6 @@ let write_bench_json path ~mode ~jobs ~figures ~micro ~sweeps ~orch ~serving
          ]))
 
 (* ------------------------------------------------------------------ *)
-(* CLI                                                                 *)
-
-let usage () =
-  prerr_endline
-    "usage: bench [--full] [--jobs N] [--csv-dir DIR] [--bench-json FILE] \
-     [--cache-dir DIR] [--resume] [--no-cache] [--metrics FILE] \
-     [--trace FILE] [--progress] [--sweep-warm] [--orchestrate] [--serving] \
-     [--list] [TARGET ...]";
-  prerr_endline "targets: figure names (fig1a, ..., ablation_*) and 'micro';";
-  prerr_endline "         none selects everything (--list prints them all)"
-
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("bench: " ^ msg);
-      usage ();
-      exit 2)
-    fmt
-
-(* [Sys.mkdir] is not recursive; create each missing ancestor in turn so
-   `--csv-dir results/quick/csv` works out of the box. *)
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (* A concurrent creator is fine; only fail if the path still isn't a
-       directory afterwards. *)
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    if not (try Sys.is_directory dir with Sys_error _ -> false) then
-      die "cannot create directory %s" dir
-  end
-  else if not (Sys.is_directory dir) then
-    die "%s exists and is not a directory" dir
-
-(* ------------------------------------------------------------------ *)
 (* Orchestrated scaling (--orchestrate)                                *)
 
 (* A small fixed grid (2 topologies x 4 seeds) run end to end four ways:
@@ -552,25 +378,16 @@ let orchestrate_leg ~root ~label ~workers grid =
           Fun.protect
             ~finally:(fun () -> Spawn.stop procs)
             (fun () ->
-              let rec await acc = function
-                | [] -> Ok (List.rev acc)
-                | p :: rest -> (
-                    match Spawn.endpoint p with
-                    | Ok e -> await (e :: acc) rest
-                    | Error msg -> Error msg)
-              in
-              match await [] procs with
-              | Error msg -> Error msg
-              | Ok endpoints ->
-                  Orch.run ~scheduler ~store ~grid (Orch.Fleet endpoints))
+              Result.bind (Spawn.endpoints procs) (fun endpoints ->
+                  Orch.run ~scheduler ~store ~grid (Orch.Fleet endpoints)))
   in
   match result with
-  | Error msg -> die "orchestrate leg %s: %s" label msg
+  | Error msg -> fail "orchestrate leg %s: %s" label msg
   | Ok (_, summary) ->
       (match summary.Orch.failed with
       | [] -> ()
       | (unit_label, err) :: _ ->
-          die "orchestrate leg %s: unit %s failed: %s" label unit_label err);
+          fail "orchestrate leg %s: unit %s failed: %s" label unit_label err);
       { ol_label = label; ol_workers = workers; ol_summary = summary }
 
 let orchestrate_bench () =
@@ -641,7 +458,7 @@ let serving_bench ~jobs () =
   let exe =
     match Spawn.find_exe () with
     | Some exe -> exe
-    | None -> die "serving bench: cannot locate the dcn_served executable"
+    | None -> fail "serving bench: cannot locate the dcn_served executable"
   in
   let dir =
     Filename.concat
@@ -661,7 +478,7 @@ let serving_bench ~jobs () =
       ~finally:(fun () -> Spawn.stop [ proc ])
       (fun () ->
         match Spawn.endpoint proc with
-        | Error msg -> die "serving bench: %s" msg
+        | Error msg -> fail "serving bench: %s" msg
         | Ok ep ->
             let host = ep.Dcn_orchestrate.Worker.host
             and port = ep.Dcn_orchestrate.Worker.port in
@@ -711,237 +528,154 @@ let serving_bench ~jobs () =
     table;
   run
 
-type options = {
-  full : bool;
-  jobs : int;
-  csv_dir : string option;
-  bench_json : string option;
-  cache_dir : string option;
-  resume : bool;
-  no_cache : bool;
-  metrics_file : string option;
-  trace_file : string option;
-  progress : bool;
-  sweep_warm : bool;
-  orchestrate : bool;
-  serving : bool;
-  list : bool;
-  targets : string list;
-}
+(* ------------------------------------------------------------------ *)
+(* CLI                                                                 *)
 
-let parse_args argv =
-  let default_jobs = Core.Cli.default_jobs () in
-  let rec go acc = function
-    | [] -> { acc with targets = List.rev acc.targets }
-    | "--full" :: rest -> go { acc with full = true } rest
-    | "--jobs" :: value :: rest -> (
-        (* Same validation (and messages) as every other front end. *)
-        match Core.Cli.parse_jobs value with
-        | Ok j -> go { acc with jobs = j } rest
-        | Error msg -> die "%s" msg)
-    | [ "--jobs" ] -> die "--jobs expects a value"
-    | "--csv-dir" :: dir :: rest -> go { acc with csv_dir = Some dir } rest
-    | [ "--csv-dir" ] -> die "--csv-dir expects a directory"
-    | "--bench-json" :: path :: rest ->
-        go { acc with bench_json = Some path } rest
-    | [ "--bench-json" ] -> die "--bench-json expects a file path"
-    | "--cache-dir" :: dir :: rest -> go { acc with cache_dir = Some dir } rest
-    | [ "--cache-dir" ] -> die "--cache-dir expects a directory"
-    | "--resume" :: rest -> go { acc with resume = true } rest
-    | "--no-cache" :: rest -> go { acc with no_cache = true } rest
-    | "--metrics" :: path :: rest ->
-        go { acc with metrics_file = Some path } rest
-    | [ "--metrics" ] -> die "--metrics expects a file path"
-    | "--trace" :: path :: rest -> go { acc with trace_file = Some path } rest
-    | [ "--trace" ] -> die "--trace expects a file path"
-    | "--progress" :: rest -> go { acc with progress = true } rest
-    | "--sweep-warm" :: rest -> go { acc with sweep_warm = true } rest
-    | "--orchestrate" :: rest -> go { acc with orchestrate = true } rest
-    | "--serving" :: rest -> go { acc with serving = true } rest
-    | "--list" :: rest -> go { acc with list = true } rest
-    | ("--help" | "-h") :: _ ->
-        usage ();
-        exit 0
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-        die "unknown option %s" arg
-    | target :: rest -> go { acc with targets = target :: acc.targets } rest
-  in
-  go
-    { full = false; jobs = default_jobs; csv_dir = None; bench_json = None;
-      cache_dir = None; resume = false; no_cache = false; metrics_file = None;
-      trace_file = None; progress = false; sweep_warm = false;
-      orchestrate = false; serving = false; list = false; targets = [] }
-    (List.tl (Array.to_list argv))
+let targets = List.map (fun f -> f.Figures.name) Figures.all @ [ "micro" ]
+
+let main full jobs csv_dir bench_json cache_dir resume no_cache obs sweep_warm
+    orchestrate serving list short_help names =
+  if short_help then `Help (`Auto, None)
+  else begin
+    if list then begin
+      List.iter
+        (fun f -> Printf.printf "%-22s %s\n" f.Figures.name f.Figures.description)
+        Figures.all;
+      Printf.printf "%-22s %s\n" "micro"
+        "Bechamel microbenchmarks of the computational kernels";
+      exit 0
+    end;
+    (* Install the shared result store before any pool work exists; the
+       cached solvers consult it from every worker domain. *)
+    let caching =
+      match Core.Cli.setup_store cache_dir no_cache with
+      | Ok caching -> caching
+      | Error msg -> fail "%s" msg
+    in
+    if resume && not caching then
+      fail "--resume needs --cache-dir (and is incompatible with --no-cache)";
+    Option.iter mkdir_p csv_dir;
+    (* Create every report's parent directory up front: failing after the
+       figures have been computed would throw the work away. *)
+    let metrics_file, trace_file, _ = obs in
+    List.iter
+      (Option.iter (fun path ->
+           let parent = Filename.dirname path in
+           if parent <> "" then mkdir_p parent))
+      [ bench_json; metrics_file; trace_file ];
+    (* Metrics recording also turns on for --bench-json so the report can
+       embed solver-internal counters. *)
+    if bench_json <> None then Metrics.set_enabled true;
+    (* One shared pool for everything: figure-level and run-level batches
+       both dispatch onto [jobs - 1] workers plus the submitting thread. *)
+    Core.Pool.set_workers (jobs - 1);
+    Core.Cli.with_obs obs @@ fun () ->
+    let scale = if full then Core.Scale.full else Core.Scale.quick in
+    Format.printf "mode: %s (runs=%d, eps=%.2f, gap=%.2f, jobs=%d%s)@.@."
+      (if full then "full (paper-scale)" else "quick")
+      scale.Core.Scale.runs scale.Core.Scale.params.Core.Mcmf_fptas.eps
+      scale.Core.Scale.params.Core.Mcmf_fptas.gap jobs
+      (match Core.Store.shared () with
+      | Some store -> Printf.sprintf ", cache=%s" (Core.Store.root store)
+      | None -> "");
+    (* --sweep-warm alone runs just the warm-start sweeps; explicit targets
+       can be given alongside to run both. *)
+    let wants name =
+      (names = [] && not sweep_warm && not orchestrate && not serving)
+      || List.mem name names
+    in
+    let t0 = Clock.now_ns () in
+    let figures =
+      Figures.run ~resume ~emit:(emit_figure ~csv_dir) scale
+        (List.filter (fun f -> wants f.Figures.name) Figures.all)
+    in
+    let micro = if wants "micro" then microbenchmarks () else [] in
+    (* Warm-start sweep bench: each grid point solved cold and warm, the
+       per-point speedup printed and (with --bench-json) serialized. Runs
+       serially on the submitting domain — wall-clock comparisons would be
+       meaningless with both legs sharing a pool. *)
+    let sweeps =
+      if not sweep_warm then []
+      else begin
+        let reports =
+          [
+            Core.Experiments.sweep_warm_failures scale;
+            Core.Hetero_experiments.sweep_warm_demand scale;
+          ]
+        in
+        List.iter
+          (fun r ->
+            Core.Table.print
+              ~title:
+                (Printf.sprintf "sweep-warm %s — baseline %d phases in %.2fs"
+                   r.Core.Experiments.swr_name
+                   r.Core.Experiments.swr_baseline_phases
+                   r.Core.Experiments.swr_baseline_seconds)
+              (Core.Experiments.sweep_warm_table r))
+          reports;
+        reports
+      end
+    in
+    (* Orchestrated scaling: the same fixed grid serial then over spawned
+       fleets; wall-clock speedups land in --bench-json's "orchestrate"
+       section. *)
+    let orch = if orchestrate then orchestrate_bench () else [] in
+    (* Serving: the daemon booted and measured with the keep-alive load
+       generator; throughput/latency land in --bench-json's "serving"
+       section. *)
+    let serving = if serving then Some (serving_bench ~jobs ()) else None in
+    (match Core.Store.shared () with
+    | Some store ->
+        let c = Core.Store.counters store in
+        Format.printf "cache: %d hits, %d misses (%d B read, %d B written)@."
+          c.Core.Store.hits c.Core.Store.misses c.Core.Store.bytes_read
+          c.Core.Store.bytes_written
+    | None -> ());
+    Option.iter
+      (fun path ->
+        write_bench_json path
+          ~mode:(if full then "full" else "quick")
+          ~jobs ~figures ~micro ~sweeps ~orch ~serving
+          ~total_seconds:(Clock.elapsed_s t0))
+      bench_json;
+    `Ok ()
+  end
 
 let () =
-  let opts = parse_args Sys.argv in
-  if opts.list then begin
-    List.iter
-      (fun (name, description, _) -> Printf.printf "%-22s %s\n" name description)
-      figures;
-    Printf.printf "%-22s %s\n" "micro"
-      "Bechamel microbenchmarks of the computational kernels";
-    exit 0
-  end;
-  if opts.resume && (opts.cache_dir = None || opts.no_cache) then
-    die "--resume needs --cache-dir (and is incompatible with --no-cache)";
-  (match opts.csv_dir with Some dir -> mkdir_p dir | None -> ());
-  (* Create every report's parent directory up front: failing after the
-     figures have been computed would throw the work away. *)
-  List.iter
-    (fun path_opt ->
-      match path_opt with
-      | Some path ->
-          let parent = Filename.dirname path in
-          if parent <> "" then mkdir_p parent
-      | None -> ())
-    [ opts.bench_json; opts.metrics_file; opts.trace_file ];
-  (* Observability switches. Metrics recording also turns on for
-     --bench-json so the report can embed solver-internal counters. *)
-  if opts.metrics_file <> None || opts.bench_json <> None then
-    Metrics.set_enabled true;
-  if opts.trace_file <> None then Trace.set_enabled true;
-  if opts.progress then Dcn_obs.Progress.set_enabled true;
-  (* Install the shared result store before any pool work exists; the
-     cached solvers consult it from every worker domain. *)
-  (match opts.cache_dir with
-  | Some dir when not opts.no_cache -> (
-      match Core.Store.open_store dir with
-      | store -> Core.Store.set_shared (Some store)
-      | exception Failure msg -> die "%s" msg)
-  | _ -> ());
-  (* One shared pool for everything: figure-level and run-level batches
-     both dispatch onto [jobs - 1] workers plus the submitting thread. *)
-  Core.Pool.set_workers (opts.jobs - 1);
-  let scale = if opts.full then Core.Scale.full else Core.Scale.quick in
-  Format.printf "mode: %s (runs=%d, eps=%.2f, gap=%.2f, jobs=%d%s)@.@."
-    (if opts.full then "full (paper-scale)" else "quick")
-    scale.Core.Scale.runs scale.Core.Scale.params.Core.Mcmf_fptas.eps
-    scale.Core.Scale.params.Core.Mcmf_fptas.gap opts.jobs
-    (match Core.Store.shared () with
-    | Some store -> Printf.sprintf ", cache=%s" (Core.Store.root store)
-    | None -> "");
-  let names = opts.targets in
-  (* --sweep-warm alone runs just the warm-start sweeps; explicit targets
-     can be given alongside to run both. *)
-  let wants name =
-    (names = [] && not opts.sweep_warm && not opts.orchestrate
-   && not opts.serving)
-    || List.mem name names
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let file name docv doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
   in
-  let known = List.map (fun (n, _, _) -> n) figures @ [ "micro" ] in
-  List.iter
-    (fun n ->
-      if not (List.mem n known) then
-        die "unknown target %s; known: %s" n (String.concat " " known))
-    names;
-  let t0 = Clock.now_ns () in
-  let selected = List.filter (fun (n, _, _) -> wants n) figures in
-  (* The run manifest lives inside the cache directory, keyed by the scale
-     fingerprint + solver version; it is written whenever a store is
-     installed so any later --resume can pick up this invocation. *)
-  let run_dir =
-    Option.map
-      (fun store ->
-        Core.Manifest.dir ~store
-          ~fingerprint:(Core.Scale.fingerprint scale))
-      (Core.Store.shared ())
+  let term =
+    Term.(
+      ret
+        (const main
+        $ flag "full" "Paper-scale grids and run counts."
+        $ Core.Cli.jobs_arg
+        $ file "csv-dir" "DIR" "Also write one CSV per figure into $(docv)."
+        $ file "bench-json" "FILE"
+            "Write machine-readable timings, cache counters and a metrics \
+             snapshot to $(docv)."
+        $ Core.Cli.cache_dir_arg
+        $ flag "resume"
+            "Replay figures already recorded in the cache directory's run \
+             manifest (by this tool or by $(b,topobench figure) at the same \
+             scale). Requires $(b,--cache-dir)."
+        $ Core.Cli.no_cache_arg $ Core.Cli.obs_args
+        $ flag "sweep-warm" "Cold-vs-warm solve speedups over two sweeps."
+        $ flag "orchestrate"
+            "Scaling of a fixed grid: serial, then 1, 2 and 4 spawned workers."
+        $ flag "serving" "Keep-alive and saturation bursts against a daemon."
+        $ flag "list" "Print every target with its description and exit."
+        $ Arg.(value & flag & info [ "h" ] ~doc:"Same as $(b,--help).")
+        $ Arg.(
+            value
+            & pos_all (enum (List.map (fun t -> (t, t)) targets)) []
+            & info [] ~docv:"TARGET"
+                ~doc:
+                  "Figure or ablation names (see $(b,--list)) and $(b,micro); \
+                   none selects everything, unless a $(b,--sweep-warm), \
+                   $(b,--orchestrate) or $(b,--serving) section is asked for.")))
   in
-  let completed_seconds =
-    match run_dir with
-    | Some dir when opts.resume ->
-        let tbl = Hashtbl.create 64 in
-        List.iter
-          (fun e -> Hashtbl.replace tbl e.Core.Manifest.target e.Core.Manifest.seconds)
-          (Core.Manifest.load ~dir);
-        tbl
-    | _ -> Hashtbl.create 0
-  in
-  let resumed, to_compute =
-    List.partition_map
-      (fun ((name, _, _) as fig) ->
-        match
-          Option.bind (Hashtbl.find_opt completed_seconds name) (fun seconds ->
-              Option.bind run_dir (fun run_dir ->
-                  resume_figure ~run_dir ~seconds fig))
-        with
-        | Some r -> Left r
-        | None -> Right fig)
-      selected
-  in
-  let emit = emit_figure ~csv_dir:opts.csv_dir ~run_dir in
-  let computed =
-    if Core.Pool.enabled () then begin
-      (* Parallel: collect in order, then emit (rendered strings keep the
-         output un-interleaved). *)
-      let cs = Core.Parallel.map (compute_figure scale) to_compute in
-      List.iter emit (resumed @ cs);
-      resumed @ cs
-    end
-    else begin
-      (* Serial: stream each figure as soon as it finishes. *)
-      List.iter emit resumed;
-      resumed
-      @ List.map
-          (fun fig ->
-            let r = compute_figure scale fig in
-            emit r;
-            r)
-          to_compute
-    end
-  in
-  let micro = if wants "micro" then microbenchmarks () else [] in
-  (* Warm-start sweep bench: each grid point solved cold and warm, the
-     per-point speedup printed and (with --bench-json) serialized. Runs
-     serially on the submitting domain — wall-clock comparisons would be
-     meaningless with both legs sharing a pool. *)
-  let sweeps =
-    if not opts.sweep_warm then []
-    else begin
-      let reports =
-        [
-          Core.Experiments.sweep_warm_failures scale;
-          Core.Hetero_experiments.sweep_warm_demand scale;
-        ]
-      in
-      List.iter
-        (fun r ->
-          Core.Table.print
-            ~title:
-              (Printf.sprintf "sweep-warm %s — baseline %d phases in %.2fs"
-                 r.Core.Experiments.swr_name
-                 r.Core.Experiments.swr_baseline_phases
-                 r.Core.Experiments.swr_baseline_seconds)
-            (Core.Experiments.sweep_warm_table r))
-        reports;
-      reports
-    end
-  in
-  (* Orchestrated scaling: the same fixed grid serial then over spawned
-     fleets; wall-clock speedups land in --bench-json's "orchestrate"
-     section. *)
-  let orch = if opts.orchestrate then orchestrate_bench () else [] in
-  (* Serving: the daemon booted and measured with the keep-alive load
-     generator; throughput/latency land in --bench-json's "serving"
-     section. *)
-  let serving =
-    if opts.serving then Some (serving_bench ~jobs:opts.jobs ()) else None
-  in
-  (match Core.Store.shared () with
-  | Some store ->
-      let c = Core.Store.counters store in
-      Format.printf "cache: %d hits, %d misses (%d B read, %d B written)@."
-        c.Core.Store.hits c.Core.Store.misses c.Core.Store.bytes_read
-        c.Core.Store.bytes_written
-  | None -> ());
-  (match opts.bench_json with
-  | None -> ()
-  | Some path ->
-      write_bench_json path
-        ~mode:(if opts.full then "full" else "quick")
-        ~jobs:opts.jobs ~figures:computed ~micro ~sweeps ~orch ~serving
-        ~total_seconds:(Clock.elapsed_s t0));
-  (match opts.metrics_file with
-  | None -> ()
-  | Some path -> Metrics.write ~path (Metrics.snapshot ()));
-  match opts.trace_file with None -> () | Some path -> Trace.write path
+  let doc = "regenerate the paper's figures and benchmark the solver" in
+  exit (Cmd.eval (Cmd.v (Cmd.info "bench" ~doc) term))

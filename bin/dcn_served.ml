@@ -119,7 +119,11 @@ let run host port port_file timeout jobs cache_dir no_cache metrics trace
     hot_cache_mb shed_queue shed_latency batch_max =
   (* jobs solver domains; the main thread runs the event loop. *)
   Core.Pool.set_workers jobs;
-  ignore (Core.Cli.setup_store cache_dir no_cache);
+  (match Core.Cli.setup_store cache_dir no_cache with
+  | Ok _ -> ()
+  | Error msg ->
+      prerr_endline ("dcn_served: " ^ msg);
+      exit 2);
   let base =
     {
       Dcn_serve.Server.default_config with

@@ -18,7 +18,6 @@ let gap_arg = Core.Cli.gap_arg
 let params_of = Core.Cli.params_of
 let cache_dir_arg = Core.Cli.cache_dir_arg
 let no_cache_arg = Core.Cli.no_cache_arg
-let setup_store = Core.Cli.setup_store
 let report_cache_stats = Core.Cli.report_cache_stats
 let obs_args = Core.Cli.obs_args
 let with_obs = Core.Cli.with_obs
@@ -43,6 +42,25 @@ let make_traffic kind st servers = Core.Cli.make_traffic kind st ~servers
    so the pool gets jobs-1 extra domains. *)
 let jobs_arg = Core.Cli.jobs_arg
 let apply_jobs jobs = Core.Pool.set_workers (jobs - 1)
+
+(* An unusable --cache-dir is a usage error, reported before any work. *)
+let store_error msg =
+  prerr_endline ("topobench: " ^ msg);
+  exit 2
+
+let setup_store cache_dir no_cache =
+  match Core.Cli.setup_store cache_dir no_cache with
+  | Ok caching -> caching
+  | Error msg -> store_error msg
+
+let routing_conv =
+  Arg.conv
+    ( (fun s ->
+        match Dcn_serve.Request.parse_routing s with
+        | Ok r -> Ok r
+        | Error msg -> Error (`Msg msg)),
+      fun ppf r ->
+        Format.pp_print_string ppf (Dcn_serve.Request.routing_to_string r) )
 
 (* ---- throughput command ---- *)
 
@@ -293,42 +311,17 @@ let export_cmd =
 (* ---- figure command ---- *)
 
 let figure_cmd =
-  let figures =
-    [
-      ("fig1a", Core.Experiments.fig1a);
-      ("fig1b", Core.Experiments.fig1b);
-      ("fig2a", Core.Experiments.fig2a);
-      ("fig2b", Core.Experiments.fig2b);
-      ("fig3", Core.Experiments.fig3);
-      ("fig4a", Core.Hetero_experiments.fig4a);
-      ("fig4b", Core.Hetero_experiments.fig4b);
-      ("fig4c", Core.Hetero_experiments.fig4c);
-      ("fig5", Core.Hetero_experiments.fig5);
-      ("fig6a", Core.Hetero_experiments.fig6a);
-      ("fig6b", Core.Hetero_experiments.fig6b);
-      ("fig6c", Core.Hetero_experiments.fig6c);
-      ("fig7a", Core.Hetero_experiments.fig7a);
-      ("fig7b", Core.Hetero_experiments.fig7b);
-      ("fig8a", Core.Hetero_experiments.fig8a);
-      ("fig8b", Core.Hetero_experiments.fig8b);
-      ("fig8c", Core.Hetero_experiments.fig8c);
-      ("fig9a", Core.Hetero_experiments.fig9a);
-      ("fig9b", Core.Hetero_experiments.fig9b);
-      ("fig9c", Core.Hetero_experiments.fig9c);
-      ("fig10a", Core.Hetero_experiments.fig10a);
-      ("fig10b", Core.Hetero_experiments.fig10b);
-      ("fig11", Core.Hetero_experiments.fig11);
-      ("fig12a", Core.Vl2_study.fig12a);
-      ("fig12b", Core.Vl2_study.fig12b);
-      ("fig12c", Core.Vl2_study.fig12c);
-      ("fig13", Core.Packet_experiments.fig13);
-    ]
-  in
   let name_arg =
-    let doc = "Figure to regenerate (fig1a .. fig13)." in
+    let doc = "Figure or ablation to regenerate (fig1a .. fig13, ablation_*)." in
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun (n, f) -> (n, (n, f))) figures))) None
+      & pos 0
+          (some
+             (enum
+                (List.map
+                   (fun f -> (f.Core.Figures.name, f))
+                   Core.Figures.all)))
+          None
       & info [] ~docv:"FIGURE" ~doc)
   in
   let full_arg =
@@ -347,10 +340,7 @@ let figure_cmd =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  (* The manifest directory is shared with bench/main.exe: it is keyed by
-     the scale fingerprint + solver version alone, so either tool can
-     resume a figure the other finished. *)
-  let run (name, f) full csv resume jobs cache_dir no_cache obs =
+  let run figure full csv resume jobs cache_dir no_cache obs =
     apply_jobs jobs;
     let caching = setup_store cache_dir no_cache in
     if resume && not caching then begin
@@ -359,55 +349,18 @@ let figure_cmd =
     end;
     with_obs obs @@ fun () ->
     let scale = if full then Core.Scale.full else Core.Scale.quick in
-    let run_dir =
-      Option.map
-        (fun store ->
-          Core.Manifest.dir ~store ~fingerprint:(Core.Scale.fingerprint scale))
-        (Core.Store.shared ())
+    let emit r =
+      (* The table keeps [Core.Table.print ~title]'s shape. *)
+      if csv then print_string r.Core.Figures.csv_text
+      else begin
+        print_endline figure.Core.Figures.name;
+        print_endline (String.make (String.length figure.Core.Figures.name) '=');
+        print_string r.Core.Figures.table_text
+      end
     in
-    let recorded kind =
-      Option.bind run_dir (fun dir ->
-          if
-            resume
-            && List.exists
-                 (fun e -> e.Core.Manifest.target = name)
-                 (Core.Manifest.load ~dir)
-          then Core.Manifest.read_artifact ~dir ~name:(name ^ kind)
-          else None)
-    in
-    match (csv, recorded (if csv then ".csv" else ".table")) with
-    | _, Some text ->
-        (* Same shape as [Core.Table.print ~title]. *)
-        if csv then print_string text
-        else begin
-          print_endline name;
-          print_endline (String.make (String.length name) '=');
-          print_string text
-        end
-    | _, None ->
-        let t0 = Core.Obs.Clock.now_ns () in
-        let table =
-          Core.Scale.with_figure name (fun () ->
-              Core.Obs.Trace.with_span ~cat:"figure" name (fun () -> f scale))
-        in
-        let seconds = Core.Obs.Clock.elapsed_s t0 in
-        (match run_dir with
-        | Some dir ->
-            let buf = Buffer.create 1024 in
-            let ppf = Format.formatter_of_buffer buf in
-            Format.fprintf ppf "%a@." Core.Table.pp table;
-            Format.pp_print_flush ppf ();
-            Core.Manifest.write_artifact ~dir ~name:(name ^ ".table")
-              (Buffer.contents buf);
-            Core.Manifest.write_artifact ~dir ~name:(name ^ ".csv")
-              (Core.Table.to_csv table);
-            Core.Manifest.mark_done ~dir
-              { Core.Manifest.target = name; seconds }
-        | None -> ());
-        if csv then print_string (Core.Table.to_csv table)
-        else Core.Table.print ~title:name table
+    ignore (Core.Figures.run ~resume ~emit scale [ figure ])
   in
-  let doc = "Regenerate one of the paper's figures." in
+  let doc = "Regenerate one of the paper's figures or ablations." in
   Cmd.v (Cmd.info "figure" ~doc)
     Term.(const run $ name_arg $ full_arg $ csv_arg $ resume_arg $ jobs_arg
           $ cache_dir_arg $ no_cache_arg $ obs_args)
@@ -421,15 +374,6 @@ let client_cmd =
   in
   let port_arg =
     Arg.(value & opt int 8080 & info [ "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
-  let routing_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dcn_serve.Request.parse_routing s with
-          | Ok r -> Ok r
-          | Error msg -> Error (`Msg msg)),
-        fun ppf r ->
-          Format.pp_print_string ppf (Dcn_serve.Request.routing_to_string r) )
   in
   let routing_arg =
     Arg.(value & opt routing_conv Dcn_serve.Request.Optimal
@@ -659,15 +603,6 @@ let orchestrate_cmd =
            & info [ "gap" ] ~docv:"GAP"
                ~doc:"Termination-gap axis (repeatable). Default: 0.05.")
   in
-  let routing_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dcn_serve.Request.parse_routing s with
-          | Ok r -> Ok r
-          | Error msg -> Error (`Msg msg)),
-        fun ppf r ->
-          Format.pp_print_string ppf (Dcn_serve.Request.routing_to_string r) )
-  in
   let routings_arg =
     Arg.(value & opt_all routing_conv []
            & info [ "routing" ] ~docv:"MODE"
@@ -810,7 +745,11 @@ let orchestrate_cmd =
         ~routings:(non_empty [ Dcn_serve.Request.Optimal ] routings)
         ()
     in
-    let store = Core.Store.open_store cache_dir in
+    let store =
+      match Core.Cli.open_store cache_dir with
+      | Ok store -> store
+      | Error msg -> store_error msg
+    in
     let scheduler =
       {
         Scheduler.default_config with
@@ -862,16 +801,8 @@ let orchestrate_cmd =
                                 ~trace_buffer:(trace <> None) ())
                         in
                         spawned := procs;
-                        let rec await acc = function
-                          | [] -> Ok (List.rev acc)
-                          | p :: rest -> (
-                              match Spawn.endpoint p with
-                              | Ok e -> await (e :: acc) rest
-                              | Error msg -> Error msg)
-                        in
-                        (match await [] procs with
-                        | Error msg -> Error msg
-                        | Ok endpoints ->
+                        Result.map
+                          (fun endpoints ->
                             let info =
                               List.map2
                                 (fun p e ->
@@ -882,7 +813,8 @@ let orchestrate_cmd =
                                     } ))
                                 procs endpoints
                             in
-                            Ok (Orchestrator.Fleet endpoints, info)))
+                            (Orchestrator.Fleet endpoints, info))
+                          (Spawn.endpoints procs))
           in
           match exec with
           | Error msg -> Error msg

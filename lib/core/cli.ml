@@ -1,9 +1,9 @@
 (* Shared command-line vocabulary.
 
-   Every front end of the repository — bin/topobench (cmdliner),
-   bench/main (hand-rolled argv loop), and the serving layer's daemon and
-   client — accepts the same option surface: --jobs, --cache-dir,
-   --metrics/--trace/--progress, --eps/--gap, topology and traffic specs.
+   Every front end of the repository — bin/topobench, bench/main, and
+   the serving layer's daemon and client, all cmdliner — accepts the same
+   option surface: --jobs, --cache-dir, --metrics/--trace/--progress,
+   --eps/--gap, topology and traffic specs.
    The parsers live here exactly once, as plain string -> result functions
    with the cmdliner terms wrapped around them, so the validation messages
    cannot drift between the tools and the JSON request schema of the
@@ -11,7 +11,7 @@
 
 open Cmdliner
 
-(* ---- pure parsers (shared with non-cmdliner front ends) ---- *)
+(* ---- pure parsers ---- *)
 
 let parse_unit_open ~what s =
   match float_of_string_opt s with
@@ -212,12 +212,20 @@ let no_cache_arg =
   let doc = "Ignore the result store for this invocation." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
+let open_store dir =
+  match Dcn_store.Store.open_store dir with
+  | store -> Ok store
+  | exception Failure msg -> Error msg
+
 let setup_store cache_dir no_cache =
   match cache_dir with
   | Some dir when not no_cache ->
-      Dcn_store.Store.set_shared (Some (Dcn_store.Store.open_store dir));
-      true
-  | _ -> false
+      Result.map
+        (fun store ->
+          Dcn_store.Store.set_shared (Some store);
+          true)
+        (open_store dir)
+  | _ -> Ok false
 
 let report_cache_stats () =
   match Dcn_store.Store.shared () with

@@ -2,7 +2,10 @@
 
     All four front ends — [bin/topobench], [bench/main], the serving
     daemon [bin/dcn_served] and the [topobench client] load generator —
-    accept the same option surface. The parsers live here once, as plain
+    parse their arguments with cmdliner and the terms below, so they
+    accept the same option surface ([--jobs], [--cache-dir],
+    [--no-cache], [--metrics]/[--trace]/[--progress], ...) with the same
+    validation. The parsers live here once, as plain
     [string -> (_, string) result] functions with cmdliner terms wrapped
     around them, so validation messages cannot drift between tools; the
     serving layer's JSON request schema reuses the same topology and
@@ -86,9 +89,14 @@ val traffic_arg : traffic_kind Cmdliner.Term.t
 val cache_dir_arg : string option Cmdliner.Term.t
 val no_cache_arg : bool Cmdliner.Term.t
 
-val setup_store : string option -> bool -> bool
-(** Install the shared store from (--cache-dir, --no-cache); true when
-    caching is active. *)
+val open_store : string -> (Dcn_store.Store.t, string) result
+(** {!Dcn_store.Store.open_store}, with its [Failure] on an unusable
+    directory (a regular file in the way) as [Error "store: ..."]. *)
+
+val setup_store : string option -> bool -> (bool, string) result
+(** Install the shared store from (--cache-dir, --no-cache); [Ok true]
+    when caching is active. Front ends print the error as
+    ["<tool>: store: ..."] and exit 2. *)
 
 val report_cache_stats : unit -> unit
 (** Print the shared store's hit/miss counters, if one is installed. *)

@@ -13,7 +13,9 @@
 
     The experiment drivers regenerating the paper's figures live in
     {!Experiments}, {!Hetero_experiments}, {!Vl2_study},
-    {!Packet_experiments} and {!Ablations}. *)
+    {!Packet_experiments} and {!Ablations}; {!Figures} is their one
+    registry, with the compute/record/replay pipeline both figure front
+    ends share. *)
 
 (* Substrate re-exports. *)
 module Graph = Dcn_graph.Graph
@@ -75,3 +77,4 @@ module Hetero_experiments = Hetero_experiments
 module Vl2_study = Vl2_study
 module Packet_experiments = Packet_experiments
 module Ablations = Ablations
+module Figures = Figures

@@ -289,10 +289,10 @@ let rec mkdir_p dir =
     if parent <> dir then mkdir_p parent;
     (* A concurrent creator is fine; only fail if the path still isn't a
        directory afterwards. *)
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-    if not (try Sys.is_directory dir with Sys_error _ -> false) then
-      raise (Sys_error (Printf.sprintf "cannot create directory %s" dir))
-  end
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end;
+  if not (try Sys.is_directory dir with Sys_error _ -> false) then
+    raise (Sys_error (Printf.sprintf "cannot create directory %s" dir))
 
 let staged_seq = Atomic.make 0
 

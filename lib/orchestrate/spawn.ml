@@ -120,6 +120,16 @@ let endpoint ?(wait_s = 30.0) p =
   in
   go 0.0
 
+let endpoints procs =
+  let rec await acc = function
+    | [] -> Ok (List.rev acc)
+    | p :: rest -> (
+        match endpoint p with
+        | Ok e -> await (e :: acc) rest
+        | Error msg -> Error msg)
+  in
+  await [] procs
+
 let kill p =
   if not p.reaped then
     try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ()

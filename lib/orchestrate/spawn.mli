@@ -42,6 +42,9 @@ val endpoint : ?wait_s:float -> proc -> (Worker.endpoint, string) result
     daemon publishes its port; fails early — with the log tail — if the
     process exits first. *)
 
+val endpoints : proc list -> (Worker.endpoint list, string) result
+(** {!endpoint} of every worker, in order; the first failure wins. *)
+
 val running : proc -> bool
 (** Liveness via [waitpid WNOHANG]; collects the status of an exited
     worker as a side effect. *)

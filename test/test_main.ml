@@ -23,6 +23,7 @@ let () =
       Test_structured_topologies.suite;
       Test_io.suite;
       Test_store.suite;
+      Test_figures.suite;
       Test_vlb.suite;
       Test_edge_cases.suite;
       Test_resilience.suite;
