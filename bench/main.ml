@@ -75,7 +75,8 @@ let mkdir_p dir =
   try Dcn_obs.Json.mkdir_p dir with Sys_error msg -> fail "%s" msg
 
 (* Print a finished figure as one block (title, table, timing) and write
-   its CSV. Rendered strings keep parallel output un-interleaved. *)
+   its CSV; the atomic write means a killed run never leaves a truncated
+   CSV behind. *)
 let emit_figure ~csv_dir (r : Figures.result) =
   let name = r.Figures.figure.Figures.name in
   let title = Printf.sprintf "%s — %s" name r.Figures.figure.Figures.description in
