@@ -1,3 +1,4 @@
+module Metrics = Dcn_obs.Metrics
 module Trace = Dcn_obs.Trace
 module Json = Dcn_obs.Json
 
@@ -79,20 +80,26 @@ let congestion ~cap flow =
   done;
   !mu
 
-let primal_bound ~phases ~mu = float_of_int phases /. mu
-
 (* The primal value plateaus at roughly λ*(1 - O(eps)), so when the gap
    stalls for [stall_window] phases the loop halves eps, down to [min_eps]. *)
 let stall_window = 30
 let min_eps = 0.0125
 let warm_eps params seed_eps = Float.max min_eps (Float.min params.eps seed_eps)
 
-type stats = { mutable dual_checks : int; mutable eps_halvings : int }
+type stats = {
+  mutable routed : int;
+  mutable dual_checks : int;
+  mutable eps_halvings : int;
+}
 
-let new_stats () = { dual_checks = 0; eps_halvings = 0 }
-
-let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~phases
-    ~best_dual ~finish =
+let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
+    ~phases ~best_dual ~finish =
+  (* The primal certificate of [phases] shipped phases: [(μ, λ_lo)]. *)
+  let primal phases =
+    let mu = congestion ~cap flow in
+    (mu, float_of_int phases /. mu)
+  in
+  let met ratio = ratio <= 1.0 +. params.gap in
   let rec phase_loop phases best_dual last_ratio stalled =
     (* Deadline check between phases: all flow and length state is
        consistent here, so [Cancelled] aborts with no partial phase. *)
@@ -103,8 +110,8 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~phases
     route ();
     rescale_lengths lengths;
     let phases = phases + 1 in
-    let mu = congestion ~cap flow in
-    let lambda_lo = primal_bound ~phases ~mu in
+    stats.routed <- stats.routed + 1;
+    let mu, lambda_lo = primal phases in
     stats.dual_checks <- stats.dual_checks + 1;
     let best_dual =
       Float.min best_dual
@@ -118,7 +125,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~phases
       Trace.instant ~cat "dual_check" ~args;
       Trace.end_span sp_phase ~args
     end;
-    let converged = ratio <= 1.0 +. params.gap in
+    let converged = met ratio in
     (* Out of budget, the interval is still a valid certificate, just
        wider than asked; callers can inspect [converged] and the realized
        gap. *)
@@ -138,7 +145,23 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~phases
       else phase_loop phases best_dual last_ratio stalled
     end
   in
-  phase_loop phases best_dual infinity 0
+  if phases = 0 then phase_loop 0 best_dual infinity 0
+  else begin
+    (* An inherited ledger is judged before any phase is routed: within
+       the gap it certifies as is. Inherited flow that misses by more than
+       twice the gap is dead weight: the loop would need about
+       inherited·(excess/gap) phases just to dilute its congestion, so it
+       is dropped and only the (still valid) dual bound is kept. *)
+    let mu, lambda_lo = primal phases in
+    let ratio = best_dual /. lambda_lo in
+    if mu > 0.0 && met ratio then
+      finish ~phases ~lo:lambda_lo ~hi:best_dual ~mu ~converged:true
+    else if ratio > 1.0 +. (2.0 *. params.gap) then begin
+      restart ();
+      phase_loop 0 best_dual infinity 0
+    end
+    else phase_loop phases best_dual infinity 0
+  end
 
 let result ~scale ~flow ~phases ~lo ~hi ~mu ~converged =
   let arc_flow =
@@ -151,3 +174,62 @@ let result ~scale ~flow ~phases ~lo ~hi ~mu ~converged =
     phases;
     converged;
   }
+
+(* Solver-internal observability. Counters are flushed once per solve,
+   never inside the per-arc routing loops, so disabled instrumentation
+   costs one branch per solve. *)
+type solver = {
+  cat : string;
+  m_solves : Metrics.counter;
+  m_phases : Metrics.counter;
+  m_dual_checks : Metrics.counter;
+  m_eps_halvings : Metrics.counter;
+  m_unconverged : Metrics.counter;
+  m_cancelled : Metrics.counter;
+  m_last_gap : Metrics.gauge;
+  m_solve_s : Metrics.histogram;
+}
+
+let solver cat =
+  let counter name = Metrics.counter (cat ^ "." ^ name) in
+  {
+    cat;
+    m_solves = counter "solves";
+    m_phases = counter "phases";
+    m_dual_checks = counter "dual_checks";
+    m_eps_halvings = counter "eps_halvings";
+    m_unconverged = counter "unconverged";
+    m_cancelled = counter "cancelled";
+    m_last_gap = Metrics.gauge (cat ^ ".last_gap");
+    m_solve_s = Metrics.histogram (cat ^ ".solve_s");
+  }
+
+let solve solver ~result ?(flush = ignore) f =
+  let sp = Trace.begin_span ~cat:"solver" (solver.cat ^ ".solve") in
+  let t0 = Dcn_obs.Clock.now_ns () in
+  let stats = { routed = 0; dual_checks = 0; eps_halvings = 0 } in
+  match f stats with
+  | x ->
+      let r = result x in
+      let gap = (r.lambda_upper /. r.lambda_lower) -. 1.0 in
+      if Metrics.enabled () then begin
+        Metrics.incr solver.m_solves;
+        Metrics.add solver.m_phases stats.routed;
+        Metrics.add solver.m_dual_checks stats.dual_checks;
+        Metrics.add solver.m_eps_halvings stats.eps_halvings;
+        if not r.converged then Metrics.incr solver.m_unconverged;
+        Metrics.set solver.m_last_gap gap;
+        flush x;
+        Metrics.observe solver.m_solve_s (Dcn_obs.Clock.elapsed_s t0)
+      end;
+      Trace.end_span sp
+        ~args:
+          [ ("phases", Json.Int r.phases);
+            ("gap", Json.Num gap);
+            ("converged", Json.Bool r.converged) ];
+      x
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (match e with Cancelled -> Metrics.incr solver.m_cancelled | _ -> ());
+      Trace.end_span sp;
+      Printexc.raise_with_backtrace e bt

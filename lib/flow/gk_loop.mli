@@ -63,25 +63,22 @@ val volume : cap:float array -> float array -> float
 val dual_bound : volume:float -> alpha:float -> float
 (** [volume / alpha], or [infinity] when that is not positive. *)
 
-val congestion : cap:float array -> float array -> float
-(** Peak [flowₐ / capₐ] over usable arcs. *)
-
-val primal_bound : phases:int -> mu:float -> float
-(** [phases / mu]. *)
-
 val warm_eps : params -> float -> float
 (** The step a warm start resumes at: the seed's reached step, clamped
     to the requested one and the halving floor. *)
 
-type stats = { mutable dual_checks : int; mutable eps_halvings : int }
-
-val new_stats : unit -> stats
+type stats = {
+  mutable routed : int;  (** Phases this call routed. *)
+  mutable dual_checks : int;
+  mutable eps_halvings : int;
+}
+(** Per-solve tallies, created by {!solve}. *)
 
 val run :
   cat:string -> params:params -> stats:stats -> eps:float ref ->
   cap:float array -> flow:float array -> lengths:float array ->
-  route:(unit -> unit) -> alpha:(unit -> float) -> phases:int ->
-  best_dual:float ->
+  route:(unit -> unit) -> alpha:(unit -> float) -> restart:(unit -> unit) ->
+  phases:int -> best_dual:float ->
   finish:(phases:int -> lo:float -> hi:float -> mu:float ->
           converged:bool -> 'a) ->
   'a
@@ -89,6 +86,14 @@ val run :
     (0 and [infinity] cold) until the gap or the budget, then [finish]
     with the certified phases, [λ_lo], [λ_hi], [μ] and whether the gap
     was met.
+
+    With [phases > 0] (a delta-solve's inherited flow, every commodity
+    having shipped [phases·dⱼ]) the loop first checks the inherited
+    certificate. At [λ_hi / λ_lo ≤ 1 + gap] it finishes with no new
+    phase. Above [1 + 2·gap] the inherited flow is dead weight: the loop
+    calls [restart], which must zero [flow] and reset [lengths] and
+    [eps], and runs from 0 phases, keeping [best_dual]. [restart] is
+    called at most once, and only then.
 
     A phase checks for cancellation, calls [route] (ship every
     commodity's scaled demand into [flow], growing [lengths] by [!eps]),
@@ -101,3 +106,24 @@ val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->
   mu:float -> converged:bool -> result
 (** The interval in unscaled units and the flow divided by [mu]. *)
+
+(** {1 One solve} *)
+
+type solver
+(** A solver's trace name and its shared counters. *)
+
+val solver : string -> solver
+(** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed,
+    inherited ones excluded), [<cat>.dual_checks], [<cat>.eps_halvings],
+    [<cat>.unconverged], [<cat>.cancelled], gauge [<cat>.last_gap] and
+    histogram [<cat>.solve_s]. *)
+
+val solve :
+  solver -> result:('a -> result) -> ?flush:('a -> unit) ->
+  (stats -> 'a) -> 'a
+(** [solve solver ~result f] runs [f] on fresh {!stats} inside a
+    ["<cat>.solve"] span (trace category ["solver"], args: phases,
+    achieved gap, converged) and, with metrics on, flushes the shared
+    counters, then [flush] for the solver's own, then the timer. A
+    {!Cancelled} solve bumps [<cat>.cancelled]; any exception closes the
+    span and is re-raised. *)

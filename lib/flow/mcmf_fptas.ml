@@ -1,24 +1,13 @@
 open Dcn_graph
 module Metrics = Dcn_obs.Metrics
-module Trace = Dcn_obs.Trace
-module Json = Dcn_obs.Json
 
-(* Solver-internal observability. Counters are flushed once per solve (or
-   bumped on events that already cost a full sweep), never inside the
-   per-arc routing loops, so disabled instrumentation costs one branch per
-   solve; Dijkstra-level work (heap pops, arcs relaxed) is accounted by
+(* The shared [fptas.*] counters are {!Gk_loop.solve}'s; the routing
+   counters below are flushed through its hook, once per solve.
+   Dijkstra-level work (heap pops, arcs relaxed) is accounted by
    {!Dcn_graph.Dijkstra} itself. *)
-let m_solves = Metrics.counter "fptas.solves"
-let m_phases = Metrics.counter "fptas.phases"
-let m_dual_checks = Metrics.counter "fptas.dual_checks"
+let fptas = Gk_loop.solver "fptas"
 let m_tree_rebuilds = Metrics.counter "fptas.tree_rebuilds"
 let m_paths_reused = Metrics.counter "fptas.paths_reused"
-let m_eps_halvings = Metrics.counter "fptas.eps_halvings"
-let m_unconverged = Metrics.counter "fptas.unconverged"
-let m_last_gap = Metrics.gauge "fptas.last_gap"
-let m_solve_s = Metrics.histogram "fptas.solve_s"
-
-let m_cancelled = Metrics.counter "fptas.cancelled"
 
 (* Warm-start accounting. [fptas.phases_saved] is an estimate: the
    producing solve's certified phase count minus the phases this call
@@ -112,19 +101,18 @@ let demand_scale g commodities =
   (* After scaling demands by [bound], the Theorem-1 bound on λ* becomes 1. *)
   Float.max 1e-30 bound
 
-(* Cheap per-solve event tallies, flushed to the registry by the [run]
-   wrapper. [o_mode] records what the solve actually did (0 = cold, 1 =
+(* Cheap per-solve event tallies, flushed to the registry by [run].
+   [o_mode] records what the solve actually did (0 = cold, 1 =
    length-seeded warm start, 2 = delta-solve), [o_inherited] the seed's
    certified phase count. *)
 type obs = {
-  o_loop : Gk_loop.stats;
   mutable o_tree_rebuilds : int;
   mutable o_paths_reused : int;
   mutable o_mode : int;
   mutable o_inherited : int;
 }
 
-let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
+let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   Gk_loop.validate params;
   if Array.length commodities = 0 then invalid_arg "Mcmf_fptas: no commodities";
   let n = Graph.n g in
@@ -212,17 +200,6 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
           if c > 0.0 && seed > 0.0 then lengths.(a) <- seed)
         arc_cap
   | None -> ());
-  (* A fine step inherited from the seed is the right pace only while we
-     also keep the seed's lengths: a restart from the cold floor should
-     pace itself like a cold solve. Each eps halving roughly doubles the
-     phases to a given gap, so restarting at the seed's halved eps would
-     make the fallback *slower* than the cold solve it is meant to beat.
-     Reset the step and recompute the matching floor. *)
-  let cold_restart_lengths () =
-    sp_valid := false;
-    eps := params.eps;
-    Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths
-  in
   let flow = Array.make m_all 0.0 in
   (* Per-group flow tracking, requested by callers that want the returned
      warm state to support delta-solves. Kept out of the per-arc routing
@@ -232,6 +209,20 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
     if track_groups then
       Some (Array.init ngroups (fun _ -> Array.make m_all 0.0))
     else None
+  in
+  (* Drop every shipped phase and restart from cold-floor lengths. A fine
+     step inherited from the seed is the right pace only while we also
+     keep the seed's lengths: a restart from the cold floor should pace
+     itself like a cold solve. Each eps halving roughly doubles the phases
+     to a given gap, so restarting at the seed's halved eps would make the
+     fallback *slower* than the cold solve it is meant to beat. Reset the
+     step and recompute the matching floor. *)
+  let restart () =
+    Array.fill flow 0 m_all 0.0;
+    Option.iter (Array.iter (fun f -> Array.fill f 0 m_all 0.0)) gflow;
+    sp_valid := false;
+    eps := params.eps;
+    Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths
   in
   let cur_gflow = ref None in
   let tree =
@@ -368,7 +359,6 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
     sp_valid := true;
     !alpha
   in
-  let congestion () = Gk_loop.congestion ~cap:arc_cap flow in
   (* ---- delta-solve preparation ----
 
      After masking the failed arcs, the inherited primal certificate is
@@ -379,7 +369,8 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
      bottleneck — and re-route only the peeled shipments. Everything else
      (the overwhelming majority of the flow after a small failure) is kept
      in place, so the surviving congestion is essentially the baseline's
-     and the precheck below usually re-certifies with zero new phases.
+     and {!Gk_loop.run}'s inherited-certificate check usually
+     re-certifies with zero new phases.
      The seed's dual bound survives too: removing capacity can only lower
      λ*, so any upper bound for the unmasked instance still upper-bounds
      the masked one.
@@ -392,7 +383,7 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
      while the carried dual bound stays valid and cuts the convergence
      tail, so the fallback is measurably {e faster} than a cold solve.) *)
   let cold_lengths_carry_dual (w : warm_state) =
-    cold_restart_lengths ();
+    restart ();
     (0, w.w_dual)
   in
   let start_phases, start_dual =
@@ -421,101 +412,62 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
             let absorb = Array.make n 0.0 in
             let removed = Array.make n 0.0 in
             let is_dst = Array.make n false in
-            (* Walk backward from [u0] to [s] along in-arcs with positive
-               flow. Directed flow cycles met on the way are cancelled
-               (pure congestion, no shipment) and the walk restarts; each
-               cancellation zeroes at least one arc, so this terminates.
-               Returns the path length, or -1 when conservation dust left
-               the walk stuck. *)
-            let rec back_walk f s u0 =
-              let k = ref 0 and u = ref u0 in
-              let stuck = ref false and cycled = ref false in
-              nodes_b.(0) <- u0;
-              pos.(u0) <- 0;
-              while !u <> s && (not !stuck) && not !cycled do
-                let b = ref (-1) in
-                let idx = ref adj_off.(!u) in
-                let hi = adj_off.(!u + 1) in
-                while !b < 0 && !idx < hi do
-                  let cand = arc_rev.(adj_arc.(!idx)) in
-                  if f.(cand) > 0.0 then b := cand else incr idx
-                done;
-                if !b < 0 then stuck := true
-                else begin
-                  let pu = arc_src.(!b) in
-                  if pos.(pu) >= 0 then begin
-                    (* Cycle pu → u_k → … → u_j = pu: arc [b] plus the
-                       already-collected arcs from step [pos pu] on. *)
-                    let j = pos.(pu) in
-                    let c = ref f.(!b) in
-                    for i = j to !k - 1 do
-                      c := Float.min !c f.(arcs_b.(i))
-                    done;
-                    f.(!b) <- f.(!b) -. !c;
-                    for i = j to !k - 1 do
-                      f.(arcs_b.(i)) <- f.(arcs_b.(i)) -. !c
-                    done;
-                    cycled := true
-                  end
-                  else begin
-                    arcs_b.(!k) <- !b;
-                    incr k;
-                    nodes_b.(!k) <- pu;
-                    pos.(pu) <- !k;
-                    u := pu
-                  end
-                end
-              done;
-              for i = 0 to !k do
-                pos.(nodes_b.(i)) <- -1
-              done;
-              if !stuck then -1
-              else if !cycled then back_walk f s u0
-              else !k
-            in
-            (* Walk forward from [v0] along out-arcs with positive flow
-               until a destination with remaining absorption; same cycle
-               cancellation. Returns (length, terminal) — terminal = -1
-               when stuck on dust. *)
-            let rec fwd_walk f v0 =
-              let k = ref 0 and v = ref v0 and t = ref (-1) in
-              let stuck = ref false and cycled = ref false in
-              nodes_f.(0) <- v0;
+            (* Walk from [v0] along arcs with positive flow into [nodes] /
+               [arcs]: backward along in-arcs until [s], or with [fwd]
+               forward along out-arcs until a destination with remaining
+               absorption. Directed flow cycles met on the way are
+               cancelled (pure congestion, no shipment) and the walk
+               restarts; each cancellation zeroes at least one arc, so this
+               terminates. Returns the path length [k] (the walk ends at
+               [nodes.(k)]), or -1 when conservation dust left it stuck. *)
+            let rec walk ~fwd f s nodes arcs v0 =
+              let k = ref 0 and v = ref v0 in
+              let stop = ref false and stuck = ref false
+              and cycled = ref false in
+              nodes.(0) <- v0;
               pos.(v0) <- 0;
-              while !t < 0 && (not !stuck) && not !cycled do
-                if is_dst.(!v) && absorb.(!v) > 0.0 then t := !v
+              while not !stop do
+                let u = !v in
+                if (if fwd then is_dst.(u) && absorb.(u) > 0.0 else u = s)
+                then stop := true
                 else begin
-                  let o = ref (-1) in
-                  let idx = ref adj_off.(!v) in
-                  let hi = adj_off.(!v + 1) in
-                  while !o < 0 && !idx < hi do
-                    let cand = adj_arc.(!idx) in
-                    if f.(cand) > 0.0 then o := cand else incr idx
+                  let b = ref (-1) in
+                  let idx = ref adj_off.(u) in
+                  let hi = adj_off.(u + 1) in
+                  while !b < 0 && !idx < hi do
+                    let out = adj_arc.(!idx) in
+                    let cand = if fwd then out else arc_rev.(out) in
+                    if f.(cand) > 0.0 then b := cand else incr idx
                   done;
-                  if !o < 0 then begin
+                  if !b < 0 then begin
                     (* No onward flow: a destination whose analytic
-                       absorption was exhausted by float dust, or — only
-                       via dust — a dead end. Either way, stop here. *)
-                    if is_dst.(!v) then t := !v else stuck := true
+                       absorption was exhausted by float dust ends a
+                       forward walk; anything else is a dead end left by
+                       dust. *)
+                    stop := true;
+                    stuck := not (fwd && is_dst.(u))
                   end
                   else begin
-                    let w = arc_dst.(!o) in
+                    let w = if fwd then arc_dst.(!b) else arc_src.(!b) in
                     if pos.(w) >= 0 then begin
+                      (* Cycle w → … → u → w: arc [b] plus the
+                         already-collected arcs from step [pos w] on. *)
                       let j = pos.(w) in
-                      let c = ref f.(!o) in
+                      let c = ref f.(!b) in
                       for i = j to !k - 1 do
-                        c := Float.min !c f.(arcs_f.(i))
+                        c := Float.min !c f.(arcs.(i))
                       done;
-                      f.(!o) <- f.(!o) -. !c;
+                      f.(!b) <- f.(!b) -. !c;
                       for i = j to !k - 1 do
-                        f.(arcs_f.(i)) <- f.(arcs_f.(i)) -. !c
+                        f.(arcs.(i)) <- f.(arcs.(i)) -. !c
                       done;
+                      stop := true;
                       cycled := true
                     end
                     else begin
-                      arcs_f.(!k) <- !o;
+                      arcs.(!k) <- !b;
                       incr k;
-                      nodes_f.(!k) <- w;
+                      nodes.(!k) <- w;
                       pos.(w) <- !k;
                       v := w
                     end
@@ -523,11 +475,11 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
                 end
               done;
               for i = 0 to !k do
-                pos.(nodes_f.(i)) <- -1
+                pos.(nodes.(i)) <- -1
               done;
-              if !cycled then fwd_walk f v0
-              else if !stuck then (-1, -1)
-              else (!k, !t)
+              if !cycled then walk ~fwd f s nodes arcs v0
+              else if !stuck then -1
+              else !k
             in
             (* Peel one group's flow copy [f] off every failed arc,
                crediting peeled amounts to [removed] per destination. *)
@@ -535,14 +487,15 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
               List.iter
                 (fun a ->
                   while f.(a) > 0.0 do
-                    let bl = back_walk f s arc_src.(a) in
+                    let bl = walk ~fwd:false f s nodes_b arcs_b arc_src.(a) in
                     if bl < 0 then
                       (* Conservation dust (≲1e-9 relative): discard. *)
                       f.(a) <- 0.0
                     else begin
-                      let fl, t = fwd_walk f arc_dst.(a) in
+                      let fl = walk ~fwd:true f s nodes_f arcs_f arc_dst.(a) in
                       if fl < 0 then f.(a) <- 0.0
                       else begin
+                        let t = nodes_f.(fl) in
                         let amt = ref f.(a) in
                         for i = 0 to bl - 1 do
                           amt := Float.min !amt f.(arcs_b.(i))
@@ -554,8 +507,8 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
                           amt := Float.min !amt absorb.(t);
                         let c = !amt in
                         (* [c] can be 0 when a cycle cancellation inside
-                           [fwd_walk] zeroed a back-path arc; the next
-                           walk routes around it. *)
+                           the forward walk zeroed a back-path arc; the
+                           next walk routes around it. *)
                         if c > 0.0 then begin
                           f.(a) <- f.(a) -. c;
                           for i = 0 to bl - 1 do
@@ -653,7 +606,7 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
                       alpha := !alpha +. (d *. t.Dijkstra.dist.(dst)))
                     dests)
                 groups;
-              obs.o_loop.dual_checks <- obs.o_loop.dual_checks + 1;
+              stats.Gk_loop.dual_checks <- stats.Gk_loop.dual_checks + 1;
               let fresh =
                 Gk_loop.dual_bound
                   ~volume:(Gk_loop.volume ~cap:arc_cap lengths)
@@ -677,10 +630,6 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
             end)
     | _ -> (0, infinity)
   in
-  (* Phases inherited from the seed, for the executed-phase ledger. The
-     precheck-failure fallback below zeroes it when it discards the
-     inherited flow. *)
-  let inherited = ref start_phases in
   let capture_groups () =
     match gflow with
     | None -> None
@@ -712,7 +661,7 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
         w_scale = scale;
         w_eps = !eps;
         w_phases = phases;
-        w_executed = phases - !inherited;
+        w_executed = stats.Gk_loop.routed;
         w_dual = hi;
         w_lengths = Array.copy lengths;
         w_groups = capture_groups ();
@@ -730,103 +679,25 @@ let solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities =
       groups;
     sp_valid := false
   in
-  (* With the surviving flow restored and the stripped groups re-shipped,
-     the inherited primal certificate is whole again: every commodity has
-     shipped [start_phases · d_j]. Check it against the (already computed)
-     dual before paying for any new phase — single-link failures usually
-     converge right here, with zero phases routed beyond the repair. *)
-  let precheck =
-    if start_phases > 0 then begin
-      let mu = congestion () in
-      if mu > 0.0 then begin
-        let lambda_lo = Gk_loop.primal_bound ~phases:start_phases ~mu in
-        if start_dual /. lambda_lo <= 1.0 +. params.gap then
-          Some
-            (finish ~phases:start_phases ~lo:lambda_lo ~hi:start_dual ~mu
-               ~converged:true)
-        else None
-      end
-      else None
-    end
-    else None
-  in
-  match precheck with
-  | Some st -> st
-  | None ->
-      (* Inherited flow that fails the precheck by a wide margin is dead
-         weight: the phase loop would need ~inherited·(excess/gap) phases
-         just to dilute its congestion. Past 2× the target gap, drop the
-         primal mass and keep only the (still valid) lengths and dual —
-         the solve degrades to a length-seeded warm start instead of
-         grinding. *)
-      let start_phases, start_dual =
-        if start_phases > 0 then begin
-          let mu = congestion () in
-          let lambda_lo =
-            if mu > 0.0 then Gk_loop.primal_bound ~phases:start_phases ~mu
-            else infinity
-          in
-          if start_dual /. lambda_lo > 1.0 +. (2.0 *. params.gap) then begin
-            Array.fill flow 0 m_all 0.0;
-            (match gflow with
-            | Some gf -> Array.iter (fun f -> Array.fill f 0 m_all 0.0) gf
-            | None -> ());
-            cold_restart_lengths ();
-            inherited := 0;
-            (0, start_dual)
-          end
-          else (start_phases, start_dual)
-        end
-        else (start_phases, start_dual)
-      in
-      Gk_loop.run ~cat:"fptas" ~params ~stats:obs.o_loop ~eps ~cap:arc_cap
-        ~flow ~lengths ~route ~alpha ~phases:start_phases ~best_dual:start_dual
-        ~finish
+  Gk_loop.run ~cat:"fptas" ~params ~stats ~eps ~cap:arc_cap ~flow ~lengths
+    ~route ~alpha ~restart ~phases:start_phases ~best_dual:start_dual ~finish
 
 let run ~params ~warm ~failed ~track_groups g commodities =
-  let sp = Trace.begin_span ~cat:"solver" "fptas.solve" in
-  let t0 = Dcn_obs.Clock.now_ns () in
   let obs =
-    {
-      o_loop = Gk_loop.new_stats ();
-      o_tree_rebuilds = 0;
-      o_paths_reused = 0;
-      o_mode = 0;
-      o_inherited = 0;
-    }
+    { o_tree_rebuilds = 0; o_paths_reused = 0; o_mode = 0; o_inherited = 0 }
   in
-  match solve_impl ~params ~obs ~warm ~failed ~track_groups g commodities with
-  | st ->
-      let r = st.result in
-      let executed = st.warm.w_executed in
-      let gap = (r.lambda_upper /. r.lambda_lower) -. 1.0 in
-      if Metrics.enabled () then begin
-        Metrics.incr m_solves;
-        Metrics.add m_phases executed;
-        Metrics.add m_dual_checks obs.o_loop.dual_checks;
-        Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
-        Metrics.add m_paths_reused obs.o_paths_reused;
-        Metrics.add m_eps_halvings obs.o_loop.eps_halvings;
-        if obs.o_mode >= 1 then begin
-          Metrics.incr m_warm_starts;
-          Metrics.add m_phases_saved (max 0 (obs.o_inherited - executed))
-        end;
-        if obs.o_mode = 2 then Metrics.incr m_delta_solves;
-        if not r.converged then Metrics.incr m_unconverged;
-        Metrics.set m_last_gap gap;
-        Metrics.observe m_solve_s (Dcn_obs.Clock.elapsed_s t0)
-      end;
-      Trace.end_span sp
-        ~args:
-          [ ("phases", Json.Int r.phases);
-            ("gap", Json.Num gap);
-            ("converged", Json.Bool r.converged) ];
-      st
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      (match e with Cancelled -> Metrics.incr m_cancelled | _ -> ());
-      Trace.end_span sp;
-      Printexc.raise_with_backtrace e bt
+  let flush st =
+    Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
+    Metrics.add m_paths_reused obs.o_paths_reused;
+    if obs.o_mode >= 1 then begin
+      Metrics.incr m_warm_starts;
+      Metrics.add m_phases_saved
+        (max 0 (obs.o_inherited - st.warm.w_executed))
+    end;
+    if obs.o_mode = 2 then Metrics.incr m_delta_solves
+  in
+  Gk_loop.solve fptas ~result:(fun st -> st.result) ~flush (fun stats ->
+      solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities)
 
 let solve ?(params = default_params) g commodities =
   (run ~params ~warm:None ~failed:None ~track_groups:false g commodities).result

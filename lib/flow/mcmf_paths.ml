@@ -1,7 +1,4 @@
 open Dcn_graph
-module Metrics = Dcn_obs.Metrics
-module Trace = Dcn_obs.Trace
-module Json = Dcn_obs.Json
 
 type commodity = {
   src : int;
@@ -96,13 +93,9 @@ let demand_scale g commodities { com_off; path_off; _ } =
     commodities;
   Float.max 1e-30 (capacity /. Float.max 1.0 !weighted_hops)
 
-(* Solver-internal observability, flushed once per solve as in
-   Mcmf_fptas; the per-path loops never touch the registry. *)
-let m_solves = Metrics.counter "paths.solves"
-let m_phases = Metrics.counter "paths.phases"
-let m_eps_halvings = Metrics.counter "paths.eps_halvings"
-let m_unconverged = Metrics.counter "paths.unconverged"
-let m_solve_s = Metrics.histogram "paths.solve_s"
+(* The shared [paths.*] counters, flushed once per solve by
+   {!Gk_loop.solve}; the per-path loops never touch the registry. *)
+let paths = Gk_loop.solver "paths"
 
 (* All loops below run over the flat store and the CSR capacity array.
    Float sums keep the order of a left fold over each path (and over arc
@@ -170,36 +163,15 @@ let solve_flat ~params ~stats g commodities store =
     !alpha
   in
   Gk_loop.run ~cat:"paths" ~params ~stats ~eps ~cap ~flow ~lengths ~route
-    ~alpha ~phases:0 ~best_dual:infinity
+    ~alpha ~restart:ignore ~phases:0 ~best_dual:infinity
     ~finish:(Gk_loop.result ~scale ~flow)
 
 let solve ?(params = Mcmf_fptas.default_params) g commodities =
   Gk_loop.validate params;
   validate g commodities;
   let store = flatten commodities in
-  let sp = Trace.begin_span ~cat:"solver" "paths.solve" in
-  let t0 = Dcn_obs.Clock.now_ns () in
-  let stats = Gk_loop.new_stats () in
-  match solve_flat ~params ~stats g commodities store with
-  | r ->
-      let gap = (r.lambda_upper /. r.lambda_lower) -. 1.0 in
-      if Metrics.enabled () then begin
-        Metrics.incr m_solves;
-        Metrics.add m_phases r.phases;
-        Metrics.add m_eps_halvings stats.Gk_loop.eps_halvings;
-        if not r.converged then Metrics.incr m_unconverged;
-        Metrics.observe m_solve_s (Dcn_obs.Clock.elapsed_s t0)
-      end;
-      Trace.end_span sp
-        ~args:
-          [ ("phases", Json.Int r.phases);
-            ("gap", Json.Num gap);
-            ("converged", Json.Bool r.converged) ];
-      r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Trace.end_span sp;
-      Printexc.raise_with_backtrace e bt
+  Gk_loop.solve paths ~result:Fun.id (fun stats ->
+      solve_flat ~params ~stats g commodities store)
 
 let lambda ?params g commodities = Gk_loop.midpoint (solve ?params g commodities)
 

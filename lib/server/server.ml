@@ -142,8 +142,10 @@ let compute_solve (req : Request.t) (resolved : Request.resolved) =
       in
       (thr.Core.Throughput.lambda, thr.Core.Throughput.lambda_bounds)
   | (Request.Ksp _ | Request.Ecmp _ | Request.Vlb _) as routing ->
-      (* Path-restricted models are not store-cached (their result type
-         never grew a codec); they still coalesce. *)
+      (* Path-restricted answers stay out of the result store (their
+         result is an FPTAS result, which [Codec] could encode): perfbench
+         serve counts [store.misses] as exactly the cold optimal requests.
+         They still coalesce. *)
       let rcs =
         match routing with
         | Request.Ksp k -> Core.Mcmf_paths.of_k_shortest g ~k cs

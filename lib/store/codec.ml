@@ -88,50 +88,6 @@ let ints_field c key =
 
 (* ---- FPTAS results ---- *)
 
-let fptas_magic = "fptas-result 1"
-
-let fptas_result_to_string (r : Mcmf_fptas.result) =
-  let buf = Buffer.create (64 + (16 * Array.length r.Mcmf_fptas.arc_flow)) in
-  Buffer.add_string buf (fptas_magic ^ "\n");
-  add_float buf "lambda_lower" r.Mcmf_fptas.lambda_lower;
-  add_float buf "lambda_upper" r.Mcmf_fptas.lambda_upper;
-  add_int buf "phases" r.Mcmf_fptas.phases;
-  add_int buf "converged" (if r.Mcmf_fptas.converged then 1 else 0);
-  add_floats buf "arc_flow" r.Mcmf_fptas.arc_flow;
-  Buffer.contents buf
-
-let fptas_result_of_string text =
-  let c = cursor text in
-  let* m = next_line c in
-  if m <> fptas_magic then None
-  else
-    let* lambda_lower = float_field c "lambda_lower" in
-    let* lambda_upper = float_field c "lambda_upper" in
-    let* phases = int_field c "phases" in
-    let* converged = int_field c "converged" in
-    let* arc_flow = floats_field c "arc_flow" in
-    Some
-      {
-        Mcmf_fptas.lambda_lower;
-        lambda_upper;
-        phases;
-        converged = converged <> 0;
-        arc_flow;
-      }
-
-(* ---- FPTAS solve states (result + warm seed) ----
-
-   The whole point of caching a state-carrying solve is that a hit must
-   reconstruct the warm state {e bit-exactly}: any later solve seeded from
-   it would otherwise depend on whether its producer was computed or
-   replayed, breaking the cache-state-independence guarantee. Every float
-   goes through {!Float_text} (exact round-trip, including the infinities
-   in tree distances), and the per-group trees are stored rather than
-   recomputed — a rebuilt tree could legally break distance ties
-   differently and steer subsequent routing onto different bits. *)
-
-let fptas_state_magic = "fptas-state 1"
-
 let add_result buf (r : Mcmf_fptas.result) =
   add_float buf "lambda_lower" r.Mcmf_fptas.lambda_lower;
   add_float buf "lambda_upper" r.Mcmf_fptas.lambda_upper;
@@ -153,6 +109,32 @@ let result_fields c =
       converged = converged <> 0;
       arc_flow;
     }
+
+let fptas_magic = "fptas-result 1"
+
+let fptas_result_to_string (r : Mcmf_fptas.result) =
+  let buf = Buffer.create (64 + (16 * Array.length r.Mcmf_fptas.arc_flow)) in
+  Buffer.add_string buf (fptas_magic ^ "\n");
+  add_result buf r;
+  Buffer.contents buf
+
+let fptas_result_of_string text =
+  let c = cursor text in
+  let* m = next_line c in
+  if m <> fptas_magic then None else result_fields c
+
+(* ---- FPTAS solve states (result + warm seed) ----
+
+   The whole point of caching a state-carrying solve is that a hit must
+   reconstruct the warm state {e bit-exactly}: any later solve seeded from
+   it would otherwise depend on whether its producer was computed or
+   replayed, breaking the cache-state-independence guarantee. Every float
+   goes through {!Float_text} (exact round-trip, including the infinities
+   in tree distances), and the per-group trees are stored rather than
+   recomputed — a rebuilt tree could legally break distance ties
+   differently and steer subsequent routing onto different bits. *)
+
+let fptas_state_magic = "fptas-state 1"
 
 let fptas_state_to_string (st : Mcmf_fptas.solve_state) =
   let w = st.Mcmf_fptas.warm in

@@ -586,6 +586,9 @@ let test_path_solver_metrics_recorded () =
           Alcotest.(check int) "paths.phases matches result"
             r.Core.Mcmf_paths.phases
             (Metrics.counter_value snap "paths.phases");
+          Alcotest.(check int) "paths.dual_checks = phases"
+            r.Core.Mcmf_paths.phases
+            (Metrics.counter_value snap "paths.dual_checks");
           Alcotest.(check int) "paths.unconverged"
             (if r.Core.Mcmf_paths.converged then 0 else 1)
             (Metrics.counter_value snap "paths.unconverged");
@@ -632,6 +635,45 @@ let test_paths_phase_spans () =
         (count "X" "phase");
       Alcotest.(check int) "dual checks = phases" r.Core.Mcmf_paths.phases
         (count "i" "dual_check"))
+
+(* Both solvers share one solve wrapper, so a deadline that fires before
+   the first phase is counted under each solver's own [cancelled] counter
+   (and nowhere else), and the solve span is still closed. *)
+let test_cancelled_solves_counted () =
+  let g, cs = fptas_instance () in
+  let params = Core.Scale.quick.Core.Scale.params in
+  let rcs = Core.Mcmf_paths.of_k_shortest g ~k:4 cs in
+  let cancelled label solve =
+    match Core.Mcmf_fptas.with_cancel (fun () -> true) solve with
+    | (_ : Core.Mcmf_fptas.result) -> Alcotest.failf "%s not cancelled" label
+    | exception Core.Mcmf_fptas.Cancelled -> ()
+  in
+  with_metrics (fun () ->
+      with_trace (fun () ->
+          cancelled "fptas" (fun () -> Core.Mcmf_fptas.solve ~params g cs);
+          cancelled "paths" (fun () -> Core.Mcmf_paths.solve ~params g rcs);
+          let snap = Metrics.snapshot () in
+          let path = temp_path ".json" in
+          Trace.write path;
+          let events = trace_events path in
+          Sys.remove path;
+          List.iter
+            (fun cat ->
+              Alcotest.(check int) (cat ^ ".cancelled") 1
+                (Metrics.counter_value snap (cat ^ ".cancelled"));
+              Alcotest.(check int) (cat ^ ".solves") 0
+                (Metrics.counter_value snap (cat ^ ".solves"));
+              let spans =
+                List.filter
+                  (fun e ->
+                    Option.bind (member "ph" e) str_opt = Some "X"
+                    && Option.bind (member "name" e) str_opt
+                       = Some (cat ^ ".solve"))
+                  events
+              in
+              Alcotest.(check int) (cat ^ ".solve span closed") 1
+                (List.length spans))
+            [ "fptas"; "paths" ]))
 
 (* ---- rendered bytes, pinned ----------------------------------------
 
@@ -751,6 +793,8 @@ let suite =
         test_solver_metrics_recorded;
       Alcotest.test_case "path solver metrics recorded" `Quick
         test_path_solver_metrics_recorded;
+      Alcotest.test_case "cancelled solves counted" `Quick
+        test_cancelled_solves_counted;
       Alcotest.test_case "histogram quantiles at bucket boundaries" `Quick
         test_histogram_quantiles;
       Alcotest.test_case "value_quantile from snapshot" `Quick
