@@ -13,9 +13,11 @@
 
     The loop stops once [λ_hi / λ_lo ≤ 1 + gap] or at the phase budget,
     and halves eps (down to a floor) when the gap stalls; both
-    certificates stay valid across a change of eps. Only the route
-    oracle is solver-specific, passed in as per-phase callbacks so the
-    per-arc loops stay in the solvers.
+    certificates stay valid across a change of eps. A delta-solve's
+    inherited certificate is judged by the same test before any phase
+    ({!run}), and {!solve} wraps every solve in one span and one set of
+    counters. Only the route oracle is solver-specific, passed in as
+    per-phase callbacks so the per-arc loops stay in the solvers.
 
     Arrays are indexed by arc id; [cap] is the graph's CSR capacities.
     Zero-capacity arcs carry length 0 throughout: they add nothing to
