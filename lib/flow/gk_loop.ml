@@ -72,14 +72,6 @@ let dual_bound ~volume ~alpha =
   let bound = volume /. alpha in
   if Float.is_nan bound || bound <= 0.0 then infinity else bound
 
-let congestion ~cap flow =
-  let mu = ref 0.0 in
-  for a = 0 to Array.length cap - 1 do
-    let c = Array.unsafe_get cap a in
-    if c > 0.0 then mu := Float.max !mu (Array.unsafe_get flow a /. c)
-  done;
-  !mu
-
 (* The primal value plateaus at roughly λ*(1 - O(eps)), so when the gap
    stalls for [stall_window] phases the loop halves eps, down to [min_eps]. *)
 let stall_window = 30
@@ -90,14 +82,108 @@ type stats = {
   mutable routed : int;
   mutable dual_checks : int;
   mutable eps_halvings : int;
+  mutable window : int;
 }
 
-let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
-    ~phases ~best_dual ~finish =
-  (* The primal certificate of [phases] shipped phases: [(μ, λ_lo)]. *)
-  let primal phases =
-    let mu = congestion ~cap flow in
-    (mu, float_of_int phases /. mu)
+(* Windowed primal certificates. Every phase ships exactly [d] for every
+   commodity, so the flow added after phase [at] is itself a
+   multicommodity flow of [(p - at)·d], certified by its own congestion.
+   Early phases route on poor lengths and dominate the whole-history
+   congestion; a window that drops them certifies sooner. [snap] holds a
+   copy of [flow] (index 0) and of each ledger taken after phase [at]. *)
+type snap = { mutable at : int; copy : float array array }
+
+(* Snapshots are taken [window_base·2^k] phases after the loop's start
+   (or its restart); the two newest are kept. *)
+let window_base = 5
+
+let run ~cat ~params ~stats ~eps ~cap ~flow ~ledgers ~lengths ~route ~alpha
+    ~restart ~phases ~best_dual ~finish =
+  let m = Array.length cap in
+  let tracked = Array.append [| flow |] ledgers in
+  let older = ref None and newer = ref None in
+  (* Phase the snapshot schedule counts from, and the next offset due. *)
+  let origin = ref phases and next_snap = ref window_base in
+  let take_snapshot phases =
+    (* Only the two newest snapshots are kept, so the third reuses the
+       oldest's buffers: no allocation after the second. *)
+    let s =
+      match !older with
+      | Some s -> s
+      | None -> { at = 0; copy = Array.map (fun _ -> Array.make m 0.0) tracked }
+    in
+    s.at <- phases;
+    Array.iteri (fun i src -> Array.blit src 0 s.copy.(i) 0 m) tracked;
+    older := !newer;
+    newer := Some s
+  in
+  let restart () =
+    restart ();
+    older := None;
+    newer := None;
+    origin := 0;
+    next_snap := window_base
+  in
+  (* An absent snapshot reads as [flow] itself: an empty window. *)
+  let snap_flow = function Some s -> s.copy.(0) | None -> flow in
+  (* [mus] = whole-history, older-window and newer-window congestion. *)
+  let mus = Array.make 3 0.0 in
+  let congestions () =
+    let so = snap_flow !older and sn = snap_flow !newer in
+    let mu = ref 0.0 and mu_o = ref 0.0 and mu_n = ref 0.0 in
+    for a = 0 to m - 1 do
+      let c = Array.unsafe_get cap a in
+      if c > 0.0 then begin
+        let f = Array.unsafe_get flow a in
+        mu := Float.max !mu (f /. c);
+        mu_o := Float.max !mu_o ((f -. Array.unsafe_get so a) /. c);
+        mu_n := Float.max !mu_n ((f -. Array.unsafe_get sn a) /. c)
+      end
+    done;
+    mus.(0) <- !mu;
+    mus.(1) <- !mu_o;
+    mus.(2) <- !mu_n
+  in
+  (* The best primal certificate after [phases] phases: [λ_lo] and the
+     winning snapshot ([None] for the whole history, which wins ties). *)
+  let lo = ref 0.0 and win = ref None and win_mu = ref 0.0 in
+  let consider phases i = function
+    | Some s when mus.(i) > 0.0 ->
+        let l = float_of_int (phases - s.at) /. mus.(i) in
+        if l > !lo then begin
+          lo := l;
+          win := Some s;
+          win_mu := mus.(i)
+        end
+    | _ -> ()
+  in
+  let certify phases =
+    congestions ();
+    lo := float_of_int phases /. mus.(0);
+    win := None;
+    win_mu := mus.(0);
+    consider phases 1 !older;
+    consider phases 2 !newer
+  in
+  let window () = match !win with Some s -> s.at | None -> 0 in
+  (* Hand the winning certificate to [finish]: a window's flow and ledgers
+     replace the whole history's in place. *)
+  let finish_with ~phases ~hi ~converged =
+    let ledger =
+      match !win with
+      | None -> phases
+      | Some s ->
+          Array.iteri
+            (fun i dst ->
+              let src = s.copy.(i) in
+              for a = 0 to m - 1 do
+                dst.(a) <- dst.(a) -. src.(a)
+              done)
+            tracked;
+          phases - s.at
+    in
+    stats.window <- window ();
+    finish ~phases ~ledger ~lo:!lo ~hi ~mu:!win_mu ~converged
   in
   let met ratio = ratio <= 1.0 +. params.gap in
   let rec phase_loop phases best_dual last_ratio stalled =
@@ -111,18 +197,22 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
     rescale_lengths lengths;
     let phases = phases + 1 in
     stats.routed <- stats.routed + 1;
-    let mu, lambda_lo = primal phases in
+    certify phases;
     stats.dual_checks <- stats.dual_checks + 1;
     let best_dual =
       Float.min best_dual
         (dual_bound ~volume:(volume ~cap lengths) ~alpha:(alpha ()))
     in
-    let ratio = best_dual /. lambda_lo in
+    let ratio = best_dual /. !lo in
     (* Trace arguments are built only when tracing is on, so a phase
        allocates nothing for them otherwise. *)
     if Trace.enabled () then begin
       let args = [ ("phase", Json.Int phases); ("ratio", Json.Num ratio) ] in
-      Trace.instant ~cat "dual_check" ~args;
+      Trace.instant ~cat "dual_check"
+        ~args:
+          (args
+          @ [ ("lo", Json.Num !lo); ("hi", Json.Num best_dual);
+              ("window", Json.Int (window ())) ]);
       Trace.end_span sp_phase ~args
     end;
     let converged = met ratio in
@@ -130,8 +220,12 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
        wider than asked; callers can inspect [converged] and the realized
        gap. *)
     if converged || phases >= params.max_phases then
-      finish ~phases ~lo:lambda_lo ~hi:best_dual ~mu ~converged
+      finish_with ~phases ~hi:best_dual ~converged
     else begin
+      if phases - !origin = !next_snap then begin
+        take_snapshot phases;
+        next_snap := 2 * !next_snap
+      end;
       (* "Meaningful progress" = the gap shrank by at least 1% of its
          distance to target this phase; anything slower counts as a stall. *)
       let progress_step = Float.max 5e-4 (0.01 *. (ratio -. 1.0 -. params.gap)) in
@@ -152,10 +246,10 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
        twice the gap is dead weight: the loop would need about
        inherited·(excess/gap) phases just to dilute its congestion, so it
        is dropped and only the (still valid) dual bound is kept. *)
-    let mu, lambda_lo = primal phases in
-    let ratio = best_dual /. lambda_lo in
-    if mu > 0.0 && met ratio then
-      finish ~phases ~lo:lambda_lo ~hi:best_dual ~mu ~converged:true
+    certify phases;
+    let ratio = best_dual /. !lo in
+    if mus.(0) > 0.0 && met ratio then
+      finish_with ~phases ~hi:best_dual ~converged:true
     else if ratio > 1.0 +. (2.0 *. params.gap) then begin
       restart ();
       phase_loop 0 best_dual infinity 0
@@ -186,6 +280,7 @@ type solver = {
   m_eps_halvings : Metrics.counter;
   m_unconverged : Metrics.counter;
   m_cancelled : Metrics.counter;
+  m_window_wins : Metrics.counter;
   m_last_gap : Metrics.gauge;
   m_solve_s : Metrics.histogram;
 }
@@ -200,6 +295,7 @@ let solver cat =
     m_eps_halvings = counter "eps_halvings";
     m_unconverged = counter "unconverged";
     m_cancelled = counter "cancelled";
+    m_window_wins = counter "window_wins";
     m_last_gap = Metrics.gauge (cat ^ ".last_gap");
     m_solve_s = Metrics.histogram (cat ^ ".solve_s");
   }
@@ -207,7 +303,7 @@ let solver cat =
 let solve solver ~result ?(flush = ignore) f =
   let sp = Trace.begin_span ~cat:"solver" (solver.cat ^ ".solve") in
   let t0 = Dcn_obs.Clock.now_ns () in
-  let stats = { routed = 0; dual_checks = 0; eps_halvings = 0 } in
+  let stats = { routed = 0; dual_checks = 0; eps_halvings = 0; window = 0 } in
   match f stats with
   | x ->
       let r = result x in
@@ -217,6 +313,7 @@ let solve solver ~result ?(flush = ignore) f =
         Metrics.add solver.m_phases stats.routed;
         Metrics.add solver.m_dual_checks stats.dual_checks;
         Metrics.add solver.m_eps_halvings stats.eps_halvings;
+        if stats.window > 0 then Metrics.incr solver.m_window_wins;
         if not r.converged then Metrics.incr solver.m_unconverged;
         Metrics.set solver.m_last_gap gap;
         flush x;

@@ -7,7 +7,14 @@
 
     - primal: after [p] phases each commodity has shipped [p·demand], so
       the flow divided by its peak congestion [μ] is feasible with
-      concurrency [λ_lo = p / μ];
+      concurrency [p / μ]. Every phase ships exactly [demand], so the
+      flow of phases [(p_w, p]] alone is a flow of [(p − p_w)·demand],
+      certified by its own congestion [μ_w]. The loop snapshots the flow
+      at [5·2^k] phases after its start and keeps the two newest, and
+      [λ_lo = max (p / μ, (p − p_w) / μ_w)] over the whole history and
+      both windows (ties go to the whole history). Early phases route on
+      poor lengths and dominate [μ]; a window that drops them certifies
+      sooner;
     - dual: any positive lengths bound [λ* ≤ D(l) / Σⱼ dⱼ·dist_l(j)] with
       [D(l) = Σₐ capₐ·lₐ] (LP duality); [λ_hi] is the smallest seen.
 
@@ -73,41 +80,59 @@ type stats = {
   mutable routed : int;  (** Phases this call routed. *)
   mutable dual_checks : int;
   mutable eps_halvings : int;
+  mutable window : int;
+      (** Start phase of the window the final certificate came from, 0 for
+          the whole history. *)
 }
 (** Per-solve tallies, created by {!solve}. *)
 
 val run :
   cat:string -> params:params -> stats:stats -> eps:float ref ->
-  cap:float array -> flow:float array -> lengths:float array ->
+  cap:float array -> flow:float array -> ledgers:float array array ->
+  lengths:float array ->
   route:(unit -> unit) -> alpha:(unit -> float) -> restart:(unit -> unit) ->
   phases:int -> best_dual:float ->
-  finish:(phases:int -> lo:float -> hi:float -> mu:float ->
+  finish:(phases:int -> ledger:int -> lo:float -> hi:float -> mu:float ->
           converged:bool -> 'a) ->
   'a
 (** Run phases from [phases] certified phases and dual bound [best_dual]
     (0 and [infinity] cold) until the gap or the budget, then [finish]
-    with the certified phases, [λ_lo], [λ_hi], [μ] and whether the gap
-    was met.
+    with the phases run, the certified ledger's length, [λ_lo], [λ_hi],
+    the ledger's congestion [μ] and whether the gap was met.
+
+    The ledger is the flow the certificate covers: every commodity [j]
+    has shipped [ledger·dⱼ] in it. When a window wins, [finish] is called
+    after the window's start snapshot is subtracted in place from [flow]
+    and from each of [ledgers] (per-arc arrays summing into [flow], e.g.
+    per-group flows), and [ledger] is the window's length; otherwise
+    [flow] and [ledgers] are the whole history and [ledger = phases].
+    Snapshot memory is two copies of [flow] and [ledgers], allocated at
+    the first two snapshots and reused after.
 
     With [phases > 0] (a delta-solve's inherited flow, every commodity
     having shipped [phases·dⱼ]) the loop first checks the inherited
     certificate. At [λ_hi / λ_lo ≤ 1 + gap] it finishes with no new
     phase. Above [1 + 2·gap] the inherited flow is dead weight: the loop
-    calls [restart], which must zero [flow] and reset [lengths] and
-    [eps], and runs from 0 phases, keeping [best_dual]. [restart] is
-    called at most once, and only then.
+    calls [restart], which must zero [flow] and [ledgers] and reset
+    [lengths] and [eps], drops its snapshots and runs from 0 phases,
+    keeping [best_dual]. [restart] is called at most once, and only then.
+    Snapshots are counted from the phase the loop starts (or restarts)
+    at.
 
     A phase checks for cancellation, calls [route] (ship every
-    commodity's scaled demand into [flow], growing [lengths] by [!eps]),
-    rescales [lengths] and takes the dual bound with [alpha ()]
-    [= Σⱼ dⱼ·dist_l(j)]. A stall halves [eps] in place. Each phase is a
-    ["phase"] span in trace category [cat], with a ["dual_check"]
-    instant. *)
+    commodity's scaled demand into [flow] and [ledgers], growing
+    [lengths] by [!eps]), rescales [lengths] and takes the dual bound
+    with [alpha ()] [= Σⱼ dⱼ·dist_l(j)]. A stall halves [eps] in place.
+    Each phase is a ["phase"] span in trace category [cat] (args: phase,
+    ratio), with a ["dual_check"] instant (args: phase, ratio, lo, hi and
+    window, the winning window's start phase or 0 for the whole
+    history). *)
 
 val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->
   mu:float -> converged:bool -> result
-(** The interval in unscaled units and the flow divided by [mu]. *)
+(** The interval in unscaled units and the flow divided by [mu]; [phases]
+    is the phases the solve ran. *)
 
 (** {1 One solve} *)
 
@@ -117,7 +142,8 @@ type solver
 val solver : string -> solver
 (** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed,
     inherited ones excluded), [<cat>.dual_checks], [<cat>.eps_halvings],
-    [<cat>.unconverged], [<cat>.cancelled], gauge [<cat>.last_gap] and
+    [<cat>.unconverged], [<cat>.cancelled], [<cat>.window_wins] (solves
+    whose certificate came from a window), gauge [<cat>.last_gap] and
     histogram [<cat>.solve_s]. *)
 
 val solve :

@@ -82,8 +82,9 @@ type result = Gk_loop.result = {
     starts the search at lengths that are already nearly optimal for the
     neighboring instance. The primal bound is never taken on trust: it is
     re-derived from the actual flow ([λ_lo = shipped-phases / μ] with [μ]
-    the measured peak congestion of the concrete flow array, so the
-    returned [arc_flow / μ] is feasible by construction). A warm-started
+    the measured peak congestion of the concrete flow array, or of a
+    window of recent phases, which ships the same per phase; see
+    {!Gk_loop}), so the returned [arc_flow] is feasible by construction. A warm-started
     solve's certificate is exactly as trustworthy as a cold one's — the
     seed can only change how fast the target gap is reached.
 
@@ -99,8 +100,9 @@ type result = Gk_loop.result = {
 
 type group_state = {
   gs_flow : float array array;
-      (** Per source group, per arc: the group's share of the raw flow.
-          Sums to the aggregate exactly. *)
+      (** Per source group, per arc: the group's share of the raw
+          (unnormalized) certified ledger, the winning window's flow when
+          a window certified [λ_lo]. Sums to the ledger's aggregate. *)
   gs_tree : Dijkstra.tree array;
       (** Per source group: full shortest-path tree at [w_lengths]. *)
 }
@@ -111,7 +113,10 @@ type warm_state = {
   w_commodities : Commodity.t array;  (** Copy of the producing demands. *)
   w_scale : float;  (** Internal demand scale (a pure change of units). *)
   w_eps : float;  (** Length step reached (after adaptive halvings). *)
-  w_phases : int;  (** Certified phase ledger of the producing solve. *)
+  w_phases : int;
+      (** Length of the certified ledger: every commodity shipped
+          [w_phases·d] (scaled) in it. The phases of the winning window,
+          or all the solve's phases when the whole history won. *)
   w_executed : int;  (** Phases the producing {e call} actually routed. *)
   w_dual : float;  (** Best dual bound at capture, in scaled units. *)
   w_lengths : float array;  (** Final arc lengths (a private copy). *)

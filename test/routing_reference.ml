@@ -292,16 +292,36 @@ let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
     let bound = !d_l /. !alpha in
     if Float.is_nan bound || bound <= 0.0 then infinity else bound
   in
-  let congestion () =
+  (* Congestion of the flow added since [base] (a flow snapshot). *)
+  let congestion base =
     let mu = ref 0.0 in
     Graph.iter_arcs g (fun a ->
         if Graph.arc_cap g a > 0.0 then
-          mu := Float.max !mu (flow.(a) /. Graph.arc_cap g a));
+          mu := Float.max !mu ((flow.(a) -. base.(a)) /. Graph.arc_cap g a));
     !mu
   in
-  let finish phases lambda_lo lambda_hi mu ~converged =
+  (* Window certificates: the flow after phases 5, 10, 20, ... as
+     [(phase, copy)], the two newest kept, oldest first. The flow shipped
+     since a snapshot at phase [p0] carries [(p - p0)·d] per commodity, so
+     it certifies [(p - p0) / its congestion]. The whole history is the
+     window from the all-zero flow at phase 0 and wins ties, then the
+     older window. *)
+  let snaps = ref [] in
+  let whole = (0, Array.make m_all 0.0) in
+  let certificate phases =
+    List.fold_left
+      (fun ((best, _, _) as acc) ((p0, _) as snap) ->
+        let mu = congestion (snd snap) in
+        let lo = float_of_int (phases - p0) /. mu in
+        if mu > 0.0 && lo > best then (lo, mu, snap) else acc)
+      (let mu = congestion (snd whole) in
+       (float_of_int phases /. mu, mu, whole))
+      !snaps
+  in
+  let finish phases lambda_lo lambda_hi mu (_, base) ~converged =
     let arc_flow =
-      if mu > 0.0 then Array.map (fun f -> f /. mu) flow else Array.copy flow
+      if mu > 0.0 then Array.mapi (fun a f -> (f -. base.(a)) /. mu) flow
+      else Array.copy flow
     in
     {
       Mcmf_paths.lambda_lower = lambda_lo *. scale;
@@ -319,15 +339,20 @@ let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
     done;
     rescale_lengths ();
     let phases = phases + 1 in
-    let mu = congestion () in
-    let lambda_lo = float_of_int phases /. mu in
+    let lambda_lo, mu, snap = certificate phases in
     let best_dual = Float.min best_dual (dual_bound ()) in
     let ratio = best_dual /. lambda_lo in
     if ratio <= 1.0 +. params.Mcmf_fptas.gap then
-      finish phases lambda_lo best_dual mu ~converged:true
+      finish phases lambda_lo best_dual mu snap ~converged:true
     else if phases >= params.Mcmf_fptas.max_phases then
-      finish phases lambda_lo best_dual mu ~converged:false
+      finish phases lambda_lo best_dual mu snap ~converged:false
     else begin
+      let rec power_of_two k = k = 1 || (k mod 2 = 0 && power_of_two (k / 2)) in
+      if phases mod 5 = 0 && power_of_two (phases / 5) then
+        snaps :=
+          (match !snaps with
+          | [ _; newer ] -> [ newer; (phases, Array.copy flow) ]
+          | l -> l @ [ (phases, Array.copy flow) ]);
       let progress_step =
         Float.max 5e-4 (0.01 *. (ratio -. 1.0 -. params.Mcmf_fptas.gap))
       in

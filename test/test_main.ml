@@ -29,6 +29,7 @@ let () =
       Test_resilience.suite;
       Test_warm.suite;
       Test_pins.suite;
+      Test_window.suite;
       Test_properties.suite;
       Test_serve.suite;
       Test_engine.suite;
