@@ -124,9 +124,9 @@ val run :
     [lengths] by [!eps]), rescales [lengths] and takes the dual bound
     with [alpha ()] [= Σⱼ dⱼ·dist_l(j)]. A stall halves [eps] in place.
     Each phase is a ["phase"] span in trace category [cat] (args: phase,
-    ratio), with a ["dual_check"] instant (args: phase, ratio, lo, hi and
-    window, the winning window's start phase or 0 for the whole
-    history). *)
+    ratio), with a ["dual_check"] instant (args: phase, ratio, lo and hi
+    in the caller's scaled units, and window, the winning window's start
+    phase or 0 for the whole history). *)
 
 val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->

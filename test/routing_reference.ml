@@ -307,6 +307,7 @@ let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
      window from the all-zero flow at phase 0 and wins ties, then the
      older window. *)
   let snaps = ref [] in
+  let rec snapshot_due p = p = 5 || (p > 5 && p mod 2 = 0 && snapshot_due (p / 2)) in
   let whole = (0, Array.make m_all 0.0) in
   let certificate phases =
     List.fold_left
@@ -347,8 +348,7 @@ let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
     else if phases >= params.Mcmf_fptas.max_phases then
       finish phases lambda_lo best_dual mu snap ~converged:false
     else begin
-      let rec power_of_two k = k = 1 || (k mod 2 = 0 && power_of_two (k / 2)) in
-      if phases mod 5 = 0 && power_of_two (phases / 5) then
+      if snapshot_due phases then
         snaps :=
           (match !snaps with
           | [ _; newer ] -> [ newer; (phases, Array.copy flow) ]
