@@ -89,43 +89,35 @@ type stats = {
    commodity, so the flow added after phase [at] is itself a
    multicommodity flow of [(p - at)·d], certified by its own congestion.
    Early phases route on poor lengths and dominate the whole-history
-   congestion; a window that drops them certifies sooner. [snap] holds a
-   copy of [flow] (index 0) and of each ledger taken after phase [at]. *)
-type snap = { mutable at : int; copy : float array array }
+   congestion; a window that drops them certifies sooner. [copy] is
+   [flow] as it stood after phase [at]. *)
+type snap = { mutable at : int; copy : float array }
 
 (* Snapshots are taken [window_base·2^k] phases after the loop's start
    (or its restart); the two newest are kept. *)
 let window_base = 5
 
-let run ~cat ~params ~stats ~eps ~cap ~flow ~ledgers ~lengths ~route ~alpha
-    ~restart ~phases ~best_dual ~finish =
+let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
+    ~phases ~best_dual ~finish =
   let m = Array.length cap in
-  let tracked = Array.append [| flow |] ledgers in
   let older = ref None and newer = ref None in
   (* Phase the snapshot schedule counts from, and the next offset due. *)
   let origin = ref phases and next_snap = ref window_base in
   let take_snapshot phases =
     (* Only the two newest snapshots are kept, so the third reuses the
-       oldest's buffers: no allocation after the second. *)
+       oldest's buffer: no allocation after the second. *)
     let s =
       match !older with
       | Some s -> s
-      | None -> { at = 0; copy = Array.map (fun _ -> Array.make m 0.0) tracked }
+      | None -> { at = 0; copy = Array.make m 0.0 }
     in
     s.at <- phases;
-    Array.iteri (fun i src -> Array.blit src 0 s.copy.(i) 0 m) tracked;
+    Array.blit flow 0 s.copy 0 m;
     older := !newer;
     newer := Some s
   in
-  let restart () =
-    restart ();
-    older := None;
-    newer := None;
-    origin := 0;
-    next_snap := window_base
-  in
   (* An absent snapshot reads as [flow] itself: an empty window. *)
-  let snap_flow = function Some s -> s.copy.(0) | None -> flow in
+  let snap_flow = function Some s -> s.copy | None -> flow in
   (* [mus] = whole-history, older-window and newer-window congestion. *)
   let mus = Array.make 3 0.0 in
   let congestions () =
@@ -166,24 +158,20 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~ledgers ~lengths ~route ~alpha
     consider phases 2 !newer
   in
   let window () = match !win with Some s -> s.at | None -> 0 in
-  (* Hand the winning certificate to [finish]: a window's flow and ledgers
-     replace the whole history's in place. *)
+  (* Hand the certified flow to [finish]: a winning window's buffer becomes
+     [flow − snapshot] in place, [flow] itself stays the whole history. *)
   let finish_with ~phases ~hi ~converged =
-    let ledger =
+    let certified =
       match !win with
-      | None -> phases
+      | None -> flow
       | Some s ->
-          Array.iteri
-            (fun i dst ->
-              let src = s.copy.(i) in
-              for a = 0 to m - 1 do
-                dst.(a) <- dst.(a) -. src.(a)
-              done)
-            tracked;
-          phases - s.at
+          for a = 0 to m - 1 do
+            s.copy.(a) <- flow.(a) -. s.copy.(a)
+          done;
+          s.copy
     in
     stats.window <- window ();
-    finish ~phases ~ledger ~lo:!lo ~hi ~mu:!win_mu ~converged
+    finish ~flow:certified ~phases ~lo:!lo ~hi ~mu:!win_mu ~converged
   in
   let met ratio = ratio <= 1.0 +. params.gap in
   let rec phase_loop phases best_dual last_ratio stalled =
@@ -251,7 +239,9 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~ledgers ~lengths ~route ~alpha
     if mus.(0) > 0.0 && met ratio then
       finish_with ~phases ~hi:best_dual ~converged:true
     else if ratio > 1.0 +. (2.0 *. params.gap) then begin
+      (* No snapshot exists yet; the schedule restarts with the phases. *)
       restart ();
+      origin := 0;
       phase_loop 0 best_dual infinity 0
     end
     else phase_loop phases best_dual infinity 0

@@ -88,45 +88,41 @@ type stats = {
 
 val run :
   cat:string -> params:params -> stats:stats -> eps:float ref ->
-  cap:float array -> flow:float array -> ledgers:float array array ->
-  lengths:float array ->
+  cap:float array -> flow:float array -> lengths:float array ->
   route:(unit -> unit) -> alpha:(unit -> float) -> restart:(unit -> unit) ->
   phases:int -> best_dual:float ->
-  finish:(phases:int -> ledger:int -> lo:float -> hi:float -> mu:float ->
-          converged:bool -> 'a) ->
+  finish:(flow:float array -> phases:int -> lo:float -> hi:float ->
+          mu:float -> converged:bool -> 'a) ->
   'a
 (** Run phases from [phases] certified phases and dual bound [best_dual]
     (0 and [infinity] cold) until the gap or the budget, then [finish]
-    with the phases run, the certified ledger's length, [λ_lo], [λ_hi],
-    the ledger's congestion [μ] and whether the gap was met.
+    with the certified flow, the phases run, [λ_lo], [λ_hi], the
+    certified flow's congestion [μ] and whether the gap was met.
 
-    The ledger is the flow the certificate covers: every commodity [j]
-    has shipped [ledger·dⱼ] in it. When a window wins, [finish] is called
-    after the window's start snapshot is subtracted in place from [flow]
-    and from each of [ledgers] (per-arc arrays summing into [flow], e.g.
-    per-group flows), and [ledger] is the window's length; otherwise
-    [flow] and [ledgers] are the whole history and [ledger = phases].
-    Snapshot memory is two copies of [flow] and [ledgers], allocated at
-    the first two snapshots and reused after.
+    The certified flow is [flow] itself when the whole history wins, and
+    the winning window's [flow − snapshot] otherwise, held in the
+    snapshot's buffer. [flow] always stays the whole history, in which
+    every commodity [j] has shipped [phases·dⱼ]: that is the ledger a
+    later delta-solve inherits. Snapshot memory is two copies of [flow],
+    allocated at the first two snapshots and reused after.
 
     With [phases > 0] (a delta-solve's inherited flow, every commodity
     having shipped [phases·dⱼ]) the loop first checks the inherited
     certificate. At [λ_hi / λ_lo ≤ 1 + gap] it finishes with no new
     phase. Above [1 + 2·gap] the inherited flow is dead weight: the loop
-    calls [restart], which must zero [flow] and [ledgers] and reset
-    [lengths] and [eps], drops its snapshots and runs from 0 phases,
-    keeping [best_dual]. [restart] is called at most once, and only then.
-    Snapshots are counted from the phase the loop starts (or restarts)
-    at.
+    calls [restart], which must zero [flow] and reset [lengths] and
+    [eps], and runs from 0 phases, keeping [best_dual]. [restart] is
+    called at most once, and only then. Snapshots are counted from the
+    phase the loop starts (or restarts) at.
 
     A phase checks for cancellation, calls [route] (ship every
-    commodity's scaled demand into [flow] and [ledgers], growing
-    [lengths] by [!eps]), rescales [lengths] and takes the dual bound
-    with [alpha ()] [= Σⱼ dⱼ·dist_l(j)]. A stall halves [eps] in place.
-    Each phase is a ["phase"] span in trace category [cat] (args: phase,
-    ratio), with a ["dual_check"] instant (args: phase, ratio, lo and hi
-    in the caller's scaled units, and window, the winning window's start
-    phase or 0 for the whole history). *)
+    commodity's scaled demand into [flow], growing [lengths] by [!eps]),
+    rescales [lengths] and takes the dual bound with [alpha ()]
+    [= Σⱼ dⱼ·dist_l(j)]. A stall halves [eps] in place. Each phase is a
+    ["phase"] span in trace category [cat] (args: phase, ratio), with a
+    ["dual_check"] instant (args: phase, ratio, lo and hi in the caller's
+    scaled units, and window, the winning window's start phase or 0 for
+    the whole history). *)
 
 val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->

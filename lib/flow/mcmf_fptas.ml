@@ -10,13 +10,12 @@ let m_tree_rebuilds = Metrics.counter "fptas.tree_rebuilds"
 let m_paths_reused = Metrics.counter "fptas.paths_reused"
 
 (* Warm-start accounting. [fptas.phases_saved] is an estimate: the
-   length of the seed's certified ledger ([w_phases], the winning
-   window's phases when a window certified it) minus the phases this call
-   actually routed — i.e. how many phases of certified flow the seed let
-   us inherit rather than re-execute. For delta-solves that is exact
-   bookkeeping (inherited phases are literally not re-run); for
-   cross-instance warm starts it is a proxy (the neighboring instance's
-   certified ledger stands in for this instance's cold cost). *)
+   producing solve's certified phase count minus the phases this call
+   actually routed — i.e. how many phases the seed let us inherit rather
+   than re-execute. For delta-solves that is exact bookkeeping (inherited
+   phases are literally not re-run); for cross-instance warm starts it is
+   a proxy (the neighboring instance's cold cost stands in for this
+   instance's). *)
 let m_warm_starts = Metrics.counter "fptas.warm_starts"
 let m_phases_saved = Metrics.counter "fptas.phases_saved"
 let m_delta_solves = Metrics.counter "fptas.delta_solves"
@@ -48,10 +47,9 @@ type result = Gk_loop.result = {
 type group_state = {
   gs_flow : float array array;
       (* per source group, per arc: the group's share of the raw
-         (unnormalized) certified ledger at capture time, the winning
-         window's flow when a window certified. Summing over groups
-         reproduces the ledger's aggregate up to float rounding (each
-         routed chunk is added to exactly one group). *)
+         (unnormalized) flow at capture time. Summing over groups
+         reproduces the aggregate flow exactly (each routed chunk is added
+         to exactly one group). *)
   gs_tree : Dijkstra.tree array;
       (* per source group: a full shortest-path tree at the captured
          lengths — the starting point for dynamic repair after a
@@ -654,9 +652,9 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         in
         Some { gs_flow = gf; gs_tree = trees }
   in
-  (* [flow] and the group ledgers hold the certified window here, every
-     commodity having shipped [ledger·d] in them. *)
-  let finish ~phases ~ledger ~lo ~hi ~mu ~converged =
+  (* The warm state keeps the whole history ([flow] and the group flows,
+     [phases·d] per commodity) even when a window certified [certified]. *)
+  let finish ~flow:certified ~phases ~lo ~hi ~mu ~converged =
     let warm_out =
       {
         w_n = n;
@@ -664,14 +662,16 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         w_commodities = Array.copy commodities;
         w_scale = scale;
         w_eps = !eps;
-        w_phases = ledger;
+        w_phases = phases;
         w_executed = stats.Gk_loop.routed;
         w_dual = hi;
         w_lengths = Array.copy lengths;
         w_groups = capture_groups ();
       }
     in
-    let result = Gk_loop.result ~scale ~flow ~phases ~lo ~hi ~mu ~converged in
+    let result =
+      Gk_loop.result ~scale ~flow:certified ~phases ~lo ~hi ~mu ~converged
+    in
     { result; warm = warm_out }
   in
   (* One phase of routing: every source group, starting on the paths the
@@ -683,9 +683,8 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       groups;
     sp_valid := false
   in
-  Gk_loop.run ~cat:"fptas" ~params ~stats ~eps ~cap:arc_cap ~flow
-    ~ledgers:(Option.value gflow ~default:[||]) ~lengths ~route ~alpha ~restart
-    ~phases:start_phases ~best_dual:start_dual ~finish
+  Gk_loop.run ~cat:"fptas" ~params ~stats ~eps ~cap:arc_cap ~flow ~lengths
+    ~route ~alpha ~restart ~phases:start_phases ~best_dual:start_dual ~finish
 
 let run ~params ~warm ~failed ~track_groups g commodities =
   let obs =

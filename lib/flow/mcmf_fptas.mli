@@ -84,9 +84,10 @@ type result = Gk_loop.result = {
     re-derived from the actual flow ([λ_lo = shipped-phases / μ] with [μ]
     the measured peak congestion of the concrete flow array, or of a
     window of recent phases, which ships the same per phase; see
-    {!Gk_loop}), so the returned [arc_flow] is feasible by construction. A warm-started
-    solve's certificate is exactly as trustworthy as a cold one's — the
-    seed can only change how fast the target gap is reached.
+    {!Gk_loop}), so the returned [arc_flow] is feasible by construction.
+    A warm-started solve's certificate is exactly as trustworthy as a
+    cold one's — the seed can only change how fast the target gap is
+    reached.
 
     For a single-failure delta-solve ({!resolve_after_failure}) the
     inherited flow is reused too: groups whose flow avoided every failed
@@ -100,9 +101,8 @@ type result = Gk_loop.result = {
 
 type group_state = {
   gs_flow : float array array;
-      (** Per source group, per arc: the group's share of the raw
-          (unnormalized) certified ledger, the winning window's flow when
-          a window certified [λ_lo]. Sums to the ledger's aggregate. *)
+      (** Per source group, per arc: the group's share of the raw flow.
+          Sums to the aggregate exactly. *)
   gs_tree : Dijkstra.tree array;
       (** Per source group: full shortest-path tree at [w_lengths]. *)
 }
@@ -114,9 +114,9 @@ type warm_state = {
   w_scale : float;  (** Internal demand scale (a pure change of units). *)
   w_eps : float;  (** Length step reached (after adaptive halvings). *)
   w_phases : int;
-      (** Length of the certified ledger: every commodity shipped
-          [w_phases·d] (scaled) in it. The phases of the winning window,
-          or all the solve's phases when the whole history won. *)
+      (** Phases of the producing solve, also when a window of recent
+          phases certified [λ_lo]: [gs_flow] ships [w_phases·d] (scaled)
+          per commodity. *)
   w_executed : int;  (** Phases the producing {e call} actually routed. *)
   w_dual : float;  (** Best dual bound at capture, in scaled units. *)
   w_lengths : float array;  (** Final arc lengths (a private copy). *)

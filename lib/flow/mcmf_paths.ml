@@ -162,9 +162,9 @@ let solve_flat ~params ~stats g commodities store =
     done;
     !alpha
   in
-  Gk_loop.run ~cat:"paths" ~params ~stats ~eps ~cap ~flow ~ledgers:[||]
-    ~lengths ~route ~alpha ~restart:ignore ~phases:0 ~best_dual:infinity
-    ~finish:(fun ~phases ~ledger:_ -> Gk_loop.result ~scale ~flow ~phases)
+  Gk_loop.run ~cat:"paths" ~params ~stats ~eps ~cap ~flow ~lengths ~route
+    ~alpha ~restart:ignore ~phases:0 ~best_dual:infinity
+    ~finish:(Gk_loop.result ~scale)
 
 let solve ?(params = Mcmf_fptas.default_params) g commodities =
   Gk_loop.validate params;
