@@ -25,11 +25,12 @@ let upper_bound_capacity_dist ~total_capacity ~dist commodities =
 
 let upper_bound_capacity g commodities =
   let pairs =
-    Array.to_list
-      (Array.map
-         (fun (c : Dcn_flow.Commodity.t) -> (c.src, c.dst, c.demand))
-         commodities)
+    Array.map
+      (fun (c : Dcn_flow.Commodity.t) -> (c.src, c.dst, c.demand))
+      commodities
   in
-  let mean_dist = Dcn_graph.Graph_metrics.weighted_pair_distance g ~pairs in
+  let mean_dist =
+    Dcn_graph.Graph_metrics.weighted_pair_distance_array g ~pairs
+  in
   let demand = Dcn_flow.Commodity.total_demand commodities in
   Dcn_graph.Graph.total_capacity g /. (mean_dist *. demand)

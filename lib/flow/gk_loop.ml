@@ -83,7 +83,14 @@ type stats = {
   mutable dual_checks : int;
   mutable eps_halvings : int;
   mutable window : int;
+  mutable route_ns : int;
+  mutable dual_ns : int;
 }
+
+(* Nanoseconds since [t0]; stage timers read the clock only when metrics
+   are on. *)
+let ns_since t0 = Int64.to_int (Int64.sub (Dcn_obs.Clock.now_ns ()) t0)
+let stage_start () = if Metrics.enabled () then Dcn_obs.Clock.now_ns () else 0L
 
 (* Windowed primal certificates. Every phase ships exactly [d] for every
    commodity, so the flow added after phase [at] is itself a
@@ -181,15 +188,19 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
     (* One span per phase: the trace's phase-span count equals the number
        of phases this call routed (cross-checked by the test suite). *)
     let sp_phase = Trace.begin_span ~cat "phase" in
+    let t0 = stage_start () in
     route ();
+    if Metrics.enabled () then stats.route_ns <- stats.route_ns + ns_since t0;
     rescale_lengths lengths;
     let phases = phases + 1 in
     stats.routed <- stats.routed + 1;
     certify phases;
     stats.dual_checks <- stats.dual_checks + 1;
+    let t0 = stage_start () in
+    let a = alpha () in
+    if Metrics.enabled () then stats.dual_ns <- stats.dual_ns + ns_since t0;
     let best_dual =
-      Float.min best_dual
-        (dual_bound ~volume:(volume ~cap lengths) ~alpha:(alpha ()))
+      Float.min best_dual (dual_bound ~volume:(volume ~cap lengths) ~alpha:a)
     in
     let ratio = best_dual /. !lo in
     (* Trace arguments are built only when tracing is on, so a phase
@@ -271,6 +282,8 @@ type solver = {
   m_unconverged : Metrics.counter;
   m_cancelled : Metrics.counter;
   m_window_wins : Metrics.counter;
+  m_route_ns : Metrics.counter;
+  m_dual_ns : Metrics.counter;
   m_last_gap : Metrics.gauge;
   m_solve_s : Metrics.histogram;
 }
@@ -286,6 +299,8 @@ let solver cat =
     m_unconverged = counter "unconverged";
     m_cancelled = counter "cancelled";
     m_window_wins = counter "window_wins";
+    m_route_ns = counter "route_ns";
+    m_dual_ns = counter "dual_ns";
     m_last_gap = Metrics.gauge (cat ^ ".last_gap");
     m_solve_s = Metrics.histogram (cat ^ ".solve_s");
   }
@@ -293,7 +308,16 @@ let solver cat =
 let solve solver ~result ?(flush = ignore) f =
   let sp = Trace.begin_span ~cat:"solver" (solver.cat ^ ".solve") in
   let t0 = Dcn_obs.Clock.now_ns () in
-  let stats = { routed = 0; dual_checks = 0; eps_halvings = 0; window = 0 } in
+  let stats =
+    {
+      routed = 0;
+      dual_checks = 0;
+      eps_halvings = 0;
+      window = 0;
+      route_ns = 0;
+      dual_ns = 0;
+    }
+  in
   match f stats with
   | x ->
       let r = result x in
@@ -304,6 +328,8 @@ let solve solver ~result ?(flush = ignore) f =
         Metrics.add solver.m_dual_checks stats.dual_checks;
         Metrics.add solver.m_eps_halvings stats.eps_halvings;
         if stats.window > 0 then Metrics.incr solver.m_window_wins;
+        Metrics.add solver.m_route_ns stats.route_ns;
+        Metrics.add solver.m_dual_ns stats.dual_ns;
         if not r.converged then Metrics.incr solver.m_unconverged;
         Metrics.set solver.m_last_gap gap;
         flush x;

@@ -83,6 +83,9 @@ type stats = {
   mutable window : int;
       (** Start phase of the window the final certificate came from, 0 for
           the whole history. *)
+  mutable route_ns : int;
+      (** Wall time in [route] ({!run}), read only with metrics on. *)
+  mutable dual_ns : int;  (** Wall time in [alpha], likewise. *)
 }
 (** Per-solve tallies, created by {!solve}. *)
 
@@ -139,8 +142,10 @@ val solver : string -> solver
 (** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed,
     inherited ones excluded), [<cat>.dual_checks], [<cat>.eps_halvings],
     [<cat>.unconverged], [<cat>.cancelled], [<cat>.window_wins] (solves
-    whose certificate came from a window), gauge [<cat>.last_gap] and
-    histogram [<cat>.solve_s]. *)
+    whose certificate came from a window), the stage timers
+    [<cat>.route_ns] and [<cat>.dual_ns] (time in {!run}'s [route] and
+    [alpha] callbacks), gauge [<cat>.last_gap] and histogram
+    [<cat>.solve_s]. *)
 
 val solve :
   solver -> result:('a -> result) -> ?flush:('a -> unit) ->

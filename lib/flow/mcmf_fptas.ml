@@ -112,6 +112,99 @@ type obs = {
   mutable o_inherited : int;
 }
 
+(* ---- the per-source fan-out ----
+
+   The dual sweep, the delta-solve's tree repairs and the captured full
+   trees each build one tree per source group at fixed lengths, so the
+   groups are independent: they run as one {!Dcn_util.Pool.run} batch over
+   contiguous chunks of groups. Every group writes only its own slots
+   (per-commodity distances, the group's own path buffer), and anything
+   summed over groups is summed afterwards by the caller in commodity
+   order, so the answer is bit-identical at any worker count. *)
+
+(* A participant's Dijkstra scratch, tree and path buffer for graphs of
+   [ws_n] nodes, one per domain in [Domain.DLS], allocated by the domain
+   that uses it: scratches allocated together on the caller put their
+   small mutable records (heap size, sweep stats) on shared cache lines,
+   which cost a 2-domain sweep all of its speedup. [ws_busy] marks a
+   workspace in use, so a second sweep on the same domain (another
+   systhread) takes a private one instead of sharing it. *)
+type workspace = {
+  ws_n : int;
+  ws_scratch : Dijkstra.scratch;
+  ws_tree : Dijkstra.tree;
+  ws_path : int array;
+  mutable ws_busy : bool;
+}
+
+let make_workspace n =
+  {
+    ws_n = n;
+    ws_scratch = Dijkstra.make_scratch n;
+    ws_tree =
+      { Dijkstra.dist = Array.make n infinity; parent_arc = Array.make n (-1) };
+    ws_path = Array.make (max 1 (n - 1)) (-1);
+    ws_busy = false;
+  }
+
+let workspace_key : workspace option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let acquire_workspace n =
+  match Domain.DLS.get workspace_key with
+  | Some ws when ws.ws_n = n && not ws.ws_busy ->
+      ws.ws_busy <- true;
+      ws
+  | Some ws when ws.ws_n = n -> make_workspace n
+  | _ ->
+      let ws = make_workspace n in
+      ws.ws_busy <- true;
+      Domain.DLS.set workspace_key (Some ws);
+      ws
+
+(* Run [kernel ws lo hi] over groups [[lo, hi)] with this domain's
+   workspace. *)
+let with_workspace n kernel lo hi =
+  let ws = acquire_workspace n in
+  match kernel ws lo hi with
+  | () -> ws.ws_busy <- false
+  | exception e ->
+      ws.ws_busy <- false;
+      raise e
+
+(* About [chunks_per_participant] chunks per participant (the pool's
+   workers plus the caller) even out trees of unequal cost. A sweep of
+   fewer than [min_parallel_work] groups × arcs (about a millisecond at
+   the ~14 ns per scanned arc measured on a 2-core VM) runs as a plain
+   loop, as it does with no workers: waking a worker and waiting for its
+   chunk costs tens of microseconds per phase, which such a sweep cannot
+   repay, and the many small solves of a figure sweep already keep every
+   domain busy. *)
+let chunks_per_participant = 8
+let min_parallel_work = 1 lsl 16
+
+let fan_out ~n ~num_arcs ~ngroups kernel =
+  let workers = Dcn_util.Pool.workers () in
+  if workers = 0 || ngroups < 2 || ngroups * num_arcs < min_parallel_work then
+    with_workspace n kernel 0 ngroups
+  else begin
+    let chunks = min ngroups (chunks_per_participant * (workers + 1)) in
+    Dcn_util.Pool.run ~total:chunks (fun c ->
+        with_workspace n kernel (c * ngroups / chunks)
+          ((c + 1) * ngroups / chunks))
+  end
+
+(* Walk the tree path from [v] up to the source into [buf] from index
+   [k] on ([buf.(0)] is the arc into the path's end when [k = 0]); return
+   the arc count. Top-level, so a walk allocates no closure. *)
+let rec tree_path ~arc_src parent_arc buf v k =
+  let a = Array.unsafe_get parent_arc v in
+  if a = -1 then k
+  else begin
+    Array.unsafe_set buf k a;
+    tree_path ~arc_src parent_arc buf (Array.unsafe_get arc_src a) (k + 1)
+  end
+
 let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   Gk_loop.validate params;
   if Array.length commodities = 0 then invalid_arg "Mcmf_fptas: no commodities";
@@ -173,14 +266,31 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       group_off.(gi + 1) <- group_off.(gi) + List.length dests)
     groups;
   let ncomm = group_off.(ngroups) in
-  (* Paths stored by the last dual sweep, one per commodity, CSR-style:
-     commodity [ci]'s arcs are [sp_arcs.(sp_off.(ci)) ..
-     sp_arcs.(sp_off.(ci + 1) - 1)] in [path_buf] order, and [sp_dist.(ci)]
-     is its length when the sweep ran. Valid ([sp_valid]) from a sweep
-     until the next routing pass, and only while lengths have not shrunk
-     since the sweep. *)
-  let sp_off = Array.make (ncomm + 1) 0 in
-  let sp_arcs = ref (Array.make (4 * ncomm) 0) in
+  (* Flat per-group and per-commodity views of [groups], which the
+     fan-out's kernels read without allocating. *)
+  let group_src = Array.map fst groups in
+  let comm_dst = Array.make ncomm 0 and comm_demand = Array.make ncomm 0.0 in
+  Array.iteri
+    (fun gi (_, dests) ->
+      List.iteri
+        (fun j (dst, d) ->
+          comm_dst.(group_off.(gi) + j) <- dst;
+          comm_demand.(group_off.(gi) + j) <- d)
+        dests)
+    groups;
+  (* Paths stored by the last dual sweep, one per commodity, in one buffer
+     per group: commodity [ci] of group [gi] has the arcs
+     [sp_arcs.(gi).(start) .. sp_arcs.(gi).(sp_end.(ci) - 1)] in
+     [path_buf] order, where [start] is 0 for the group's first commodity
+     and [sp_end.(ci - 1)] otherwise, and [sp_dist.(ci)] is its length
+     when the sweep ran. Valid ([sp_valid]) from a sweep until the next
+     routing pass, and only while lengths have not shrunk since the
+     sweep. *)
+  let sp_end = Array.make ncomm 0 in
+  let sp_arcs =
+    Array.init ngroups (fun gi ->
+        Array.make (4 * (group_off.(gi + 1) - group_off.(gi))) 0)
+  in
   let sp_dist = Array.make ncomm 0.0 in
   let sp_valid = ref false in
   let csr = Graph.csr g in
@@ -239,15 +349,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   let path_buf = Array.make (max 1 (n - 1)) (-1) in
   (* Walk the tree path into [path_buf]; return its arc count. *)
   let load_path dst =
-    let rec go v k =
-      let a = Array.unsafe_get tree.Dijkstra.parent_arc v in
-      if a = -1 then k
-      else begin
-        Array.unsafe_set path_buf k a;
-        go (Array.unsafe_get arc_src a) (k + 1)
-      end
-    in
-    go dst 0
+    tree_path ~arc_src tree.Dijkstra.parent_arc path_buf dst 0
   in
   (* Summing from the source end keeps the float addition order of the
      original list-based implementation, so staleness decisions (and hence
@@ -279,12 +381,12 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         done
     | None -> ()
   in
-  (* Copy commodity [ci]'s stored path into [path_buf]; return its arc
-     count. *)
-  let load_stored ci =
-    let off = sp_off.(ci) in
-    let k = sp_off.(ci + 1) - off in
-    Array.blit !sp_arcs off path_buf 0 k;
+  (* Copy commodity [ci] of group [gi]'s stored path into [path_buf];
+     return its arc count. *)
+  let load_stored gi ci =
+    let off = if ci = group_off.(gi) then 0 else sp_end.(ci - 1) in
+    let k = sp_end.(ci) - off in
+    Array.blit sp_arcs.(gi) off path_buf 0 k;
     k
   in
   (* Route one group's commodities, each on a path whose current length is
@@ -309,7 +411,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         in
         if Float.equal ref_dist infinity then
           invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
-        let k = if !on_tree then load_path dst else load_stored ci in
+        let k = if !on_tree then load_path dst else load_stored gi ci in
         let current_len, bottleneck = path_length_and_bottleneck k in
         if current_len > (1.0 +. !eps) *. ref_dist then begin
           (* Path is stale: rebuild the tree and retry on it. *)
@@ -330,34 +432,46 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       commodities;
     if not !on_tree then obs.o_paths_reused <- obs.o_paths_reused + 1
   in
-  (* Σ_j d_j · dist_l(j) for the dual bound. The sweep's trees are the
+  let fan_out kernel = fan_out ~n ~num_arcs:m_all ~ngroups kernel in
+  (* The dual sweep over groups [[lo, hi)]: each group's tree, every
+     commodity's distance into [sp_dist] and its path into the group's
+     buffer. Allocates nothing unless a group's buffer must grow. *)
+  let sweep_groups ws lo hi =
+    let tree = ws.ws_tree and path = ws.ws_path in
+    for gi = lo to hi - 1 do
+      Dijkstra.shortest_tree_targets ws.ws_scratch csr ~lengths
+        ~src:group_src.(gi) ~targets:group_targets.(gi) tree;
+      let fill = ref 0 in
+      for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
+        let dst = comm_dst.(ci) in
+        sp_dist.(ci) <- tree.Dijkstra.dist.(dst);
+        let k = tree_path ~arc_src tree.Dijkstra.parent_arc path dst 0 in
+        if !fill + k > Array.length sp_arcs.(gi) then begin
+          let grown = Array.make (2 * (!fill + k)) 0 in
+          Array.blit sp_arcs.(gi) 0 grown 0 !fill;
+          sp_arcs.(gi) <- grown
+        end;
+        Array.blit path 0 sp_arcs.(gi) !fill k;
+        fill := !fill + k;
+        sp_end.(ci) <- !fill
+      done
+    done
+  in
+  (* Σ_j d_j · dist_l(j) over [sp_dist], in commodity order. *)
+  let weighted_distance () =
+    let alpha = ref 0.0 in
+    for ci = 0 to ncomm - 1 do
+      alpha := !alpha +. (comm_demand.(ci) *. sp_dist.(ci))
+    done;
+    !alpha
+  in
+  (* The dual bound's Σ_j d_j · dist_l(j). The sweep's trees are the
      shortest paths the next phase starts from, so their paths to the
      destinations are stored for it. *)
   let alpha () =
-    let alpha = ref 0.0 in
-    let fill = ref 0 in
-    Array.iteri
-      (fun gi (s, dests) ->
-        build_tree ~src:s ~targets:group_targets.(gi);
-        List.iteri
-          (fun j (dst, d) ->
-            let ci = group_off.(gi) + j in
-            let dist = tree.Dijkstra.dist.(dst) in
-            alpha := !alpha +. (d *. dist);
-            sp_dist.(ci) <- dist;
-            let k = load_path dst in
-            if !fill + k > Array.length !sp_arcs then begin
-              let grown = Array.make (2 * (!fill + k)) 0 in
-              Array.blit !sp_arcs 0 grown 0 !fill;
-              sp_arcs := grown
-            end;
-            Array.blit path_buf 0 !sp_arcs !fill k;
-            fill := !fill + k;
-            sp_off.(ci + 1) <- !fill)
-          dests)
-      groups;
+    fan_out sweep_groups;
     sp_valid := true;
-    !alpha
+    weighted_distance ()
   in
   (* ---- delta-solve preparation ----
 
@@ -580,37 +694,32 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                 | Some gf -> Array.blit f 0 gf.(gi) 0 m_all
                 | None -> ()
               done;
-              (* Repair every group's tree for the masked graph at the
-                 seeded lengths: the repairs give an immediate dual bound
-                 (distances under the current lengths) before any re-ship
-                 perturbs the lengths. *)
-              let rtrees =
-                Array.map
-                  (fun (t : Dijkstra.tree) ->
-                    {
-                      Dijkstra.dist = Array.copy t.Dijkstra.dist;
-                      parent_arc = Array.copy t.Dijkstra.parent_arc;
-                    })
-                  gs.gs_tree
+              (* Repair a copy of every group's tree for the masked graph
+                 at the seeded lengths: the repairs give an immediate dual
+                 bound (distances under the current lengths) before any
+                 re-ship perturbs the lengths. Only the distances are
+                 kept; [sp_dist] is free until the first sweep. *)
+              let repair_groups ws lo hi =
+                let t = ws.ws_tree in
+                for gi = lo to hi - 1 do
+                  let t0 = gs.gs_tree.(gi) in
+                  Array.blit t0.Dijkstra.dist 0 t.Dijkstra.dist 0 n;
+                  Array.blit t0.Dijkstra.parent_arc 0 t.Dijkstra.parent_arc 0 n;
+                  Dijkstra.repair_tree ws.ws_scratch csr ~lengths
+                    ~arcs:failed_all t;
+                  for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
+                    sp_dist.(ci) <- t.Dijkstra.dist.(comm_dst.(ci))
+                  done
+                done
               in
-              let alpha = ref 0.0 in
-              Array.iteri
-                (fun gi (_, dests) ->
-                  let t = rtrees.(gi) in
-                  Dijkstra.repair_tree scratch csr ~lengths ~arcs:failed_all t;
-                  List.iter
-                    (fun (dst, d) ->
-                      if Float.equal t.Dijkstra.dist.(dst) infinity then
-                        invalid_arg
-                          "Mcmf_fptas: commodity endpoints are disconnected";
-                      alpha := !alpha +. (d *. t.Dijkstra.dist.(dst)))
-                    dests)
-                groups;
+              fan_out repair_groups;
+              if Array.exists (Float.equal infinity) sp_dist then
+                invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
               stats.Gk_loop.dual_checks <- stats.Gk_loop.dual_checks + 1;
               let fresh =
                 Gk_loop.dual_bound
                   ~volume:(Gk_loop.volume ~cap:arc_cap lengths)
-                  ~alpha:!alpha
+                  ~alpha:(weighted_distance ())
               in
               let start_dual = Float.min w.w_dual fresh in
               (* Re-ship the peeled amounts under the seeded lengths. They
@@ -639,17 +748,18 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
            caller asked for it. *)
         let trees =
           Array.map
-            (fun (s, _) ->
-              let t =
-                {
-                  Dijkstra.dist = Array.make n infinity;
-                  parent_arc = Array.make n (-1);
-                }
-              in
-              Dijkstra.shortest_tree_full scratch csr ~lengths ~src:s t;
-              t)
+            (fun _ ->
+              {
+                Dijkstra.dist = Array.make n infinity;
+                parent_arc = Array.make n (-1);
+              })
             groups
         in
+        fan_out (fun ws lo hi ->
+            for gi = lo to hi - 1 do
+              Dijkstra.shortest_tree_full ws.ws_scratch csr ~lengths
+                ~src:group_src.(gi) trees.(gi)
+            done);
         Some { gs_flow = gf; gs_tree = trees }
   in
   (* The warm state keeps the whole history ([flow] and the group flows,

@@ -14,6 +14,18 @@
     The first phase follows no dual sweep and builds a fresh tree per
     source.
 
+    The dual sweep runs on the domain pool ({!Dcn_util.Pool}): its trees
+    are independent, since lengths do not change during the sweep, so
+    each phase's sweep is one batch over contiguous chunks of sources
+    (and so are a delta-solve's tree repairs and a tracked solve's
+    captured trees). The routing pass stays sequential. The answer is
+    bit-identical at any worker count: each commodity's distance goes to
+    its own slot and its path to its source's own buffer, and the dual
+    bound's sum is taken after the batch, in commodity order, so no
+    float operation depends on which domain built which tree. With no
+    workers, or a sweep too small to pay for waking one, the sweep is a
+    plain loop.
+
     Rather than relying on the worst-case scaling analysis, the solver
     certifies its own answer each phase, a primal [λ_lo] and a dual
     [λ_hi], and stops once [λ_hi / λ_lo ≤ 1 + gap]. The phase loop, both

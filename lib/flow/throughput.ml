@@ -15,10 +15,9 @@ type t = {
 
 let metrics g commodities ~lambda ~arc_flow ~lambda_bounds =
   let pairs =
-    Array.to_list
-      (Array.map (fun (c : Commodity.t) -> (c.src, c.dst, c.demand)) commodities)
+    Array.map (fun (c : Commodity.t) -> (c.src, c.dst, c.demand)) commodities
   in
-  let mean_shortest_path = Graph_metrics.weighted_pair_distance g ~pairs in
+  let mean_shortest_path = Graph_metrics.weighted_pair_distance_array g ~pairs in
   let capacity = Graph.total_capacity g in
   let total_flow = Array.fold_left ( +. ) 0.0 arc_flow in
   let utilization = total_flow /. capacity in

@@ -25,7 +25,12 @@ val shortest_tree_into : Graph.t -> lengths:float array -> src:int -> tree -> un
 
 type scratch
 (** Reusable per-solver state (heap + target marks). Not thread-safe: use
-    one scratch per concurrent solver. *)
+    one scratch per concurrent solver. Code that runs sweeps on several
+    domains at once (the FPTAS's parallel dual sweep) keeps one scratch
+    per domain, allocated on that domain: scratches allocated together
+    on one domain place their small mutable records (heap size, sweep
+    counts) on shared cache lines, and concurrent sweeps then stall each
+    other. *)
 
 val make_scratch : int -> scratch
 (** [make_scratch n] for graphs with [n] nodes. *)

@@ -24,19 +24,18 @@ let aspl g = fst (aspl_and_diameter g)
 
 let diameter g = snd (aspl_and_diameter g)
 
-(* Shared core over an abstract pair iterator so the list and array entry
-   points accumulate in exactly the same order (same float operations, so
-   both front-ends are bit-identical on the same pair sequence). *)
-let weighted_pair_distance_iter g iter =
+let weighted_pair_distance_array g ~pairs =
   check_usable g;
   let n = Graph.n g in
   (* Group by source so each source costs one BFS. *)
   let by_src = Array.make n [] in
   let total_weight = ref 0.0 in
-  iter (fun (s, t, w) ->
+  Array.iter
+    (fun (s, t, w) ->
       if w < 0.0 then invalid_arg "weighted_pair_distance: negative weight";
       by_src.(s) <- (t, w) :: by_src.(s);
-      total_weight := !total_weight +. w);
+      total_weight := !total_weight +. w)
+    pairs;
   if !total_weight <= 0.0 then
     invalid_arg "weighted_pair_distance: zero total demand";
   let dist = Array.make n 0 in
@@ -53,12 +52,6 @@ let weighted_pair_distance_iter g iter =
     end
   done;
   !acc /. !total_weight
-
-let weighted_pair_distance g ~pairs =
-  weighted_pair_distance_iter g (fun f -> List.iter f pairs)
-
-let weighted_pair_distance_array g ~pairs =
-  weighted_pair_distance_iter g (fun f -> Array.iter f pairs)
 
 let degree_histogram g =
   let tbl = Hashtbl.create 16 in

@@ -16,18 +16,11 @@ val diameter : Graph.t -> int
 val aspl_and_diameter : Graph.t -> float * int
 (** Both in a single all-pairs BFS sweep. *)
 
-val weighted_pair_distance :
-  Graph.t -> pairs:(int * int * float) list -> float
+val weighted_pair_distance_array :
+  Graph.t -> pairs:(int * int * float) array -> float
 (** Demand-weighted mean hop distance between given (src, dst, weight)
     pairs — the Σᵢdᵢ/f term of Theorem 1 for a concrete traffic matrix.
     Pairs with [src = dst] contribute distance 0. *)
-
-val weighted_pair_distance_array :
-  Graph.t -> pairs:(int * int * float) array -> float
-(** Same as {!weighted_pair_distance} over an array of pairs, for hot
-    callers (the FPTAS demand pre-scaler) that already hold an array and
-    should not build a throwaway list per solve. Bit-identical to the list
-    variant on the same pair sequence. *)
 
 val degree_histogram : Graph.t -> (int * int) list
 (** (degree, node count) pairs, ascending by degree. *)

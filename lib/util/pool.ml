@@ -9,8 +9,9 @@
 
    Claiming is lock-free (an [Atomic] cursor per batch); the mutex only
    guards the batch queue, worker lifecycle and condition variables. Tasks
-   are expected to be coarse (milliseconds or more), so the per-completion
-   broadcast is negligible. *)
+   are expected to be coarse, a fraction of a millisecond or more (the
+   finest are the FPTAS's dual-sweep chunks, a few shortest-path trees
+   each), so the per-completion broadcast is negligible. *)
 
 module Metrics = Dcn_obs.Metrics
 module Trace = Dcn_obs.Trace

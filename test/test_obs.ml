@@ -511,6 +511,35 @@ let test_solver_metrics_recorded () =
       Alcotest.(check bool) "heap pops counted" true
         (Metrics.counter_value snap "dijkstra.heap_pops" > 0))
 
+(* Both solvers time their phase loop's two stages, routing and the dual
+   sweep, and flush the timers once per solve: both run, and together
+   they fit inside the solve's own wall time. *)
+let test_stage_timers () =
+  let g, cs = fptas_instance () in
+  let params = Core.Scale.quick.Core.Scale.params in
+  let check cat solve =
+    with_metrics (fun () ->
+        ignore (solve ());
+        let snap = Metrics.snapshot () in
+        let route = Metrics.counter_value snap (cat ^ ".route_ns")
+        and dual = Metrics.counter_value snap (cat ^ ".dual_ns") in
+        let solve_ns =
+          match Metrics.find snap (cat ^ ".solve_s") with
+          | Some (Metrics.Histogram_v { sum; _ }) -> sum *. 1e9
+          | _ -> Alcotest.failf "%s.solve_s histogram missing" cat
+        in
+        Alcotest.(check bool) (cat ^ ".route_ns > 0") true (route > 0);
+        Alcotest.(check bool) (cat ^ ".dual_ns > 0") true (dual > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: route %d + dual %d ns <= solve %.0f ns" cat
+             route dual solve_ns)
+          true
+          (float_of_int (route + dual) <= solve_ns))
+  in
+  check "fptas" (fun () -> Core.Mcmf_fptas.solve ~params g cs);
+  check "paths" (fun () ->
+      Core.Mcmf_paths.solve ~params g (Core.Mcmf_paths.of_k_shortest g ~k:4 cs))
+
 (* ---- bucketed percentile accessors ---- *)
 
 let test_histogram_quantiles () =
@@ -793,6 +822,7 @@ let suite =
         test_solver_metrics_recorded;
       Alcotest.test_case "path solver metrics recorded" `Quick
         test_path_solver_metrics_recorded;
+      Alcotest.test_case "solver stage timers" `Quick test_stage_timers;
       Alcotest.test_case "cancelled solves counted" `Quick
         test_cancelled_solves_counted;
       Alcotest.test_case "histogram quantiles at bucket boundaries" `Quick

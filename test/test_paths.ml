@@ -123,8 +123,8 @@ let test_weighted_pair_distance () =
   (* One pair at distance 3 with weight 1, one at distance 1 with weight 3:
      mean = (3 + 3) / 4 = 1.5. *)
   let d =
-    Graph_metrics.weighted_pair_distance g
-      ~pairs:[ (0, 3, 1.0); (0, 1, 3.0) ]
+    Graph_metrics.weighted_pair_distance_array g
+      ~pairs:[| (0, 3, 1.0); (0, 1, 3.0) |]
   in
   Alcotest.(check (float 1e-9)) "weighted distance" 1.5 d
 
