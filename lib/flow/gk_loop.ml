@@ -87,10 +87,7 @@ type stats = {
   mutable dual_ns : int;
 }
 
-(* Nanoseconds since [t0]; stage timers read the clock only when metrics
-   are on. *)
 let ns_since t0 = Int64.to_int (Int64.sub (Dcn_obs.Clock.now_ns ()) t0)
-let stage_start () = if Metrics.enabled () then Dcn_obs.Clock.now_ns () else 0L
 
 (* Windowed primal certificates. Every phase ships exactly [d] for every
    commodity, so the flow added after phase [at] is itself a
@@ -188,17 +185,19 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
     (* One span per phase: the trace's phase-span count equals the number
        of phases this call routed (cross-checked by the test suite). *)
     let sp_phase = Trace.begin_span ~cat "phase" in
-    let t0 = stage_start () in
+    (* Stage timers read the clock only when metrics are on. *)
+    let timed = Metrics.enabled () in
+    let t0 = if timed then Dcn_obs.Clock.now_ns () else 0L in
     route ();
-    if Metrics.enabled () then stats.route_ns <- stats.route_ns + ns_since t0;
+    if timed then stats.route_ns <- stats.route_ns + ns_since t0;
     rescale_lengths lengths;
     let phases = phases + 1 in
     stats.routed <- stats.routed + 1;
     certify phases;
     stats.dual_checks <- stats.dual_checks + 1;
-    let t0 = stage_start () in
+    let t0 = if timed then Dcn_obs.Clock.now_ns () else 0L in
     let a = alpha () in
-    if Metrics.enabled () then stats.dual_ns <- stats.dual_ns + ns_since t0;
+    if timed then stats.dual_ns <- stats.dual_ns + ns_since t0;
     let best_dual =
       Float.min best_dual (dual_bound ~volume:(volume ~cap lengths) ~alpha:a)
     in

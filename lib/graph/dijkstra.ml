@@ -120,33 +120,43 @@ let shortest_tree_into g ~lengths ~src tree =
   core scratch (Graph.csr g) ~lengths ~src tree (-1);
   flush_stats scratch.stats
 
+(* Mark [targets], counting each node once; top-level recursions rather
+   than closures, so a sweep allocates nothing. *)
+let rec mark_targets marks count = function
+  | [] -> count
+  | v :: rest ->
+      if marks.(v) then mark_targets marks count rest
+      else begin
+        marks.(v) <- true;
+        mark_targets marks (count + 1) rest
+      end
+
+let rec clear_targets marks = function
+  | [] -> ()
+  | v :: rest ->
+      marks.(v) <- false;
+      clear_targets marks rest
+
 (* Target-limited variant for the FPTAS: stops once every destination in
    [targets] has been finalized (or the reachable set is exhausted —
    unreached targets keep [dist = infinity], as in the full sweep).
    [targets] may contain duplicates; marks are counted once. *)
 let shortest_tree_targets scratch (c : Graph.csr) ~lengths ~src ~targets tree =
   let marks = scratch.is_target in
-  let count = ref 0 in
-  List.iter
-    (fun v ->
-      if not marks.(v) then begin
-        marks.(v) <- true;
-        incr count
-      end)
-    targets;
-  if !count = 0 then begin
+  let count = mark_targets marks 0 targets in
+  if count = 0 then begin
     (* No targets: nothing to compute beyond resetting the tree. *)
     Array.fill tree.dist 0 (Array.length tree.dist) infinity;
     Array.fill tree.parent_arc 0 (Array.length tree.parent_arc) (-1);
     tree.dist.(src) <- 0.0
   end
   else begin
-    core scratch c ~lengths ~src tree !count;
+    core scratch c ~lengths ~src tree count;
     flush_stats scratch.stats
   end;
   (* The core consumes marks as targets finalize; clear any leftover from
      unreachable targets so the scratch is clean for the next call. *)
-  List.iter (fun v -> marks.(v) <- false) targets
+  clear_targets marks targets
 
 let shortest_tree_full scratch (c : Graph.csr) ~lengths ~src tree =
   core scratch c ~lengths ~src tree (-1);

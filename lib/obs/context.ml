@@ -19,7 +19,9 @@ let with_ids ~trace ~unit_id f =
 let ids () = (Domain.DLS.get key).ids
 let capture () = Domain.DLS.get key
 
+let install saved = Domain.DLS.set key saved
+
 let with_captured saved f =
   let prev = Domain.DLS.get key in
-  Domain.DLS.set key saved;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
+  install saved;
+  Fun.protect ~finally:(fun () -> install prev) f

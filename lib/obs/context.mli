@@ -36,3 +36,10 @@ val capture : unit -> saved
 val with_captured : saved -> (unit -> 'a) -> 'a
 (** Install a captured context for the duration of the callback,
     restoring the domain's own context afterwards (exception-safe). *)
+
+val install : saved -> unit
+(** Make a captured context the calling domain's own. {!with_captured}
+    is [capture], [install], the callback and [install] of the captured
+    original; a caller that cannot raise between the two installs (the
+    pool, which catches every task's exception) pairs them itself and
+    allocates no closure. *)

@@ -85,26 +85,36 @@ let enabled () = !target > 0
   "lockset: deliberately unlocked read — callers use it as a fast-path \
    hint and [run]/[submit] re-check under the mutex"]
 
-let prune_exhausted () =
-  batches := List.filter (fun b -> Atomic.get b.next < b.total) !batches
+(* The worker's path from claim to completion allocates nothing, so a
+   worker running many short tasks (the FPTAS's dual-sweep chunks) leaves
+   its minor heap, and so the process's resident memory, untouched. Only
+   pruning, once per exhausted batch, builds a new list. *)
+let exhausted b = Atomic.get b.next >= b.total
 
-(* Must hold [mutex]. Claim one task from the newest batch that still has
-   unclaimed work. *)
-let try_claim () =
-  prune_exhausted ();
-  let rec scan = function
-    | [] -> None
-    | b :: rest ->
-        let i = Atomic.fetch_and_add b.next 1 in
-        if i < b.total then Some (b, i) else scan rest
-  in
-  scan !batches
+let prune_exhausted () =
+  if List.exists exhausted !batches then
+    batches := List.filter (fun b -> not (exhausted b)) !batches
 
 let complete b =
   ignore (Atomic.fetch_and_add b.completed 1);
   Mutex.lock mutex;
   Condition.broadcast task_done;
   Mutex.unlock mutex
+
+(* Must hold [mutex]. Claim one task from the newest batch that still has
+   unclaimed work and run it, releasing [mutex]; [false], still holding
+   it, when there is none. *)
+let rec claim_and_run = function
+  | [] -> false
+  | b :: rest ->
+      let i = Atomic.fetch_and_add b.next 1 in
+      if i < b.total then begin
+        Mutex.unlock mutex;
+        b.run i;
+        complete b;
+        true
+      end
+      else claim_and_run rest
 
 let rec worker_loop () =
   Mutex.lock mutex;
@@ -113,16 +123,14 @@ let rec worker_loop () =
       live := !live - 1;
       Mutex.unlock mutex
     end
-    else
-      match try_claim () with
-      | Some (b, i) ->
-          Mutex.unlock mutex;
-          b.run i;
-          complete b;
-          worker_loop ()
-      | None ->
-          Condition.wait work_available mutex;
-          decide ()
+    else begin
+      prune_exhausted ();
+      if claim_and_run !batches then worker_loop ()
+      else begin
+        Condition.wait work_available mutex;
+        decide ()
+      end
+    end
   in
   decide ()
 
@@ -175,13 +183,17 @@ let run ~total f =
       (* The submitter's context labels (e.g. the current figure name)
          follow its tasks onto whichever domain executes them. *)
       let ctx = Dcn_obs.Context.capture () in
+      (* Nothing raises between the two installs, so the executing
+         domain's own context is restored without a closure. *)
       let task i =
-        Dcn_obs.Context.with_captured ctx (fun () ->
-            (try f i with e -> record i e (Printexc.get_raw_backtrace ()))
-            [@dcn.lint
-              "catch-all: not swallowed — the smallest-index failure is \
-               re-raised with its backtrace by the batch owner after the \
-               batch drains, matching serial-loop semantics"])
+        let own = Dcn_obs.Context.capture () in
+        Dcn_obs.Context.install ctx;
+        (try f i with e -> record i e (Printexc.get_raw_backtrace ()))
+        [@dcn.lint
+          "catch-all: not swallowed — the smallest-index failure is \
+           re-raised with its backtrace by the batch owner after the \
+           batch drains, matching serial-loop semantics"];
+        Dcn_obs.Context.install own
       in
       let run_one i =
         if not (Metrics.enabled () || Trace.enabled ()) then task i
