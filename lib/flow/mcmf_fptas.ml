@@ -126,7 +126,7 @@ type obs = {
    [ws_n] nodes, one per domain in [Domain.DLS], allocated by the domain
    that uses it: scratches allocated together on the caller put their
    small mutable records (heap size, sweep stats) on shared cache lines,
-   which cost a 2-domain sweep all of its speedup. [ws_busy] marks a
+   and concurrent sweeps then stall each other. [ws_busy] marks a
    workspace in use, so a second sweep on the same domain (another
    systhread) takes a private one instead of sharing it. *)
 type workspace = {
