@@ -124,6 +124,38 @@ let test_resolve_after_failure () =
           d))
     (fun w a b -> same_state ("delta " ^ w) a b)
 
+(* Gap 0.03 halves eps once on this instance: the phase routed ahead at
+   the old eps is rolled back and routed again at the new one. *)
+let test_halving () =
+  let g, cs = instance 1 in
+  across_workers
+    (fun () ->
+      Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          Metrics.reset ())
+        (fun () ->
+          let st =
+            Mcmf_fptas.solve_with_state
+              ~params:{ params with Mcmf_fptas.gap = 0.03 }
+              g cs
+          in
+          Alcotest.(check int) "one eps halving" 1
+            (Metrics.counter_value (Metrics.snapshot ()) "fptas.eps_halvings");
+          st))
+    (fun w a b -> same_state ("halving " ^ w) a b)
+
+(* A budget stop rolls back the phase routed ahead, like convergence. *)
+let test_budget () =
+  let g, cs = instance 2 in
+  across_workers
+    (fun () ->
+      Mcmf_fptas.solve_with_state
+        ~params:{ params with Mcmf_fptas.max_phases = 7 }
+        ~track_groups:true g cs)
+    (fun w a b -> same_state ("budget " ^ w) a b)
+
 (* Two solves as the tasks of one pool batch, as a figure sweep runs
    them: each solve's sweep is a batch nested in the outer one. *)
 let test_nested () =
@@ -164,6 +196,10 @@ let suite =
         test_track_groups;
       Alcotest.test_case "delta-solve identical at any workers" `Quick
         test_resolve_after_failure;
+      Alcotest.test_case "eps halving identical at any workers" `Quick
+        test_halving;
+      Alcotest.test_case "budget stop identical at any workers" `Quick
+        test_budget;
       Alcotest.test_case "nested solves identical at any workers" `Quick
         test_nested;
       Alcotest.test_case "cancellation with the pool on" `Quick test_cancel;

@@ -136,6 +136,114 @@ let test_delta_no_groups () =
     ~lower:"0x1.d0a2abcd97695p-1" ~upper:"0x1.dec787f155e98p-1" ~phases:159
     ~executed:159 ~delta_solves:0 ()
 
+(* ---- pins above the sweep's fan-out threshold ----
+
+   The pins above use instances whose dual sweep stays one plain loop.
+   These solve rrg:100,24,12 (100 sources on 1,200 arcs), large enough
+   that the sweep runs as pool chunks when workers exist. Besides the
+   interval and phases, each pin checks an MD5 of the returned arrays'
+   bits: the certified flow, the warm state's lengths and, when tracked,
+   the group flows. A stop or an eps halving that kept a phase it should
+   have discarded shows up in these digests. *)
+
+let large_instance () = rrg_instance ~n:100 ~k:24 ~r:12 ~seed:1
+
+let digest arrays =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)))
+    arrays;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pin_state label ~lower ~upper ~phases ~flow ~lengths ?gs_flow
+    (st : Mcmf_fptas.solve_state) =
+  pin label ~lower ~upper ~phases st.Mcmf_fptas.result;
+  Alcotest.(check string) (label ^ " arc_flow digest") flow
+    (digest [| st.Mcmf_fptas.result.Mcmf_fptas.arc_flow |]);
+  Alcotest.(check string) (label ^ " w_lengths digest") lengths
+    (digest [| st.Mcmf_fptas.warm.Mcmf_fptas.w_lengths |]);
+  match (gs_flow, st.Mcmf_fptas.warm.Mcmf_fptas.w_groups) with
+  | None, None -> ()
+  | Some expected, Some gs ->
+      Alcotest.(check string) (label ^ " gs_flow digest") expected
+        (digest gs.Mcmf_fptas.gs_flow)
+  | _ -> Alcotest.failf "%s: group state present on one side only" label
+
+(* Gap 0.03 stalls long enough to halve eps once. *)
+let test_large_halving () =
+  let g, cs = large_instance () in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let st =
+        Mcmf_fptas.solve_with_state
+          ~params:{ params with Mcmf_fptas.gap = 0.03 }
+          g cs
+      in
+      Alcotest.(check int) "halving fptas.eps_halvings" 1
+        (Metrics.counter_value (Metrics.snapshot ()) "fptas.eps_halvings");
+      pin_state "halving" ~lower:"0x1.d576f108aa261p-2"
+        ~upper:"0x1.e2d7094611d7bp-2" ~phases:229
+        ~flow:"0c508a848d898ac368e49a7a38653225"
+        ~lengths:"2751f379c590c0d129b02788ff4fdf3d" st)
+
+(* Out of budget after 12 phases, far from the gap. *)
+let test_large_budget () =
+  let g, cs = large_instance () in
+  let st =
+    Mcmf_fptas.solve_with_state
+      ~params:{ params with Mcmf_fptas.max_phases = 12 }
+      g cs
+  in
+  Alcotest.(check bool) "budget converged" false
+    st.Mcmf_fptas.result.Mcmf_fptas.converged;
+  pin_state "budget" ~lower:"0x1.6666666666666p-2"
+    ~upper:"0x1.e67406d78527dp-2" ~phases:12
+    ~flow:"91d8a5fc522d755ad77fbe8db1944fd2"
+    ~lengths:"8508808d1e42fa141f3d8e494303a9fb" st
+
+let large_tracked () =
+  let g, cs = large_instance () in
+  (g, cs, Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs)
+
+let test_large_tracked () =
+  let _, _, st = large_tracked () in
+  pin_state "tracked" ~lower:"0x1.cf06ada2811ebp-2"
+    ~upper:"0x1.e57e0244a3d4bp-2" ~phases:92
+    ~flow:"ca06eea77707c46717c7aa28d5c2d7b8"
+    ~lengths:"eb82e852bd724c02cd03d7a95a33c6fa"
+    ~gs_flow:"5cb6283d5c4b24ca5d748a2abb216e6a" st
+
+(* Peel, re-ship, then 40 further phases on the inherited 92. *)
+let test_large_delta () =
+  let g, cs, base = large_tracked () in
+  let st = Random.State.make [| 1; 1 |] in
+  let masked, failed = Resilience.fail_arcs_connected st g ~fraction:0.005 in
+  let delta =
+    Mcmf_fptas.resolve_after_failure
+      ~params:{ params with Mcmf_fptas.gap = 0.07 }
+      ~track_groups:true ~warm:base.Mcmf_fptas.warm ~failed masked cs
+  in
+  Alcotest.(check int) "large delta w_executed" 40
+    delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
+  pin_state "large delta" ~lower:"0x1.c3c3c3c3c3c55p-2"
+    ~upper:"0x1.e242d5fc55c5fp-2" ~phases:132
+    ~flow:"f193d7c2441cfb8fb75b3ba830be629d"
+    ~lengths:"d4e1e2501a13408bab918b0bf24a9f4f"
+    ~gs_flow:"29c5484ee9f1f55a8d07a5a62a6b8586" delta
+
+let test_large_paths () =
+  let g, cs = large_instance () in
+  let r = Mcmf_paths.solve ~params g (Mcmf_paths.of_k_shortest g ~k:4 cs) in
+  pin "paths" ~lower:"0x1.9b8f4f9e0274bp-2" ~upper:"0x1.afe3c709676bcp-2"
+    ~phases:248 r;
+  Alcotest.(check string) "paths arc_flow digest"
+    "3652c12c8f05a0c7cd27d9b89b2ddce2"
+    (digest [| r.Mcmf_fptas.arc_flow |])
+
 (* Keys keep the text they had while the dual-check cadence was a
    parameter, so stores written then still hit. The cadence argument
    survives only as the constant 1. *)
@@ -168,5 +276,10 @@ let suite =
         test_delta_dead_weight;
       Alcotest.test_case "fptas delta without group state" `Quick
         test_delta_no_groups;
+      Alcotest.test_case "fptas rrg:100 eps halving" `Quick test_large_halving;
+      Alcotest.test_case "fptas rrg:100 budget stop" `Quick test_large_budget;
+      Alcotest.test_case "fptas rrg:100 tracked" `Quick test_large_tracked;
+      Alcotest.test_case "fptas rrg:100 delta-solve" `Quick test_large_delta;
+      Alcotest.test_case "paths rrg:100 ksp:4" `Quick test_large_paths;
       Alcotest.test_case "digest key" `Quick test_digest_key;
     ] )
