@@ -80,14 +80,21 @@ let warm_eps params seed_eps = Float.max min_eps (Float.min params.eps seed_eps)
 
 type stats = {
   mutable routed : int;
+  mutable discarded : int;
   mutable dual_checks : int;
   mutable eps_halvings : int;
   mutable window : int;
   mutable route_ns : int;
   mutable dual_ns : int;
+  mutable route_wait_ns : int;
 }
 
-let ns_since t0 = Int64.to_int (Int64.sub (Dcn_obs.Clock.now_ns ()) t0)
+(* Stage timers read the clock only when metrics are on. *)
+let tick () = if Metrics.enabled () then Dcn_obs.Clock.now_ns () else 0L
+
+let ns_since t0 =
+  if Int64.equal t0 0L then 0
+  else Int64.to_int (Int64.sub (Dcn_obs.Clock.now_ns ()) t0)
 
 (* Windowed primal certificates. Every phase ships exactly [d] for every
    commodity, so the flow added after phase [at] is itself a
@@ -101,9 +108,19 @@ type snap = { mutable at : int; copy : float array }
    (or its restart); the two newest are kept. *)
 let window_base = 5
 
-let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
-    ~phases ~best_dual ~finish =
+let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
+    ~restart ~phases ~best_dual ~finish =
   let m = Array.length cap in
+  (* [lengths] and [flow] as they stood when the last phase was
+     certified: the sweep reads the first while the next phase is routed
+     on the live arrays, and a rollback restores both. *)
+  let frozen = Array.make m 0.0 and certified_flow = Array.make m 0.0 in
+  let rollback () =
+    Array.blit frozen 0 lengths 0 m;
+    Array.blit certified_flow 0 flow 0 m;
+    stats.discarded <- stats.discarded + 1;
+    settle ~keep:false
+  in
   let older = ref None and newer = ref None in
   (* Phase the snapshot schedule counts from, and the next offset due. *)
   let origin = ref phases and next_snap = ref window_base in
@@ -116,7 +133,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
       | None -> { at = 0; copy = Array.make m 0.0 }
     in
     s.at <- phases;
-    Array.blit flow 0 s.copy 0 m;
+    Array.blit certified_flow 0 s.copy 0 m;
     older := !newer;
     newer := Some s
   in
@@ -178,28 +195,33 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
     finish ~flow:certified ~phases ~lo:!lo ~hi ~mu:!win_mu ~converged
   in
   let met ratio = ratio <= 1.0 +. params.gap in
-  let rec phase_loop phases best_dual last_ratio stalled =
+  (* [ahead]: the phase was already routed, by the last step. *)
+  let rec phase_loop ~ahead phases best_dual last_ratio stalled =
     (* Deadline check between phases: all flow and length state is
        consistent here, so [Cancelled] aborts with no partial phase. *)
     check_cancelled ();
     (* One span per phase: the trace's phase-span count equals the number
-       of phases this call routed (cross-checked by the test suite). *)
+       of phases this call routed and kept (cross-checked by the test
+       suite). *)
     let sp_phase = Trace.begin_span ~cat "phase" in
-    (* Stage timers read the clock only when metrics are on. *)
-    let timed = Metrics.enabled () in
-    let t0 = if timed then Dcn_obs.Clock.now_ns () else 0L in
-    route ();
-    if timed then stats.route_ns <- stats.route_ns + ns_since t0;
+    if not ahead then begin
+      let t0 = tick () in
+      route ();
+      stats.route_ns <- stats.route_ns + ns_since t0
+    end;
     rescale_lengths lengths;
     let phases = phases + 1 in
     stats.routed <- stats.routed + 1;
     certify phases;
     stats.dual_checks <- stats.dual_checks + 1;
-    let t0 = if timed then Dcn_obs.Clock.now_ns () else 0L in
-    let a = alpha () in
-    if timed then stats.dual_ns <- stats.dual_ns + ns_since t0;
+    Array.blit lengths 0 frozen 0 m;
+    Array.blit flow 0 certified_flow 0 m;
+    (* The step's routing time is [route_ns]'s; the rest is the sweep's. *)
+    let t0 = tick () and routed_ns = stats.route_ns in
+    let a = step ~lengths:frozen in
+    stats.dual_ns <- stats.dual_ns + ns_since t0 - (stats.route_ns - routed_ns);
     let best_dual =
-      Float.min best_dual (dual_bound ~volume:(volume ~cap lengths) ~alpha:a)
+      Float.min best_dual (dual_bound ~volume:(volume ~cap frozen) ~alpha:a)
     in
     let ratio = best_dual /. !lo in
     (* Trace arguments are built only when tracing is on, so a phase
@@ -217,8 +239,10 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
     (* Out of budget, the interval is still a valid certificate, just
        wider than asked; callers can inspect [converged] and the realized
        gap. *)
-    if converged || phases >= params.max_phases then
+    if converged || phases >= params.max_phases then begin
+      rollback ();
       finish_with ~phases ~hi:best_dual ~converged
+    end
     else begin
       if phases - !origin = !next_snap then begin
         take_snapshot phases;
@@ -230,14 +254,19 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
       let stalled = if ratio > last_ratio -. progress_step then stalled + 1 else 0 in
       let last_ratio = Float.min last_ratio ratio in
       if stalled >= stall_window && !eps > min_eps then begin
+        (* The phase routed ahead used the old step: route it again. *)
+        rollback ();
         stats.eps_halvings <- stats.eps_halvings + 1;
         eps := Float.max min_eps (!eps /. 2.0);
-        phase_loop phases best_dual last_ratio 0
+        phase_loop ~ahead:false phases best_dual last_ratio 0
       end
-      else phase_loop phases best_dual last_ratio stalled
+      else begin
+        settle ~keep:true;
+        phase_loop ~ahead:true phases best_dual last_ratio stalled
+      end
     end
   in
-  if phases = 0 then phase_loop 0 best_dual infinity 0
+  if phases = 0 then phase_loop ~ahead:false 0 best_dual infinity 0
   else begin
     (* An inherited ledger is judged before any phase is routed: within
        the gap it certifies as is. Inherited flow that misses by more than
@@ -252,9 +281,9 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~alpha ~restart
       (* No snapshot exists yet; the schedule restarts with the phases. *)
       restart ();
       origin := 0;
-      phase_loop 0 best_dual infinity 0
+      phase_loop ~ahead:false 0 best_dual infinity 0
     end
-    else phase_loop phases best_dual infinity 0
+    else phase_loop ~ahead:false phases best_dual infinity 0
   end
 
 let result ~scale ~flow ~phases ~lo ~hi ~mu ~converged =
@@ -281,8 +310,10 @@ type solver = {
   m_unconverged : Metrics.counter;
   m_cancelled : Metrics.counter;
   m_window_wins : Metrics.counter;
+  m_phases_discarded : Metrics.counter;
   m_route_ns : Metrics.counter;
   m_dual_ns : Metrics.counter;
+  m_route_wait_ns : Metrics.counter;
   m_last_gap : Metrics.gauge;
   m_solve_s : Metrics.histogram;
 }
@@ -298,8 +329,10 @@ let solver cat =
     m_unconverged = counter "unconverged";
     m_cancelled = counter "cancelled";
     m_window_wins = counter "window_wins";
+    m_phases_discarded = counter "phases_discarded";
     m_route_ns = counter "route_ns";
     m_dual_ns = counter "dual_ns";
+    m_route_wait_ns = counter "route_wait_ns";
     m_last_gap = Metrics.gauge (cat ^ ".last_gap");
     m_solve_s = Metrics.histogram (cat ^ ".solve_s");
   }
@@ -310,11 +343,13 @@ let solve solver ~result ?(flush = ignore) f =
   let stats =
     {
       routed = 0;
+      discarded = 0;
       dual_checks = 0;
       eps_halvings = 0;
       window = 0;
       route_ns = 0;
       dual_ns = 0;
+      route_wait_ns = 0;
     }
   in
   match f stats with
@@ -327,8 +362,10 @@ let solve solver ~result ?(flush = ignore) f =
         Metrics.add solver.m_dual_checks stats.dual_checks;
         Metrics.add solver.m_eps_halvings stats.eps_halvings;
         if stats.window > 0 then Metrics.incr solver.m_window_wins;
+        Metrics.add solver.m_phases_discarded stats.discarded;
         Metrics.add solver.m_route_ns stats.route_ns;
         Metrics.add solver.m_dual_ns stats.dual_ns;
+        Metrics.add solver.m_route_wait_ns stats.route_wait_ns;
         if not r.converged then Metrics.incr solver.m_unconverged;
         Metrics.set solver.m_last_gap gap;
         flush x;

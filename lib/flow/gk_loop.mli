@@ -26,6 +26,27 @@
     counters. Only the route oracle is solver-specific, passed in as
     per-phase callbacks so the per-arc loops stay in the solvers.
 
+    {2 A phase's order, and the phase routed ahead}
+
+    Phase [p] is certified from [flow] and [lengths] as its routing left
+    them (after rescaling). The loop then copies both into two per-solve
+    buffers, and one [step] does two things: the dual sweep of phase [p]
+    on the copied ("frozen") lengths, and the routing of phase [p + 1] on
+    the live arrays. The sweep reads exactly the lengths it would read if
+    it ran alone, and the routing reads the same stored paths, live
+    lengths and eps it would read after the sweep, so running them
+    together ({!Mcmf_fptas} routes a source as soon as the sweep has
+    built its tree) changes only the order of work, never a float.
+
+    Phase [p + 1] was routed before the loop decided to continue. When
+    phase [p] stops the solve (gap met or budget spent), or its stall
+    halves eps, the loop rolls back: it copies the buffers into [lengths]
+    and [flow] and calls [settle ~keep:false]. A stop then finishes at
+    phase [p]; a halving routes phase [p + 1] again, at the new eps, on
+    the same stored paths. Otherwise [settle ~keep:true] accepts the phase
+    routed ahead. A rolled-back phase is counted in [discarded], not in
+    [routed], and has no phase span.
+
     Arrays are indexed by arc id; [cap] is the graph's CSR capacities.
     Zero-capacity arcs carry length 0 throughout: they add nothing to
     [D(l)] and never win a maximum against a usable arc. *)
@@ -77,22 +98,37 @@ val warm_eps : params -> float -> float
     to the requested one and the halving floor. *)
 
 type stats = {
-  mutable routed : int;  (** Phases this call routed. *)
+  mutable routed : int;  (** Phases this call routed and kept. *)
+  mutable discarded : int;  (** Phases routed ahead and rolled back. *)
   mutable dual_checks : int;
   mutable eps_halvings : int;
   mutable window : int;
       (** Start phase of the window the final certificate came from, 0 for
           the whole history. *)
   mutable route_ns : int;
-      (** Wall time in [route] ({!run}), read only with metrics on. *)
-  mutable dual_ns : int;  (** Wall time in [alpha], likewise. *)
+      (** Wall time the calling domain spent routing: in [route], and in
+          the routing part of [step], which the solver adds. Timed only
+          with metrics on (see {!tick}). *)
+  mutable dual_ns : int;
+      (** The rest of each [step]'s wall time: the sweep, seen from the
+          calling domain, waits included. Disjoint from [route_ns]. *)
+  mutable route_wait_ns : int;
+      (** The part of [dual_ns] the router spent waiting for a sweep
+          chunk another domain was building; the solver adds it. *)
 }
 (** Per-solve tallies, created by {!solve}. *)
+
+val tick : unit -> int64
+(** The monotonic clock with metrics on, [0L] without. *)
+
+val ns_since : int64 -> int
+(** Nanoseconds since [tick ()] returned [t0]; 0 when it returned [0L]. *)
 
 val run :
   cat:string -> params:params -> stats:stats -> eps:float ref ->
   cap:float array -> flow:float array -> lengths:float array ->
-  route:(unit -> unit) -> alpha:(unit -> float) -> restart:(unit -> unit) ->
+  route:(unit -> unit) -> step:(lengths:float array -> float) ->
+  settle:(keep:bool -> unit) -> restart:(unit -> unit) ->
   phases:int -> best_dual:float ->
   finish:(flow:float array -> phases:int -> lo:float -> hi:float ->
           mu:float -> converged:bool -> 'a) ->
@@ -102,12 +138,24 @@ val run :
     with the certified flow, the phases run, [λ_lo], [λ_hi], the
     certified flow's congestion [μ] and whether the gap was met.
 
+    [route ()] routes one phase on the live arrays: ship every
+    commodity's scaled demand into [flow], growing [lengths] by [!eps].
+    It routes the first phase, and a phase routed again after a rollback.
+    [step ~lengths:frozen] returns the dual bound's
+    [α = Σⱼ dⱼ·dist(j)] at [frozen] (a copy of [lengths] the step must
+    not write) and routes the next phase on the live arrays, as [route]
+    would. [settle ~keep] follows every step (see the header); [keep] is
+    [false] after a rollback, when [flow] and [lengths] are back as they
+    were before the step and the solver must drop whatever else the
+    routing recorded.
+
     The certified flow is [flow] itself when the whole history wins, and
     the winning window's [flow − snapshot] otherwise, held in the
     snapshot's buffer. [flow] always stays the whole history, in which
     every commodity [j] has shipped [phases·dⱼ]: that is the ledger a
-    later delta-solve inherits. Snapshot memory is two copies of [flow],
-    allocated at the first two snapshots and reused after.
+    later delta-solve inherits. Memory is two buffers of [m] floats for
+    the rollback and two more for the window snapshots, allocated at the
+    first two snapshots and reused after.
 
     With [phases > 0] (a delta-solve's inherited flow, every commodity
     having shipped [phases·dⱼ]) the loop first checks the inherited
@@ -118,14 +166,12 @@ val run :
     called at most once, and only then. Snapshots are counted from the
     phase the loop starts (or restarts) at.
 
-    A phase checks for cancellation, calls [route] (ship every
-    commodity's scaled demand into [flow], growing [lengths] by [!eps]),
-    rescales [lengths] and takes the dual bound with [alpha ()]
-    [= Σⱼ dⱼ·dist_l(j)]. A stall halves [eps] in place. Each phase is a
-    ["phase"] span in trace category [cat] (args: phase, ratio), with a
-    ["dual_check"] instant (args: phase, ratio, lo and hi in the caller's
-    scaled units, and window, the winning window's start phase or 0 for
-    the whole history). *)
+    A phase checks for cancellation, routes (unless the last step did),
+    rescales [lengths], certifies and steps. A stall halves [eps] in
+    place. Each kept phase is a ["phase"] span in trace category [cat]
+    (args: phase, ratio), with a ["dual_check"] instant (args: phase,
+    ratio, lo and hi in the caller's scaled units, and window, the
+    winning window's start phase or 0 for the whole history). *)
 
 val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->
@@ -142,10 +188,10 @@ val solver : string -> solver
 (** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed,
     inherited ones excluded), [<cat>.dual_checks], [<cat>.eps_halvings],
     [<cat>.unconverged], [<cat>.cancelled], [<cat>.window_wins] (solves
-    whose certificate came from a window), the stage timers
-    [<cat>.route_ns] and [<cat>.dual_ns] (time in {!run}'s [route] and
-    [alpha] callbacks), gauge [<cat>.last_gap] and histogram
-    [<cat>.solve_s]. *)
+    whose certificate came from a window), [<cat>.phases_discarded]
+    (phases routed ahead and rolled back), the stage timers
+    [<cat>.route_ns], [<cat>.dual_ns] and [<cat>.route_wait_ns] (see
+    {!stats}), gauge [<cat>.last_gap] and histogram [<cat>.solve_s]. *)
 
 val solve :
   solver -> result:('a -> result) -> ?flush:('a -> unit) ->

@@ -8,6 +8,7 @@ module Metrics = Dcn_obs.Metrics
 let fptas = Gk_loop.solver "fptas"
 let m_tree_rebuilds = Metrics.counter "fptas.tree_rebuilds"
 let m_paths_reused = Metrics.counter "fptas.paths_reused"
+let m_capture_ns = Metrics.counter "fptas.capture_ns"
 
 (* Warm-start accounting. [fptas.phases_saved] is an estimate: the
    producing solve's certified phase count minus the phases this call
@@ -104,12 +105,14 @@ let demand_scale g commodities =
 (* Cheap per-solve event tallies, flushed to the registry by [run].
    [o_mode] records what the solve actually did (0 = cold, 1 =
    length-seeded warm start, 2 = delta-solve), [o_inherited] the seed's
-   certified phase count. *)
+   certified phase count, [o_capture_ns] the time building full trees (a
+   delta-solve's repairs, a tracked solve's captured trees). *)
 type obs = {
   mutable o_tree_rebuilds : int;
   mutable o_paths_reused : int;
   mutable o_mode : int;
   mutable o_inherited : int;
+  mutable o_capture_ns : int;
 }
 
 (* ---- the per-source fan-out ----
@@ -204,6 +207,60 @@ let rec tree_path ~arc_src parent_arc buf v k =
     Array.unsafe_set buf k a;
     tree_path ~arc_src parent_arc buf (Array.unsafe_get arc_src a) (k + 1)
   end
+
+(* The group-flow additions of a phase routed ahead ({!Gk_loop.run}), in
+   routing order: path [e] adds [amount.(e)] to group [group.(e)]'s flow
+   on arcs [arcs.(start) .. arcs.(stop.(e) - 1)], where [start] is
+   [stop.(e - 1)] (0 for the first). Replayed into the group flows when
+   the phase is kept, dropped when it is rolled back, so every cell gets
+   the additions it would have got from routing straight into it, in the
+   same order, and no groups × arcs copy is needed. *)
+type group_log = {
+  mutable entries : int;
+  mutable group : int array;
+  mutable amount : float array;
+  mutable stop : int array;
+  mutable arcs : int array;
+}
+
+let grow_ints a len =
+  let b = Array.make (2 * len) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Append [path.(k - 1) .. path.(0)] for group [gi]; return the entry,
+   whose [amount] the caller sets. *)
+let log_path lg gi path k =
+  let e = lg.entries in
+  let start = if e = 0 then 0 else lg.stop.(e - 1) in
+  if e = Array.length lg.group then begin
+    lg.group <- grow_ints lg.group (e + 1);
+    lg.stop <- grow_ints lg.stop (e + 1);
+    let amount = Array.make (2 * (e + 1)) 0.0 in
+    Array.blit lg.amount 0 amount 0 e;
+    lg.amount <- amount
+  end;
+  if start + k > Array.length lg.arcs then
+    lg.arcs <- grow_ints lg.arcs (start + k);
+  for i = k - 1 downto 0 do
+    lg.arcs.(start + k - 1 - i) <- path.(i)
+  done;
+  lg.group.(e) <- gi;
+  lg.stop.(e) <- start + k;
+  lg.entries <- e + 1;
+  e
+
+let replay_log lg gflow =
+  let start = ref 0 in
+  for e = 0 to lg.entries - 1 do
+    let gf = gflow.(lg.group.(e)) and amount = lg.amount.(e) in
+    for x = !start to lg.stop.(e) - 1 do
+      let a = lg.arcs.(x) in
+      gf.(a) <- gf.(a) +. amount
+    done;
+    start := lg.stop.(e)
+  done;
+  lg.entries <- 0
 
 let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   Gk_loop.validate params;
@@ -314,12 +371,16 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   (* Per-group flow tracking, requested by callers that want the returned
      warm state to support delta-solves. Kept out of the per-arc routing
      loop: the extra write loop runs once per routed path, only when
-     tracking. *)
+     tracking. A phase routed ahead writes to [glog] instead. *)
   let gflow =
     if track_groups then
       Some (Array.init ngroups (fun _ -> Array.make m_all 0.0))
     else None
   in
+  let glog =
+    { entries = 0; group = [||]; amount = [||]; stop = [||]; arcs = [||] }
+  in
+  let routing_ahead = ref false in
   (* Drop every shipped phase and restart from cold-floor lengths. A fine
      step inherited from the seed is the right pace only while we also
      keep the seed's lengths: a restart from the cold floor should pace
@@ -334,7 +395,6 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     eps := params.eps;
     Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths
   in
-  let cur_gflow = ref None in
   let tree =
     { Dijkstra.dist = Array.make n infinity; parent_arc = Array.make n (-1) }
   in
@@ -347,40 +407,6 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      solve. [path_buf.(0)] is the arc into the destination; the arc leaving
      the source is at index [path_len - 1]. *)
   let path_buf = Array.make (max 1 (n - 1)) (-1) in
-  (* Walk the tree path into [path_buf]; return its arc count. *)
-  let load_path dst =
-    tree_path ~arc_src tree.Dijkstra.parent_arc path_buf dst 0
-  in
-  (* Summing from the source end keeps the float addition order of the
-     original list-based implementation, so staleness decisions (and hence
-     the whole trajectory) are bit-identical. The bottleneck is
-     order-independent. *)
-  let path_length_and_bottleneck k =
-    let len = ref 0.0 and bottleneck = ref infinity in
-    for i = k - 1 downto 0 do
-      let a = Array.unsafe_get path_buf i in
-      len := !len +. Array.unsafe_get lengths a;
-      bottleneck := Float.min !bottleneck (Array.unsafe_get arc_cap a)
-    done;
-    (!len, !bottleneck)
-  in
-  (* Route [amount] along the buffered path, updating lengths. *)
-  let route_path k amount =
-    for i = k - 1 downto 0 do
-      let a = Array.unsafe_get path_buf i in
-      Array.unsafe_set flow a (Array.unsafe_get flow a +. amount);
-      let cap = Array.unsafe_get arc_cap a in
-      Array.unsafe_set lengths a
-        (Array.unsafe_get lengths a *. (1.0 +. (!eps *. amount /. cap)))
-    done;
-    match !cur_gflow with
-    | Some gfa ->
-        for i = k - 1 downto 0 do
-          let a = Array.unsafe_get path_buf i in
-          Array.unsafe_set gfa a (Array.unsafe_get gfa a +. amount)
-        done
-    | None -> ()
-  in
   (* Copy commodity [ci] of group [gi]'s stored path into [path_buf];
      return its arc count. *)
   let load_stored gi ci =
@@ -389,57 +415,94 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     Array.blit sp_arcs.(gi) off path_buf 0 k;
     k
   in
-  (* Route one group's commodities, each on a path whose current length is
-     within [(1 + eps)] of a lower bound on its current distance
-     (Fleischer's rule). The reference is the distance at the time the
-     path was computed: lengths only grow, so it stays a lower bound.
+  (* Whether the group being routed is on a fresh tree rather than on the
+     stored paths. *)
+  let on_tree = ref false in
+  (* Ship [amounts.(ci)] of commodity [ci] of group [gi], each piece on a
+     path whose current length is within [(1 + eps)] of a lower bound on
+     its current distance (Fleischer's rule). The reference is the
+     distance at the time the path was computed: lengths only grow, so it
+     stays a lower bound. The first stale path switches the rest of the
+     group to a freshly built tree.
 
-     With [stored] the group starts on the paths of the last dual sweep
-     ([commodities] must then be the group's full [dests], so positions
-     match the stored indices), otherwise on a fresh tree. The first stale
-     path switches the rest of the group to a freshly built tree. *)
-  let route_source ?(stored = false) gi s commodities targets =
-    (match gflow with
-    | Some gf -> cur_gflow := Some gf.(gi)
-    | None -> ());
-    let on_tree = ref (not stored) in
-    if not stored then build_tree ~src:s ~targets;
-    let rec route_commodity ci dst rem =
-      if rem > 0.0 then begin
-        let ref_dist =
-          if !on_tree then tree.Dijkstra.dist.(dst) else sp_dist.(ci)
-        in
-        if Float.equal ref_dist infinity then
-          invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
-        let k = if !on_tree then load_path dst else load_stored gi ci in
-        let current_len, bottleneck = path_length_and_bottleneck k in
-        if current_len > (1.0 +. !eps) *. ref_dist then begin
-          (* Path is stale: rebuild the tree and retry on it. *)
-          obs.o_tree_rebuilds <- obs.o_tree_rebuilds + 1;
-          build_tree ~src:s ~targets;
-          on_tree := true;
-          route_commodity ci dst rem
-        end
-        else begin
-          let amount = Float.min rem bottleneck in
-          route_path k amount;
-          route_commodity ci dst (rem -. amount)
-        end
+     The routing pass allocates nothing: floats stay in local references,
+     and minima are plain comparisons (capacities and amounts are
+     positive, never NaN, so they pick what [Float.min] picks). The path
+     length sums from the source end, keeping the float addition order of
+     the original list-based implementation, so staleness decisions (and
+     hence the whole trajectory) are bit-identical. *)
+  let route_commodity gi targets amounts ci =
+    let dst = comm_dst.(ci) in
+    let rem = ref amounts.(ci) in
+    while !rem > 0.0 do
+      let ref_dist =
+        if !on_tree then tree.Dijkstra.dist.(dst) else sp_dist.(ci)
+      in
+      if ref_dist >= infinity then
+        invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
+      let k =
+        if !on_tree then
+          tree_path ~arc_src tree.Dijkstra.parent_arc path_buf dst 0
+        else load_stored gi ci
+      in
+      let len = ref 0.0 and bottleneck = ref infinity in
+      for i = k - 1 downto 0 do
+        let a = Array.unsafe_get path_buf i in
+        len := !len +. Array.unsafe_get lengths a;
+        let c = Array.unsafe_get arc_cap a in
+        if c < !bottleneck then bottleneck := c
+      done;
+      if !len > (1.0 +. !eps) *. ref_dist then begin
+        (* Path is stale: rebuild the tree and retry on it. *)
+        obs.o_tree_rebuilds <- obs.o_tree_rebuilds + 1;
+        build_tree ~src:group_src.(gi) ~targets;
+        on_tree := true
       end
-    in
-    List.iteri
-      (fun j (dst, d) -> route_commodity (group_off.(gi) + j) dst d)
-      commodities;
+      else begin
+        let amount = if !bottleneck < !rem then !bottleneck else !rem in
+        for i = k - 1 downto 0 do
+          let a = Array.unsafe_get path_buf i in
+          Array.unsafe_set flow a (Array.unsafe_get flow a +. amount);
+          let cap = Array.unsafe_get arc_cap a in
+          Array.unsafe_set lengths a
+            (Array.unsafe_get lengths a *. (1.0 +. (!eps *. amount /. cap)))
+        done;
+        (match gflow with
+        | None -> ()
+        | Some gf ->
+            if !routing_ahead then
+              glog.amount.(log_path glog gi path_buf k) <- amount
+            else begin
+              let gfa = gf.(gi) in
+              for i = k - 1 downto 0 do
+                let a = Array.unsafe_get path_buf i in
+                Array.unsafe_set gfa a (Array.unsafe_get gfa a +. amount)
+              done
+            end);
+        rem := !rem -. amount
+      end
+    done
+  in
+  (* Route all of group [gi]'s demand, starting on the paths of the last
+     dual sweep when [stored], otherwise on a fresh tree. *)
+  let route_group ~stored gi =
+    let targets = group_targets.(gi) in
+    on_tree := not stored;
+    if not stored then build_tree ~src:group_src.(gi) ~targets;
+    for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
+      route_commodity gi targets comm_demand ci
+    done;
     if not !on_tree then obs.o_paths_reused <- obs.o_paths_reused + 1
   in
   let fan_out kernel = fan_out ~n ~num_arcs:m_all ~ngroups kernel in
-  (* The dual sweep over groups [[lo, hi)]: each group's tree, every
-     commodity's distance into [sp_dist] and its path into the group's
-     buffer. Allocates nothing unless a group's buffer must grow. *)
-  let sweep_groups ws lo hi =
+  (* The dual sweep over groups [[lo, hi)] at lengths [at]: each group's
+     tree, every commodity's distance into [sp_dist] and its path into the
+     group's buffer. Allocates nothing unless a group's buffer must
+     grow. *)
+  let sweep_groups at ws lo hi =
     let tree = ws.ws_tree and path = ws.ws_path in
     for gi = lo to hi - 1 do
-      Dijkstra.shortest_tree_targets ws.ws_scratch csr ~lengths
+      Dijkstra.shortest_tree_targets ws.ws_scratch csr ~lengths:at
         ~src:group_src.(gi) ~targets:group_targets.(gi) tree;
       let fill = ref 0 in
       for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
@@ -464,14 +527,6 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       alpha := !alpha +. (comm_demand.(ci) *. sp_dist.(ci))
     done;
     !alpha
-  in
-  (* The dual bound's Σ_j d_j · dist_l(j). The sweep's trees are the
-     shortest paths the next phase starts from, so their paths to the
-     destinations are stored for it. *)
-  let alpha () =
-    fan_out sweep_groups;
-    sp_valid := true;
-    weighted_distance ()
   in
   (* ---- delta-solve preparation ----
 
@@ -595,7 +650,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
               else if !stuck then -1
               else !k
             in
-            (* Peel one group's flow copy [f] off every failed arc,
+            (* Peel one group's flow [f] off every failed arc, in place,
                crediting peeled amounts to [removed] per destination. *)
             let peel_group f s =
               List.iter
@@ -639,61 +694,57 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                   done)
                 failed_all
             in
-            let stripped = Array.make ngroups None in
+            (* Each group's inherited flow is copied into its tracked flow
+               (or, untracked, into one shared buffer), peeled there and
+               added to [flow] in group order. A fallback's [restart]
+               zeroes both again. *)
+            let shared = if track_groups then [||] else Array.make m_all 0.0 in
+            (* Per group, the commodities whose peeled amounts
+               ([reship_amount]) are re-shipped below. *)
             let reship = Array.make ngroups [] in
+            let reship_amount = Array.make ncomm 0.0 in
             let total_removed = ref 0.0 and total_ledger = ref 0.0 in
             Array.iteri
               (fun gi (s, dests) ->
                 List.iter
                   (fun (_, d) -> total_ledger := !total_ledger +. (p *. d))
                   dests;
-                let f0 = gs.gs_flow.(gi) in
-                if List.exists (fun a -> f0.(a) > 0.0) failed_all then begin
+                let f = match gflow with Some gf -> gf.(gi) | None -> shared in
+                Array.blit gs.gs_flow.(gi) 0 f 0 m_all;
+                if List.exists (fun a -> f.(a) > 0.0) failed_all then begin
                   Gk_loop.check_cancelled ();
-                  let f = Array.copy f0 in
                   List.iter
                     (fun (dst, d) ->
                       is_dst.(dst) <- true;
                       absorb.(dst) <- p *. d)
                     dests;
                   peel_group f s;
-                  let rm =
-                    List.filter_map
-                      (fun (dst, _) ->
-                        if removed.(dst) > 0.0 then begin
-                          total_removed := !total_removed +. removed.(dst);
-                          Some (dst, removed.(dst))
-                        end
-                        else None)
-                      dests
-                  in
+                  for ci = group_off.(gi + 1) - 1 downto group_off.(gi) do
+                    let dst = comm_dst.(ci) in
+                    if removed.(dst) > 0.0 then begin
+                      reship_amount.(ci) <- removed.(dst);
+                      reship.(gi) <- ci :: reship.(gi)
+                    end
+                  done;
+                  List.iter
+                    (fun ci ->
+                      total_removed := !total_removed +. reship_amount.(ci))
+                    reship.(gi);
                   List.iter
                     (fun (dst, _) ->
                       is_dst.(dst) <- false;
                       absorb.(dst) <- 0.0;
                       removed.(dst) <- 0.0)
-                    dests;
-                  stripped.(gi) <- Some f;
-                  reship.(gi) <- rm
-                end)
+                    dests
+                end;
+                for a = 0 to m_all - 1 do
+                  flow.(a) <- flow.(a) +. f.(a)
+                done)
               groups;
             if !total_removed *. 4.0 > !total_ledger then
               cold_lengths_carry_dual w
             else begin
               obs.o_mode <- 2;
-              for gi = 0 to ngroups - 1 do
-                let f =
-                  match stripped.(gi) with
-                  | Some f -> f
-                  | None -> gs.gs_flow.(gi)
-                in
-                for a = 0 to m_all - 1 do
-                  flow.(a) <- flow.(a) +. f.(a)
-                done;
-                match gflow with
-                | Some gf -> Array.blit f 0 gf.(gi) 0 m_all
-                | None -> ()
-              done;
               (* Repair a copy of every group's tree for the masked graph
                  at the seeded lengths: the repairs give an immediate dual
                  bound (distances under the current lengths) before any
@@ -712,7 +763,9 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                   done
                 done
               in
+              let t0 = Gk_loop.tick () in
               fan_out repair_groups;
+              obs.o_capture_ns <- obs.o_capture_ns + Gk_loop.ns_since t0;
               if Array.exists (Float.equal infinity) sp_dist then
                 invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
               stats.Gk_loop.dual_checks <- stats.Gk_loop.dual_checks + 1;
@@ -722,18 +775,21 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                   ~alpha:(weighted_distance ())
               in
               let start_dual = Float.min w.w_dual fresh in
-              (* Re-ship the peeled amounts under the seeded lengths. They
+              (* Re-ship the peeled amounts under the seeded lengths, each
+                 group on a fresh tree to its re-shipped destinations. They
                  are small — bounded by the failed arcs' carried flow, not
                  by the groups' full ledgers — so routing them in one pass
                  barely moves the congestion profile. *)
               Array.iteri
-                (fun gi (s, _) ->
-                  match reship.(gi) with
-                  | [] -> ()
-                  | rm ->
-                      Gk_loop.check_cancelled ();
-                      route_source gi s rm (List.map fst rm))
-                groups;
+                (fun gi cis ->
+                  if cis <> [] then begin
+                    Gk_loop.check_cancelled ();
+                    let targets = List.map (fun ci -> comm_dst.(ci)) cis in
+                    on_tree := true;
+                    build_tree ~src:group_src.(gi) ~targets;
+                    List.iter (route_commodity gi targets reship_amount) cis
+                  end)
+                reship;
               Gk_loop.rescale_lengths lengths;
               (w.w_phases, start_dual)
             end)
@@ -746,6 +802,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         (* Full trees at the final lengths, one sweep per source — the
            price of making the state delta-capable, paid only when the
            caller asked for it. *)
+        let t0 = Gk_loop.tick () in
         let trees =
           Array.map
             (fun _ ->
@@ -760,6 +817,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
               Dijkstra.shortest_tree_full ws.ws_scratch csr ~lengths
                 ~src:group_src.(gi) trees.(gi)
             done);
+        obs.o_capture_ns <- obs.o_capture_ns + Gk_loop.ns_since t0;
         Some { gs_flow = gf; gs_tree = trees }
   in
   (* The warm state keeps the whole history ([flow] and the group flows,
@@ -784,25 +842,109 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     in
     { result; warm = warm_out }
   in
-  (* One phase of routing: every source group, starting on the paths the
-     previous phase's dual sweep stored when there was one. *)
+  (* One phase of routing, every source group in order: on the paths the
+     last dual sweep stored when there was one (they stay valid across a
+     rollback, which restores the lengths the sweep read). *)
   let route () =
     let stored = !sp_valid in
-    Array.iteri
-      (fun gi (s, dests) -> route_source ~stored gi s dests group_targets.(gi))
-      groups;
-    sp_valid := false
+    for gi = 0 to ngroups - 1 do
+      route_group ~stored gi
+    done
+  in
+  (* Route groups [[lo, hi)] of the phase ahead on the sweep's paths; the
+     group flows go to [glog]. *)
+  let route_ahead lo hi =
+    let t0 = Gk_loop.tick () in
+    routing_ahead := true;
+    for gi = lo to hi - 1 do
+      route_group ~stored:true gi
+    done;
+    routing_ahead := false;
+    stats.Gk_loop.route_ns <- stats.Gk_loop.route_ns + Gk_loop.ns_since t0
+  in
+  (* [chunk_done.(c)] is the number of the last sweep whose chunk [c] is
+     built; an atomic, so the router reads the chunk's paths only after
+     the domain that built them published them. *)
+  let chunk_done = Array.init ngroups (fun _ -> Atomic.make 0) in
+  let sweeps = ref 0 in
+  (* What a rolled-back phase counted. *)
+  let kept_rebuilds = ref 0 and kept_reused = ref 0 in
+  (* The dual sweep at the frozen lengths, then the next phase's routing
+     on the live ones. With workers, the sweep is a pool batch of
+     contiguous chunks of groups, and the caller routes each chunk's
+     groups as soon as the chunk is built, building unclaimed chunks
+     while it waits. A routed group reads only its own stored paths, so
+     the routing reads what it would read after the whole sweep. *)
+  let step ~lengths:frozen =
+    kept_rebuilds := obs.o_tree_rebuilds;
+    kept_reused := obs.o_paths_reused;
+    let sweep = sweep_groups frozen in
+    let workers = Dcn_util.Pool.workers () in
+    if workers = 0 || ngroups < 2 || ngroups * m_all < min_parallel_work then begin
+      with_workspace n sweep 0 ngroups;
+      route_ahead 0 ngroups
+    end
+    else begin
+      let chunks = min ngroups (chunks_per_participant * (workers + 1)) in
+      incr sweeps;
+      let stamp = !sweeps in
+      let built c = Atomic.get chunk_done.(c) = stamp in
+      Dcn_util.Pool.run_with ~total:chunks
+        (fun c ->
+          match
+            with_workspace n sweep (c * ngroups / chunks)
+              ((c + 1) * ngroups / chunks)
+          with
+          | () -> Atomic.set chunk_done.(c) stamp
+          | exception e ->
+              Atomic.set chunk_done.(c) stamp;
+              raise e)
+        ~caller:(fun help ->
+          for c = 0 to chunks - 1 do
+            while (not (built c)) && help () do
+              ()
+            done;
+            if not (built c) then begin
+              (* Chunk [c] is being built elsewhere. *)
+              let t0 = Gk_loop.tick () in
+              while not (built c) do
+                Domain.cpu_relax ()
+              done;
+              stats.Gk_loop.route_wait_ns <-
+                stats.Gk_loop.route_wait_ns + Gk_loop.ns_since t0
+            end;
+            route_ahead (c * ngroups / chunks) ((c + 1) * ngroups / chunks)
+          done)
+    end;
+    sp_valid := true;
+    weighted_distance ()
+  in
+  let settle ~keep =
+    if keep then Option.iter (replay_log glog) gflow
+    else begin
+      glog.entries <- 0;
+      obs.o_tree_rebuilds <- !kept_rebuilds;
+      obs.o_paths_reused <- !kept_reused
+    end
   in
   Gk_loop.run ~cat:"fptas" ~params ~stats ~eps ~cap:arc_cap ~flow ~lengths
-    ~route ~alpha ~restart ~phases:start_phases ~best_dual:start_dual ~finish
+    ~route ~step ~settle ~restart ~phases:start_phases ~best_dual:start_dual
+    ~finish
 
 let run ~params ~warm ~failed ~track_groups g commodities =
   let obs =
-    { o_tree_rebuilds = 0; o_paths_reused = 0; o_mode = 0; o_inherited = 0 }
+    {
+      o_tree_rebuilds = 0;
+      o_paths_reused = 0;
+      o_mode = 0;
+      o_inherited = 0;
+      o_capture_ns = 0;
+    }
   in
   let flush st =
     Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
     Metrics.add m_paths_reused obs.o_paths_reused;
+    Metrics.add m_capture_ns obs.o_capture_ns;
     if obs.o_mode >= 1 then begin
       Metrics.incr m_warm_starts;
       Metrics.add m_phases_saved

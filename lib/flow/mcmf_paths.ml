@@ -112,10 +112,10 @@ let solve_flat ~params ~stats g commodities store =
   let lengths = Array.make m_all 0.0 in
   Gk_loop.init_lengths ~eps:!eps ~cap lengths;
   let flow = Array.make m_all 0.0 in
-  (* [min_path j] returns the id of commodity [j]'s shortest path under
-     [lengths] and leaves its length in [min_len.(0)]. *)
+  (* [min_path lengths j] returns the id of commodity [j]'s shortest path
+     under [lengths] and leaves its length in [min_len.(0)]. *)
   let min_len = [| 0.0 |] in
-  let min_path j =
+  let min_path lengths j =
     let best = ref com_off.(j) and best_len = ref infinity in
     for p = com_off.(j) to com_off.(j + 1) - 1 do
       let len = ref 0.0 in
@@ -133,7 +133,7 @@ let solve_flat ~params ~stats g commodities store =
   let route_commodity j =
     let rem = ref demand.(j) in
     while !rem > 0.0 do
-      let p = min_path j in
+      let p = min_path lengths j in
       let first = path_off.(p) and last = path_off.(p + 1) - 1 in
       let bottleneck = ref infinity in
       for x = first to last do
@@ -154,17 +154,22 @@ let solve_flat ~params ~stats g commodities store =
       route_commodity j
     done
   in
-  let alpha () =
+  (* The dual bound's α at the frozen lengths, then the next phase's
+     routing on the live ones. *)
+  let step ~lengths:frozen =
     let alpha = ref 0.0 in
     for j = 0 to k - 1 do
-      ignore (min_path j : int);
+      ignore (min_path frozen j : int);
       alpha := !alpha +. (demand.(j) *. min_len.(0))
     done;
+    let t0 = Gk_loop.tick () in
+    route ();
+    stats.Gk_loop.route_ns <- stats.Gk_loop.route_ns + Gk_loop.ns_since t0;
     !alpha
   in
   Gk_loop.run ~cat:"paths" ~params ~stats ~eps ~cap ~flow ~lengths ~route
-    ~alpha ~restart:ignore ~phases:0 ~best_dual:infinity
-    ~finish:(Gk_loop.result ~scale)
+    ~step ~settle:(fun ~keep:_ -> ()) ~restart:ignore ~phases:0
+    ~best_dual:infinity ~finish:(Gk_loop.result ~scale)
 
 let solve ?(params = Mcmf_fptas.default_params) g commodities =
   Gk_loop.validate params;

@@ -5,7 +5,9 @@
    composes: a figure-level task that submits a run-level batch drains that
    batch itself even when every worker is busy, which makes nested [run]
    calls deadlock-free by construction (waiting only ever happens on tasks
-   that some thread is actively executing).
+   that some thread is actively executing). [run_with] lets the submitter
+   do its own work between the tasks it claims, waiting only on tasks
+   another thread has already claimed.
 
    Claiming is lock-free (an [Atomic] cursor per batch); the mutex only
    guards the batch queue, worker lifecycle and condition variables. Tasks
@@ -155,92 +157,103 @@ let () =
       Mutex.unlock mutex;
       List.iter Domain.join hs)
 
-let run ~total f =
-  if total < 0 then invalid_arg "Pool.run: negative task count";
-  if total > 0 then begin
-    if (not (enabled ())) || total = 1 then
-      for i = 0 to total - 1 do
-        f i
-      done
-    else begin
-      (* Deterministic exception propagation: remember the failure with the
-         smallest task index, matching what a serial loop would raise
-         first. *)
-      let first_exn : (int * exn * Printexc.raw_backtrace) option ref =
-        ref None
-      in
-      let record i e bt =
-        Mutex.lock mutex;
-        (match !first_exn with
-        | Some (j, _, _) when j <= i -> ()
-        | _ -> first_exn := Some (i, e, bt));
-        Mutex.unlock mutex
-      in
-      let submit_ns =
-        if Metrics.enabled () || Trace.enabled () then Dcn_obs.Clock.now_ns ()
-        else 0L
-      in
-      (* The submitter's context labels (e.g. the current figure name)
-         follow its tasks onto whichever domain executes them. *)
-      let ctx = Dcn_obs.Context.capture () in
-      (* Nothing raises between the two installs, so the executing
-         domain's own context is restored without a closure. *)
-      let task i =
-        let own = Dcn_obs.Context.capture () in
-        Dcn_obs.Context.install ctx;
-        (try f i with e -> record i e (Printexc.get_raw_backtrace ()))
-        [@dcn.lint
-          "catch-all: not swallowed — the smallest-index failure is \
-           re-raised with its backtrace by the batch owner after the \
-           batch drains, matching serial-loop semantics"];
-        Dcn_obs.Context.install own
-      in
-      let run_one i =
-        if not (Metrics.enabled () || Trace.enabled ()) then task i
-        else begin
-          let t0 = Dcn_obs.Clock.now_ns () in
-          if Metrics.enabled () then begin
-            Metrics.incr m_tasks;
-            Metrics.observe m_queue_wait_s
-              (Dcn_obs.Clock.seconds_between submit_ns t0)
-          end;
-          let sp = Trace.begin_span ~cat:"pool" "task" in
-          task i;
-          Trace.end_span sp ~args:[ ("index", Dcn_obs.Json.Int i) ];
-          if Metrics.enabled () then begin
-            let t1 = Dcn_obs.Clock.now_ns () in
-            Metrics.observe m_task_run_s
-              (Dcn_obs.Clock.seconds_between t0 t1);
-            Metrics.add (busy_counter ())
-              (Int64.to_int (Int64.sub t1 t0))
-          end
-        end
-      in
-      Metrics.incr m_batches;
-      let b =
-        {
-          total;
-          run = run_one;
-          next = Atomic.make 0;
-          completed = Atomic.make 0;
-        }
-      in
+let run_with ~total f ~caller =
+  if total < 0 then invalid_arg "Pool.run_with: negative task count";
+  if (not (enabled ())) || total <= 1 then begin
+    (* Serial: [help] runs the next task in index order, and whatever
+       the caller left runs after it; an exception propagates at once,
+       as from a plain loop. *)
+    let next = ref 0 in
+    let help () =
+      if !next < total then begin
+        let i = !next in
+        next := i + 1;
+        f i;
+        true
+      end
+      else false
+    in
+    caller help;
+    while help () do
+      ()
+    done
+  end
+  else begin
+    (* Deterministic exception propagation: remember the failure with the
+       smallest task index, matching what a serial loop would raise
+       first. *)
+    let first_exn : (int * exn * Printexc.raw_backtrace) option ref =
+      ref None
+    in
+    let record i e bt =
       Mutex.lock mutex;
-      batches := b :: !batches;
-      ensure_workers ();
-      Condition.broadcast work_available;
-      Mutex.unlock mutex;
-      (* Participate: the submitter claims from its own batch only, so it
-         is never diverted to long-running foreign work. *)
-      let rec drain () =
-        let i = Atomic.fetch_and_add b.next 1 in
-        if i < b.total then begin
-          run_one i;
-          ignore (Atomic.fetch_and_add b.completed 1);
-          drain ()
+      (match !first_exn with
+      | Some (j, _, _) when j <= i -> ()
+      | _ -> first_exn := Some (i, e, bt));
+      Mutex.unlock mutex
+    in
+    let submit_ns =
+      if Metrics.enabled () || Trace.enabled () then Dcn_obs.Clock.now_ns ()
+      else 0L
+    in
+    (* The submitter's context labels (e.g. the current figure name)
+       follow its tasks onto whichever domain executes them. *)
+    let ctx = Dcn_obs.Context.capture () in
+    (* Nothing raises between the two installs, so the executing
+       domain's own context is restored without a closure. *)
+    let task i =
+      let own = Dcn_obs.Context.capture () in
+      Dcn_obs.Context.install ctx;
+      (try f i with e -> record i e (Printexc.get_raw_backtrace ()))
+      [@dcn.lint
+        "catch-all: not swallowed — the smallest-index failure is \
+         re-raised with its backtrace by the batch owner after the \
+         batch drains, matching serial-loop semantics"];
+      Dcn_obs.Context.install own
+    in
+    let run_one i =
+      if not (Metrics.enabled () || Trace.enabled ()) then task i
+      else begin
+        let t0 = Dcn_obs.Clock.now_ns () in
+        if Metrics.enabled () then begin
+          Metrics.incr m_tasks;
+          Metrics.observe m_queue_wait_s
+            (Dcn_obs.Clock.seconds_between submit_ns t0)
+        end;
+        let sp = Trace.begin_span ~cat:"pool" "task" in
+        task i;
+        Trace.end_span sp ~args:[ ("index", Dcn_obs.Json.Int i) ];
+        if Metrics.enabled () then begin
+          let t1 = Dcn_obs.Clock.now_ns () in
+          Metrics.observe m_task_run_s (Dcn_obs.Clock.seconds_between t0 t1);
+          Metrics.add (busy_counter ()) (Int64.to_int (Int64.sub t1 t0))
         end
-      in
-      drain ();
+      end
+    in
+    Metrics.incr m_batches;
+    let b =
+      { total; run = run_one; next = Atomic.make 0; completed = Atomic.make 0 }
+    in
+    Mutex.lock mutex;
+    batches := b :: !batches;
+    ensure_workers ();
+    Condition.broadcast work_available;
+    Mutex.unlock mutex;
+    (* Participate: the submitter claims from its own batch only, so it
+       is never diverted to long-running foreign work. *)
+    let help () =
+      let i = Atomic.fetch_and_add b.next 1 in
+      if i < b.total then begin
+        run_one i;
+        ignore (Atomic.fetch_and_add b.completed 1);
+        true
+      end
+      else false
+    in
+    let complete_batch () =
+      while help () do
+        ()
+      done;
       Mutex.lock mutex;
       while Atomic.get b.completed < total do
         Condition.wait task_done mutex
@@ -250,8 +263,18 @@ let run ~total f =
       match !first_exn with
       | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()
-    end
+    in
+    (* A caller that raises still waits for the batch, whose tasks may
+       write into its state; a task's failure is raised first. *)
+    match caller help with
+    | () -> complete_batch ()
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        complete_batch ();
+        Printexc.raise_with_backtrace e bt
   end
+
+let run ~total f = run_with ~total f ~caller:ignore
 
 (* ---- detached tasks and graceful drain ---------------------------- *)
 

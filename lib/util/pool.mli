@@ -41,6 +41,28 @@ val run : total:int -> (int -> unit) -> unit
     is re-raised after the batch completes (matching what a serial loop
     would surface first); unlike a serial loop, later tasks still run. *)
 
+val run_with :
+  total:int -> (int -> unit) -> caller:((unit -> bool) -> unit) -> unit
+(** [run_with ~total f ~caller] is {!run} with work of the caller's own
+    alongside the batch: once the batch is queued, [caller help] runs on
+    the calling thread, where [help ()] claims one unclaimed task of the
+    batch, runs it and returns [true], or returns [false] when every task
+    has been claimed. Tasks are claimed in index order. When [caller]
+    returns, the calling thread runs the tasks still unclaimed and waits
+    for the rest; [run] is [run_with ~caller:ignore].
+
+    [caller] may wait for a task's effects (the FPTAS routes a source as
+    soon as the task building its tree is done), but only for a task some
+    thread has claimed, that is after [help ()] returned [false] or after
+    running it itself. Such a task is being executed, so the wait ends.
+
+    With the pool disabled or [total <= 1], [help] runs the next task in
+    index order on the caller, and an exception from a task propagates
+    through [caller] at once, as from a plain loop. Otherwise a failing
+    task's exception (the smallest index's) is re-raised once the batch
+    completes, and an exception from [caller] is re-raised after the
+    batch completes if no task failed. *)
+
 (** {1 Detached tasks and graceful drain}
 
     The serving layer ({!Dcn_serve.Server}) feeds its accept loop into the

@@ -534,11 +534,26 @@ let test_stage_timers () =
           (Printf.sprintf "%s: route %d + dual %d ns <= solve %.0f ns" cat
              route dual solve_ns)
           true
-          (float_of_int (route + dual) <= solve_ns))
+          (float_of_int (route + dual) <= solve_ns);
+        let wait = Metrics.counter_value snap (cat ^ ".route_wait_ns") in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: route wait %d <= dual %d ns" cat wait dual)
+          true (wait <= dual);
+        (* Each solve rolls back the phase routed ahead when it stops, and
+           one more at each eps halving. *)
+        let count name = Metrics.counter_value snap (cat ^ "." ^ name) in
+        Alcotest.(check int) (cat ^ ".phases_discarded")
+          (count "solves" + count "eps_halvings")
+          (count "phases_discarded"))
   in
   check "fptas" (fun () -> Core.Mcmf_fptas.solve ~params g cs);
   check "paths" (fun () ->
-      Core.Mcmf_paths.solve ~params g (Core.Mcmf_paths.of_k_shortest g ~k:4 cs))
+      Core.Mcmf_paths.solve ~params g (Core.Mcmf_paths.of_k_shortest g ~k:4 cs));
+  (* A tracked solve times its captured trees. *)
+  with_metrics (fun () ->
+      ignore (Core.Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs);
+      Alcotest.(check bool) "fptas.capture_ns > 0" true
+        (Metrics.counter_value (Metrics.snapshot ()) "fptas.capture_ns" > 0))
 
 (* ---- bucketed percentile accessors ---- *)
 

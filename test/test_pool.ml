@@ -48,6 +48,67 @@ let test_pool_exception_lowest_index () =
       | exception Failure msg ->
           Alcotest.(check string) "lowest failing index" "2" msg)
 
+(* [run_with]: the caller waits on each task in index order, helping
+   while tasks are unclaimed, as the FPTAS router does. Every task runs
+   once, and the caller sees each task's write once [done_.(i)] is set. *)
+let test_pool_run_with () =
+  List.iter
+    (fun w ->
+      with_workers w (fun () ->
+          let total = 24 in
+          let out = Array.make total 0 in
+          let done_ = Array.init total (fun _ -> Atomic.make false) in
+          let runs = Atomic.make 0 and helped = ref 0 and seen = ref 0 in
+          Pool.run_with ~total
+            (fun i ->
+              Atomic.incr runs;
+              out.(i) <- (i * i) + 1;
+              Atomic.set done_.(i) true)
+            ~caller:(fun help ->
+              for i = 0 to total - 1 do
+                while (not (Atomic.get done_.(i))) && help () do
+                  incr helped
+                done;
+                while not (Atomic.get done_.(i)) do
+                  Domain.cpu_relax ()
+                done;
+                seen := !seen + out.(i)
+              done);
+          let label = Printf.sprintf "workers %d" w in
+          Alcotest.(check int) (label ^ " each task once") total
+            (Atomic.get runs);
+          Alcotest.(check int) (label ^ " caller saw every write")
+            (Array.fold_left ( + ) 0 out) !seen;
+          if w = 0 then
+            Alcotest.(check int) (label ^ " serial: caller ran all") total
+              !helped))
+    [ 0; 1; 3 ];
+  (* A caller that leaves tasks unclaimed: they still run. *)
+  with_workers 2 (fun () ->
+      let runs = Atomic.make 0 in
+      Pool.run_with ~total:10 (fun _ -> Atomic.incr runs) ~caller:ignore;
+      Alcotest.(check int) "caller:ignore runs all" 10 (Atomic.get runs));
+  (* A failing task is raised after the batch, before the caller's own
+     failure; a caller failure alone is raised once the batch is done. *)
+  with_workers 2 (fun () ->
+      (match
+         Pool.run_with ~total:8
+           (fun i -> if i = 3 then failwith "task")
+           ~caller:(fun _ -> failwith "caller")
+       with
+      | () -> Alcotest.fail "expected exception"
+      | exception Failure msg -> Alcotest.(check string) "task first" "task" msg);
+      let runs = Atomic.make 0 in
+      match
+        Pool.run_with ~total:8
+          (fun _ -> Atomic.incr runs)
+          ~caller:(fun _ -> failwith "caller")
+      with
+      | () -> Alcotest.fail "expected exception"
+      | exception Failure msg ->
+          Alcotest.(check string) "caller failure" "caller" msg;
+          Alcotest.(check int) "batch completed first" 8 (Atomic.get runs))
+
 let test_pool_nested_batches () =
   (* An outer batch whose tasks submit inner batches: submitters drain
      their own batches, so this completes on any worker count. *)
@@ -179,6 +240,8 @@ let suite =
       Alcotest.test_case "exception of lowest index" `Quick
         test_pool_exception_lowest_index;
       Alcotest.test_case "nested batches" `Quick test_pool_nested_batches;
+      Alcotest.test_case "run_with: caller waits on its tasks" `Quick
+        test_pool_run_with;
       Alcotest.test_case "run covers all tasks" `Quick test_pool_run_basic;
       Alcotest.test_case "worker resize" `Quick test_pool_worker_resize;
       Alcotest.test_case "submit runs detached" `Quick test_submit_runs_detached;
