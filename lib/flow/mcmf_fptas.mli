@@ -15,16 +15,22 @@
     source.
 
     The dual sweep runs on the domain pool ({!Dcn_util.Pool}): its trees
-    are independent, since lengths do not change during the sweep, so
-    each phase's sweep is one batch over contiguous chunks of sources
-    (and so are a delta-solve's tree repairs and a tracked solve's
-    captured trees). The routing pass stays sequential. The answer is
+    are independent, since it reads a frozen copy of the lengths, so each
+    phase's sweep is one batch over contiguous chunks of sources (and so
+    are a delta-solve's tree repairs and a tracked solve's captured
+    trees). The routing pass is sequential, and it overlaps the sweep:
+    the calling domain routes the next phase on the live lengths, each
+    source as soon as the chunk holding its tree is built, and builds
+    unclaimed chunks itself while it waits ({!Gk_loop.run} rolls that
+    phase back when the solve stops or eps halves; a tracked solve's
+    group flows for it wait in a log until it is kept). The answer is
     bit-identical at any worker count: each commodity's distance goes to
-    its own slot and its path to its source's own buffer, and the dual
-    bound's sum is taken after the batch, in commodity order, so no
-    float operation depends on which domain built which tree. With no
-    workers, or a sweep too small to pay for waking one, the sweep is a
-    plain loop.
+    its own slot and its path to its source's own buffer, a source is
+    routed only on its own stored paths, and the dual bound's sum is
+    taken after the batch, in commodity order, so no float operation
+    depends on which domain built which tree or when. With no workers,
+    or a sweep too small to pay for waking one, the step sweeps as a
+    plain loop and then routes.
 
     Rather than relying on the worst-case scaling analysis, the solver
     certifies its own answer each phase, a primal [λ_lo] and a dual
