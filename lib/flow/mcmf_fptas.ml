@@ -186,16 +186,20 @@ let with_workspace n kernel lo hi =
 let chunks_per_participant = 8
 let min_parallel_work = 1 lsl 16
 
-let fan_out ~n ~num_arcs ~ngroups kernel =
+let chunk_count ~num_arcs ~ngroups =
   let workers = Dcn_util.Pool.workers () in
-  if workers = 0 || ngroups < 2 || ngroups * num_arcs < min_parallel_work then
-    with_workspace n kernel 0 ngroups
-  else begin
-    let chunks = min ngroups (chunks_per_participant * (workers + 1)) in
-    Dcn_util.Pool.run ~total:chunks (fun c ->
-        with_workspace n kernel (c * ngroups / chunks)
-          ((c + 1) * ngroups / chunks))
-  end
+  if workers = 0 || ngroups < 2 || ngroups * num_arcs < min_parallel_work then 1
+  else min ngroups (chunks_per_participant * (workers + 1))
+
+(* Chunk [c] of [chunks] is groups [[chunk_lo, chunk_lo (c + 1))]. *)
+let chunk_lo ~ngroups ~chunks c = c * ngroups / chunks
+
+let fan_out ~n ~num_arcs ~ngroups kernel =
+  let chunks = chunk_count ~num_arcs ~ngroups in
+  Dcn_util.Pool.run ~total:chunks (fun c ->
+      with_workspace n kernel
+        (chunk_lo ~ngroups ~chunks c)
+        (chunk_lo ~ngroups ~chunks (c + 1)))
 
 (* Walk the tree path from [v] up to the source into [buf] from index
    [k] on ([buf.(0)] is the arc into the path's end when [k = 0]); return
@@ -700,7 +704,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                zeroes both again. *)
             let shared = if track_groups then [||] else Array.make m_all 0.0 in
             (* Per group, the commodities whose peeled amounts
-               ([reship_amount]) are re-shipped below. *)
+               ([reship_amount]) are re-shipped below, last first. *)
             let reship = Array.make ngroups [] in
             let reship_amount = Array.make ncomm 0.0 in
             let total_removed = ref 0.0 and total_ledger = ref 0.0 in
@@ -719,17 +723,14 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                       absorb.(dst) <- p *. d)
                     dests;
                   peel_group f s;
-                  for ci = group_off.(gi + 1) - 1 downto group_off.(gi) do
-                    let dst = comm_dst.(ci) in
-                    if removed.(dst) > 0.0 then begin
-                      reship_amount.(ci) <- removed.(dst);
+                  for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
+                    let r = removed.(comm_dst.(ci)) in
+                    if r > 0.0 then begin
+                      total_removed := !total_removed +. r;
+                      reship_amount.(ci) <- r;
                       reship.(gi) <- ci :: reship.(gi)
                     end
                   done;
-                  List.iter
-                    (fun ci ->
-                      total_removed := !total_removed +. reship_amount.(ci))
-                    reship.(gi);
                   List.iter
                     (fun (dst, _) ->
                       is_dst.(dst) <- false;
@@ -781,9 +782,10 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                  by the groups' full ledgers — so routing them in one pass
                  barely moves the congestion profile. *)
               Array.iteri
-                (fun gi cis ->
-                  if cis <> [] then begin
+                (fun gi last_first ->
+                  if last_first <> [] then begin
                     Gk_loop.check_cancelled ();
+                    let cis = List.rev last_first in
                     let targets = List.map (fun ci -> comm_dst.(ci)) cis in
                     on_tree := true;
                     build_tree ~src:group_src.(gi) ~targets;
@@ -870,52 +872,44 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   (* What a rolled-back phase counted. *)
   let kept_rebuilds = ref 0 and kept_reused = ref 0 in
   (* The dual sweep at the frozen lengths, then the next phase's routing
-     on the live ones. With workers, the sweep is a pool batch of
-     contiguous chunks of groups, and the caller routes each chunk's
-     groups as soon as the chunk is built, building unclaimed chunks
-     while it waits. A routed group reads only its own stored paths, so
-     the routing reads what it would read after the whole sweep. *)
+     on the live ones. The sweep is one batch of contiguous chunks of
+     groups, and the caller routes each chunk's groups as soon as the
+     chunk is built, building unclaimed chunks while it waits. A routed
+     group reads only its own stored paths, so the routing reads what it
+     would read after the whole sweep. With one chunk (no workers, or a
+     small instance) the caller sweeps, then routes. *)
   let step ~lengths:frozen =
     kept_rebuilds := obs.o_tree_rebuilds;
     kept_reused := obs.o_paths_reused;
     let sweep = sweep_groups frozen in
-    let workers = Dcn_util.Pool.workers () in
-    if workers = 0 || ngroups < 2 || ngroups * m_all < min_parallel_work then begin
-      with_workspace n sweep 0 ngroups;
-      route_ahead 0 ngroups
-    end
-    else begin
-      let chunks = min ngroups (chunks_per_participant * (workers + 1)) in
-      incr sweeps;
-      let stamp = !sweeps in
-      let built c = Atomic.get chunk_done.(c) = stamp in
-      Dcn_util.Pool.run_with ~total:chunks
-        (fun c ->
-          match
-            with_workspace n sweep (c * ngroups / chunks)
-              ((c + 1) * ngroups / chunks)
-          with
-          | () -> Atomic.set chunk_done.(c) stamp
-          | exception e ->
-              Atomic.set chunk_done.(c) stamp;
-              raise e)
-        ~caller:(fun help ->
-          for c = 0 to chunks - 1 do
-            while (not (built c)) && help () do
-              ()
+    let chunks = chunk_count ~num_arcs:m_all ~ngroups in
+    let lo c = chunk_lo ~ngroups ~chunks c in
+    incr sweeps;
+    let stamp = !sweeps in
+    let built c = Atomic.get chunk_done.(c) = stamp in
+    Dcn_util.Pool.run_with ~total:chunks
+      (fun c ->
+        match with_workspace n sweep (lo c) (lo (c + 1)) with
+        | () -> Atomic.set chunk_done.(c) stamp
+        | exception e ->
+            Atomic.set chunk_done.(c) stamp;
+            raise e)
+      ~caller:(fun help ->
+        for c = 0 to chunks - 1 do
+          while (not (built c)) && help () do
+            ()
+          done;
+          if not (built c) then begin
+            (* Chunk [c] is being built elsewhere. *)
+            let t0 = Gk_loop.tick () in
+            while not (built c) do
+              Domain.cpu_relax ()
             done;
-            if not (built c) then begin
-              (* Chunk [c] is being built elsewhere. *)
-              let t0 = Gk_loop.tick () in
-              while not (built c) do
-                Domain.cpu_relax ()
-              done;
-              stats.Gk_loop.route_wait_ns <-
-                stats.Gk_loop.route_wait_ns + Gk_loop.ns_since t0
-            end;
-            route_ahead (c * ngroups / chunks) ((c + 1) * ngroups / chunks)
-          done)
-    end;
+            stats.Gk_loop.route_wait_ns <-
+              stats.Gk_loop.route_wait_ns + Gk_loop.ns_since t0
+          end;
+          route_ahead (lo c) (lo (c + 1))
+        done);
     sp_valid := true;
     weighted_distance ()
   in
