@@ -213,58 +213,54 @@ let rec tree_path ~arc_src parent_arc buf v k =
   end
 
 (* The group-flow additions of a phase routed ahead ({!Gk_loop.run}), in
-   routing order: path [e] adds [amount.(e)] to group [group.(e)]'s flow
-   on arcs [arcs.(start) .. arcs.(stop.(e) - 1)], where [start] is
-   [stop.(e - 1)] (0 for the first). Replayed into the group flows when
-   the phase is kept, dropped when it is rolled back, so every cell gets
-   the additions it would have got from routing straight into it, in the
+   routing order: entry [e] is a path of group [g] with [k] arcs, stored
+   as [g; k; arc ...] in [paths], shipping [amounts.(e)]. Replayed into
+   the group flows when the phase is kept, dropped when it is rolled
+   back. A path crosses an arc at most once, so every cell gets the
+   additions it would have got from routing straight into it, in the
    same order, and no groups × arcs copy is needed. *)
 type group_log = {
+  mutable paths : int array;
+  mutable fill : int;
+  mutable amounts : float array;
   mutable entries : int;
-  mutable group : int array;
-  mutable amount : float array;
-  mutable stop : int array;
-  mutable arcs : int array;
 }
 
-let grow_ints a len =
-  let b = Array.make (2 * len) 0 in
+let grow a len zero =
+  let b = Array.make (2 * len) zero in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* Append [path.(k - 1) .. path.(0)] for group [gi]; return the entry,
-   whose [amount] the caller sets. *)
+(* Append group [gi]'s path [path.(0 .. k - 1)]; return the entry, whose
+   amount the caller sets. *)
 let log_path lg gi path k =
-  let e = lg.entries in
-  let start = if e = 0 then 0 else lg.stop.(e - 1) in
-  if e = Array.length lg.group then begin
-    lg.group <- grow_ints lg.group (e + 1);
-    lg.stop <- grow_ints lg.stop (e + 1);
-    let amount = Array.make (2 * (e + 1)) 0.0 in
-    Array.blit lg.amount 0 amount 0 e;
-    lg.amount <- amount
-  end;
-  if start + k > Array.length lg.arcs then
-    lg.arcs <- grow_ints lg.arcs (start + k);
-  for i = k - 1 downto 0 do
-    lg.arcs.(start + k - 1 - i) <- path.(i)
-  done;
-  lg.group.(e) <- gi;
-  lg.stop.(e) <- start + k;
+  let start = lg.fill and e = lg.entries in
+  if start + 2 + k > Array.length lg.paths then
+    lg.paths <- grow lg.paths (start + 2 + k) 0;
+  if e = Array.length lg.amounts then lg.amounts <- grow lg.amounts (e + 1) 0.0;
+  lg.paths.(start) <- gi;
+  lg.paths.(start + 1) <- k;
+  Array.blit path 0 lg.paths (start + 2) k;
+  lg.fill <- start + 2 + k;
   lg.entries <- e + 1;
   e
 
+let clear_log lg =
+  lg.fill <- 0;
+  lg.entries <- 0
+
 let replay_log lg gflow =
-  let start = ref 0 in
+  let pos = ref 0 in
   for e = 0 to lg.entries - 1 do
-    let gf = gflow.(lg.group.(e)) and amount = lg.amount.(e) in
-    for x = !start to lg.stop.(e) - 1 do
-      let a = lg.arcs.(x) in
+    let gf = gflow.(lg.paths.(!pos)) and k = lg.paths.(!pos + 1) in
+    let amount = lg.amounts.(e) in
+    for x = !pos + 2 to !pos + 1 + k do
+      let a = lg.paths.(x) in
       gf.(a) <- gf.(a) +. amount
     done;
-    start := lg.stop.(e)
+    pos := !pos + 2 + k
   done;
-  lg.entries <- 0
+  clear_log lg
 
 let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   Gk_loop.validate params;
@@ -381,9 +377,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       Some (Array.init ngroups (fun _ -> Array.make m_all 0.0))
     else None
   in
-  let glog =
-    { entries = 0; group = [||]; amount = [||]; stop = [||]; arcs = [||] }
-  in
+  let glog = { paths = [||]; fill = 0; amounts = [||]; entries = 0 } in
   let routing_ahead = ref false in
   (* Drop every shipped phase and restart from cold-floor lengths. A fine
      step inherited from the seed is the right pace only while we also
@@ -475,7 +469,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         | None -> ()
         | Some gf ->
             if !routing_ahead then
-              glog.amount.(log_path glog gi path_buf k) <- amount
+              glog.amounts.(log_path glog gi path_buf k) <- amount
             else begin
               let gfa = gf.(gi) in
               for i = k - 1 downto 0 do
@@ -916,7 +910,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   let settle ~keep =
     if keep then Option.iter (replay_log glog) gflow
     else begin
-      glog.entries <- 0;
+      clear_log glog;
       obs.o_tree_rebuilds <- !kept_rebuilds;
       obs.o_paths_reused <- !kept_reused
     end
