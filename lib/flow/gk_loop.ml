@@ -200,9 +200,11 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
     (* Deadline check between phases: all flow and length state is
        consistent here, so [Cancelled] aborts with no partial phase. *)
     check_cancelled ();
-    (* One span per phase: the trace's phase-span count equals the number
-       of phases this call routed and kept (cross-checked by the test
-       suite). *)
+    (* One span per kept phase: the trace's phase-span count equals the
+       number of phases this call routed and kept (cross-checked by the
+       test suite). The span of phase [p] holds its rescale, certificate
+       and dual sweep, and the routing of phase [p + 1] done in its step;
+       a phase routed ahead has no routing of its own in its span. *)
     let sp_phase = Trace.begin_span ~cat "phase" in
     if not ahead then begin
       let t0 = tick () in

@@ -47,6 +47,14 @@
     routed ahead. A rolled-back phase is counted in [discarded], not in
     [routed], and has no phase span.
 
+    There is one phase span per kept phase, but it covers work in loop
+    order, not by phase: the span of phase [p] holds [p]'s rescale,
+    certificate and dual sweep plus the routing done in its step: phase
+    [p + 1]'s, or that of a phase then rolled back (in the last span, and
+    in the span before an eps halving). Only a phase routed with no step
+    ahead of it (the first, and the one after a halving) has its own
+    routing in its span.
+
     Arrays are indexed by arc id; [cap] is the graph's CSR capacities.
     Zero-capacity arcs carry length 0 throughout: they add nothing to
     [D(l)] and never win a maximum against a usable arc. *)

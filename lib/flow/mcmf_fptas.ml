@@ -340,9 +340,9 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      [sp_arcs.(gi).(start) .. sp_arcs.(gi).(sp_end.(ci) - 1)] in
      [path_buf] order, where [start] is 0 for the group's first commodity
      and [sp_end.(ci - 1)] otherwise, and [sp_dist.(ci)] is its length
-     when the sweep ran. Valid ([sp_valid]) from a sweep until the next
-     routing pass, and only while lengths have not shrunk since the
-     sweep. *)
+     when the sweep ran. Valid ([sp_valid]) from the first sweep until
+     [restart]: routing ahead only grows the lengths, and a rollback
+     restores the frozen lengths the sweep read. *)
   let sp_end = Array.make ncomm 0 in
   let sp_arcs =
     Array.init ngroups (fun gi ->
@@ -866,54 +866,44 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   (* What a rolled-back phase counted. *)
   let kept_rebuilds = ref 0 and kept_reused = ref 0 in
   (* The dual sweep at the frozen lengths, then the next phase's routing
-     on the live ones. With one chunk (no workers, or a small instance)
-     the caller sweeps, then routes, with no pool batch: going through
-     [Pool.run_with] for one chunk measured 10-15% slower on a 2-core VM
-     when two domains each run many small solves (perfbench serve's store
-     pre-fill). Otherwise
-     the sweep is one batch of contiguous chunks of groups, and the caller
-     routes each chunk's groups as soon as the chunk is built, building
-     unclaimed chunks while it waits. A routed group reads only its own
-     stored paths, so the routing reads what it would read after the
-     whole sweep. *)
+     on the live ones. The sweep is one batch of contiguous chunks of
+     groups, and the caller routes each chunk's groups as soon as the
+     chunk is built, building unclaimed chunks while it waits. A routed
+     group reads only its own stored paths, so the routing reads what it
+     would read after the whole sweep. With one chunk (no workers, or a
+     small instance) the caller sweeps, then routes. *)
   let step ~lengths:frozen =
     kept_rebuilds := obs.o_tree_rebuilds;
     kept_reused := obs.o_paths_reused;
     let sweep = sweep_groups frozen in
     let chunks = chunk_count ~num_arcs:m_all ~ngroups in
-    if chunks = 1 then begin
-      with_workspace n sweep 0 ngroups;
-      route_ahead 0 ngroups
-    end
-    else begin
-      let lo c = chunk_lo ~ngroups ~chunks c in
-      incr sweeps;
-      let stamp = !sweeps in
-      let built c = Atomic.get chunk_done.(c) = stamp in
-      Dcn_util.Pool.run_with ~total:chunks
-        (fun c ->
-          match with_workspace n sweep (lo c) (lo (c + 1)) with
-          | () -> Atomic.set chunk_done.(c) stamp
-          | exception e ->
-              Atomic.set chunk_done.(c) stamp;
-              raise e)
-        ~caller:(fun help ->
-          for c = 0 to chunks - 1 do
-            while (not (built c)) && help () do
-              ()
+    let lo c = chunk_lo ~ngroups ~chunks c in
+    incr sweeps;
+    let stamp = !sweeps in
+    let built c = Atomic.get chunk_done.(c) = stamp in
+    Dcn_util.Pool.run_with ~total:chunks
+      (fun c ->
+        match with_workspace n sweep (lo c) (lo (c + 1)) with
+        | () -> Atomic.set chunk_done.(c) stamp
+        | exception e ->
+            Atomic.set chunk_done.(c) stamp;
+            raise e)
+      ~caller:(fun help ->
+        for c = 0 to chunks - 1 do
+          while (not (built c)) && help () do
+            ()
+          done;
+          if not (built c) then begin
+            (* Chunk [c] is being built elsewhere. *)
+            let t0 = Gk_loop.tick () in
+            while not (built c) do
+              Domain.cpu_relax ()
             done;
-            if not (built c) then begin
-              (* Chunk [c] is being built elsewhere. *)
-              let t0 = Gk_loop.tick () in
-              while not (built c) do
-                Domain.cpu_relax ()
-              done;
-              stats.Gk_loop.route_wait_ns <-
-                stats.Gk_loop.route_wait_ns + Gk_loop.ns_since t0
-            end;
-            route_ahead (lo c) (lo (c + 1))
-          done)
-    end;
+            stats.Gk_loop.route_wait_ns <-
+              stats.Gk_loop.route_wait_ns + Gk_loop.ns_since t0
+          end;
+          route_ahead (lo c) (lo (c + 1))
+        done);
     sp_valid := true;
     weighted_distance ()
   in
