@@ -1,91 +1,154 @@
 type edge = int * int
 
-let key (u, v) = if u <= v then (u, v) else (v, u)
+module Metrics = Dcn_obs.Metrics
 
-(* Multiset of undirected edges, used to detect parallel links. *)
+let m_repairs = Metrics.counter "wiring.repairs"
+let m_passes = Metrics.counter "wiring.passes"
+let m_swap_attempts = Metrics.counter "wiring.swap_attempts"
+
+(* Multiset of undirected edges, used to detect parallel links. It is an
+   open-addressing table (linear probing, backward-shift deletion) keyed
+   by the int [min u v lsl 31 lor max u v], whose slots are (key, count)
+   pairs in one flat int array. The capacity is fixed at creation to a
+   power of two at least twice the number of edges the table will hold,
+   so the load stays at most 1/2 and no operation allocates. *)
 module Multiset = struct
-  type t = (edge, int) Hashtbl.t
+  type t = { slots : int array; shift : int; mask : int }
 
-  let create existing : t =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        let k = key e in
-        Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0))
-      existing;
-    tbl
+  let empty = -1
 
-  let count tbl e = try Hashtbl.find tbl (key e) with Not_found -> 0
+  let key u v = if u <= v then (u lsl 31) lor v else (v lsl 31) lor u
 
-  let add tbl e = Hashtbl.replace tbl (key e) (count tbl e + 1)
+  (* Multiplicative hashing: the top bits of [k * c], for an odd [c],
+     depend on every bit of [k]. *)
+  let home t k = (k * 0x1E3779B97F4A7C15) lsr t.shift
 
-  let remove tbl e =
-    let c = count tbl e in
-    if c <= 1 then Hashtbl.remove tbl (key e)
-    else Hashtbl.replace tbl (key e) (c - 1)
+  let create ~edges =
+    let bits = ref 3 in
+    while 1 lsl !bits < 2 * edges do
+      incr bits
+    done;
+    {
+      slots = Array.make (2 lsl !bits) empty;
+      shift = Sys.int_size - !bits;
+      mask = (1 lsl !bits) - 1;
+    }
+
+  (* The slot holding [k], or the empty slot ending its probe run. *)
+  let rec probe t k i =
+    let s = t.slots.(2 * i) in
+    if s = k || s = empty then i else probe t k ((i + 1) land t.mask)
+
+  let count t u v =
+    let k = key u v in
+    let i = probe t k (home t k) in
+    if t.slots.(2 * i) = k then t.slots.((2 * i) + 1) else 0
+
+  let add t u v =
+    let k = key u v in
+    let i = probe t k (home t k) in
+    if t.slots.(2 * i) = k then
+      t.slots.((2 * i) + 1) <- t.slots.((2 * i) + 1) + 1
+    else begin
+      t.slots.(2 * i) <- k;
+      t.slots.((2 * i) + 1) <- 1
+    end
+
+  (* Empty slot [hole] by moving later entries of its probe run back: the
+     entry at [j] moves into the hole unless its home slot lies cyclically
+     in (hole, j], where a lookup would no longer reach it. *)
+  let rec close t hole j =
+    let j = (j + 1) land t.mask in
+    let k = t.slots.(2 * j) in
+    if k = empty then t.slots.(2 * hole) <- empty
+    else begin
+      let h = home t k in
+      let stays =
+        if hole <= j then hole < h && h <= j else hole < h || h <= j
+      in
+      if stays then close t hole j
+      else begin
+        t.slots.(2 * hole) <- k;
+        t.slots.((2 * hole) + 1) <- t.slots.((2 * j) + 1);
+        close t j j
+      end
+    end
+
+  let remove t u v =
+    let k = key u v in
+    let i = probe t k (home t k) in
+    if t.slots.(2 * i) = k then begin
+      let c = t.slots.((2 * i) + 1) in
+      if c > 1 then t.slots.((2 * i) + 1) <- c - 1 else close t i i
+    end
 end
 
 (* Swap the second endpoints of pairs i and j if that strictly reduces the
-   number of defects. [defect] scores an edge: 2 for a self-loop, 1 for a
-   parallel link, 0 otherwise. *)
+   number of defects. [defect u v] scores the edge (u, v): 1000 for a
+   self-loop, 1 for a parallel link, 0 otherwise (see [repair]). *)
 let try_swap seen left right i j ~defect =
-  let old_i = (left.(i), right.(i)) and old_j = (left.(j), right.(j)) in
-  let new_i = (left.(i), right.(j)) and new_j = (left.(j), right.(i)) in
+  let li = left.(i) and ri = right.(i) and lj = left.(j) and rj = right.(j) in
   (* Score under the multiset with the old pair removed. *)
-  Multiset.remove seen old_i;
-  Multiset.remove seen old_j;
-  let before = defect seen old_i + defect seen old_j in
-  let score_i = defect seen new_i in
-  Multiset.add seen new_i;
-  let score_j = defect seen new_j in
-  Multiset.remove seen new_i;
+  Multiset.remove seen li ri;
+  Multiset.remove seen lj rj;
+  let before = defect li ri + defect lj rj in
+  let score_i = defect li rj in
+  Multiset.add seen li rj;
+  let score_j = defect lj ri in
+  Multiset.remove seen li rj;
   let after = score_i + score_j in
   if after < before then begin
-    Multiset.add seen new_i;
-    Multiset.add seen new_j;
-    let tmp = right.(i) in
-    right.(i) <- right.(j);
-    right.(j) <- tmp;
+    Multiset.add seen li rj;
+    Multiset.add seen lj ri;
+    right.(i) <- rj;
+    right.(j) <- ri;
     true
   end
   else begin
-    Multiset.add seen old_i;
-    Multiset.add seen old_j;
+    Multiset.add seen li ri;
+    Multiset.add seen lj rj;
     false
   end
 
 let repair ?(avoid_multi = true) st ~existing left right =
   let npairs = Array.length left in
+  let seen = Multiset.create ~edges:(List.length existing + npairs) in
   (* Self-loops must dominate the defect score by more than any number of
      parallel links a swap can create: a hub with more ports than peers is
      forced to keep parallel links, and trading a self-loop for two of
      them must still count as progress. *)
-  let defect seen (u, v) =
+  let defect u v =
     if u = v then 1000
-    else if avoid_multi && Multiset.count seen (u, v) >= 1 then 1
+    else if avoid_multi && Multiset.count seen u v >= 1 then 1
     else 0
   in
-  let seen = Multiset.create existing in
+  List.iter (fun (u, v) -> Multiset.add seen u v) existing;
   for i = 0 to npairs - 1 do
-    Multiset.add seen (left.(i), right.(i))
+    Multiset.add seen left.(i) right.(i)
   done;
   (* Each pass scans all pairs and tries random partners for defective
      ones. Self-loops strictly dominate the defect score, so they are fixed
      first; remaining multi-edges get best-effort treatment. *)
   let max_passes = 200 in
   let attempts_per_defect = 40 in
+  let passes = ref 0 and attempts = ref 0 in
   let pass () =
+    incr passes;
     let bad = ref 0 in
     for i = 0 to npairs - 1 do
-      Multiset.remove seen (left.(i), right.(i));
-      let d = defect seen (left.(i), right.(i)) in
-      Multiset.add seen (left.(i), right.(i));
+      let u = left.(i) and v = right.(i) in
+      Multiset.remove seen u v;
+      let d = defect u v in
+      Multiset.add seen u v;
       if d > 0 then begin
         let fixed = ref false in
         let tries = ref 0 in
         while (not !fixed) && !tries < attempts_per_defect do
           let j = Random.State.int st npairs in
-          if j <> i then fixed := try_swap seen left right i j ~defect;
+          if j <> i then begin
+            incr attempts;
+            fixed := try_swap seen left right i j ~defect
+          end;
           incr tries
         done;
         if not !fixed then incr bad
@@ -99,13 +162,13 @@ let repair ?(avoid_multi = true) st ~existing left right =
     for _ = 1 to max 1 (npairs / 4) do
       let i = Random.State.int st npairs and j = Random.State.int st npairs in
       if i <> j && left.(i) <> right.(j) && left.(j) <> right.(i) then begin
-        Multiset.remove seen (left.(i), right.(i));
-        Multiset.remove seen (left.(j), right.(j));
-        let tmp = right.(i) in
-        right.(i) <- right.(j);
-        right.(j) <- tmp;
-        Multiset.add seen (left.(i), right.(i));
-        Multiset.add seen (left.(j), right.(j))
+        let ri = right.(i) and rj = right.(j) in
+        Multiset.remove seen left.(i) ri;
+        Multiset.remove seen left.(j) rj;
+        right.(i) <- rj;
+        right.(j) <- ri;
+        Multiset.add seen left.(i) rj;
+        Multiset.add seen left.(j) ri
       end
     done
   in
@@ -121,6 +184,11 @@ let repair ?(avoid_multi = true) st ~existing left right =
     end
   in
   let residual = run 0 max_int in
+  if Metrics.enabled () then begin
+    Metrics.incr m_repairs;
+    Metrics.add m_passes !passes;
+    Metrics.add m_swap_attempts !attempts
+  end;
   (* Self-loops are never acceptable. *)
   Array.iteri
     (fun i u ->
