@@ -194,3 +194,19 @@ val solve : ?params:params -> Graph.t -> Commodity.t array -> result
 
 val lambda : ?params:params -> Graph.t -> Commodity.t array -> float
 (** Shorthand for {!Gk_loop.midpoint} of {!solve}. *)
+
+(** {1 Fan-out rule}
+
+    The rule the dual sweep uses to split a batch of independent units
+    (a source's tree; for {!Mcmf_paths}, a pair's path set) into pool
+    chunks. *)
+
+val chunk_count : num_arcs:int -> ngroups:int -> int
+(** The chunks a batch of [ngroups] units, each about one search over
+    [num_arcs] arcs, is split into: 1 (a plain loop on the caller) with
+    no pool workers, fewer than 2 units, or fewer than [2^16] units ×
+    arcs; otherwise 8 per participant (workers plus the caller), at most
+    [ngroups]. *)
+
+val chunk_lo : ngroups:int -> chunks:int -> int -> int
+(** Chunk [c] of [chunks] holds units [[chunk_lo c, chunk_lo (c + 1))]. *)

@@ -112,10 +112,8 @@ let solve_flat ~params ~stats g commodities store =
   let lengths = Array.make m_all 0.0 in
   Gk_loop.init_lengths ~eps:!eps ~cap lengths;
   let flow = Array.make m_all 0.0 in
-  (* [min_path lengths j] returns the id of commodity [j]'s shortest path
-     under [lengths] and leaves its length in [min_len.(0)]. *)
-  let min_len = [| 0.0 |] in
-  let min_path lengths j =
+  (* The id of commodity [j]'s shortest path under [lengths]. *)
+  let min_path j =
     let best = ref com_off.(j) and best_len = ref infinity in
     for p = com_off.(j) to com_off.(j + 1) - 1 do
       let len = ref 0.0 in
@@ -127,14 +125,37 @@ let solve_flat ~params ~stats g commodities store =
         best_len := !len
       end
     done;
-    min_len.(0) <- !best_len;
     !best
   in
-  let route_commodity j =
-    let rem = ref demand.(j) in
+  (* [min_path j], reading each path's length at [frozen] in the same
+     loop over its arcs; the shortest frozen length goes to
+     [frozen_min.(0)]. *)
+  let frozen_min = [| 0.0 |] in
+  let min_path_and_frozen frozen j =
+    let best = ref com_off.(j) and best_len = ref infinity in
+    let best_frozen = ref infinity in
+    for p = com_off.(j) to com_off.(j + 1) - 1 do
+      let len = ref 0.0 and flen = ref 0.0 in
+      for x = path_off.(p) to path_off.(p + 1) - 1 do
+        let a = arcs.(x) in
+        len := !len +. lengths.(a);
+        flen := !flen +. frozen.(a)
+      done;
+      if !len < !best_len then begin
+        best := p;
+        best_len := !len
+      end;
+      if !flen < !best_frozen then best_frozen := !flen
+    done;
+    frozen_min.(0) <- !best_frozen;
+    !best
+  in
+  (* Ship commodity [j]'s demand, first on path [p0] (its shortest), then
+     on the shortest path again after each bottleneck. *)
+  let route_commodity j p0 =
+    let rem = ref demand.(j) and p = ref p0 in
     while !rem > 0.0 do
-      let p = min_path lengths j in
-      let first = path_off.(p) and last = path_off.(p + 1) - 1 in
+      let first = path_off.(!p) and last = path_off.(!p + 1) - 1 in
       let bottleneck = ref infinity in
       for x = first to last do
         bottleneck := Float.min !bottleneck cap.(arcs.(x))
@@ -146,24 +167,28 @@ let solve_flat ~params ~stats g commodities store =
         flow.(a) <- flow.(a) +. amount;
         lengths.(a) <- lengths.(a) *. (1.0 +. (e *. amount /. cap.(a)))
       done;
-      rem := !rem -. amount
+      rem := !rem -. amount;
+      if !rem > 0.0 then p := min_path j
     done
   in
   let route () =
     for j = 0 to k - 1 do
-      route_commodity j
+      route_commodity j (min_path j)
     done
   in
-  (* The dual bound's α at the frozen lengths, then the next phase's
-     routing on the live ones. *)
+  (* The next phase's routing on the live lengths, one pass: a
+     commodity's first path choice also reads its shortest path at the
+     frozen lengths, before its routing moves the live ones. That is the
+     dual bound's α term, summed in commodity order as a separate sweep
+     would sum it. *)
   let step ~lengths:frozen =
+    let t0 = Gk_loop.tick () in
     let alpha = ref 0.0 in
     for j = 0 to k - 1 do
-      ignore (min_path frozen j : int);
-      alpha := !alpha +. (demand.(j) *. min_len.(0))
+      let p = min_path_and_frozen frozen j in
+      alpha := !alpha +. (demand.(j) *. frozen_min.(0));
+      route_commodity j p
     done;
-    let t0 = Gk_loop.tick () in
-    route ();
     stats.Gk_loop.route_ns <- stats.Gk_loop.route_ns + Gk_loop.ns_since t0;
     !alpha
   in
@@ -180,28 +205,53 @@ let solve ?(params = Mcmf_fptas.default_params) g commodities =
 
 let lambda ?params g commodities = Gk_loop.midpoint (solve ?params g commodities)
 
-let with_cached_paths enumerate commodities =
-  let cache = Hashtbl.create 64 in
-  Array.map
-    (fun (c : Commodity.t) ->
-      let paths =
-        match Hashtbl.find_opt cache (c.Commodity.src, c.Commodity.dst) with
-        | Some p -> p
+(* Path sets per distinct (src, dst) pair, numbered in first-seen order.
+   The pairs' sets are one pool batch over contiguous chunks of pairs,
+   split by {!Mcmf_fptas.chunk_count}; each chunk makes its own scratch
+   and fills its pairs' slots. A pair's set does not depend on the
+   scratch's history, so the sets are the same at any worker count.
+   Commodities of one pair share its list. *)
+let with_cached_paths g ~scratch enumerate commodities =
+  let index = Hashtbl.create 64 in
+  (* The commodity that first names each pair, newest pair first. *)
+  let firsts = ref [] and npairs = ref 0 in
+  let slot =
+    Array.mapi
+      (fun j (c : Commodity.t) ->
+        let key = (c.Commodity.src, c.Commodity.dst) in
+        match Hashtbl.find_opt index key with
+        | Some i -> i
         | None ->
-            let p = enumerate c.Commodity.src c.Commodity.dst in
-            Hashtbl.add cache (c.Commodity.src, c.Commodity.dst) p;
-            p
-      in
+            let i = !npairs in
+            Hashtbl.add index key i;
+            firsts := j :: !firsts;
+            incr npairs;
+            i)
+      commodities
+  in
+  let ngroups = !npairs and firsts = Array.of_list (List.rev !firsts) in
+  let sets = Array.make ngroups [] in
+  let chunks = Mcmf_fptas.chunk_count ~num_arcs:(Graph.num_arcs g) ~ngroups in
+  Dcn_util.Pool.run ~total:chunks (fun c ->
+      let s = scratch g in
+      for i = Mcmf_fptas.chunk_lo ~ngroups ~chunks c
+          to Mcmf_fptas.chunk_lo ~ngroups ~chunks (c + 1) - 1 do
+        let first = commodities.(firsts.(i)) in
+        sets.(i) <-
+          enumerate s ~src:first.Commodity.src ~dst:first.Commodity.dst
+      done);
+  Array.mapi
+    (fun j (c : Commodity.t) ->
       { src = c.Commodity.src; dst = c.Commodity.dst;
-        demand = c.Commodity.demand; paths })
+        demand = c.Commodity.demand; paths = sets.(slot.(j)) })
     commodities
 
 let of_k_shortest g ~k commodities =
-  with_cached_paths
-    (fun src dst -> Dcn_routing.Ksp.k_shortest g ~src ~dst ~k)
+  with_cached_paths g ~scratch:Dcn_routing.Ksp.scratch
+    (fun s -> Dcn_routing.Ksp.k_shortest_in s ~k)
     commodities
 
 let of_ecmp g ~limit commodities =
-  with_cached_paths
-    (fun src dst -> Dcn_routing.Ecmp.shortest_paths g ~src ~dst ~limit)
+  with_cached_paths g ~scratch:Dcn_routing.Ecmp.scratch
+    (fun s -> Dcn_routing.Ecmp.shortest_paths_in s ~limit)
     commodities

@@ -23,7 +23,15 @@
     over these arrays and the graph's CSR capacities, allocating nothing
     per phase. Sums run in path order, and ties between equally long
     paths go to the earliest listed, so results are exactly those of a
-    left fold over the lists. *)
+    left fold over the lists.
+
+    {b One pass per phase.} The dual bound needs each commodity's
+    shortest path at the lengths the certified phase left ({!Gk_loop}'s
+    frozen copy); the next phase's routing needs it at the live lengths.
+    Both sums come from one loop over each path's arcs, at the
+    commodity's first path choice, before its routing moves the live
+    lengths; α is summed in commodity order, as a separate sweep would
+    sum it. *)
 
 open Dcn_graph
 
@@ -56,9 +64,15 @@ val lambda :
 val of_k_shortest :
   Graph.t -> k:int -> Commodity.t array -> commodity array
 (** Equip each commodity with its [k] shortest simple paths (Yen's
-    algorithm from [Dcn_routing.Ksp]); path sets are cached per switch
-    pair. *)
+    algorithm from [Dcn_routing.Ksp]). Path sets are built once per
+    distinct switch pair, and commodities of one pair share them. The
+    pairs, in first-seen order, are one {!Dcn_util.Pool.run} batch over
+    contiguous chunks ({!Mcmf_fptas.chunk_count}), each chunk with one
+    search scratch, so the sets are the same at any worker count. *)
 
 val of_ecmp : Graph.t -> limit:int -> Commodity.t array -> commodity array
 (** Equip each commodity with its equal-cost shortest paths only (at most
-    [limit] of them) — the ECMP routing model. *)
+    [limit] of them) — the ECMP routing model. Built as {!of_k_shortest}
+    builds its sets; a chunk runs one BFS per run of pairs with the same
+    source, so one per source for commodities sorted by source, as
+    [Traffic.to_commodities] returns them. *)

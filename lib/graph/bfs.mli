@@ -5,8 +5,9 @@ val distances : Graph.t -> int -> int array
     unreachable nodes get [max_int]. *)
 
 val distances_into : Graph.t -> int -> int array -> unit
-(** Like {!distances} but fills a caller-provided array of length [n],
-    avoiding allocation in all-pairs loops. *)
+(** Like {!distances} but fills a caller-provided array of length [n].
+    A call allocates its [n]-int queue and the graph's CSR view, nothing
+    per node or per arc. *)
 
 val eccentricity : Graph.t -> int -> int
 (** Largest finite distance from the node; [max_int] if some node is

@@ -27,10 +27,26 @@ let count_shortest_paths g ~src ~dst =
     count.(dst)
   end
 
-let shortest_paths g ~src ~dst ~limit =
+(* A source's BFS distances, kept for the next call from the same
+   source. *)
+type scratch = {
+  g : Graph.t;
+  csr : Graph.csr;
+  dist : int array;
+  mutable dist_src : int;  (** The source [dist] holds, or -1. *)
+}
+
+let scratch g =
+  { g; csr = Graph.csr g; dist = Array.make (Graph.n g) max_int; dist_src = -1 }
+
+let shortest_paths_in s ~src ~dst ~limit =
   if limit < 1 then invalid_arg "Ecmp.shortest_paths: limit < 1";
   if src = dst then invalid_arg "Ecmp.shortest_paths: src = dst";
-  let dist = Bfs.distances g src in
+  if s.dist_src <> src then begin
+    Bfs.distances_into s.g src s.dist;
+    s.dist_src <- src
+  end;
+  let dist = s.dist and c = s.csr in
   if dist.(dst) = max_int then []
   else begin
     (* DFS forwards from [src] over the shortest-path DAG, collecting up
@@ -48,15 +64,25 @@ let shortest_paths g ~src ~dst ~limit =
           results := List.rev suffix :: !results;
           incr num
         end
-        else
-          Graph.iter_out g u (fun a ->
-              if !num < limit && Graph.arc_cap g a > 0.0 then begin
-                let v = Graph.arc_dst g a in
-                if dist.(v) = dist.(u) + 1 && (v = dst || dist.(v) < d_dst)
-                then grow v (a :: suffix)
-              end)
+        else begin
+          let next = dist.(u) + 1 in
+          let i = ref c.Graph.csr_adj_off.(u) in
+          let stop = c.Graph.csr_adj_off.(u + 1) in
+          while !num < limit && !i < stop do
+            let a = c.Graph.csr_adj_arc.(!i) in
+            incr i;
+            if c.Graph.csr_arc_cap.(a) > 0.0 then begin
+              let v = c.Graph.csr_arc_dst.(a) in
+              if dist.(v) = next && (v = dst || dist.(v) < d_dst) then
+                grow v (a :: suffix)
+            end
+          done
+        end
       end
     in
     grow src [];
     List.rev !results
   end
+
+let shortest_paths g ~src ~dst ~limit =
+  shortest_paths_in (scratch g) ~src ~dst ~limit

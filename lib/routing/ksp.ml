@@ -1,10 +1,11 @@
 open Dcn_graph
 
-(* BFS scratch shared by every search of one [k_shortest] call. Visited
+(* BFS scratch shared by every search of the calls it is given. Visited
    and banned marks are generation stamps: a node is visited in the
    current search iff [visited.(v) = gen], and banned iff
    [banned_node.(v) = ban] (likewise for arcs), so starting a new search
-   or a new ban set is one counter bump instead of an O(n + m) reset. *)
+   or a new ban set is one counter bump instead of an O(n + m) reset, and
+   the stamps of earlier calls never match again. *)
 type scratch = {
   csr : Graph.csr;
   queue : int array;
@@ -91,7 +92,7 @@ let path_nodes g ~src arcs =
 
 (* [Some a] if [p] starts with the [i] arcs [prefix.(0 .. i-1)] and has an
    [i]-th arc [a]; [None] otherwise. *)
-let rec arc_after_prefix prefix i j p =
+let rec arc_after_prefix (prefix : int array) i j (p : int list) =
   match p with
   | [] -> None
   | a :: rest ->
@@ -99,31 +100,39 @@ let rec arc_after_prefix prefix i j p =
       else if a = prefix.(j) then arc_after_prefix prefix i (j + 1) rest
       else None
 
-(* Polymorphic [compare] on the [(length, path)] pairs, i.e. shorter
-   first, then lexicographic on arc ids. *)
-let cmp_candidate ((l1, p1) : int * int list) (l2, p2) =
-  if l1 <> l2 then Int.compare l1 l2 else compare p1 p2
+(* Paths are kept with their hop counts, so comparing two starts with one
+   integer test. *)
+let same_path (l1, p1) (l2, p2) = l1 = l2 && List.equal Int.equal p1 p2
 
-let k_shortest g ~src ~dst ~k =
+(* Shorter first, then lexicographic on arc ids. *)
+let cmp_candidate ((l1, p1) : int * int list) (l2, p2) =
+  if l1 <> l2 then Int.compare l1 l2 else List.compare Int.compare p1 p2
+
+let k_shortest_in s ~src ~dst ~k =
   if k < 1 then invalid_arg "Ksp.k_shortest: k < 1";
   if src = dst then invalid_arg "Ksp.k_shortest: src = dst";
-  let s = scratch g in
+  let c = s.csr in
   new_ban_set s;
   match search s ~src ~dst with
   | None -> []
   | Some first ->
-      let accepted = ref [ first ] and num_accepted = ref 1 in
-      (* Candidate set keyed by (length, path) so duplicates are merged. *)
+      let accepted = ref [ (List.length first, first) ]
+      and num_accepted = ref 1 in
+      (* Candidate set; duplicates are merged. *)
       let candidates = ref [] in
       let add_candidate p =
-        if not (List.exists (fun (_, q) -> q = p) !candidates) then
-          candidates := (List.length p, p) :: !candidates
+        let cand = (List.length p, p) in
+        if not (List.exists (same_path cand) !candidates) then
+          candidates := cand :: !candidates
       in
       let rec extend () =
         if !num_accepted < k then begin
-          let prev = List.hd !accepted in
-          let prev_nodes = Array.of_list (path_nodes g ~src prev) in
+          let prev = snd (List.hd !accepted) in
           let prev_arcs = Array.of_list prev in
+          let prev_nodes = Array.make (Array.length prev_arcs + 1) src in
+          Array.iteri
+            (fun i a -> prev_nodes.(i + 1) <- c.Graph.csr_arc_dst.(a))
+            prev_arcs;
           (* Spur from every prefix of the latest accepted path; [root_rev]
              is that prefix, reversed. *)
           let root_rev = ref [] in
@@ -132,11 +141,11 @@ let k_shortest g ~src ~dst ~k =
             (* Ban arcs that would retrace any accepted path sharing this
                root (and their reverses, to keep paths simple overall). *)
             List.iter
-              (fun p ->
+              (fun (_, p) ->
                 match arc_after_prefix prev_arcs i 0 p with
                 | Some a ->
                     ban_arc s a;
-                    ban_arc s (Graph.arc_rev g a)
+                    ban_arc s c.Graph.csr_arc_rev.(a)
                 | None -> ())
               !accepted;
             (* Ban the root's interior nodes so spur paths are simple. *)
@@ -152,21 +161,23 @@ let k_shortest g ~src ~dst ~k =
              [cmp_candidate], as sorting and taking the head would. *)
           let best =
             List.fold_left
-              (fun best ((_, p) as c) ->
-                if List.mem p !accepted then best
+              (fun best cand ->
+                if List.exists (same_path cand) !accepted then best
                 else
                   match best with
-                  | Some b when cmp_candidate b c <= 0 -> best
-                  | _ -> Some c)
+                  | Some b when cmp_candidate b cand <= 0 -> best
+                  | _ -> Some cand)
               None !candidates
           in
           match best with
           | None -> ()
-          | Some (_, p) ->
-              accepted := p :: !accepted;
+          | Some cand ->
+              accepted := cand :: !accepted;
               incr num_accepted;
               extend ()
         end
       in
       extend ();
-      List.rev !accepted
+      List.rev_map snd !accepted
+
+let k_shortest g ~src ~dst ~k = k_shortest_in (scratch g) ~src ~dst ~k

@@ -19,11 +19,13 @@ let m_write_s = Metrics.histogram "store.write_s"
 (* Generic lookup/compute/publish. A present-but-undecodable payload is a
    miss (and was already deleted by [Store.find]'s corruption handling at
    the raw-bytes layer; decode failures here additionally cover payloads
-   whose bytes are intact but semantically stale). *)
+   whose bytes are intact but semantically stale). [key ()] runs only
+   when a store is open: without one, nothing needs the key. *)
 let cached ~key ~encode ~decode compute =
   match Store.shared () with
   | None -> compute ()
   | Some store -> (
+      let key = key () in
       let t0 = Clock.now_ns () in
       match Option.bind (Store.find store key) decode with
       | Some value ->
@@ -47,7 +49,7 @@ let cached ~key ~encode ~decode compute =
           value)
 
 let fptas ?(params = Mcmf_fptas.default_params) g cs =
-  let key = Digest_key.of_solve ~kind:"fptas" ~params g cs in
+  let key () = Digest_key.of_solve ~kind:"fptas" ~params g cs in
   cached ~key ~encode:Codec.fptas_result_to_string
     ~decode:Codec.fptas_result_of_string (fun () ->
       Mcmf_fptas.solve ~params g cs)
@@ -81,7 +83,7 @@ let fptas_with_state ?(params = Mcmf_fptas.default_params) ?warm
     Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
   in
   let st =
-    cached ~key ~encode:Codec.fptas_state_to_string
+    cached ~key:(fun () -> key) ~encode:Codec.fptas_state_to_string
       ~decode:Codec.fptas_state_of_string (fun () ->
         Mcmf_fptas.solve_with_state ~params
           ?warm:(Option.map (fun w -> w.wl_state) warm)
@@ -103,7 +105,7 @@ let fptas_delta ?(params = Mcmf_fptas.default_params) ?(track_groups = false)
     Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
   in
   let st =
-    cached ~key ~encode:Codec.fptas_state_to_string
+    cached ~key:(fun () -> key) ~encode:Codec.fptas_state_to_string
       ~decode:Codec.fptas_state_of_string (fun () ->
         Mcmf_fptas.resolve_after_failure ~params ~track_groups ~warm:warm.wl_state ~failed g cs)
   in
@@ -119,7 +121,7 @@ let throughput ?(solver = Throughput.Fptas Mcmf_fptas.default_params) g cs =
        entries and the constant params below are inert key filler. *)
     | Throughput.Exact -> ("throughput-exact", Mcmf_fptas.default_params)
   in
-  let key = Digest_key.of_solve ~kind ~params g cs in
+  let key () = Digest_key.of_solve ~kind ~params g cs in
   cached ~key ~encode:Codec.throughput_to_string
     ~decode:Codec.throughput_of_string (fun () ->
       Throughput.compute ~solver g cs)

@@ -13,13 +13,8 @@ module Mcmf_fptas = Dcn_flow.Mcmf_fptas
 module Commodity = Dcn_flow.Commodity
 module Ref = Routing_reference
 
-(* A jellyfish graph with n in 8..40 and r in 3..6, then a random set of
-   failed links (up to a fifth of them) masked out. *)
-let failed_jellyfish st =
-  let n = 8 + Random.State.int st 33 in
-  let r = 3 + Random.State.int st 4 in
-  let n = if n * r mod 2 = 1 then n + 1 else n in
-  let g = Dcn_topology.Rrg.jellyfish st ~n ~r in
+(* Mask a random set of failed links, up to a fifth of them. *)
+let fail_links st g =
   let edges = Array.of_list (Graph.to_edge_list_ids g) in
   let failures = Random.State.int st (1 + (Array.length edges / 5)) in
   let arcs =
@@ -27,6 +22,13 @@ let failed_jellyfish st =
         snd edges.(Random.State.int st (Array.length edges)))
   in
   Graph.mask_arcs g ~arcs
+
+(* A jellyfish graph with n in 8..40 and r in 3..6, then failed links. *)
+let failed_jellyfish st =
+  let n = 8 + Random.State.int st 33 in
+  let r = 3 + Random.State.int st 4 in
+  let n = if n * r mod 2 = 1 then n + 1 else n in
+  fail_links st (Dcn_topology.Rrg.jellyfish st ~n ~r)
 
 let random_pair st n =
   let src = Random.State.int st n in
@@ -163,6 +165,36 @@ let test_solver_matches_reference_across_eps_halving () =
   Alcotest.(check bool) "bit-identical result" true
     (same_result (Mcmf_paths.solve ~params g rcs) expected)
 
+(* Path sets large enough to fan out to the pool: a masked rrg:100-sized
+   jellyfish (100 switches of degree 12, so 28 distinct pairs already
+   reach the fan-out threshold) and 150 commodities with repeated pairs,
+   built with the pool off, at one worker and at three. *)
+let prop_path_sets_across_workers =
+  QCheck.Test.make
+    ~name:"of_k_shortest, of_ecmp = reference at 0, 1, 3 workers (rrg:100)"
+    ~count:3 QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 18 |] in
+      let g = fail_links st (Dcn_topology.Rrg.jellyfish st ~n:100 ~r:12) in
+      let cs = random_commodities st g 150 in
+      let k = 1 + Random.State.int st 8 and limit = 1 + Random.State.int st 64 in
+      let expected enumerate =
+        Array.map
+          (fun (c : Commodity.t) ->
+            let src = c.Commodity.src and dst = c.Commodity.dst in
+            { Mcmf_paths.src; dst; demand = c.Commodity.demand;
+              paths = enumerate ~src ~dst })
+          cs
+      in
+      let ksp = expected (Ref.k_shortest g ~k)
+      and ecmp = expected (Ref.ecmp_paths g ~limit) in
+      List.for_all
+        (fun workers ->
+          Test_parallel_sweep.with_workers workers (fun () ->
+              same_path_sets (Mcmf_paths.of_k_shortest g ~k cs) ksp
+              && same_path_sets (Mcmf_paths.of_ecmp g ~limit cs) ecmp))
+        Test_parallel_sweep.worker_counts)
+
 let suite =
   ( "path oracle",
     [
@@ -170,6 +202,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_ecmp_matches_reference;
       QCheck_alcotest.to_alcotest prop_vlb_matches_reference;
       QCheck_alcotest.to_alcotest prop_paths_solver_matches_reference;
+      QCheck_alcotest.to_alcotest prop_path_sets_across_workers;
       Alcotest.test_case "solver = reference across eps halving" `Quick
         test_solver_matches_reference_across_eps_halving;
     ] )

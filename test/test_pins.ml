@@ -244,6 +244,43 @@ let test_large_paths () =
     "3652c12c8f05a0c7cd27d9b89b2ddce2"
     (digest [| r.Mcmf_fptas.arc_flow |])
 
+(* The four path-restricted solves of `topobench routing rrg:100,24,12
+   --seed 1`, in its order and with its instance and parameters: VLB
+   draws from the traffic generator's advanced state. Path sets this size
+   are built by the pool, and every solve's routing pass also reads the
+   dual bound's α. *)
+let test_routing_paths () =
+  let topo = Rrg.topology (Random.State.make [| 1 |]) ~n:100 ~k:24 ~r:12 in
+  let g = topo.Topology.graph in
+  let st = Random.State.make [| 1; 1 |] in
+  let cs =
+    Traffic.to_commodities
+      (Traffic.permutation st ~servers:topo.Topology.servers)
+  in
+  let params = { params with Mcmf_fptas.eps = 0.05 } in
+  let check label ~lower ~upper ~phases ~flow rcs =
+    let r = Mcmf_paths.solve ~params g rcs in
+    pin label ~lower ~upper ~phases r;
+    Alcotest.(check string) (label ^ " arc_flow digest") flow
+      (digest [| r.Mcmf_fptas.arc_flow |])
+  in
+  check "routing ksp:8" ~lower:"0x1.c6318c6318c5fp-2"
+    ~upper:"0x1.dcb2693aa7478p-2" ~phases:135
+    ~flow:"6247f9778e1e12e1006024dcb69da428"
+    (Mcmf_paths.of_k_shortest g ~k:8 cs);
+  check "routing ecmp" ~lower:"0x1.249249249248fp-3"
+    ~upper:"0x1.32ae907a02446p-3" ~phases:89
+    ~flow:"d703495fa4caa74a83ca90005715f76a"
+    (Mcmf_paths.of_ecmp g ~limit:64 cs);
+  check "routing vlb:8" ~lower:"0x1.84823a2911337p-2"
+    ~upper:"0x1.97cc84b7316aep-2" ~phases:447
+    ~flow:"b5f7cf0ef3d5ce11701713c2b35e6a19"
+    (Vlb.restrict st g ~intermediates:8 cs);
+  check "routing single" ~lower:"0x1.9999999999996p-4"
+    ~upper:"0x1.acfc91a6ce9a3p-4" ~phases:63
+    ~flow:"acc1182b92661b4f83f59c428ee259e4"
+    (Mcmf_paths.of_k_shortest g ~k:1 cs)
+
 (* Keys keep the text they had while the dual-check cadence was a
    parameter, so stores written then still hit. The cadence argument
    survives only as the constant 1. *)
@@ -281,5 +318,7 @@ let suite =
       Alcotest.test_case "fptas rrg:100 tracked" `Quick test_large_tracked;
       Alcotest.test_case "fptas rrg:100 delta-solve" `Quick test_large_delta;
       Alcotest.test_case "paths rrg:100 ksp:4" `Quick test_large_paths;
+      Alcotest.test_case "routing rrg:100 restricted solves" `Quick
+        test_routing_paths;
       Alcotest.test_case "digest key" `Quick test_digest_key;
     ] )

@@ -114,6 +114,35 @@ let prop_ksp_sorted_and_simple =
            (fun p -> path_valid g ~src:0 ~dst p && is_simple g ~src:0 p)
            paths)
 
+(* One Ksp scratch and one Ecmp scratch reused over 200 pairs of a graph
+   with failed links answer each pair as a fresh scratch does. Sources
+   often repeat back to back, so the ECMP scratch both keeps and replaces
+   its source's distances. *)
+let test_scratch_reuse () =
+  let st = Random.State.make [| 27 |] in
+  let g = Dcn_topology.Rrg.jellyfish st ~n:60 ~r:6 in
+  let edges = Array.of_list (Graph.to_edge_list_ids g) in
+  let g =
+    Graph.mask_arcs g
+      ~arcs:(List.init 20 (fun _ ->
+                 snd edges.(Random.State.int st (Array.length edges))))
+  in
+  let ks = Ksp.scratch g and es = Ecmp.scratch g in
+  let src = ref 0 in
+  for _ = 1 to 200 do
+    if Random.State.bool st then src := Random.State.int st 60;
+    let src = !src in
+    let dst = (src + 1 + Random.State.int st 59) mod 60 in
+    let k = 1 + Random.State.int st 8 and limit = 1 + Random.State.int st 64 in
+    let label = Printf.sprintf "%d>%d" src dst in
+    Alcotest.(check (list (list int))) (label ^ " ksp")
+      (Ksp.k_shortest g ~src ~dst ~k)
+      (Ksp.k_shortest_in ks ~src ~dst ~k);
+    Alcotest.(check (list (list int))) (label ^ " ecmp")
+      (Ecmp.shortest_paths g ~src ~dst ~limit)
+      (Ecmp.shortest_paths_in es ~src ~dst ~limit)
+  done
+
 (* ---- Path sets on the routing benchmark instance ----
 
    rrg:100,24,12 at seed 1 with a permutation traffic matrix, built the
@@ -194,6 +223,8 @@ let suite =
       Alcotest.test_case "ecmp count = enumeration" `Quick
         test_ecmp_count_matches_enumeration;
       QCheck_alcotest.to_alcotest prop_ksp_sorted_and_simple;
+      Alcotest.test_case "scratch reuse over 200 pairs" `Quick
+        test_scratch_reuse;
       Alcotest.test_case "path sets golden digest" `Quick test_path_sets_golden;
       Alcotest.test_case "path-set allocation budgets" `Quick
         test_allocation_budgets;
