@@ -246,9 +246,9 @@ let test_large_paths () =
 
 (* The four path-restricted solves of `topobench routing rrg:100,24,12
    --seed 1`, in its order and with its instance and parameters: VLB
-   draws from the traffic generator's advanced state. Path sets this size
-   are built by the pool, and every solve's routing pass also reads the
-   dual bound's α. *)
+   draws from the traffic generator's advanced state. With pool workers,
+   path sets this size are built as pool chunks, and every solve's
+   routing pass also reads the dual bound's α. *)
 let test_routing_paths () =
   let topo = Rrg.topology (Random.State.make [| 1 |]) ~n:100 ~k:24 ~r:12 in
   let g = topo.Topology.graph in

@@ -189,11 +189,14 @@ let minor_words f =
   (r, Gc.minor_words () -. before)
 
 (* Allocation budgets on the same instance: Yen's spur searches share one
-   BFS scratch, and the path-restricted solver runs on flat arrays. *)
+   BFS scratch, and the path-restricted solver runs on flat arrays. The
+   sets are built with the pool off: [Gc.minor_words] counts this
+   domain's allocation only. *)
 let test_allocation_budgets () =
   let g, _, cs = routing_instance () in
   let rcs, build_words =
-    minor_words (fun () -> Core.Mcmf_paths.of_k_shortest g ~k:8 cs)
+    Test_parallel_sweep.with_workers 0 (fun () ->
+        minor_words (fun () -> Core.Mcmf_paths.of_k_shortest g ~k:8 cs))
   in
   Alcotest.(check bool)
     (Printf.sprintf "ksp:8 build allocates %.1fM minor words (<= 10M)"
