@@ -335,6 +335,19 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
           comm_demand.(group_off.(gi) + j) <- d)
         dests)
     groups;
+  (* [comm_rest.(ci)]: the destinations of commodity [ci] and of the ones
+     after it in its group, a suffix of the group's sorted target list
+     (shared, not copied). A tree rebuilt mid-group serves only these, so
+     it can stop once they are finalized; the labels it finalizes are
+     those of the full rebuild, bit for bit. *)
+  let comm_rest = Array.make ncomm [] in
+  let rec fill_rest ci = function
+    | [] -> ()
+    | _ :: tl as rest ->
+        comm_rest.(ci) <- rest;
+        fill_rest (ci + 1) tl
+  in
+  Array.iteri (fun gi targets -> fill_rest group_off.(gi) targets) group_targets;
   (* Paths stored by the last dual sweep, one per commodity, in one buffer
      per group: commodity [ci] of group [gi] has the arcs
      [sp_arcs.(gi).(start) .. sp_arcs.(gi).(sp_end.(ci) - 1)] in
@@ -421,7 +434,8 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      its current distance (Fleischer's rule). The reference is the
      distance at the time the path was computed: lengths only grow, so it
      stays a lower bound. The first stale path switches the rest of the
-     group to a freshly built tree.
+     group to a freshly built tree, to [targets]: the destinations still
+     to be routed.
 
      The routing pass allocates nothing: floats stay in local references,
      and minima are plain comparisons (capacities and amounts are
@@ -484,11 +498,10 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   (* Route all of group [gi]'s demand, starting on the paths of the last
      dual sweep when [stored], otherwise on a fresh tree. *)
   let route_group ~stored gi =
-    let targets = group_targets.(gi) in
     on_tree := not stored;
-    if not stored then build_tree ~src:group_src.(gi) ~targets;
+    if not stored then build_tree ~src:group_src.(gi) ~targets:group_targets.(gi);
     for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
-      route_commodity gi targets comm_demand ci
+      route_commodity gi comm_rest.(ci) comm_demand ci
     done;
     if not !on_tree then obs.o_paths_reused <- obs.o_paths_reused + 1
   in
@@ -783,7 +796,15 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                     let targets = List.map (fun ci -> comm_dst.(ci)) cis in
                     on_tree := true;
                     build_tree ~src:group_src.(gi) ~targets;
-                    List.iter (route_commodity gi targets reship_amount) cis
+                    (* A rebuild serves the re-shipped commodities left. *)
+                    let rec reship_rest cis targets =
+                      match (cis, targets) with
+                      | ci :: cis', _ :: targets' ->
+                          route_commodity gi targets reship_amount ci;
+                          reship_rest cis' targets'
+                      | _ -> ()
+                    in
+                    reship_rest cis targets
                   end)
                 reship;
               Gk_loop.rescale_lengths lengths;
