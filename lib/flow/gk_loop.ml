@@ -78,6 +78,21 @@ let stall_window = 30
 let min_eps = 0.0125
 let warm_eps params seed_eps = Float.max min_eps (Float.min params.eps seed_eps)
 
+(* Coarse to fine: a cold solve starts at twice the requested step (kept
+   below 1), which lifts the early lengths fastest, and leaves it after a
+   short stall of [coarse_window] phases. Neither certificate depends on
+   the step, so the schedule moves only the phase count. *)
+let coarse_window = 8
+let start_eps params = Float.min (2.0 *. params.eps) (Float.max params.eps 0.5)
+
+(* The first halving lands on the requested step; later ones halve down to
+   [min_eps]. A step at or below both is final. *)
+let can_halve params eps = eps > Float.min params.eps min_eps
+
+let halved params eps =
+  if eps > params.eps then Float.max params.eps (eps /. 2.0)
+  else Float.max min_eps (eps /. 2.0)
+
 type stats = {
   mutable routed : int;
   mutable discarded : int;
@@ -234,7 +249,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
         ~args:
           (args
           @ [ ("lo", Json.Num !lo); ("hi", Json.Num best_dual);
-              ("window", Json.Int (window ())) ]);
+              ("window", Json.Int (window ())); ("eps", Json.Num !eps) ]);
       Trace.end_span sp_phase ~args
     end;
     let converged = met ratio in
@@ -255,11 +270,12 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
       let progress_step = Float.max 5e-4 (0.01 *. (ratio -. 1.0 -. params.gap)) in
       let stalled = if ratio > last_ratio -. progress_step then stalled + 1 else 0 in
       let last_ratio = Float.min last_ratio ratio in
-      if stalled >= stall_window && !eps > min_eps then begin
+      let window = if !eps > params.eps then coarse_window else stall_window in
+      if stalled >= window && can_halve params !eps then begin
         (* The phase routed ahead used the old step: route it again. *)
         rollback ();
         stats.eps_halvings <- stats.eps_halvings + 1;
-        eps := Float.max min_eps (!eps /. 2.0);
+        eps := halved params !eps;
         phase_loop ~ahead:false phases best_dual last_ratio 0
       end
       else begin

@@ -20,7 +20,10 @@
 
     The loop stops once [λ_hi / λ_lo ≤ 1 + gap] or at the phase budget,
     and halves eps (down to a floor) when the gap stalls; both
-    certificates stay valid across a change of eps. A delta-solve's
+    certificates stay valid across a change of eps, so the step schedule
+    moves only the phase count. A cold solve starts at twice the
+    requested eps ({!start_eps}); a stall of a few phases halves that to
+    the requested eps, and from there a stall of 30 phases halves it. A delta-solve's
     inherited certificate is judged by the same test before any phase
     ({!run}), and {!solve} wraps every solve in one span and one set of
     counters. Only the route oracle is solver-specific, passed in as
@@ -90,7 +93,9 @@ val midpoint : result -> float
 
 val init_lengths : eps:float -> cap:float array -> float array -> unit
 (** Usable arcs get [δ / capₐ] with [δ = (m / (1 - eps))^(-1/eps)], [m]
-    the number of usable arcs; the others get 0. *)
+    the number of usable arcs; the others get 0. A cold solve (or a
+    restart) passes the step it starts at, {!start_eps}, not the
+    requested one. *)
 
 val rescale_lengths : float array -> unit
 (** Divide all lengths by the largest once it exceeds [1e100]. *)
@@ -100,6 +105,11 @@ val volume : cap:float array -> float array -> float
 
 val dual_bound : volume:float -> alpha:float -> float
 (** [volume / alpha], or [infinity] when that is not positive. *)
+
+val start_eps : params -> float
+(** The step a cold solve (and a restart) starts at: twice the requested
+    [eps], capped at [max eps 0.5] so it stays below 1. {!run} halves it
+    to the requested step after a short stall. *)
 
 val warm_eps : params -> float -> float
 (** The step a warm start resumes at: the seed's reached step, clamped
@@ -176,10 +186,15 @@ val run :
 
     A phase checks for cancellation, routes (unless the last step did),
     rescales [lengths], certifies and steps. A stall halves [eps] in
-    place. Each kept phase is a ["phase"] span in trace category [cat]
+    place: while [!eps] is above [params.eps] (a cold start at
+    {!start_eps}) a stall of 8 phases halves it, landing on no less than
+    [params.eps]; below that a stall of 30 phases halves it, down to a
+    floor of 0.0125. Warm starts resume at or below [params.eps], so
+    only the 30-phase rule applies to them. Each kept phase is a ["phase"] span in trace category [cat]
     (args: phase, ratio), with a ["dual_check"] instant (args: phase,
-    ratio, lo and hi in the caller's scaled units, and window, the
-    winning window's start phase or 0 for the whole history). *)
+    ratio, lo and hi in the caller's scaled units, window, the winning
+    window's start phase or 0 for the whole history, and eps, the step
+    the phase was routed at). *)
 
 val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->

@@ -300,7 +300,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     ref
       (match warm with
       | Some w -> Gk_loop.warm_eps params w.w_eps
-      | None -> params.eps)
+      | None -> Gk_loop.start_eps params)
   in
   let groups =
     Commodity.group_by_source ~n
@@ -403,7 +403,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     Array.fill flow 0 m_all 0.0;
     Option.iter (Array.iter (fun f -> Array.fill f 0 m_all 0.0)) gflow;
     sp_valid := false;
-    eps := params.eps;
+    eps := Gk_loop.start_eps params;
     Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths
   in
   let tree =

@@ -104,7 +104,7 @@ let paths = Gk_loop.solver "paths"
 let solve_flat ~params ~stats g commodities store =
   let { com_off; path_off; arcs } = store in
   let cap = (Graph.csr g).Graph.csr_arc_cap in
-  let eps = ref params.Mcmf_fptas.eps in
+  let eps = ref (Gk_loop.start_eps params) in
   let m_all = Graph.num_arcs g in
   let scale = demand_scale g commodities store in
   let k = Array.length commodities in

@@ -8,13 +8,15 @@ let hex_length = 32 (* MD5 *)
 
 (* Bump on any change to Mcmf_fptas (or the metrics derived from its
    output) that can alter the bits of a cached result; entries written
-   under an older version simply miss. "fptas-4" certifies [λ_lo] from
-   the best of the whole flow history and two recent windows of phases
-   (the returned flow is the winning window's) on top of "fptas-3"
+   under an older version simply miss. "fptas-5" starts a cold solve at
+   twice the requested length step and halves it after a short stall
+   ({!Dcn_flow.Gk_loop.run}) on top of "fptas-4" (certifies [λ_lo] from
+   the best of the whole flow history and two recent windows of phases;
+   the returned flow is the winning window's), "fptas-3"
    (each phase routes on the shortest paths stored by the previous
    phase's dual sweep) and "fptas-2" (scratch-reusing Dijkstra,
    target-limited early exit). *)
-let solver_version = "fptas-4"
+let solver_version = "fptas-5"
 
 let of_text text = Digest.to_hex (Digest.string text)
 

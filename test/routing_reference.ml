@@ -218,7 +218,11 @@ let demand_scale g (commodities : Mcmf_paths.commodity array) =
    that they exercised that branch. *)
 let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
     (commodities : Mcmf_paths.commodity array) =
-  let eps = ref params.Mcmf_fptas.eps in
+  (* Coarse to fine, as in [Gk_loop]: start at twice the requested step,
+     capped at [max eps 0.5]; an 8-phase stall halves it to the requested
+     step, and from there a 30-phase stall halves it, down to 0.0125. *)
+  let target = params.Mcmf_fptas.eps in
+  let eps = ref (Float.min (2.0 *. target) (Float.max target 0.5)) in
   let m_all = Graph.num_arcs g in
   let scale = demand_scale g commodities in
   let k = Array.length commodities in
@@ -332,7 +336,7 @@ let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
       converged;
     }
   in
-  let stall_window = 30 in
+  let coarse_window = 8 and stall_window = 30 in
   let min_eps = 0.0125 in
   let rec phase_loop phases best_dual last_ratio stalled =
     for j = 0 to k - 1 do
@@ -358,8 +362,12 @@ let solve ?(params = Mcmf_fptas.default_params) ?(halvings = ref 0) g
       in
       let stalled = if ratio > last_ratio -. progress_step then stalled + 1 else 0 in
       let last_ratio = Float.min last_ratio ratio in
-      if stalled >= stall_window && !eps > min_eps then begin
-        eps := Float.max min_eps (!eps /. 2.0);
+      let coarse = !eps > target in
+      let window = if coarse then coarse_window else stall_window in
+      if stalled >= window && !eps > Float.min target min_eps then begin
+        eps :=
+          if coarse then Float.max target (!eps /. 2.0)
+          else Float.max min_eps (!eps /. 2.0);
         incr halvings;
         phase_loop phases best_dual last_ratio 0
       end

@@ -30,6 +30,7 @@ let () =
       Test_warm.suite;
       Test_pins.suite;
       Test_window.suite;
+      Test_schedule.suite;
       Test_parallel_sweep.suite;
       Test_properties.suite;
       Test_serve.suite;

@@ -147,7 +147,8 @@ let prop_paths_solver_matches_reference =
       same_result (Mcmf_paths.solve ~params g rcs) (Ref.solve ~params g rcs))
 
 (* A tight gap on a contended instance makes the certified ratio stall, so
-   the adaptive step halves eps (the reference counts the halvings). *)
+   the adaptive step halves eps past the requested step (the reference
+   counts the halvings). *)
 let test_solver_matches_reference_across_eps_halving () =
   let st = Random.State.make [| 1402 |] in
   let topo = Dcn_topology.Rrg.topology st ~n:20 ~k:8 ~r:5 in
@@ -161,7 +162,8 @@ let test_solver_matches_reference_across_eps_halving () =
   let params = { Mcmf_fptas.eps = 0.2; gap = 0.002; max_phases = 3000 } in
   let halvings = ref 0 in
   let expected = Ref.solve ~params ~halvings g rcs in
-  Alcotest.(check bool) "reference halved eps" true (!halvings > 0);
+  (* The routine coarse-to-fine halving, then at least one stall halving. *)
+  Alcotest.(check bool) "reference halved eps twice" true (!halvings >= 2);
   Alcotest.(check bool) "bit-identical result" true
     (same_result (Mcmf_paths.solve ~params g rcs) expected)
 

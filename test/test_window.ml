@@ -53,7 +53,7 @@ let instances =
   [
     ("all-to-all rrg8 s1", all_to_all_instance 1, coarse);
     ("all-to-all rrg8 s4", all_to_all_instance 4, coarse);
-    ("random s1", random_instance 1, fine);
+    ("random s9", random_instance 9, fine);
     ("random s6", random_instance 6, fine);
   ]
 
