@@ -153,9 +153,10 @@ let unit_open_conv what =
 let eps_arg =
   let doc =
     "FPTAS length step, strictly between 0 and 1. A solve starts at \
-     twice this step (at most the larger of this step and 0.5) and halves to it after a \
-     short stall; a longer stall halves it further. The step moves only \
-     the phase count: the answer is certified to $(b,--gap) either way."
+     twice this step (at most the larger of this step and 0.5) and \
+     halves to it after a short stall; a longer stall halves it further. \
+     The step moves only the phase count: the answer is certified to \
+     $(b,--gap) either way."
   in
   Arg.(value & opt (unit_open_conv "--eps") 0.05 & info [ "eps" ] ~doc)
 

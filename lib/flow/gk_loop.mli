@@ -23,10 +23,10 @@
     certificates stay valid across a change of eps, so the step schedule
     moves only the phase count. A cold solve starts at twice the
     requested eps ({!start_eps}); a stall of a few phases halves that to
-    the requested eps, and from there a stall of 30 phases halves it. A delta-solve's
-    inherited certificate is judged by the same test before any phase
-    ({!run}), and {!solve} wraps every solve in one span and one set of
-    counters. Only the route oracle is solver-specific, passed in as
+    the requested eps, and from there a stall of 30 phases halves it. A
+    delta-solve's inherited certificate is judged by the same test
+    before any phase ({!run}), and {!solve} wraps every solve in one span
+    and one set of counters. Only the route oracle is solver-specific, passed in as
     per-phase callbacks so the per-arc loops stay in the solvers.
 
     {2 A phase's order, and the phase routed ahead}
@@ -63,7 +63,9 @@
     [D(l)] and never win a maximum against a usable arc. *)
 
 type params = {
-  eps : float;  (** Multiplicative length step (0 < eps < 1). *)
+  eps : float;
+      (** Requested multiplicative length step (0 < eps < 1); a cold
+          solve starts at {!start_eps}. *)
   gap : float;  (** Certified relative gap at which to stop. *)
   max_phases : int;  (** Phase budget. *)
 }
@@ -188,13 +190,14 @@ val run :
     rescales [lengths], certifies and steps. A stall halves [eps] in
     place: while [!eps] is above [params.eps] (a cold start at
     {!start_eps}) a stall of 8 phases halves it, landing on no less than
-    [params.eps]; below that a stall of 30 phases halves it, down to a
-    floor of 0.0125. Warm starts resume at or below [params.eps], so
-    only the 30-phase rule applies to them. Each kept phase is a ["phase"] span in trace category [cat]
-    (args: phase, ratio), with a ["dual_check"] instant (args: phase,
-    ratio, lo and hi in the caller's scaled units, window, the winning
-    window's start phase or 0 for the whole history, and eps, the step
-    the phase was routed at). *)
+    [params.eps]; from there a stall of 30 phases halves it, down to a
+    floor of 0.0125. A warm start resumes at {!warm_eps}, which is at
+    most [params.eps] unless that is below the floor, so only the
+    30-phase rule applies to it. Each kept phase is a
+    ["phase"] span in trace category [cat] (args: phase, ratio), with a
+    ["dual_check"] instant (args: phase, ratio, lo and hi in the caller's
+    scaled units, window, the winning window's start phase or 0 for the
+    whole history, and eps, the step the phase was routed at). *)
 
 val result :
   scale:float -> flow:float array -> phases:int -> lo:float -> hi:float ->

@@ -347,7 +347,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         comm_rest.(ci) <- rest;
         fill_rest (ci + 1) tl
   in
-  Array.iteri (fun gi targets -> fill_rest group_off.(gi) targets) group_targets;
+  Array.iteri (fun gi ts -> fill_rest group_off.(gi) ts) group_targets;
   (* Paths stored by the last dual sweep, one per commodity, in one buffer
      per group: commodity [ci] of group [gi] has the arcs
      [sp_arcs.(gi).(start) .. sp_arcs.(gi).(sp_end.(ci) - 1)] in
@@ -434,8 +434,8 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      its current distance (Fleischer's rule). The reference is the
      distance at the time the path was computed: lengths only grow, so it
      stays a lower bound. The first stale path switches the rest of the
-     group to a freshly built tree, to [targets]: the destinations still
-     to be routed.
+     group to a freshly built tree to [targets], which must hold every
+     destination still to be routed.
 
      The routing pass allocates nothing: floats stay in local references,
      and minima are plain comparisons (capacities and amounts are
@@ -498,8 +498,9 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   (* Route all of group [gi]'s demand, starting on the paths of the last
      dual sweep when [stored], otherwise on a fresh tree. *)
   let route_group ~stored gi =
+    let targets = group_targets.(gi) in
     on_tree := not stored;
-    if not stored then build_tree ~src:group_src.(gi) ~targets:group_targets.(gi);
+    if not stored then build_tree ~src:group_src.(gi) ~targets;
     for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
       route_commodity gi comm_rest.(ci) comm_demand ci
     done;
@@ -796,15 +797,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
                     let targets = List.map (fun ci -> comm_dst.(ci)) cis in
                     on_tree := true;
                     build_tree ~src:group_src.(gi) ~targets;
-                    (* A rebuild serves the re-shipped commodities left. *)
-                    let rec reship_rest cis targets =
-                      match (cis, targets) with
-                      | ci :: cis', _ :: targets' ->
-                          route_commodity gi targets reship_amount ci;
-                          reship_rest cis' targets'
-                      | _ -> ()
-                    in
-                    reship_rest cis targets
+                    List.iter (route_commodity gi targets reship_amount) cis
                   end)
                 reship;
               Gk_loop.rescale_lengths lengths;

@@ -42,7 +42,9 @@
 open Dcn_graph
 
 type params = Gk_loop.params = {
-  eps : float;  (** Multiplicative length step (0 < eps < 1). *)
+  eps : float;
+      (** Requested multiplicative length step (0 < eps < 1); a cold
+          solve starts at twice it ({!Gk_loop.start_eps}). *)
   gap : float;  (** Certified relative gap at which to stop. *)
   max_phases : int;
       (** Phase budget. If exhausted before the target gap (possible when
@@ -179,8 +181,8 @@ val resolve_after_failure :
     share of the inherited ledger, or the repaired certificate misses the
     target gap by more than 2× (a wide failure moved the optimum past what
     the inherited flow can certify) — the call restarts from cold-floor
-    lengths at the requested eps, keeping only the seed's still-valid dual
-    bound to cut the convergence tail. The result is a certificate for the
+    lengths at a cold solve's start step ({!Gk_loop.start_eps}), keeping
+    only the seed's still-valid dual bound to cut the convergence tail. The result is a certificate for the
     masked instance with gap ≤ requested, exactly as from a cold solve of
     [g].
 

@@ -39,20 +39,25 @@ let traced_eps f =
                 else None)
               events
           in
-          (x, List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) checks))
+          let by_phase = List.sort (fun (a, _) (b, _) -> Int.compare a b) in
+          (x, List.map snd (by_phase checks))
       | _ -> Alcotest.fail "trace does not parse")
 
 (* Trace args are rounded to 6 significant digits. *)
 let same_eps a b = Float.abs (a -. b) <= 1e-6 *. b
 
 let check_eps label want got =
-  if not (same_eps want got) then Alcotest.failf "%s: eps %g, expected %g" label got want
+  if not (same_eps want got) then
+    Alcotest.failf "%s: eps %g, expected %g" label got want
 
 let test_start_eps () =
   List.iter
     (fun (eps, want) ->
-      let got = Gk_loop.start_eps { Gk_loop.eps; gap = 0.05; max_phases = 1 } in
-      Alcotest.(check (float 0.0)) (Printf.sprintf "start at eps %g" eps) want got)
+      let got =
+        Gk_loop.start_eps { Gk_loop.eps; gap = 0.05; max_phases = 1 }
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "start at eps %g" eps) want got)
     [ (0.01, 0.02); (0.05, 0.1); (0.1, 0.2); (0.25, 0.5); (0.3, 0.5);
       (0.6, 0.6); (0.9, 0.9) ]
 
@@ -118,7 +123,9 @@ let check_cold_schedule label ~start ~requested eps_seen =
   | [] -> Alcotest.failf "%s: the step never left %g" label start
   | (_, first) :: rest ->
       check_eps (label ^ " first halving") requested first;
-      List.iter (fun (a, b) -> check_eps (label ^ " later halving") (a /. 2.0) b) rest
+      List.iter
+        (fun (a, b) -> check_eps (label ^ " later halving") (a /. 2.0) b)
+        rest
 
 let params = { Mcmf_fptas.eps = 0.1; gap = 0.05; max_phases = 100_000 }
 
@@ -179,10 +186,12 @@ let test_restart_step () =
 let test_large_eps () =
   let cmd =
     Cmdliner.Cmd.v (Cmdliner.Cmd.info "solve")
-      Cmdliner.Term.(const Core.Cli.params_of $ Core.Cli.eps_arg $ Core.Cli.gap_arg)
+      Cmdliner.Term.(
+        const Core.Cli.params_of $ Core.Cli.eps_arg $ Core.Cli.gap_arg)
   in
   let params =
-    match Cmdliner.Cmd.eval_value ~argv:[| "solve"; "--eps"; "0.9"; "--gap"; "0.1" |] cmd with
+    let argv = [| "solve"; "--eps"; "0.9"; "--gap"; "0.1" |] in
+    match Cmdliner.Cmd.eval_value ~argv cmd with
     | Ok (`Ok p) -> p
     | _ -> Alcotest.fail "--eps 0.9 rejected"
   in
