@@ -240,12 +240,10 @@ let failures_cmd =
     in
     let cs = Core.Traffic.to_commodities tm in
     let midpoint = Core.Gk_loop.midpoint in
-    (* One group-tracked baseline; each non-zero fraction is an incremental
-       delta-solve of the masked survivor against it (repaired trees,
-       surviving flow reused) rather than a from-scratch solve. *)
+    (* One baseline; each non-zero fraction re-solves the masked survivor
+       from the baseline's demand scale and dual bound. *)
     let base_state, base_warm =
-      Core.Solve_cache.fptas_with_state ~params ~track_groups:true
-        topo.Core.Topology.graph cs
+      Core.Solve_cache.fptas_with_state ~params topo.Core.Topology.graph cs
     in
     let base = midpoint base_state.Core.Mcmf_fptas.result in
     let table =

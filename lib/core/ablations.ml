@@ -507,10 +507,8 @@ let failure_resilience scale =
   in
   (* A fixed permutation per topology so "retained" ratios compare the
      same workload before and after failures. Each topology gets one
-     group-tracked baseline solve; every failed fraction is then an
-     incremental delta-solve against that state (masked survivor graph,
-     repaired shortest-path trees, surviving flow reused) instead of a
-     cold solve — same certificate, far fewer phases. *)
+     baseline solve; every failed fraction then re-solves the masked
+     survivor graph from that state's demand scale and dual bound. *)
   let commodities_of (topo : Topology.t) =
     let tm_st = Random.State.make [| scale.Scale.seed; 15601 |] in
     let tm = Traffic.permutation tm_st ~servers:topo.Topology.servers in
@@ -520,8 +518,7 @@ let failure_resilience scale =
   let baseline (topo : Topology.t) =
     let cs = commodities_of topo in
     let solved, link =
-      Solve_cache.fptas_with_state ~params ~track_groups:true
-        topo.Topology.graph cs
+      Solve_cache.fptas_with_state ~params topo.Topology.graph cs
     in
     (cs, link, midpoint solved.Mcmf_fptas.result)
   in

@@ -74,9 +74,9 @@ val failure_resilience : Scale.t -> Dcn_util.Table.t
 (** Throughput retention under uniform random link failures: RRG vs
     fat-tree at comparable equipment (the graceful-degradation argument
     of the random-graph literature §2 builds on). Each topology is solved
-    once with group tracking; every failed fraction is then an
-    incremental {!Dcn_flow.Mcmf_fptas.resolve_after_failure} against that
-    baseline, and the zero fraction emits retention 1 without solving. *)
+    once; every failed fraction is then a
+    {!Dcn_flow.Mcmf_fptas.resolve_after_failure} against that baseline,
+    and the zero fraction emits retention 1 without solving. *)
 
 val multi_class_placement : Scale.t -> Dcn_util.Table.t
 (** Future-work item (c) of §9: with three switch classes, sweeping the

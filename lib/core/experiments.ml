@@ -173,8 +173,6 @@ let sweep_warm_point ~label ~requested_gap ~(cold : Mcmf_fptas.result)
   {
     swp_label = label;
     swp_cold_phases = cold.Mcmf_fptas.phases;
-    (* The warm leg's cost is what it executed, not what it inherited from
-       the seed's ledger. *)
     swp_warm_phases = warm.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
     swp_cold_seconds = cold_seconds;
     swp_warm_seconds = warm_seconds;
@@ -247,23 +245,21 @@ let sweep_warm_table report =
 
 let sweep_warm_failures scale =
   let params = scale.Scale.params in
-  (* The baseline is solved at half the requested gap. The delta-solve
-     precheck re-certifies against the carried dual bound at the seeded
-     lengths: the tighter baseline interval is exactly the slack a small
-     failure consumes, so most points below re-certify with zero (or very
-     few) fresh phases — the cold leg pays the full phase count every
-     time. Both legs call the solver directly (never the cache), so the
-     timings compare compute against compute. *)
+  (* The baseline is solved at half the requested gap, so its dual bound,
+     which the re-solve carries, is tight: after a small failure the
+     re-solve's flow can certify against it before its own dual sweeps
+     get there. Both legs call the solver directly (never the cache), so
+     the timings compare compute against compute. *)
   let base_params =
     { params with Mcmf_fptas.gap = params.Mcmf_fptas.gap /. 2.0 }
   in
   let st = Random.State.make [| scale.Scale.seed; 16000 |] in
   (* Degree 10: a single link is a tenth of one switch's capacity, so a
      random small failure usually moves λ* by less than the gap — the
-     regime where the inherited certificate can re-close after the repair.
-     (On sparse graphs — r = 5 say — one link is 20% of a switch and a
-     lucky hit moves the optimum past any reasonable gap budget, forcing
-     real phases on cold and warm alike; no warm-start can dodge that.)
+     regime where the carried dual bound stays within the gap of the
+     survivor's optimum. (On sparse graphs — r = 5 say — one link is 20%
+     of a switch and a lucky hit moves the optimum past any reasonable gap
+     budget; the carried bound then cannot help.)
      The movement also shrinks with the failed link's share of total
      capacity, so the paper-scale sweep — whose gap budget is 0.03 rather
      than 0.08 — uses a twice-larger instance: one link out of 400 moves
@@ -276,14 +272,13 @@ let sweep_warm_failures scale =
   let cs = Traffic.to_commodities tm in
   let t0 = Clock.now_ns () in
   let base =
-    Mcmf_fptas.solve_with_state ~params:base_params ~track_groups:true g cs
+    Mcmf_fptas.solve_with_state ~params:base_params g cs
   in
   let baseline_seconds = Clock.elapsed_s t0 in
   (* Fractions are chosen so the grid fails exactly 1 / 3 / 5 links
      (n·r/2 = 200 links quick, 400 dense). The grid is weighted toward
      single-link failures — by far the most common event in deployment
-     failure traces, and the case the delta-solve targets — with
-     multi-link points keeping the tail honest. *)
+     failure traces — with multi-link points keeping the tail honest. *)
   let grid =
     if scale.Scale.dense then
       [

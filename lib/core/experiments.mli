@@ -38,8 +38,7 @@ val fig3 : Scale.t -> Dcn_util.Table.t
 type sweep_warm_point = {
   swp_label : string;
   swp_cold_phases : int;  (** Phases the cold solve executed. *)
-  swp_warm_phases : int;  (** Phases the warm leg {e executed} (inherited
-                              ledger phases excluded). *)
+  swp_warm_phases : int;  (** Phases the warm leg {e executed}. *)
   swp_cold_seconds : float;
   swp_warm_seconds : float;
   swp_cold_lower : float;
@@ -87,12 +86,11 @@ val sweep_warm_table : sweep_warm_report -> Dcn_util.Table.t
 (** Printable per-point table with a trailing geomean row. *)
 
 val sweep_warm_failures : Scale.t -> sweep_warm_report
-(** The failure-figure grid, cold vs. incremental: one group-tracked
-    baseline solve of an RRG permutation instance at half the requested
-    gap, then for each (failure fraction, seed) grid point a cold solve
-    of the masked survivor vs. {!Dcn_flow.Mcmf_fptas.resolve_after_failure}
-    from the baseline. Small failures typically re-certify from the
-    repaired trees with zero fresh phases. *)
+(** The failure-figure grid, cold vs. re-solve: one baseline solve of an
+    RRG permutation instance at half the requested gap, then for each
+    (failure fraction, seed) grid point a cold solve of the masked
+    survivor vs. {!Dcn_flow.Mcmf_fptas.resolve_after_failure} from the
+    baseline, which starts from the baseline's dual bound. *)
 
 (** {1 Reusable measurements} *)
 

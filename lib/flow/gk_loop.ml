@@ -119,12 +119,12 @@ let ns_since t0 =
    [flow] as it stood after phase [at]. *)
 type snap = { mutable at : int; copy : float array }
 
-(* Snapshots are taken [window_base·2^k] phases after the loop's start
-   (or its restart); the two newest are kept. *)
+(* Snapshots are taken [window_base·2^k] phases after the loop's start;
+   the two newest are kept. *)
 let window_base = 5
 
 let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
-    ~restart ~phases ~best_dual ~finish =
+    ~best_dual ~finish =
   let m = Array.length cap in
   (* [lengths] and [flow] as they stood when the last phase was
      certified: the sweep reads the first while the next phase is routed
@@ -137,8 +137,8 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
     settle ~keep:false
   in
   let older = ref None and newer = ref None in
-  (* Phase the snapshot schedule counts from, and the next offset due. *)
-  let origin = ref phases and next_snap = ref window_base in
+  (* The next snapshot's phase. *)
+  let next_snap = ref window_base in
   let take_snapshot phases =
     (* Only the two newest snapshots are kept, so the third reuses the
        oldest's buffer: no allocation after the second. *)
@@ -209,7 +209,6 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
     stats.window <- window ();
     finish ~flow:certified ~phases ~lo:!lo ~hi ~mu:!win_mu ~converged
   in
-  let met ratio = ratio <= 1.0 +. params.gap in
   (* [ahead]: the phase was already routed, by the last step. *)
   let rec phase_loop ~ahead phases best_dual last_ratio stalled =
     (* Deadline check between phases: all flow and length state is
@@ -252,7 +251,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
               ("window", Json.Int (window ())); ("eps", Json.Num !eps) ]);
       Trace.end_span sp_phase ~args
     end;
-    let converged = met ratio in
+    let converged = ratio <= 1.0 +. params.gap in
     (* Out of budget, the interval is still a valid certificate, just
        wider than asked; callers can inspect [converged] and the realized
        gap. *)
@@ -261,7 +260,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
       finish_with ~phases ~hi:best_dual ~converged
     end
     else begin
-      if phases - !origin = !next_snap then begin
+      if phases = !next_snap then begin
         take_snapshot phases;
         next_snap := 2 * !next_snap
       end;
@@ -284,25 +283,7 @@ let run ~cat ~params ~stats ~eps ~cap ~flow ~lengths ~route ~step ~settle
       end
     end
   in
-  if phases = 0 then phase_loop ~ahead:false 0 best_dual infinity 0
-  else begin
-    (* An inherited ledger is judged before any phase is routed: within
-       the gap it certifies as is. Inherited flow that misses by more than
-       twice the gap is dead weight: the loop would need about
-       inherited·(excess/gap) phases just to dilute its congestion, so it
-       is dropped and only the (still valid) dual bound is kept. *)
-    certify phases;
-    let ratio = best_dual /. !lo in
-    if mus.(0) > 0.0 && met ratio then
-      finish_with ~phases ~hi:best_dual ~converged:true
-    else if ratio > 1.0 +. (2.0 *. params.gap) then begin
-      (* No snapshot exists yet; the schedule restarts with the phases. *)
-      restart ();
-      origin := 0;
-      phase_loop ~ahead:false 0 best_dual infinity 0
-    end
-    else phase_loop ~ahead:false phases best_dual infinity 0
-  end
+  phase_loop ~ahead:false 0 best_dual infinity 0
 
 let result ~scale ~flow ~phases ~lo ~hi ~mu ~converged =
   let arc_flow =

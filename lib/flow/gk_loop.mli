@@ -23,11 +23,10 @@
     certificates stay valid across a change of eps, so the step schedule
     moves only the phase count. A cold solve starts at twice the
     requested eps ({!start_eps}); a stall of a few phases halves that to
-    the requested eps, and from there a stall of 30 phases halves it. A
-    delta-solve's inherited certificate is judged by the same test
-    before any phase ({!run}), and {!solve} wraps every solve in one span
-    and one set of counters. Only the route oracle is solver-specific, passed in as
-    per-phase callbacks so the per-arc loops stay in the solvers.
+    the requested eps, and from there a stall of 30 phases halves it.
+    {!solve} wraps every solve in one span and one set of counters. Only
+    the route oracle is solver-specific, passed in as per-phase callbacks
+    so the per-arc loops stay in the solvers.
 
     {2 A phase's order, and the phase routed ahead}
 
@@ -95,9 +94,8 @@ val midpoint : result -> float
 
 val init_lengths : eps:float -> cap:float array -> float array -> unit
 (** Usable arcs get [δ / capₐ] with [δ = (m / (1 - eps))^(-1/eps)], [m]
-    the number of usable arcs; the others get 0. A cold solve (or a
-    restart) passes the step it starts at, {!start_eps}, not the
-    requested one. *)
+    the number of usable arcs; the others get 0. A cold solve passes the
+    step it starts at, {!start_eps}, not the requested one. *)
 
 val rescale_lengths : float array -> unit
 (** Divide all lengths by the largest once it exceeds [1e100]. *)
@@ -109,7 +107,7 @@ val dual_bound : volume:float -> alpha:float -> float
 (** [volume / alpha], or [infinity] when that is not positive. *)
 
 val start_eps : params -> float
-(** The step a cold solve (and a restart) starts at: twice the requested
+(** The step a cold solve starts at: twice the requested
     [eps], capped at [max eps 0.5] so it stays below 1. {!run} halves it
     to the requested step after a short stall. *)
 
@@ -148,13 +146,13 @@ val run :
   cat:string -> params:params -> stats:stats -> eps:float ref ->
   cap:float array -> flow:float array -> lengths:float array ->
   route:(unit -> unit) -> step:(lengths:float array -> float) ->
-  settle:(keep:bool -> unit) -> restart:(unit -> unit) ->
-  phases:int -> best_dual:float ->
+  settle:(keep:bool -> unit) -> best_dual:float ->
   finish:(flow:float array -> phases:int -> lo:float -> hi:float ->
           mu:float -> converged:bool -> 'a) ->
   'a
-(** Run phases from [phases] certified phases and dual bound [best_dual]
-    (0 and [infinity] cold) until the gap or the budget, then [finish]
+(** Run phases from dual bound [best_dual] ([infinity] unless the caller
+    carries a bound that is still valid, such as a failure baseline's)
+    until the gap or the budget, then [finish]
     with the certified flow, the phases run, [λ_lo], [λ_hi], the
     certified flow's congestion [μ] and whether the gap was met.
 
@@ -172,19 +170,9 @@ val run :
     The certified flow is [flow] itself when the whole history wins, and
     the winning window's [flow − snapshot] otherwise, held in the
     snapshot's buffer. [flow] always stays the whole history, in which
-    every commodity [j] has shipped [phases·dⱼ]: that is the ledger a
-    later delta-solve inherits. Memory is two buffers of [m] floats for
-    the rollback and two more for the window snapshots, allocated at the
-    first two snapshots and reused after.
-
-    With [phases > 0] (a delta-solve's inherited flow, every commodity
-    having shipped [phases·dⱼ]) the loop first checks the inherited
-    certificate. At [λ_hi / λ_lo ≤ 1 + gap] it finishes with no new
-    phase. Above [1 + 2·gap] the inherited flow is dead weight: the loop
-    calls [restart], which must zero [flow] and reset [lengths] and
-    [eps], and runs from 0 phases, keeping [best_dual]. [restart] is
-    called at most once, and only then. Snapshots are counted from the
-    phase the loop starts (or restarts) at.
+    every commodity [j] has shipped [phases·dⱼ]. Memory is two buffers
+    of [m] floats for the rollback and two more for the window
+    snapshots, allocated at the first two snapshots and reused after.
 
     A phase checks for cancellation, routes (unless the last step did),
     rescales [lengths], certifies and steps. A stall halves [eps] in
@@ -211,8 +199,8 @@ type solver
 (** A solver's trace name and its shared counters. *)
 
 val solver : string -> solver
-(** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed,
-    inherited ones excluded), [<cat>.dual_checks], [<cat>.eps_halvings],
+(** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed and
+    kept), [<cat>.dual_checks], [<cat>.eps_halvings],
     [<cat>.unconverged], [<cat>.cancelled], [<cat>.window_wins] (solves
     whose certificate came from a window), [<cat>.phases_discarded]
     (phases routed ahead and rolled back), the stage timers

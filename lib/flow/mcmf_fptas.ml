@@ -8,15 +8,13 @@ module Metrics = Dcn_obs.Metrics
 let fptas = Gk_loop.solver "fptas"
 let m_tree_rebuilds = Metrics.counter "fptas.tree_rebuilds"
 let m_paths_reused = Metrics.counter "fptas.paths_reused"
-let m_capture_ns = Metrics.counter "fptas.capture_ns"
 
 (* Warm-start accounting. [fptas.phases_saved] is an estimate: the
    producing solve's certified phase count minus the phases this call
-   actually routed — i.e. how many phases the seed let us inherit rather
-   than re-execute. For delta-solves that is exact bookkeeping (inherited
-   phases are literally not re-run); for cross-instance warm starts it is
-   a proxy (the neighboring instance's cold cost stands in for this
-   instance's). *)
+   actually routed, a proxy in which the neighboring instance's cold cost
+   stands in for this instance's. [fptas.delta_solves] counts failure
+   re-solves ({!resolve_after_failure}), which also count as warm
+   starts. *)
 let m_warm_starts = Metrics.counter "fptas.warm_starts"
 let m_phases_saved = Metrics.counter "fptas.phases_saved"
 let m_delta_solves = Metrics.counter "fptas.delta_solves"
@@ -45,18 +43,6 @@ type result = Gk_loop.result = {
    handed off exclusively), and consumers copy them back in before
    mutating. *)
 
-type group_state = {
-  gs_flow : float array array;
-      (* per source group, per arc: the group's share of the raw
-         (unnormalized) flow at capture time. Summing over groups
-         reproduces the aggregate flow exactly (each routed chunk is added
-         to exactly one group). *)
-  gs_tree : Dijkstra.tree array;
-      (* per source group: a full shortest-path tree at the captured
-         lengths — the starting point for dynamic repair after a
-         failure. *)
-}
-
 type warm_state = {
   w_n : int;
   w_num_arcs : int;
@@ -67,7 +53,11 @@ type warm_state = {
   w_executed : int;
   w_dual : float;
   w_lengths : float array;
-  w_groups : group_state option;
+  w_group_flow : float array array option;
+      (* per source group, per arc: the group's share of the raw
+         (unnormalized) flow. Summing over groups reproduces the aggregate
+         flow exactly (each routed chunk is added to exactly one
+         group). *)
 }
 
 type solve_state = { result : result; warm : warm_state }
@@ -104,22 +94,19 @@ let demand_scale g commodities =
 
 (* Cheap per-solve event tallies, flushed to the registry by [run].
    [o_mode] records what the solve actually did (0 = cold, 1 =
-   length-seeded warm start, 2 = delta-solve), [o_inherited] the seed's
-   certified phase count, [o_capture_ns] the time building full trees (a
-   delta-solve's repairs, a tracked solve's captured trees). *)
+   length-seeded warm start, 2 = failure re-solve), [o_inherited] the
+   seed's certified phase count. *)
 type obs = {
   mutable o_tree_rebuilds : int;
   mutable o_paths_reused : int;
   mutable o_mode : int;
   mutable o_inherited : int;
-  mutable o_capture_ns : int;
 }
 
 (* ---- the per-source fan-out ----
 
-   The dual sweep, the delta-solve's tree repairs and the captured full
-   trees each build one tree per source group at fixed lengths, so the
-   groups are independent: they run as one {!Dcn_util.Pool.run} batch over
+   The dual sweep builds one tree per source group at fixed lengths, so
+   the groups are independent: they run as one {!Dcn_util.Pool} batch over
    contiguous chunks of groups. Every group writes only its own slots
    (per-commodity distances, the group's own path buffer), and anything
    summed over groups is summed afterwards by the caller in commodity
@@ -194,13 +181,6 @@ let chunk_count ~num_arcs ~ngroups =
 (* Chunk [c] of [chunks] is groups [[chunk_lo, chunk_lo (c + 1))]. *)
 let chunk_lo ~ngroups ~chunks c = c * ngroups / chunks
 
-let fan_out ~n ~num_arcs ~ngroups kernel =
-  let chunks = chunk_count ~num_arcs ~ngroups in
-  Dcn_util.Pool.run ~total:chunks (fun c ->
-      with_workspace n kernel
-        (chunk_lo ~ngroups ~chunks c)
-        (chunk_lo ~ngroups ~chunks (c + 1)))
-
 (* Walk the tree path from [v] up to the source into [buf] from index
    [k] on ([buf.(0)] is the arc into the path's end when [k = 0]); return
    the arc count. Top-level, so a walk allocates no closure. *)
@@ -262,7 +242,12 @@ let replay_log lg gflow =
   done;
   clear_log lg
 
-let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
+(* What a solve starts from: cold, a length seed ({!solve_with_state}),
+   or the baseline of a failure re-solve ({!resolve_after_failure}), of
+   which only the demand scale and the dual bound carry over. *)
+type start = Cold | Seeded of warm_state | Failure of warm_state
+
+let solve_impl ~params ~stats ~obs ~start ~track_groups g commodities =
   Gk_loop.validate params;
   if Array.length commodities = 0 then invalid_arg "Mcmf_fptas: no commodities";
   let n = Graph.n g in
@@ -275,32 +260,38 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      state is indexed by arc id); fall back to a cold start silently so
      sweep drivers can thread state without caring where a grid changes
      size. *)
-  let warm =
-    match warm with
-    | Some w when w.w_num_arcs = m_all && w.w_n = n -> Some w
-    | _ -> None
+  let start =
+    match start with
+    | Seeded w when w.w_num_arcs <> m_all || w.w_n <> n -> Cold
+    | (Cold | Seeded _ | Failure _) as s -> s
   in
-  (match warm with
-  | Some w ->
+  (match start with
+  | Cold -> ()
+  | Seeded w ->
       obs.o_mode <- 1;
       obs.o_inherited <- w.w_phases
-  | None -> ());
+  | Failure w ->
+      obs.o_mode <- 2;
+      obs.o_inherited <- w.w_phases);
   (* The scale is a pure change of units — any positive value yields a
      correct certificate — so when the demand vector is unchanged we reuse
      the seed's scale and skip the BFS sweep behind [demand_scale]. *)
   let scale =
-    match warm with
-    | Some w when commodities_equal w.w_commodities commodities -> w.w_scale
-    | _ -> demand_scale g commodities
+    match start with
+    | (Seeded w | Failure w) when commodities_equal w.w_commodities commodities
+      ->
+        w.w_scale
+    | Cold | Seeded _ | Failure _ -> demand_scale g commodities
   in
   (* The length step shrinks adaptively ({!Gk_loop.run}). A warm start
      resumes at the seed's reached eps (clamped to the requested range) so
-     the chain does not re-pay the halving ladder. *)
+     the chain does not re-pay the halving ladder; any other solve starts
+     from the cold floor, so it paces itself like a cold solve. *)
   let eps =
     ref
-      (match warm with
-      | Some w -> Gk_loop.warm_eps params w.w_eps
-      | None -> Gk_loop.start_eps params)
+      (match start with
+      | Seeded w -> Gk_loop.warm_eps params w.w_eps
+      | Cold | Failure _ -> Gk_loop.start_eps params)
   in
   let groups =
     Commodity.group_by_source ~n
@@ -353,9 +344,9 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      [sp_arcs.(gi).(start) .. sp_arcs.(gi).(sp_end.(ci) - 1)] in
      [path_buf] order, where [start] is 0 for the group's first commodity
      and [sp_end.(ci - 1)] otherwise, and [sp_dist.(ci)] is its length
-     when the sweep ran. Valid ([sp_valid]) from the first sweep until
-     [restart]: routing ahead only grows the lengths, and a rollback
-     restores the frozen lengths the sweep read. *)
+     when the sweep ran. Valid ([sp_valid]) from the first sweep on:
+     routing ahead only grows the lengths, and a rollback restores the
+     frozen lengths the sweep read. *)
   let sp_end = Array.make ncomm 0 in
   let sp_arcs =
     Array.init ngroups (fun gi ->
@@ -367,8 +358,8 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   let arc_src = csr.Graph.csr_arc_src and arc_cap = csr.Graph.csr_arc_cap in
   let lengths = Array.make m_all 0.0 in
   Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths;
-  (match warm with
-  | Some w ->
+  (match start with
+  | Seeded w ->
       (* Seeded lengths: copy the seed (never mutate the caller's state);
          arcs the seed left at zero — e.g. capacity restored between
          instances — keep the cold floor so every usable arc has a positive
@@ -379,10 +370,10 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
           let seed = w.w_lengths.(a) in
           if c > 0.0 && seed > 0.0 then lengths.(a) <- seed)
         arc_cap
-  | None -> ());
+  | Cold | Failure _ -> ());
   let flow = Array.make m_all 0.0 in
-  (* Per-group flow tracking, requested by callers that want the returned
-     warm state to support delta-solves. Kept out of the per-arc routing
+  (* Per-group flow tracking, requested by callers that want the group
+     flows in the returned warm state. Kept out of the per-arc routing
      loop: the extra write loop runs once per routed path, only when
      tracking. A phase routed ahead writes to [glog] instead. *)
   let gflow =
@@ -392,20 +383,6 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   in
   let glog = { paths = [||]; fill = 0; amounts = [||]; entries = 0 } in
   let routing_ahead = ref false in
-  (* Drop every shipped phase and restart from cold-floor lengths. A fine
-     step inherited from the seed is the right pace only while we also
-     keep the seed's lengths: a restart from the cold floor should pace
-     itself like a cold solve. Each eps halving roughly doubles the phases
-     to a given gap, so restarting at the seed's halved eps would make the
-     fallback *slower* than the cold solve it is meant to beat. Reset the
-     step and recompute the matching floor. *)
-  let restart () =
-    Array.fill flow 0 m_all 0.0;
-    Option.iter (Array.iter (fun f -> Array.fill f 0 m_all 0.0)) gflow;
-    sp_valid := false;
-    eps := Gk_loop.start_eps params;
-    Gk_loop.init_lengths ~eps:!eps ~cap:arc_cap lengths
-  in
   let tree =
     { Dijkstra.dist = Array.make n infinity; parent_arc = Array.make n (-1) }
   in
@@ -429,13 +406,13 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
   (* Whether the group being routed is on a fresh tree rather than on the
      stored paths. *)
   let on_tree = ref false in
-  (* Ship [amounts.(ci)] of commodity [ci] of group [gi], each piece on a
-     path whose current length is within [(1 + eps)] of a lower bound on
-     its current distance (Fleischer's rule). The reference is the
-     distance at the time the path was computed: lengths only grow, so it
-     stays a lower bound. The first stale path switches the rest of the
-     group to a freshly built tree to [targets], which must hold every
-     destination still to be routed.
+  (* Ship commodity [ci] of group [gi]'s demand, each piece on a path
+     whose current length is within [(1 + eps)] of a lower bound on its
+     current distance (Fleischer's rule). The reference is the distance at
+     the time the path was computed: lengths only grow, so it stays a
+     lower bound. The first stale path switches the rest of the group to a
+     freshly built tree to [comm_rest.(ci)], the destinations still to be
+     routed.
 
      The routing pass allocates nothing: floats stay in local references,
      and minima are plain comparisons (capacities and amounts are
@@ -443,9 +420,9 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
      length sums from the source end, keeping the float addition order of
      the original list-based implementation, so staleness decisions (and
      hence the whole trajectory) are bit-identical. *)
-  let route_commodity gi targets amounts ci =
+  let route_commodity gi ci =
     let dst = comm_dst.(ci) in
-    let rem = ref amounts.(ci) in
+    let rem = ref comm_demand.(ci) in
     while !rem > 0.0 do
       let ref_dist =
         if !on_tree then tree.Dijkstra.dist.(dst) else sp_dist.(ci)
@@ -467,7 +444,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       if !len > (1.0 +. !eps) *. ref_dist then begin
         (* Path is stale: rebuild the tree and retry on it. *)
         obs.o_tree_rebuilds <- obs.o_tree_rebuilds + 1;
-        build_tree ~src:group_src.(gi) ~targets;
+        build_tree ~src:group_src.(gi) ~targets:comm_rest.(ci);
         on_tree := true
       end
       else begin
@@ -502,11 +479,10 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     on_tree := not stored;
     if not stored then build_tree ~src:group_src.(gi) ~targets;
     for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
-      route_commodity gi comm_rest.(ci) comm_demand ci
+      route_commodity gi ci
     done;
     if not !on_tree then obs.o_paths_reused <- obs.o_paths_reused + 1
   in
-  let fan_out kernel = fan_out ~n ~num_arcs:m_all ~ngroups kernel in
   (* The dual sweep over groups [[lo, hi)] at lengths [at]: each group's
      tree, every commodity's distance into [sp_dist] and its path into the
      group's buffer. Allocates nothing unless a group's buffer must
@@ -540,296 +516,6 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
     done;
     !alpha
   in
-  (* ---- delta-solve preparation ----
-
-     After masking the failed arcs, the inherited primal certificate is
-     damaged only where flow actually crossed a failed arc. The damage is
-     surgical, so the repair is too: for each source group, peel off
-     exactly the path-flow through the failed arcs — repeatedly extract an
-     [s → … → a → … → t] path inside the flow's support and subtract its
-     bottleneck — and re-route only the peeled shipments. Everything else
-     (the overwhelming majority of the flow after a small failure) is kept
-     in place, so the surviving congestion is essentially the baseline's
-     and {!Gk_loop.run}'s inherited-certificate check usually
-     re-certifies with zero new phases.
-     The seed's dual bound survives too: removing capacity can only lower
-     λ*, so any upper bound for the unmasked instance still upper-bounds
-     the masked one.
-
-     If the peeled volume is a large share of the inherited ledger
-     (> 1/4), re-shipping it against the frozen remainder would congest
-     more than it saves; fall back to a cold-length solve that keeps only
-     the seed's dual bound. (Converged lengths are a bad start for a
-     perturbed instance — they encode pressure toward the now-dead arcs —
-     while the carried dual bound stays valid and cuts the convergence
-     tail, so the fallback is measurably {e faster} than a cold solve.) *)
-  let cold_lengths_carry_dual (w : warm_state) =
-    restart ();
-    (0, w.w_dual)
-  in
-  let start_phases, start_dual =
-    match (failed, warm) with
-    | Some failed_arcs, Some w -> (
-        match w.w_groups with
-        | None -> cold_lengths_carry_dual w
-        | Some gs ->
-            Gk_loop.check_cancelled ();
-            let failed_all =
-              List.sort_uniq Int.compare
-                (List.concat_map
-                   (fun a -> [ a; Graph.arc_rev g a ])
-                   failed_arcs)
-            in
-            let arc_dst = csr.Graph.csr_arc_dst in
-            let arc_rev = csr.Graph.csr_arc_rev in
-            let adj_off = csr.Graph.csr_adj_off in
-            let adj_arc = csr.Graph.csr_adj_arc in
-            let p = float_of_int w.w_phases in
-            (* Peeling scratch, shared across groups. [pos] doubles as the
-               visited set of the walk in flight (node → step index). *)
-            let nodes_b = Array.make n (-1) and arcs_b = Array.make n (-1) in
-            let nodes_f = Array.make n (-1) and arcs_f = Array.make n (-1) in
-            let pos = Array.make n (-1) in
-            let absorb = Array.make n 0.0 in
-            let removed = Array.make n 0.0 in
-            let is_dst = Array.make n false in
-            (* Walk from [v0] along arcs with positive flow into [nodes] /
-               [arcs]: backward along in-arcs until [s], or with [fwd]
-               forward along out-arcs until a destination with remaining
-               absorption. Directed flow cycles met on the way are
-               cancelled (pure congestion, no shipment) and the walk
-               restarts; each cancellation zeroes at least one arc, so this
-               terminates. Returns the path length [k] (the walk ends at
-               [nodes.(k)]), or -1 when conservation dust left it stuck. *)
-            let rec walk ~fwd f s nodes arcs v0 =
-              let k = ref 0 and v = ref v0 in
-              let stop = ref false and stuck = ref false
-              and cycled = ref false in
-              nodes.(0) <- v0;
-              pos.(v0) <- 0;
-              while not !stop do
-                let u = !v in
-                if (if fwd then is_dst.(u) && absorb.(u) > 0.0 else u = s)
-                then stop := true
-                else begin
-                  let b = ref (-1) in
-                  let idx = ref adj_off.(u) in
-                  let hi = adj_off.(u + 1) in
-                  while !b < 0 && !idx < hi do
-                    let out = adj_arc.(!idx) in
-                    let cand = if fwd then out else arc_rev.(out) in
-                    if f.(cand) > 0.0 then b := cand else incr idx
-                  done;
-                  if !b < 0 then begin
-                    (* No onward flow: a destination whose analytic
-                       absorption was exhausted by float dust ends a
-                       forward walk; anything else is a dead end left by
-                       dust. *)
-                    stop := true;
-                    stuck := not (fwd && is_dst.(u))
-                  end
-                  else begin
-                    let w = if fwd then arc_dst.(!b) else arc_src.(!b) in
-                    if pos.(w) >= 0 then begin
-                      (* Cycle w → … → u → w: arc [b] plus the
-                         already-collected arcs from step [pos w] on. *)
-                      let j = pos.(w) in
-                      let c = ref f.(!b) in
-                      for i = j to !k - 1 do
-                        c := Float.min !c f.(arcs.(i))
-                      done;
-                      f.(!b) <- f.(!b) -. !c;
-                      for i = j to !k - 1 do
-                        f.(arcs.(i)) <- f.(arcs.(i)) -. !c
-                      done;
-                      stop := true;
-                      cycled := true
-                    end
-                    else begin
-                      arcs.(!k) <- !b;
-                      incr k;
-                      nodes.(!k) <- w;
-                      pos.(w) <- !k;
-                      v := w
-                    end
-                  end
-                end
-              done;
-              for i = 0 to !k do
-                pos.(nodes.(i)) <- -1
-              done;
-              if !cycled then walk ~fwd f s nodes arcs v0
-              else if !stuck then -1
-              else !k
-            in
-            (* Peel one group's flow [f] off every failed arc, in place,
-               crediting peeled amounts to [removed] per destination. *)
-            let peel_group f s =
-              List.iter
-                (fun a ->
-                  while f.(a) > 0.0 do
-                    let bl = walk ~fwd:false f s nodes_b arcs_b arc_src.(a) in
-                    if bl < 0 then
-                      (* Conservation dust (≲1e-9 relative): discard. *)
-                      f.(a) <- 0.0
-                    else begin
-                      let fl = walk ~fwd:true f s nodes_f arcs_f arc_dst.(a) in
-                      if fl < 0 then f.(a) <- 0.0
-                      else begin
-                        let t = nodes_f.(fl) in
-                        let amt = ref f.(a) in
-                        for i = 0 to bl - 1 do
-                          amt := Float.min !amt f.(arcs_b.(i))
-                        done;
-                        for i = 0 to fl - 1 do
-                          amt := Float.min !amt f.(arcs_f.(i))
-                        done;
-                        if absorb.(t) > 0.0 then
-                          amt := Float.min !amt absorb.(t);
-                        let c = !amt in
-                        (* [c] can be 0 when a cycle cancellation inside
-                           the forward walk zeroed a back-path arc; the
-                           next walk routes around it. *)
-                        if c > 0.0 then begin
-                          f.(a) <- f.(a) -. c;
-                          for i = 0 to bl - 1 do
-                            f.(arcs_b.(i)) <- f.(arcs_b.(i)) -. c
-                          done;
-                          for i = 0 to fl - 1 do
-                            f.(arcs_f.(i)) <- f.(arcs_f.(i)) -. c
-                          done;
-                          absorb.(t) <- absorb.(t) -. c;
-                          removed.(t) <- removed.(t) +. c
-                        end
-                      end
-                    end
-                  done)
-                failed_all
-            in
-            (* Each group's inherited flow is copied into its tracked flow
-               (or, untracked, into one shared buffer), peeled there and
-               added to [flow] in group order. A fallback's [restart]
-               zeroes both again. *)
-            let shared = if track_groups then [||] else Array.make m_all 0.0 in
-            (* Per group, the commodities whose peeled amounts
-               ([reship_amount]) are re-shipped below, last first. *)
-            let reship = Array.make ngroups [] in
-            let reship_amount = Array.make ncomm 0.0 in
-            let total_removed = ref 0.0 and total_ledger = ref 0.0 in
-            Array.iteri
-              (fun gi (s, dests) ->
-                List.iter
-                  (fun (_, d) -> total_ledger := !total_ledger +. (p *. d))
-                  dests;
-                let f = match gflow with Some gf -> gf.(gi) | None -> shared in
-                Array.blit gs.gs_flow.(gi) 0 f 0 m_all;
-                if List.exists (fun a -> f.(a) > 0.0) failed_all then begin
-                  Gk_loop.check_cancelled ();
-                  List.iter
-                    (fun (dst, d) ->
-                      is_dst.(dst) <- true;
-                      absorb.(dst) <- p *. d)
-                    dests;
-                  peel_group f s;
-                  for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
-                    let r = removed.(comm_dst.(ci)) in
-                    if r > 0.0 then begin
-                      total_removed := !total_removed +. r;
-                      reship_amount.(ci) <- r;
-                      reship.(gi) <- ci :: reship.(gi)
-                    end
-                  done;
-                  List.iter
-                    (fun (dst, _) ->
-                      is_dst.(dst) <- false;
-                      absorb.(dst) <- 0.0;
-                      removed.(dst) <- 0.0)
-                    dests
-                end;
-                for a = 0 to m_all - 1 do
-                  flow.(a) <- flow.(a) +. f.(a)
-                done)
-              groups;
-            if !total_removed *. 4.0 > !total_ledger then
-              cold_lengths_carry_dual w
-            else begin
-              obs.o_mode <- 2;
-              (* Repair a copy of every group's tree for the masked graph
-                 at the seeded lengths: the repairs give an immediate dual
-                 bound (distances under the current lengths) before any
-                 re-ship perturbs the lengths. Only the distances are
-                 kept; [sp_dist] is free until the first sweep. *)
-              let repair_groups ws lo hi =
-                let t = ws.ws_tree in
-                for gi = lo to hi - 1 do
-                  let t0 = gs.gs_tree.(gi) in
-                  Array.blit t0.Dijkstra.dist 0 t.Dijkstra.dist 0 n;
-                  Array.blit t0.Dijkstra.parent_arc 0 t.Dijkstra.parent_arc 0 n;
-                  Dijkstra.repair_tree ws.ws_scratch csr ~lengths
-                    ~arcs:failed_all t;
-                  for ci = group_off.(gi) to group_off.(gi + 1) - 1 do
-                    sp_dist.(ci) <- t.Dijkstra.dist.(comm_dst.(ci))
-                  done
-                done
-              in
-              let t0 = Gk_loop.tick () in
-              fan_out repair_groups;
-              obs.o_capture_ns <- obs.o_capture_ns + Gk_loop.ns_since t0;
-              if Array.exists (Float.equal infinity) sp_dist then
-                invalid_arg "Mcmf_fptas: commodity endpoints are disconnected";
-              stats.Gk_loop.dual_checks <- stats.Gk_loop.dual_checks + 1;
-              let fresh =
-                Gk_loop.dual_bound
-                  ~volume:(Gk_loop.volume ~cap:arc_cap lengths)
-                  ~alpha:(weighted_distance ())
-              in
-              let start_dual = Float.min w.w_dual fresh in
-              (* Re-ship the peeled amounts under the seeded lengths, each
-                 group on a fresh tree to its re-shipped destinations. They
-                 are small — bounded by the failed arcs' carried flow, not
-                 by the groups' full ledgers — so routing them in one pass
-                 barely moves the congestion profile. *)
-              Array.iteri
-                (fun gi last_first ->
-                  if last_first <> [] then begin
-                    Gk_loop.check_cancelled ();
-                    let cis = List.rev last_first in
-                    let targets = List.map (fun ci -> comm_dst.(ci)) cis in
-                    on_tree := true;
-                    build_tree ~src:group_src.(gi) ~targets;
-                    List.iter (route_commodity gi targets reship_amount) cis
-                  end)
-                reship;
-              Gk_loop.rescale_lengths lengths;
-              (w.w_phases, start_dual)
-            end)
-    | _ -> (0, infinity)
-  in
-  let capture_groups () =
-    match gflow with
-    | None -> None
-    | Some gf ->
-        (* Full trees at the final lengths, one sweep per source — the
-           price of making the state delta-capable, paid only when the
-           caller asked for it. *)
-        let t0 = Gk_loop.tick () in
-        let trees =
-          Array.map
-            (fun _ ->
-              {
-                Dijkstra.dist = Array.make n infinity;
-                parent_arc = Array.make n (-1);
-              })
-            groups
-        in
-        fan_out (fun ws lo hi ->
-            for gi = lo to hi - 1 do
-              Dijkstra.shortest_tree_full ws.ws_scratch csr ~lengths
-                ~src:group_src.(gi) trees.(gi)
-            done);
-        obs.o_capture_ns <- obs.o_capture_ns + Gk_loop.ns_since t0;
-        Some { gs_flow = gf; gs_tree = trees }
-  in
   (* The warm state keeps the whole history ([flow] and the group flows,
      [phases·d] per commodity) even when a window certified [certified]. *)
   let finish ~flow:certified ~phases ~lo ~hi ~mu ~converged =
@@ -844,7 +530,7 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
         w_executed = stats.Gk_loop.routed;
         w_dual = hi;
         w_lengths = Array.copy lengths;
-        w_groups = capture_groups ();
+        w_group_flow = gflow;
       }
     in
     let result =
@@ -929,24 +615,21 @@ let solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities =
       obs.o_paths_reused <- !kept_reused
     end
   in
+  (* Removing capacity can only lower λ*, so a failure baseline's dual
+     bound still bounds the survivor graph. *)
+  let best_dual =
+    match start with Failure w -> w.w_dual | Cold | Seeded _ -> infinity
+  in
   Gk_loop.run ~cat:"fptas" ~params ~stats ~eps ~cap:arc_cap ~flow ~lengths
-    ~route ~step ~settle ~restart ~phases:start_phases ~best_dual:start_dual
-    ~finish
+    ~route ~step ~settle ~best_dual ~finish
 
-let run ~params ~warm ~failed ~track_groups g commodities =
+let run ~params ~start ~track_groups g commodities =
   let obs =
-    {
-      o_tree_rebuilds = 0;
-      o_paths_reused = 0;
-      o_mode = 0;
-      o_inherited = 0;
-      o_capture_ns = 0;
-    }
+    { o_tree_rebuilds = 0; o_paths_reused = 0; o_mode = 0; o_inherited = 0 }
   in
   let flush st =
     Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
     Metrics.add m_paths_reused obs.o_paths_reused;
-    Metrics.add m_capture_ns obs.o_capture_ns;
     if obs.o_mode >= 1 then begin
       Metrics.incr m_warm_starts;
       Metrics.add m_phases_saved
@@ -955,14 +638,15 @@ let run ~params ~warm ~failed ~track_groups g commodities =
     if obs.o_mode = 2 then Metrics.incr m_delta_solves
   in
   Gk_loop.solve fptas ~result:(fun st -> st.result) ~flush (fun stats ->
-      solve_impl ~params ~stats ~obs ~warm ~failed ~track_groups g commodities)
+      solve_impl ~params ~stats ~obs ~start ~track_groups g commodities)
 
 let solve ?(params = default_params) g commodities =
-  (run ~params ~warm:None ~failed:None ~track_groups:false g commodities).result
+  (run ~params ~start:Cold ~track_groups:false g commodities).result
 
 let solve_with_state ?(params = default_params) ?warm ?(track_groups = false) g
     commodities =
-  run ~params ~warm ~failed:None ~track_groups g commodities
+  let start = match warm with Some w -> Seeded w | None -> Cold in
+  run ~params ~start ~track_groups g commodities
 
 let resolve_after_failure ?(params = default_params) ?(track_groups = false)
     ~warm ~failed g commodities =
@@ -976,7 +660,6 @@ let resolve_after_failure ?(params = default_params) ?(track_groups = false)
       if a < 0 || a >= Graph.num_arcs g then
         invalid_arg "Mcmf_fptas.resolve_after_failure: arc id out of range")
     failed;
-  run ~params ~warm:(Some warm) ~failed:(Some failed) ~track_groups g
-    commodities
+  run ~params ~start:(Failure warm) ~track_groups g commodities
 
 let lambda ?params g commodities = Gk_loop.midpoint (solve ?params g commodities)

@@ -16,9 +16,8 @@
 
     The dual sweep runs on the domain pool ({!Dcn_util.Pool}): its trees
     are independent, since it reads a frozen copy of the lengths, so each
-    phase's sweep is one batch over contiguous chunks of sources (and so
-    are a delta-solve's tree repairs and a tracked solve's captured
-    trees). The routing pass is sequential, and it overlaps the sweep:
+    phase's sweep is one batch over contiguous chunks of sources. The
+    routing pass is sequential, and it overlaps the sweep:
     the calling domain routes the next phase on the live lengths, each
     source as soon as the chunk holding its tree is built, and builds
     unclaimed chunks itself while it waits ({!Gk_loop.run} rolls that
@@ -90,7 +89,7 @@ type result = Gk_loop.result = {
   converged : bool;  (** Whether the target gap was certified in budget. *)
 }
 
-(** {1 Warm starts and delta-solves}
+(** {1 Warm starts and failure re-solves}
 
     Sweep workloads solve hundreds of nearly identical instances. The
     solver therefore returns, alongside every result, a {!warm_state}
@@ -109,23 +108,13 @@ type result = Gk_loop.result = {
     cold one's — the seed can only change how fast the target gap is
     reached.
 
-    For a single-failure delta-solve ({!resolve_after_failure}) the
-    inherited flow is reused too: groups whose flow avoided every failed
-    arc still ship their full per-phase ledger; affected groups are
-    stripped entirely and their ledger re-routed on the survivor graph
-    (shortest-path trees repaired incrementally via
-    {!Dcn_graph.Dijkstra.repair_tree} rather than rebuilt). The seed's
-    dual bound also carries over — removing capacity can only lower the
-    optimum — so single-link failures typically re-certify after the
-    repair with zero new phases. *)
-
-type group_state = {
-  gs_flow : float array array;
-      (** Per source group, per arc: the group's share of the raw flow.
-          Sums to the aggregate exactly. *)
-  gs_tree : Dijkstra.tree array;
-      (** Per source group: full shortest-path tree at [w_lengths]. *)
-}
+    A failure re-solve ({!resolve_after_failure}) reuses neither the
+    baseline's flow nor its lengths. It is a cold solve of the survivor
+    graph that keeps two things from the baseline: the demand scale (a
+    pure change of units) and the dual bound. Removing capacity can only
+    lower the optimum, so the baseline's [λ_hi] still bounds the
+    survivor's, and the loop can stop as soon as the new flow certifies
+    against it. *)
 
 type warm_state = {
   w_n : int;  (** Node count of the producing instance. *)
@@ -135,14 +124,15 @@ type warm_state = {
   w_eps : float;  (** Length step reached (after adaptive halvings). *)
   w_phases : int;
       (** Phases of the producing solve, also when a window of recent
-          phases certified [λ_lo]: [gs_flow] ships [w_phases·d] (scaled)
-          per commodity. *)
+          phases certified [λ_lo]: [w_group_flow] ships [w_phases·d]
+          (scaled) per commodity. *)
   w_executed : int;  (** Phases the producing {e call} actually routed. *)
   w_dual : float;  (** Best dual bound at capture, in scaled units. *)
   w_lengths : float array;  (** Final arc lengths (a private copy). *)
-  w_groups : group_state option;
-      (** Present iff the producing call tracked groups; required for
-          {!resolve_after_failure} to reuse flow. *)
+  w_group_flow : float array array option;
+      (** Present iff the producing call tracked groups: per source group,
+          per arc, the group's share of the raw flow of the whole history.
+          Sums to the aggregate exactly. *)
 }
 
 type solve_state = { result : result; warm : warm_state }
@@ -162,10 +152,9 @@ val solve_with_state :
     is constructed only on successful completion — a {!Cancelled} solve
     leaves no torn state.
 
-    [track_groups] additionally records per-source-group flows and full
-    shortest-path trees in the returned state (costing one extra sweep per
-    source at the end), which is what makes the state usable as a
-    {!resolve_after_failure} baseline. *)
+    [track_groups] additionally records per-source-group flows in the
+    returned state ([w_group_flow]): groups × arcs floats, written once
+    per routed path. *)
 
 val resolve_after_failure :
   ?params:params -> ?track_groups:bool -> warm:warm_state ->
@@ -173,18 +162,15 @@ val resolve_after_failure :
 (** [resolve_after_failure ~warm ~failed g cs] re-solves after the arcs in
     [failed] (and their reverses) lost their capacity, where [g] is the
     masked survivor graph — same node numbering and arc ids as the
-    baseline, e.g. from {!Dcn_graph.Graph.mask_arcs} — and [warm] is a
-    group-tracked state of the baseline solve.
+    baseline, e.g. from {!Dcn_graph.Graph.mask_arcs} — and [warm] is the
+    state of the baseline solve (group tracking is not needed).
 
-    Surviving flow is reused as described above. When reuse cannot pay for
-    itself — [warm] carries no group state, the peeled volume is a large
-    share of the inherited ledger, or the repaired certificate misses the
-    target gap by more than 2× (a wide failure moved the optimum past what
-    the inherited flow can certify) — the call restarts from cold-floor
-    lengths at a cold solve's start step ({!Gk_loop.start_eps}), keeping
-    only the seed's still-valid dual bound to cut the convergence tail. The result is a certificate for the
-    masked instance with gap ≤ requested, exactly as from a cold solve of
-    [g].
+    The call is a cold solve of [g] — cold-floor lengths at
+    {!Gk_loop.start_eps} — with the baseline's demand scale and with its
+    dual bound [w_dual] as the starting [λ_hi], as described above. The
+    result is a certificate for the masked instance with gap ≤ requested,
+    and its [lambda_upper] is at most the baseline's. [track_groups]
+    records group flows as in {!solve_with_state}.
 
     Raises [Invalid_argument] if the instance shape or commodities differ
     from the warm state's, if an arc id is out of range, or if the failure

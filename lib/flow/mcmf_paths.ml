@@ -193,8 +193,7 @@ let solve_flat ~params ~stats g commodities store =
     !alpha
   in
   Gk_loop.run ~cat:"paths" ~params ~stats ~eps ~cap ~flow ~lengths ~route
-    ~step ~settle:(fun ~keep:_ -> ()) ~restart:ignore ~phases:0
-    ~best_dual:infinity ~finish:(Gk_loop.result ~scale)
+    ~step ~settle:(fun ~keep:_ -> ()) ~best_dual:infinity ~finish:(Gk_loop.result ~scale)
 
 let solve ?(params = Mcmf_fptas.default_params) g commodities =
   Gk_loop.validate params;

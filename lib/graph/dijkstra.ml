@@ -16,7 +16,6 @@ let m_runs = Dcn_obs.Metrics.counter "dijkstra.runs"
 let m_pops = Dcn_obs.Metrics.counter "dijkstra.heap_pops"
 let m_scanned = Dcn_obs.Metrics.counter "dijkstra.arcs_scanned"
 let m_relaxed = Dcn_obs.Metrics.counter "dijkstra.arcs_relaxed"
-let m_repairs = Dcn_obs.Metrics.counter "dijkstra.tree_repairs"
 
 let flush_stats st =
   if Dcn_obs.Metrics.enabled () then begin
@@ -34,10 +33,6 @@ type scratch = {
   heap : Dcn_util.Heap.t;
   key : float array;
   is_target : bool array;
-  (* Repair-only state: membership marks and the worklist of invalidated
-     nodes, sized once so a repair allocates nothing. *)
-  affected : bool array;
-  worklist : int array;
   stats : sweep_stats;
 }
 
@@ -46,8 +41,6 @@ let make_scratch n =
     heap = Dcn_util.Heap.create n;
     key = [| 0.0 |];
     is_target = Array.make n false;
-    affected = Array.make n false;
-    worklist = Array.make n 0;
     stats = { pops = 0; scanned = 0; relaxed = 0 };
   }
 
@@ -157,129 +150,6 @@ let shortest_tree_targets scratch (c : Graph.csr) ~lengths ~src ~targets tree =
   (* The core consumes marks as targets finalize; clear any leftover from
      unreachable targets so the scratch is clean for the next call. *)
   clear_targets marks targets
-
-let shortest_tree_full scratch (c : Graph.csr) ~lengths ~src tree =
-  core scratch c ~lengths ~src tree (-1);
-  flush_stats scratch.stats
-
-(* Dynamic-SSSP repair for arc deletions / weight increases
-   (Ramalingam–Reps style). Precondition: [tree] is a {e full} correct
-   shortest-path tree from [src] for lengths/capacities that differ from
-   the current ones only on the arcs in [arcs] (each changed arc's length
-   did not decrease; capacity zeroing counts as an increase to +inf).
-
-   Labels of nodes whose tree path avoids every changed arc are still
-   optimal: a pure increase can only lengthen paths, so no new path can
-   undercut them — and that holds bit-for-bit, because any path value in
-   the new graph was already a candidate value in the old one and float
-   addition is monotone. So only the subtree below each changed tree arc
-   needs recomputation: invalidate it, seed each invalidated node with its
-   best entry arc from the intact region, and run the standard heap loop
-   over the affected region until the frontier drains. *)
-let repair_tree scratch (c : Graph.csr) ~lengths ~arcs tree =
-  let dist = tree.dist and parent_arc = tree.parent_arc in
-  let arc_src = c.Graph.csr_arc_src
-  and arc_dst = c.Graph.csr_arc_dst
-  and arc_cap = c.Graph.csr_arc_cap
-  and arc_rev = c.Graph.csr_arc_rev
-  and adj_off = c.Graph.csr_adj_off
-  and adj_arc = c.Graph.csr_adj_arc in
-  let affected = scratch.affected and worklist = scratch.worklist in
-  let count = ref 0 in
-  let push_affected v =
-    if not affected.(v) then begin
-      affected.(v) <- true;
-      worklist.(!count) <- v;
-      incr count
-    end
-  in
-  (* Roots: changed arcs the tree actually uses. *)
-  List.iter
-    (fun a ->
-      let v = arc_dst.(a) in
-      if parent_arc.(v) = a then push_affected v)
-    arcs;
-  (* Expand to the full invalidated subtree. A node's tree children are
-     found by scanning its out-arcs: arc [a] leads to a child exactly when
-     it is that child's parent arc. *)
-  let cursor = ref 0 in
-  while !cursor < !count do
-    let u = worklist.(!cursor) in
-    incr cursor;
-    for idx = adj_off.(u) to adj_off.(u + 1) - 1 do
-      let a = adj_arc.(idx) in
-      if parent_arc.(arc_dst.(a)) = a then push_affected (arc_dst.(a))
-    done
-  done;
-  if !count > 0 then begin
-    let st = scratch.stats in
-    st.pops <- 0;
-    st.scanned <- 0;
-    st.relaxed <- 0;
-    let heap = scratch.heap in
-    Dcn_util.Heap.clear heap;
-    for i = 0 to !count - 1 do
-      let v = worklist.(i) in
-      dist.(v) <- infinity;
-      parent_arc.(v) <- -1
-    done;
-    (* Seed each invalidated node with its best entry from the intact
-       region (in-arcs are the reverses of its out-arcs); entries through
-       other invalidated nodes are found by the relax loop below. *)
-    for i = 0 to !count - 1 do
-      let v = worklist.(i) in
-      for idx = adj_off.(v) to adj_off.(v + 1) - 1 do
-        let a_in = arc_rev.(adj_arc.(idx)) in
-        if arc_cap.(a_in) > 0.0 then begin
-          let w = lengths.(a_in) in
-          if w < 0.0 then invalid_arg "Dijkstra: negative arc length";
-          let u = arc_src.(a_in) in
-          if not affected.(u) then begin
-            let nd = dist.(u) +. w in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              parent_arc.(v) <- a_in
-            end
-          end
-        end
-      done;
-      if dist.(v) < infinity then Dcn_util.Heap.push_at heap dist v
-    done;
-    (* Standard Dijkstra restricted, in effect, to the affected region:
-       relaxations into the intact region never succeed (their labels are
-       already optimal, see above), so the loop terminates once the
-       invalidated frontier is settled. *)
-    while not (Dcn_util.Heap.is_empty heap) do
-      let u = Dcn_util.Heap.pop_into heap scratch.key in
-      let d = Array.unsafe_get scratch.key 0 in
-      st.pops <- st.pops + 1;
-      if d <= Array.unsafe_get dist u then begin
-        let start = Array.unsafe_get adj_off u in
-        let stop = Array.unsafe_get adj_off (u + 1) in
-        st.scanned <- st.scanned + (stop - start);
-        for idx = start to stop - 1 do
-          let a = Array.unsafe_get adj_arc idx in
-          if Array.unsafe_get arc_cap a > 0.0 then begin
-            let w = Array.unsafe_get lengths a in
-            if w < 0.0 then invalid_arg "Dijkstra: negative arc length";
-            let v = Array.unsafe_get arc_dst a in
-            let nd = d +. w in
-            if nd < Array.unsafe_get dist v then begin
-              st.relaxed <- st.relaxed + 1;
-              Array.unsafe_set dist v nd;
-              Array.unsafe_set parent_arc v a;
-              Dcn_util.Heap.push_at heap dist v
-            end
-          end
-        done
-      end
-    done;
-    for i = 0 to !count - 1 do
-      affected.(worklist.(i)) <- false
-    done;
-    flush_stats st
-  end;
-  if Dcn_obs.Metrics.enabled () then Dcn_obs.Metrics.incr m_repairs
 
 let shortest_tree g ~lengths ~src =
   let tree =

@@ -45,27 +45,6 @@ val shortest_tree_targets :
     read. Unreachable targets keep [dist = infinity]. Duplicate targets
     are permitted. *)
 
-val shortest_tree_full :
-  scratch -> Graph.csr -> lengths:float array -> src:int -> tree -> unit
-(** Full sweep (every reachable node finalized) reusing the scratch's heap,
-    for callers that need a tree valid for {!repair_tree} without paying a
-    per-call heap allocation. *)
-
-val repair_tree :
-  scratch -> Graph.csr -> lengths:float array -> arcs:int list -> tree ->
-  unit
-(** Dynamic-SSSP repair after arc deletions or length increases.
-    Precondition: [tree] is a {e full} correct shortest-path tree (as built
-    by {!shortest_tree_full} or {!shortest_tree_into}) for arc lengths and
-    capacities that differ from the current ones only on [arcs], and no
-    listed arc's length decreased (zeroing a capacity counts as an increase
-    to +inf). Repairs [tree] in place to a full correct tree for the
-    current lengths/capacities by recomputing only the subtree below the
-    changed arcs; labels outside it are provably still optimal — bit-for-bit,
-    since float path sums are monotone under arc deletion — so the cost is
-    proportional to the affected region, not the graph. Counted by the
-    [dijkstra.tree_repairs] metric. *)
-
 val path_arcs : Graph.t -> tree -> int -> int list
 (** Arcs of the tree path from the source to the node, source-side first.
     Empty for the source itself; raises [Not_found] if unreachable. *)

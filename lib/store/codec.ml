@@ -1,6 +1,5 @@
 module Mcmf_fptas = Dcn_flow.Mcmf_fptas
 module Commodity = Dcn_flow.Commodity
-module Dijkstra = Dcn_graph.Dijkstra
 module Throughput = Dcn_flow.Throughput
 module Float_text = Dcn_util.Float_text
 
@@ -67,25 +66,6 @@ let floats_field c key =
     if !ok then Some out else None
   end
 
-let add_ints buf key xs =
-  Buffer.add_string buf (Printf.sprintf "%s %d\n" key (Array.length xs));
-  Array.iter (fun x -> Buffer.add_string buf (string_of_int x ^ "\n")) xs
-
-let ints_field c key =
-  let* n = int_field c key in
-  if n < 0 || c.pos + n > Array.length c.lines then None
-  else begin
-    let out = Array.make n 0 in
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      match int_of_string_opt c.lines.(c.pos + i) with
-      | Some x -> out.(i) <- x
-      | None -> ok := false
-    done;
-    c.pos <- c.pos + n;
-    if !ok then Some out else None
-  end
-
 (* ---- FPTAS results ---- *)
 
 let add_result buf (r : Mcmf_fptas.result) =
@@ -129,12 +109,11 @@ let fptas_result_of_string text =
    reconstruct the warm state {e bit-exactly}: any later solve seeded from
    it would otherwise depend on whether its producer was computed or
    replayed, breaking the cache-state-independence guarantee. Every float
-   goes through {!Float_text} (exact round-trip, including the infinities
-   in tree distances), and the per-group trees are stored rather than
-   recomputed — a rebuilt tree could legally break distance ties
-   differently and steer subsequent routing onto different bits. *)
+   goes through {!Float_text} (exact round-trip, including infinities).
+   The magic line names the layout: a payload of any other version
+   decodes to [None], a miss. *)
 
-let fptas_state_magic = "fptas-state 1"
+let fptas_state_magic = "fptas-state 2"
 
 let fptas_state_to_string (st : Mcmf_fptas.solve_state) =
   let w = st.Mcmf_fptas.warm in
@@ -158,17 +137,11 @@ let fptas_state_to_string (st : Mcmf_fptas.solve_state) =
   add_int buf "w_executed" w.Mcmf_fptas.w_executed;
   add_float buf "w_dual" w.Mcmf_fptas.w_dual;
   add_floats buf "w_lengths" w.Mcmf_fptas.w_lengths;
-  (match w.Mcmf_fptas.w_groups with
+  (match w.Mcmf_fptas.w_group_flow with
   | None -> add_int buf "w_groups" (-1)
-  | Some gs ->
-      let k = Array.length gs.Mcmf_fptas.gs_flow in
-      add_int buf "w_groups" k;
-      for gi = 0 to k - 1 do
-        add_floats buf "gs_flow" gs.Mcmf_fptas.gs_flow.(gi);
-        add_floats buf "gs_dist" gs.Mcmf_fptas.gs_tree.(gi).Dijkstra.dist;
-        add_ints buf "gs_parent"
-          gs.Mcmf_fptas.gs_tree.(gi).Dijkstra.parent_arc
-      done);
+  | Some gf ->
+      add_int buf "w_groups" (Array.length gf);
+      Array.iter (add_floats buf "gs_flow") gf);
   Buffer.contents buf
 
 let fptas_state_of_string text =
@@ -206,24 +179,15 @@ let fptas_state_of_string text =
         let* w_dual = float_field c "w_dual" in
         let* w_lengths = floats_field c "w_lengths" in
         let* k = int_field c "w_groups" in
-        let* w_groups =
+        let* w_group_flow =
           if k < 0 then Some None
           else begin
-            let gs_flow = Array.make k [||] in
-            let gs_tree =
-              Array.make k
-                { Dijkstra.dist = [||]; Dijkstra.parent_arc = [||] }
-            in
+            let gf = Array.make k [||] in
             let rec go gi =
-              if gi >= k then
-                Some
-                  (Some { Mcmf_fptas.gs_flow; Mcmf_fptas.gs_tree })
+              if gi >= k then Some (Some gf)
               else
                 let* f = floats_field c "gs_flow" in
-                let* dist = floats_field c "gs_dist" in
-                let* parent_arc = ints_field c "gs_parent" in
-                gs_flow.(gi) <- f;
-                gs_tree.(gi) <- { Dijkstra.dist; parent_arc };
+                gf.(gi) <- f;
                 go (gi + 1)
             in
             go 0
@@ -243,7 +207,7 @@ let fptas_state_of_string text =
                 w_executed;
                 w_dual;
                 w_lengths;
-                w_groups;
+                w_group_flow;
               };
           }
     end

@@ -15,7 +15,7 @@ val fptas_state_to_string : Dcn_flow.Mcmf_fptas.solve_state -> string
 val fptas_state_of_string :
   string -> Dcn_flow.Mcmf_fptas.solve_state option
 (** Full solve state — result {e and} warm seed (lengths, eps, ledger,
-    per-group flows and trees when tracked). The warm fields round-trip
+    per-group flows when tracked). The warm fields round-trip
     bit-exactly so a chain seeded from a replayed state computes the same
     bits as one seeded from the live state: warm chains stay deterministic
     across cache states. *)

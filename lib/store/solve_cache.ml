@@ -91,15 +91,13 @@ let fptas_with_state ?(params = Mcmf_fptas.default_params) ?warm
   in
   link key st
 
-let fptas_delta ?(params = Mcmf_fptas.default_params) ?(track_groups = false)
-    ~warm ~failed g cs =
+let fptas_delta ?(params = Mcmf_fptas.default_params) ~warm ~failed g cs =
   let extras =
     [
       Printf.sprintf "warm delta %s" warm.wl_from;
       Printf.sprintf "failed %s"
         (String.concat " " (List.map string_of_int failed));
     ]
-    @ if track_groups then [ "state groups" ] else []
   in
   let key =
     Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
@@ -107,7 +105,8 @@ let fptas_delta ?(params = Mcmf_fptas.default_params) ?(track_groups = false)
   let st =
     cached ~key:(fun () -> key) ~encode:Codec.fptas_state_to_string
       ~decode:Codec.fptas_state_of_string (fun () ->
-        Mcmf_fptas.resolve_after_failure ~params ~track_groups ~warm:warm.wl_state ~failed g cs)
+        Mcmf_fptas.resolve_after_failure ~params ~warm:warm.wl_state ~failed g
+          cs)
   in
   link key st
 

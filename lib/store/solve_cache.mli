@@ -50,7 +50,6 @@ val fptas_with_state :
 
 val fptas_delta :
   ?params:Dcn_flow.Mcmf_fptas.params ->
-  ?track_groups:bool ->
   warm:warm_link ->
   failed:int list ->
   Dcn_graph.Graph.t ->

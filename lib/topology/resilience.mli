@@ -25,13 +25,14 @@ val fail_links_connected :
 
 val fail_arcs :
   Random.State.t -> Graph.t -> fraction:float -> Graph.t * int list
-(** Masked variant of {!fail_links} for incremental re-solves: the same
+(** Masked variant of {!fail_links} for failure re-solves: the same
     links are failed (identical sampling — same RNG draws, structurally
     equal survivor), but the survivor keeps the original node numbering
     and arc ids with the failed arcs' capacities zeroed
-    ({!Graph.mask_arcs}), so a warm solver baseline indexed by arc id
-    transfers. Also returns the failed forward-arc ids, for
-    {!Dcn_flow.Mcmf_fptas.resolve_after_failure}. *)
+    ({!Graph.mask_arcs}), so it has the unfailed graph's shape, which
+    {!Dcn_flow.Mcmf_fptas.resolve_after_failure} requires of its
+    baseline. Also returns the failed forward-arc ids, which that call
+    takes. *)
 
 val fail_arcs_connected :
   ?attempts:int -> Random.State.t -> Graph.t -> fraction:float ->

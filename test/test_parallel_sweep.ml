@@ -1,9 +1,9 @@
-(* The FPTAS builds each phase's per-source shortest-path trees (and a
-   delta-solve's repaired trees, and a tracked solve's captured trees) on
-   the domain pool. Every answer must be bit-identical at any worker
-   count: the same intervals, phases, flows, lengths and group state with
-   the pool off, at one worker and at three, for cold, group-tracked and
-   delta solves, and for solves that themselves run inside a pool task.
+(* The FPTAS builds each phase's per-source shortest-path trees on the
+   domain pool. Every answer must be bit-identical at any worker count:
+   the same intervals, phases, flows, lengths and group flows with the
+   pool off, at one worker and at three, for cold, group-tracked and
+   failure re-solves, and for solves that themselves run inside a pool
+   task.
    The instance is large enough that the sweep goes to the pool rather
    than staying a plain loop. *)
 
@@ -60,21 +60,14 @@ let same_state label (a : Mcmf_fptas.solve_state) (b : Mcmf_fptas.solve_state) =
   same_result label a.result b.result;
   let wa = a.warm and wb = b.warm in
   same_floats (label ^ " w_lengths") wa.w_lengths wb.w_lengths;
-  match (wa.w_groups, wb.w_groups) with
+  match (wa.w_group_flow, wb.w_group_flow) with
   | None, None -> ()
   | Some ga, Some gb ->
       Array.iteri
         (fun gi f ->
-          same_floats (Printf.sprintf "%s group %d flow" label gi) f
-            gb.Mcmf_fptas.gs_flow.(gi))
-        ga.Mcmf_fptas.gs_flow;
-      Array.iteri
-        (fun gi (t : Dcn_graph.Dijkstra.tree) ->
-          same_floats
-            (Printf.sprintf "%s group %d tree" label gi)
-            t.dist gb.Mcmf_fptas.gs_tree.(gi).dist)
-        ga.Mcmf_fptas.gs_tree
-  | _ -> Alcotest.failf "%s: group state present on one side only" label
+          same_floats (Printf.sprintf "%s group %d flow" label gi) f gb.(gi))
+        ga
+  | _ -> Alcotest.failf "%s: group flows present on one side only" label
 
 let test_cold () =
   let g, cs = instance 1 in
@@ -99,9 +92,8 @@ let test_track_groups () =
     (fun () -> Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs)
     (fun w a b -> same_state ("tracked " ^ w) a b)
 
-(* The baseline is solved once; only the delta-solve (peeling, the
-   repaired trees' dual bound, re-ship and further phases) runs at each
-   worker count. It must take the delta path, not a cold restart. *)
+(* The baseline is solved once; only the failure re-solve, which starts
+   from the baseline's dual bound, runs at each worker count. *)
 let test_resolve_after_failure () =
   let g, cs = instance 3 in
   let base = Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs in

@@ -84,11 +84,13 @@ let test_dijkstra_sweep_allocates_nothing () =
     { Dijkstra.dist = Array.make (Graph.n g) infinity;
       parent_arc = Array.make (Graph.n g) (-1) }
   in
-  Dijkstra.shortest_tree_full scratch csr ~lengths ~src:0 tree;
+  (* Every node a target: a full sweep. *)
+  let targets = List.init (Graph.n g) Fun.id in
+  Dijkstra.shortest_tree_targets scratch csr ~lengths ~src:0 ~targets tree;
   let calls = 50 in
   let before = Gc.minor_words () in
   for src = 1 to calls do
-    Dijkstra.shortest_tree_full scratch csr ~lengths ~src tree
+    Dijkstra.shortest_tree_targets scratch csr ~lengths ~src ~targets tree
   done;
   let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
   Alcotest.(check bool)

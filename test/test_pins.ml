@@ -58,11 +58,11 @@ let test_warm_start () =
   pin "warm" ~lower:"0x1.4959446891763p+0" ~upper:"0x1.588e7dc17f906p+0"
     ~phases:72 st.Mcmf_fptas.result
 
-(* Delta-solve after a 10% link failure: peeling, tree repair, re-ship,
-   precheck and (if needed) further phases. *)
+(* Failure re-solve after a 10% link failure: a cold solve of the
+   survivor graph that starts from the baseline's dual bound. *)
 let test_resolve_after_failure () =
   let g, cs = instance ~seed:4 in
-  let base = Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs in
+  let base = Mcmf_fptas.solve_with_state ~params g cs in
   let st = Random.State.make [| 515; 1 |] in
   let masked, failed = Resilience.fail_arcs_connected st g ~fraction:0.1 in
   let delta =
@@ -72,15 +72,15 @@ let test_resolve_after_failure () =
   pin "delta" ~lower:"0x1.cf263f7b28a25p-1" ~upper:"0x1.e219e523aeee1p-1"
     ~phases:172 delta.Mcmf_fptas.result
 
-(* One pin per delta-solve branch. The baseline is a group-tracked solve
-   of the seed-4 instance at gap 0.025, the failures come from the stream
-   [[| fs; 1 |]], and the delta-solve runs at [params]. Besides the
-   interval, each pin checks the phases the call itself routed
-   ([w_executed]) and whether it counted as a delta-solve
-   ([fptas.delta_solves]), which a fallback that discards the inherited
-   flow before peeling does not. *)
+(* Failure re-solves against a tighter baseline: a solve of the seed-4
+   instance at gap 0.025 (group-tracked unless told otherwise, which must
+   not matter), failures from the stream [[| fs; 1 |]], the re-solve at
+   [params]. Besides the interval, each pin checks that the call routed
+   every one of its phases itself ([w_executed]) and counted as one
+   [fptas.delta_solves]. [carried] pins that the baseline's dual bound is
+   the certified upper bound. *)
 let delta_pin label ?(n = 24) ?(k = 6) ?(r = 5) ?(track_groups = true)
-    ~fraction ~fs ~lower ~upper ~phases ~executed ~delta_solves () =
+    ?(carried = false) ~fraction ~fs ~lower ~upper ~phases () =
   let g, cs = rrg_instance ~n ~k ~r ~seed:4 in
   let base =
     Mcmf_fptas.solve_with_state
@@ -100,41 +100,42 @@ let delta_pin label ?(n = 24) ?(k = 6) ?(r = 5) ?(track_groups = true)
           Mcmf_fptas.resolve_after_failure ~params ~warm:base.Mcmf_fptas.warm
             ~failed masked cs
         in
-        Alcotest.(check int) (label ^ " fptas.delta_solves") delta_solves
+        Alcotest.(check int) (label ^ " fptas.delta_solves") 1
           (Metrics.counter_value (Metrics.snapshot ()) "fptas.delta_solves");
         delta)
   in
   pin label ~lower ~upper ~phases delta.Mcmf_fptas.result;
-  Alcotest.(check int) (label ^ " w_executed") executed
-    delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed
+  Alcotest.(check int) (label ^ " w_executed") phases
+    delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
+  if carried then
+    Alcotest.(check string) (label ^ " carried upper bound")
+      (Printf.sprintf "%h" base.Mcmf_fptas.result.Mcmf_fptas.lambda_upper)
+      (Printf.sprintf "%h" delta.Mcmf_fptas.result.Mcmf_fptas.lambda_upper)
 
-(* One failed link whose peeled flow re-ships onto the repaired trees:
-   the inherited certificate is within the gap, so no phase is routed. *)
-let test_delta_precheck () =
-  delta_pin "precheck" ~fraction:0.017 ~fs:10 ~lower:"0x1.2d169e7bbb183p+0"
-    ~upper:"0x1.34f9e375cc90dp+0" ~phases:268 ~executed:0 ~delta_solves:1 ()
+(* One failed link; the re-solve's own dual sweeps beat the carried
+   bound. *)
+let test_delta_one_link () =
+  delta_pin "one link" ~fraction:0.017 ~fs:10 ~lower:"0x1.2cb251ef19b2ap+0"
+    ~upper:"0x1.3a772caee5da3p+0" ~phases:129 ()
 
-(* Peeling keeps most of the flow, the re-ship leaves the certificate
-   between 1 + gap and 1 + 2·gap, so phases continue from the inherited
-   ledger. *)
-let test_delta_peel_keep_route () =
-  delta_pin "peel" ~fraction:0.017 ~fs:7 ~lower:"0x1.3b80b11fd3baap+0"
-    ~upper:"0x1.4b1031d36c3e9p+0" ~phases:346 ~executed:78 ~delta_solves:1 ()
+(* One failed link that leaves the optimum near the baseline's: the
+   carried bound is the certified upper bound, reached in 30 phases. *)
+let test_delta_carried_bound () =
+  delta_pin "carried" ~carried:true ~fraction:0.017 ~fs:7
+    ~lower:"0x1.3d92f75adc89ap+0" ~upper:"0x1.4c9a37187104ep+0" ~phases:30 ()
 
-(* The repaired certificate misses the gap by more than 2×: the inherited
-   flow is dropped and the loop restarts from cold lengths with the
-   carried dual bound. *)
-let test_delta_dead_weight () =
-  delta_pin "dead weight" ~n:40 ~k:15 ~r:10 ~fraction:0.005 ~fs:1
-    ~lower:"0x1.0726c100861b9p+0" ~upper:"0x1.1434d15efc4d3p+0" ~phases:108
-    ~executed:108 ~delta_solves:1 ()
+(* A denser instance (40 switches of degree 10), two failed links. *)
+let test_delta_rrg40 () =
+  delta_pin "rrg:40" ~n:40 ~k:15 ~r:10 ~fraction:0.005 ~fs:1
+    ~lower:"0x1.08aad77de3834p+0" ~upper:"0x1.151496f9b8049p+0" ~phases:131
+    ()
 
-(* The existing pin's instance without group state: nothing to peel, so
-   the call restarts from cold lengths with the carried dual bound. *)
+(* The first pin's failure against an untracked baseline: the same
+   answer. *)
 let test_delta_no_groups () =
   delta_pin "no groups" ~track_groups:false ~fraction:0.1 ~fs:515
     ~lower:"0x1.cf263f7b28a25p-1" ~upper:"0x1.e219e523aeee1p-1" ~phases:172
-    ~executed:172 ~delta_solves:0 ()
+    ()
 
 (* ---- pins above the sweep's fan-out threshold ----
 
@@ -162,12 +163,11 @@ let pin_state label ~lower ~upper ~phases ~flow ~lengths ?gs_flow
     (digest [| st.Mcmf_fptas.result.Mcmf_fptas.arc_flow |]);
   Alcotest.(check string) (label ^ " w_lengths digest") lengths
     (digest [| st.Mcmf_fptas.warm.Mcmf_fptas.w_lengths |]);
-  match (gs_flow, st.Mcmf_fptas.warm.Mcmf_fptas.w_groups) with
+  match (gs_flow, st.Mcmf_fptas.warm.Mcmf_fptas.w_group_flow) with
   | None, None -> ()
-  | Some expected, Some gs ->
-      Alcotest.(check string) (label ^ " gs_flow digest") expected
-        (digest gs.Mcmf_fptas.gs_flow)
-  | _ -> Alcotest.failf "%s: group state present on one side only" label
+  | Some expected, Some gf ->
+      Alcotest.(check string) (label ^ " gs_flow digest") expected (digest gf)
+  | _ -> Alcotest.failf "%s: group flows present on one side only" label
 
 (* Gap 0.03 halves eps twice: the routine coarse-to-fine halving, then
    one after a 30-phase stall. *)
@@ -218,7 +218,8 @@ let test_large_tracked () =
     ~lengths:"3546929a47d0be745d807399401f0a5f"
     ~gs_flow:"48171d61d41d57a6a297943f18bd350c" st
 
-(* Peel, re-ship, then 21 further phases on the inherited 129. *)
+(* A tracked failure re-solve of the tracked baseline: 74 phases, all
+   routed by the call. *)
 let test_large_delta () =
   let g, cs, base = large_tracked () in
   let st = Random.State.make [| 1; 1 |] in
@@ -228,13 +229,13 @@ let test_large_delta () =
       ~params:{ params with Mcmf_fptas.gap = 0.07 }
       ~track_groups:true ~warm:base.Mcmf_fptas.warm ~failed masked cs
   in
-  Alcotest.(check int) "large delta w_executed" 21
+  Alcotest.(check int) "large delta w_executed" 74
     delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
-  pin_state "large delta" ~lower:"0x1.c342a6b2113d5p-2"
-    ~upper:"0x1.e2a4c49394c3ap-2" ~phases:150
-    ~flow:"f823c256b8863c70413350e7d82481c0"
-    ~lengths:"22f6870471564e4f976a96fb0a580bb5"
-    ~gs_flow:"429bce0f3eb4967f822b0e59b9aa8583" delta
+  pin_state "large delta" ~lower:"0x1.c53ef368eb05bp-2"
+    ~upper:"0x1.e30094b0262cep-2" ~phases:74
+    ~flow:"bbc6a9dbe4acfac9b199b830e4603a3d"
+    ~lengths:"48981028d8528612471bc92efe550879"
+    ~gs_flow:"6a3510927009fb55d5c80d51110f5ff5" delta
 
 let test_large_paths () =
   let g, cs = large_instance () in
@@ -306,12 +307,10 @@ let suite =
       Alcotest.test_case "fptas warm start" `Quick test_warm_start;
       Alcotest.test_case "fptas resolve after failure" `Quick
         test_resolve_after_failure;
-      Alcotest.test_case "fptas delta precheck certifies" `Quick
-        test_delta_precheck;
-      Alcotest.test_case "fptas delta peel, keep, route" `Quick
-        test_delta_peel_keep_route;
-      Alcotest.test_case "fptas delta dead-weight drop" `Quick
-        test_delta_dead_weight;
+      Alcotest.test_case "fptas delta one link" `Quick test_delta_one_link;
+      Alcotest.test_case "fptas delta carried bound" `Quick
+        test_delta_carried_bound;
+      Alcotest.test_case "fptas delta rrg:40" `Quick test_delta_rrg40;
       Alcotest.test_case "fptas delta without group state" `Quick
         test_delta_no_groups;
       Alcotest.test_case "fptas rrg:100 eps halving" `Quick test_large_halving;

@@ -1,9 +1,10 @@
 (* The length-step schedule both solvers share ([Gk_loop.run]): a cold
-   solve (and a restart) starts at twice the requested eps, capped below
-   1; an 8-phase stall halves it to the requested eps, and from there a
-   30-phase stall halves it. Neither certificate depends on the step, so
-   the schedule only moves the phase count; these tests pin its shape
-   through the [eps] each phase's [dual_check] instant reports. *)
+   solve (and a failure re-solve) starts at twice the requested eps,
+   capped below 1; an 8-phase stall halves it to the requested eps, and
+   from there a 30-phase stall halves it. Neither certificate depends on
+   the step, so the schedule only moves the phase count; these tests pin
+   its shape through the [eps] each phase's [dual_check] instant
+   reports. *)
 
 open Dcn_flow
 module Rrg = Dcn_topology.Rrg
@@ -85,7 +86,7 @@ let test_schedule_shape () =
   let (phases, converged), eps_seen =
     traced_eps (fun () ->
         Gk_loop.run ~cat:"schedule" ~params ~stats ~eps ~cap ~flow ~lengths
-          ~route ~step ~settle:(fun ~keep:_ -> ()) ~restart:ignore ~phases:0
+          ~route ~step ~settle:(fun ~keep:_ -> ())
           ~best_dual:infinity
           ~finish:(fun ~flow:_ ~phases ~lo:_ ~hi:_ ~mu:_ ~converged ->
             (phases, converged)))
@@ -146,13 +147,11 @@ let test_cold_solvers () =
   let _, eps_seen = traced_eps (fun () -> Mcmf_paths.solve ~params g rcs) in
   check_cold_schedule "paths" ~start:0.2 ~requested:0.1 eps_seen
 
-(* A delta-solve whose inherited flow is dropped restarts at the cold
-   start step, not at the seed's reached one: [restart] resets eps to
-   [start_eps], so the delta's first phase runs at 2·eps. Both ways in:
-   dead weight found by the loop's inherited check, and a seed without
-   group state. *)
-let test_restart_step () =
-  let restart label ~n ~k ~r ~fraction ~fs ~track_groups =
+(* A failure re-solve is a cold solve of the survivor graph: it starts at
+   the cold start step, not at the seed's reached one, so its first phase
+   runs at 2·eps, whether or not the baseline tracked groups. *)
+let test_resolve_step () =
+  let resolve label ~n ~k ~r ~fraction ~fs ~track_groups =
     let g, cs = rrg_instance ~n ~k ~r ~seed:4 in
     let base =
       Mcmf_fptas.solve_with_state
@@ -176,9 +175,9 @@ let test_restart_step () =
       (Gk_loop.start_eps params)
       (List.hd eps_seen)
   in
-  restart "dead weight" ~n:40 ~k:15 ~r:10 ~fraction:0.005 ~fs:1
+  resolve "rrg:40" ~n:40 ~k:15 ~r:10 ~fraction:0.005 ~fs:1
     ~track_groups:true;
-  restart "no groups" ~n:24 ~k:6 ~r:5 ~fraction:0.1 ~fs:515
+  resolve "rrg:24 untracked" ~n:24 ~k:6 ~r:5 ~fraction:0.1 ~fs:515
     ~track_groups:false
 
 (* [--eps 0.9] parses, validates, and solves at 0.9: twice it would be
@@ -220,6 +219,7 @@ let suite =
       Alcotest.test_case "coarse window, then the 30-phase rule" `Quick
         test_schedule_shape;
       Alcotest.test_case "cold solves start coarse" `Quick test_cold_solvers;
-      Alcotest.test_case "restart starts coarse" `Quick test_restart_step;
+      Alcotest.test_case "failure re-solve starts coarse" `Quick
+        test_resolve_step;
       Alcotest.test_case "eps 0.9 under the cap" `Quick test_large_eps;
     ] )

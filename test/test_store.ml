@@ -206,6 +206,31 @@ let prop_codec_float_roundtrip =
       (Float.is_nan x && Float.is_nan y)
       || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
 
+(* An untracked state's payload is the same under both versions of the
+   state codec, apart from the magic line, so swapping that line makes
+   exactly what version 1 wrote. It decodes to [None]; under the key a
+   store holds it, the cached solve misses, recomputes and heals the
+   entry. *)
+let test_codec_old_state_is_miss () =
+  let g, cs = small_instance () in
+  let fresh = Mcmf_fptas.solve_with_state ~params g cs in
+  let text = Codec.fptas_state_to_string fresh in
+  let nl = String.index text '\n' in
+  let old = "fptas-state 1" ^ String.sub text nl (String.length text - nl) in
+  Alcotest.(check bool) "version 2 decodes" true
+    (Codec.fptas_state_of_string text <> None);
+  Alcotest.(check bool) "version 1 decodes to None" true
+    (Codec.fptas_state_of_string old = None);
+  with_shared_store (fun store ->
+      let key = Digest_key.of_solve ~kind:"fptas-state" ~params g cs in
+      Store.add store key old;
+      let st, _ = Solve_cache.fptas_with_state ~params g cs in
+      Alcotest.(check bool) "recomputed" true
+        (st.Mcmf_fptas.result = fresh.Mcmf_fptas.result);
+      Alcotest.(check bool) "entry rewritten at version 2" true
+        (Option.bind (Store.find store key) Codec.fptas_state_of_string
+        <> None))
+
 (* ---- cached solves ---- *)
 
 let test_solve_cache_hit_is_bit_identical () =
@@ -320,4 +345,6 @@ let suite =
       Alcotest.test_case "manifest artifacts" `Quick test_manifest_artifacts;
       Alcotest.test_case "manifest fingerprints" `Quick
         test_manifest_distinct_fingerprints;
+      Alcotest.test_case "codec old fptas-state is a miss" `Quick
+        test_codec_old_state_is_miss;
     ] )

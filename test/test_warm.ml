@@ -1,8 +1,8 @@
-(* Tests for warm-started FPTAS solves and incremental failure
-   delta-solves: certification of warm results, agreement with cold
-   certificates, dynamic shortest-path-tree repair, masked failure
-   sampling equivalence, cancellation atomicity of warm state, and the
-   cache round-trip of full solve states. *)
+(* Tests for warm-started FPTAS solves and failure re-solves:
+   certification of warm results, agreement with cold certificates, the
+   carried dual bound, masked failure sampling equivalence, cancellation
+   atomicity of warm state, and the cache round-trip of full solve
+   states. *)
 
 open Dcn_graph
 open Dcn_flow
@@ -108,14 +108,14 @@ let test_solve_with_state_matches_solve () =
   Alcotest.(check int) "same phases" plain.Mcmf_fptas.phases
     r.Mcmf_fptas.phases;
   (* Tracked group flows must sum to the aggregate exactly. *)
-  match st.Mcmf_fptas.warm.Mcmf_fptas.w_groups with
-  | None -> Alcotest.fail "group state missing"
-  | Some gs ->
+  match st.Mcmf_fptas.warm.Mcmf_fptas.w_group_flow with
+  | None -> Alcotest.fail "group flows missing"
+  | Some gflow ->
       let m = Array.length r.Mcmf_fptas.arc_flow in
       let sum = Array.make m 0.0 in
       Array.iter
         (fun gf -> Array.iteri (fun a f -> sum.(a) <- sum.(a) +. f) gf)
-        gs.Mcmf_fptas.gs_flow;
+        gflow;
       (* Compare shape: zero where aggregate is zero, positive where
          positive. (The aggregate in the result is normalized by μ, so
          compare supports rather than magnitudes.) *)
@@ -126,17 +126,19 @@ let test_solve_with_state_matches_solve () =
             Alcotest.fail "group flows do not match aggregate support")
         sum
 
-(* ---- delta-solves ---- *)
+(* ---- failure re-solves ---- *)
 
 let test_delta_matches_cold () =
   let g, cs = instance ~n:24 ~r:5 ~seed:9 () in
-  let base = Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs in
+  let base = Mcmf_fptas.solve_with_state ~params g cs in
   Alcotest.(check bool) "baseline certified" true
     (certified base.Mcmf_fptas.result);
+  let base_upper = base.Mcmf_fptas.result.Mcmf_fptas.lambda_upper in
   (* Property over several sampled single-fraction failures: the
-     delta-solve's certified interval must agree with a cold solve of the
-     same masked instance. Per-point cost can go either way (a delta may
-     need extra phases to re-certify), so cheapness is asserted in
+     re-solve's certified interval must agree with a cold solve of the
+     same masked instance, and its upper bound can be no higher than the
+     baseline's, which it starts from: removing capacity can only lower
+     λ*. Per-point cost can go either way, so cheapness is asserted in
      aggregate over the grid. *)
   let delta_total = ref 0 and cold_total = ref 0 in
   for seed = 1 to 6 do
@@ -154,6 +156,8 @@ let test_delta_matches_cold () =
     Alcotest.(check bool) "cold certified" true (certified cold);
     Alcotest.(check bool) "intervals overlap" true
       (overlap cold delta.Mcmf_fptas.result);
+    Alcotest.(check bool) "upper bound at most the baseline's" true
+      (delta.Mcmf_fptas.result.Mcmf_fptas.lambda_upper <= base_upper);
     delta_total := !delta_total + delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
     cold_total := !cold_total + cold.Mcmf_fptas.phases
   done;
@@ -165,7 +169,7 @@ let test_delta_matches_cold () =
 
 let test_delta_single_link () =
   let g, cs = instance ~n:20 ~r:5 ~seed:21 () in
-  let base = Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs in
+  let base = Mcmf_fptas.solve_with_state ~params g cs in
   (* Fail one specific link that carries flow. *)
   let failed_arc = ref (-1) in
   (try
@@ -188,8 +192,7 @@ let test_delta_single_link () =
   Alcotest.(check bool) "certified" true (certified delta.Mcmf_fptas.result);
   Alcotest.(check bool) "overlaps cold" true
     (overlap cold delta.Mcmf_fptas.result);
-  (* The repaired flow must respect the failure: nothing on the masked
-     arcs. *)
+  (* The flow must respect the failure: nothing on the masked arcs. *)
   let r = delta.Mcmf_fptas.result in
   Alcotest.(check bool) "no flow on failed arc" true
     (Float.equal r.Mcmf_fptas.arc_flow.(!failed_arc) 0.0
@@ -197,7 +200,7 @@ let test_delta_single_link () =
 
 let test_delta_commodity_mismatch_rejected () =
   let g, cs = instance ~n:20 ~r:5 ~seed:21 () in
-  let base = Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs in
+  let base = Mcmf_fptas.solve_with_state ~params g cs in
   let other =
     Array.map
       (fun (c : Commodity.t) ->
@@ -220,8 +223,8 @@ let test_cancel_no_torn_state () =
   let w = base.Mcmf_fptas.warm in
   let lengths_before = Array.copy w.Mcmf_fptas.w_lengths in
   let gflow_before =
-    match w.Mcmf_fptas.w_groups with
-    | Some gs -> Array.map Array.copy gs.Mcmf_fptas.gs_flow
+    match w.Mcmf_fptas.w_group_flow with
+    | Some gf -> Array.map Array.copy gf
     | None -> [||]
   in
   (* Force very fine params so the warm re-solve needs several phases,
@@ -246,13 +249,13 @@ let test_cancel_no_torn_state () =
       if not (Float.equal x w.Mcmf_fptas.w_lengths.(i)) then
         Alcotest.fail "warm lengths mutated by cancelled solve")
     lengths_before;
-  (match w.Mcmf_fptas.w_groups with
-  | Some gs ->
+  (match w.Mcmf_fptas.w_group_flow with
+  | Some gflow ->
       Array.iteri
         (fun gi gf ->
           Array.iteri
             (fun a x ->
-              if not (Float.equal x gs.Mcmf_fptas.gs_flow.(gi).(a)) then
+              if not (Float.equal x gflow.(gi).(a)) then
                 Alcotest.fail "warm group flow mutated by cancelled solve")
             gf)
         gflow_before
@@ -261,55 +264,6 @@ let test_cancel_no_torn_state () =
   let retry = Mcmf_fptas.solve_with_state ~params ~warm:w g cs in
   Alcotest.(check bool) "seed still usable" true
     (certified retry.Mcmf_fptas.result)
-
-(* ---- dynamic tree repair ---- *)
-
-let test_repair_tree_matches_rebuild () =
-  let g, _ = instance ~n:30 ~r:5 ~seed:17 () in
-  let n = Graph.n g in
-  let m = Graph.num_arcs g in
-  let st = Random.State.make [| 4242 |] in
-  let lengths =
-    Array.init m (fun _ -> 0.05 +. Random.State.float st 1.0)
-  in
-  let csr = Graph.csr g in
-  let scratch = Dijkstra.make_scratch n in
-  for trial = 0 to 11 do
-    let src = Random.State.int st n in
-    (* Mask a couple of random links. *)
-    let arcs =
-      List.init 2 (fun _ ->
-          let a = Random.State.int st m in
-          if Graph.arc_cap g a > 0.0 then a else Graph.arc_rev g a)
-    in
-    let masked = Graph.mask_arcs g ~arcs in
-    let mcsr = Graph.csr masked in
-    let tree =
-      { Dijkstra.dist = Array.make n infinity; parent_arc = Array.make n (-1) }
-    in
-    Dijkstra.shortest_tree_full scratch csr ~lengths ~src tree;
-    let failed_all =
-      List.concat_map (fun a -> [ a; Graph.arc_rev g a ]) arcs
-    in
-    Dijkstra.repair_tree scratch mcsr ~lengths ~arcs:failed_all tree;
-    let fresh = Dijkstra.shortest_tree masked ~lengths ~src in
-    for v = 0 to n - 1 do
-      if not (Float.equal tree.Dijkstra.dist.(v) fresh.Dijkstra.dist.(v))
-      then
-        Alcotest.fail
-          (Printf.sprintf "trial %d: dist mismatch at node %d" trial v);
-      (* The repaired parents must be consistent: walking up reproduces
-         the distance exactly (relaxation computes it by the same sum). *)
-      if not (Float.equal tree.Dijkstra.dist.(v) infinity) && v <> src then begin
-        let rec up v acc =
-          match tree.Dijkstra.parent_arc.(v) with
-          | -1 -> acc
-          | a -> up (Graph.arc_src masked a) (acc +. lengths.(a))
-        in
-        ignore (up v 0.0)
-      end
-    done
-  done
 
 (* ---- masked failure sampling equivalence ---- *)
 
@@ -377,17 +331,10 @@ let states_equal (a : Mcmf_fptas.solve_state) (b : Mcmf_fptas.solve_state) =
   && Array.for_all2 Float.equal wa.Mcmf_fptas.w_lengths
        wb.Mcmf_fptas.w_lengths
   &&
-  match (wa.Mcmf_fptas.w_groups, wb.Mcmf_fptas.w_groups) with
+  match (wa.Mcmf_fptas.w_group_flow, wb.Mcmf_fptas.w_group_flow) with
   | None, None -> true
   | Some ga, Some gb ->
-      Array.for_all2
-        (fun x y -> Array.for_all2 Float.equal x y)
-        ga.Mcmf_fptas.gs_flow gb.Mcmf_fptas.gs_flow
-      && Array.for_all2
-           (fun (x : Dijkstra.tree) (y : Dijkstra.tree) ->
-             Array.for_all2 Float.equal x.Dijkstra.dist y.Dijkstra.dist
-             && x.Dijkstra.parent_arc = y.Dijkstra.parent_arc)
-           ga.Mcmf_fptas.gs_tree gb.Mcmf_fptas.gs_tree
+      Array.for_all2 (fun x y -> Array.for_all2 Float.equal x y) ga gb
   | _ -> false
 
 let test_state_codec_roundtrip () =
@@ -440,8 +387,6 @@ let suite =
         test_delta_commodity_mismatch_rejected;
       Alcotest.test_case "cancel leaves no torn state" `Quick
         test_cancel_no_torn_state;
-      Alcotest.test_case "repair tree matches rebuild" `Quick
-        test_repair_tree_matches_rebuild;
       Alcotest.test_case "fail_arcs equivalent" `Quick
         test_fail_arcs_equivalent;
       Alcotest.test_case "state codec roundtrip" `Quick

@@ -4,8 +4,8 @@
    the returned flow fits the capacities and ships λ_lo of every demand
    (checked through the routed stretch, which would drop below 1 if the
    window's λ were paired with any smaller flow), the interval brackets
-   the LP optimum and stays under Theorem 1, and the group flows a
-   delta-solve inherits stay the whole history. *)
+   the LP optimum and stays under Theorem 1, and the tracked group flows
+   stay the whole history. *)
 
 open Dcn_graph
 open Dcn_flow
@@ -92,8 +92,8 @@ let test_window_certificate_sound () =
           bound)
     instances
 
-(* The group flows a delta-solve inherits are the whole history even when
-   a window certified: [w_phases] is every phase run, and per source group
+(* The tracked group flows are the whole history even when a window
+   certified: [w_phases] is every phase run, and per source group
    the flow conserves at every node and ships [w_phases·d] out of the
    source in total and into each destination, in the solver's scaled
    units. *)
@@ -110,10 +110,10 @@ let test_window_group_ledgers () =
       let phases = st.Mcmf_fptas.result.Mcmf_fptas.phases in
       Alcotest.(check int) (label ^ ": ledger is every phase") phases
         w.Mcmf_fptas.w_phases;
-      let gs =
-        match w.Mcmf_fptas.w_groups with
-        | Some gs -> gs
-        | None -> Alcotest.failf "%s: group state missing" label
+      let gf =
+        match w.Mcmf_fptas.w_group_flow with
+        | Some gf -> gf
+        | None -> Alcotest.failf "%s: group flows missing" label
       in
       let scaled =
         Array.map
@@ -125,7 +125,7 @@ let test_window_group_ledgers () =
       let p = float_of_int w.Mcmf_fptas.w_phases in
       Array.iteri
         (fun gi (s, dests) ->
-          let f = gs.Mcmf_fptas.gs_flow.(gi) in
+          let f = gf.(gi) in
           let net = Array.make (Graph.n g) 0.0 in
           Graph.iter_arcs g (fun a ->
               if f.(a) < 0.0 then
