@@ -78,7 +78,10 @@ let test_resolve_after_failure () =
    [params]. Besides the interval, each pin checks that the call routed
    every one of its phases itself ([w_executed]) and counted as one
    [fptas.delta_solves]. [carried] pins that the baseline's dual bound is
-   the certified upper bound. *)
+   the certified upper bound. The next three cases keep the names of the
+   flow-reuse branches (precheck, peel-and-route, dead-weight drop) their
+   instances were chosen to reach, so each pin's history reads through
+   one name. *)
 let delta_pin label ?(n = 24) ?(k = 6) ?(r = 5) ?(track_groups = true)
     ?(carried = false) ~fraction ~fs ~lower ~upper ~phases () =
   let g, cs = rrg_instance ~n ~k ~r ~seed:4 in
@@ -307,10 +310,12 @@ let suite =
       Alcotest.test_case "fptas warm start" `Quick test_warm_start;
       Alcotest.test_case "fptas resolve after failure" `Quick
         test_resolve_after_failure;
-      Alcotest.test_case "fptas delta one link" `Quick test_delta_one_link;
-      Alcotest.test_case "fptas delta carried bound" `Quick
+      Alcotest.test_case "fptas delta precheck certifies" `Quick
+        test_delta_one_link;
+      Alcotest.test_case "fptas delta peel, keep, route" `Quick
         test_delta_carried_bound;
-      Alcotest.test_case "fptas delta rrg:40" `Quick test_delta_rrg40;
+      Alcotest.test_case "fptas delta dead-weight drop" `Quick
+        test_delta_rrg40;
       Alcotest.test_case "fptas delta without group state" `Quick
         test_delta_no_groups;
       Alcotest.test_case "fptas rrg:100 eps halving" `Quick test_large_halving;

@@ -147,9 +147,9 @@ let test_cold_solvers () =
   let _, eps_seen = traced_eps (fun () -> Mcmf_paths.solve ~params g rcs) in
   check_cold_schedule "paths" ~start:0.2 ~requested:0.1 eps_seen
 
-(* A failure re-solve is a cold solve of the survivor graph: it starts at
-   the cold start step, not at the seed's reached one, so its first phase
-   runs at 2·eps, whether or not the baseline tracked groups. *)
+(* A failure re-solve is a cold solve of the survivor graph: it restarts
+   at the cold start step, not at the seed's reached one, so its first
+   phase runs at 2·eps, whether or not the baseline tracked groups. *)
 let test_resolve_step () =
   let resolve label ~n ~k ~r ~fraction ~fs ~track_groups =
     let g, cs = rrg_instance ~n ~k ~r ~seed:4 in
@@ -219,7 +219,6 @@ let suite =
       Alcotest.test_case "coarse window, then the 30-phase rule" `Quick
         test_schedule_shape;
       Alcotest.test_case "cold solves start coarse" `Quick test_cold_solvers;
-      Alcotest.test_case "failure re-solve starts coarse" `Quick
-        test_resolve_step;
+      Alcotest.test_case "restart starts coarse" `Quick test_resolve_step;
       Alcotest.test_case "eps 0.9 under the cap" `Quick test_large_eps;
     ] )
