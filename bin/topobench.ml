@@ -87,8 +87,11 @@ let throughput_cmd =
     Format.printf "utilization     : %.4f@." t.Core.Throughput.utilization;
     Format.printf "mean path length: %.4f hops (stretch %.4f)@."
       t.Core.Throughput.mean_shortest_path t.Core.Throughput.stretch;
+    (* From the record's ⟨D⟩, so a store hit runs no BFS. *)
     Format.printf "Theorem-1 bound : %.4f@."
-      (Core.Throughput_bound.upper_bound_capacity topo.Core.Topology.graph cs);
+      (Core.Mcmf_fptas.theorem1_bound
+         ~mean_dist:t.Core.Throughput.mean_shortest_path
+         topo.Core.Topology.graph cs);
     report_cache_stats ()
   in
   let doc = "Measure max-concurrent-flow throughput of a topology." in

@@ -24,13 +24,6 @@ let upper_bound_capacity_dist ~total_capacity ~dist commodities =
   if !disconnected then 0.0 else total_capacity /. !sum
 
 let upper_bound_capacity g commodities =
-  let pairs =
-    Array.map
-      (fun (c : Dcn_flow.Commodity.t) -> (c.src, c.dst, c.demand))
-      commodities
-  in
-  let mean_dist =
-    Dcn_graph.Graph_metrics.weighted_pair_distance_array g ~pairs
-  in
-  let demand = Dcn_flow.Commodity.total_demand commodities in
-  Dcn_graph.Graph.total_capacity g /. (mean_dist *. demand)
+  Dcn_flow.Mcmf_fptas.theorem1_bound
+    ~mean_dist:(Dcn_flow.Mcmf_fptas.mean_distance g commodities)
+    g commodities

@@ -16,7 +16,11 @@ val upper_bound_capacity :
   Dcn_graph.Graph.t -> Dcn_flow.Commodity.t array -> float
 (** Capacity form for arbitrary (heterogeneous) graphs:
     C / Σⱼ dⱼ·dist(sⱼ,tⱼ) with exact hop distances — the generalization
-    used to normalize the FPTAS and to upper-bound λ in tests. *)
+    used to normalize the FPTAS and to upper-bound λ in tests. One BFS
+    sweep ({!Dcn_flow.Mcmf_fptas.mean_distance}), then
+    {!Dcn_flow.Mcmf_fptas.theorem1_bound}: a caller holding ⟨D⟩ (a
+    {!Dcn_flow.Throughput.t}'s [mean_shortest_path]) gets the same bits
+    from the latter alone. *)
 
 val upper_bound_capacity_dist :
   total_capacity:float ->

@@ -173,7 +173,7 @@ let sweep_warm_point ~label ~requested_gap ~(cold : Mcmf_fptas.result)
   {
     swp_label = label;
     swp_cold_phases = cold.Mcmf_fptas.phases;
-    swp_warm_phases = warm.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
+    swp_warm_phases = wr.Mcmf_fptas.phases;
     swp_cold_seconds = cold_seconds;
     swp_warm_seconds = warm_seconds;
     swp_cold_lower = cold.Mcmf_fptas.lambda_lower;

@@ -118,7 +118,6 @@ val warm_eps : params -> float -> float
 type stats = {
   mutable routed : int;  (** Phases this call routed and kept. *)
   mutable discarded : int;  (** Phases routed ahead and rolled back. *)
-  mutable dual_checks : int;
   mutable eps_halvings : int;
   mutable window : int;
       (** Start phase of the window the final certificate came from, 0 for
@@ -200,7 +199,8 @@ type solver
 
 val solver : string -> solver
 (** [solver cat] registers [<cat>.solves], [<cat>.phases] (phases routed and
-    kept), [<cat>.dual_checks], [<cat>.eps_halvings],
+    kept), [<cat>.dual_checks] (one dual check per kept phase, so equal
+    to [<cat>.phases]), [<cat>.eps_halvings],
     [<cat>.unconverged], [<cat>.cancelled], [<cat>.window_wins] (solves
     whose certificate came from a window), [<cat>.phases_discarded]
     (phases routed ahead and rolled back), the stage timers

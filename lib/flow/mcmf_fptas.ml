@@ -10,11 +10,12 @@ let m_tree_rebuilds = Metrics.counter "fptas.tree_rebuilds"
 let m_paths_reused = Metrics.counter "fptas.paths_reused"
 
 (* Warm-start accounting. [fptas.phases_saved] is an estimate: the
-   producing solve's certified phase count minus the phases this call
-   actually routed, a proxy in which the neighboring instance's cold cost
-   stands in for this instance's. [fptas.delta_solves] counts failure
-   re-solves ({!resolve_after_failure}), which also count as warm
-   starts. *)
+   producing solve's phase count minus this call's (every phase a solve
+   counts is one it routed), a proxy in which the neighboring instance's
+   cold cost stands in for this instance's. [fptas.delta_solves] counts
+   failure re-solves ({!resolve_after_failure}), which also count as warm
+   starts. A seed dropped for its shape leaves a cold solve, counted in
+   neither. *)
 let m_warm_starts = Metrics.counter "fptas.warm_starts"
 let m_phases_saved = Metrics.counter "fptas.phases_saved"
 let m_delta_solves = Metrics.counter "fptas.delta_solves"
@@ -50,7 +51,6 @@ type warm_state = {
   w_scale : float;
   w_eps : float;
   w_phases : int;
-  w_executed : int;
   w_dual : float;
   w_lengths : float array;
   w_group_flow : float array array option;
@@ -76,32 +76,28 @@ let commodities_equal a b =
     a;
   !ok
 
+let mean_distance g commodities =
+  Graph_metrics.weighted_pair_distance_array g
+    ~pairs:
+      (Array.map
+         (fun (c : Commodity.t) -> (c.src, c.dst, c.demand))
+         commodities)
+
+let theorem1_bound ~mean_dist g commodities =
+  Graph.total_capacity g /. (mean_dist *. Commodity.total_demand commodities)
+
 (* Pre-scale demands so the optimum concurrency is Θ(1): the number of
    phases the FPTAS needs is proportional to λ*, so a wildly large or small
-   λ* would waste work. The Theorem-1 quantity C / (⟨D⟩_demand · f) is a
-   cheap upper bound on λ* and empirically within ~2x of it on the graphs
-   we care about. Results are scaled back transparently. *)
-let demand_scale g commodities =
-  let pairs =
-    Array.map (fun (c : Commodity.t) -> (c.src, c.dst, c.demand)) commodities
-  in
-  let mean_dist = Graph_metrics.weighted_pair_distance_array g ~pairs in
-  let capacity = Graph.total_capacity g in
-  let demand = Commodity.total_demand commodities in
-  let bound = capacity /. (Float.max 1.0 mean_dist *. demand) in
-  (* After scaling demands by [bound], the Theorem-1 bound on λ* becomes 1. *)
-  Float.max 1e-30 bound
+   λ* would waste work. The Theorem-1 bound is a cheap upper bound on λ*
+   and empirically within ~2x of it on the graphs we care about; after
+   scaling demands by it, the bound on λ* becomes 1. Results are scaled
+   back transparently. *)
+let demand_scale ~mean_dist g commodities =
+  Float.max 1e-30
+    (theorem1_bound ~mean_dist:(Float.max 1.0 mean_dist) g commodities)
 
-(* Cheap per-solve event tallies, flushed to the registry by [run].
-   [o_mode] records what the solve actually did (0 = cold, 1 =
-   length-seeded warm start, 2 = failure re-solve), [o_inherited] the
-   seed's certified phase count. *)
-type obs = {
-  mutable o_tree_rebuilds : int;
-  mutable o_paths_reused : int;
-  mutable o_mode : int;
-  mutable o_inherited : int;
-}
+(* Cheap per-solve event tallies, flushed to the registry by [run]. *)
+type obs = { mutable o_tree_rebuilds : int; mutable o_paths_reused : int }
 
 (* ---- the per-source fan-out ----
 
@@ -247,7 +243,10 @@ let replay_log lg gflow =
    which only the demand scale and the dual bound carry over. *)
 type start = Cold | Seeded of warm_state | Failure of warm_state
 
-let solve_impl ~params ~stats ~obs ~start ~track_groups g commodities =
+(* [mean_dist] is ⟨D⟩ when the caller already has it ([None]: computed
+   here if the scale needs it). *)
+let solve_impl ~params ~stats ~obs ~start ~mean_dist ~track_groups g
+    commodities =
   Gk_loop.validate params;
   if Array.length commodities = 0 then invalid_arg "Mcmf_fptas: no commodities";
   let n = Graph.n g in
@@ -256,32 +255,20 @@ let solve_impl ~params ~stats ~obs ~start ~track_groups g commodities =
   let m_pos = ref 0 in
   Graph.iter_arcs g (fun a -> if Graph.arc_cap g a > 0.0 then incr m_pos);
   if !m_pos = 0 then invalid_arg "Mcmf_fptas: graph has no capacity";
-  (* A seed from a differently shaped instance cannot be applied (per-arc
-     state is indexed by arc id); fall back to a cold start silently so
-     sweep drivers can thread state without caring where a grid changes
-     size. *)
-  let start =
-    match start with
-    | Seeded w when w.w_num_arcs <> m_all || w.w_n <> n -> Cold
-    | (Cold | Seeded _ | Failure _) as s -> s
-  in
-  (match start with
-  | Cold -> ()
-  | Seeded w ->
-      obs.o_mode <- 1;
-      obs.o_inherited <- w.w_phases
-  | Failure w ->
-      obs.o_mode <- 2;
-      obs.o_inherited <- w.w_phases);
   (* The scale is a pure change of units — any positive value yields a
      correct certificate — so when the demand vector is unchanged we reuse
-     the seed's scale and skip the BFS sweep behind [demand_scale]. *)
+     the seed's scale and skip the BFS sweep behind [mean_distance]. *)
   let scale =
     match start with
     | (Seeded w | Failure w) when commodities_equal w.w_commodities commodities
       ->
         w.w_scale
-    | Cold | Seeded _ | Failure _ -> demand_scale g commodities
+    | Cold | Seeded _ | Failure _ ->
+        demand_scale g commodities
+          ~mean_dist:
+            (match mean_dist with
+            | Some d -> d
+            | None -> mean_distance g commodities)
   in
   (* The length step shrinks adaptively ({!Gk_loop.run}). A warm start
      resumes at the seed's reached eps (clamped to the requested range) so
@@ -527,7 +514,6 @@ let solve_impl ~params ~stats ~obs ~start ~track_groups g commodities =
         w_scale = scale;
         w_eps = !eps;
         w_phases = phases;
-        w_executed = stats.Gk_loop.routed;
         w_dual = hi;
         w_lengths = Array.copy lengths;
         w_group_flow = gflow;
@@ -623,30 +609,47 @@ let solve_impl ~params ~stats ~obs ~start ~track_groups g commodities =
   Gk_loop.run ~cat:"fptas" ~params ~stats ~eps ~cap:arc_cap ~flow ~lengths
     ~route ~step ~settle ~best_dual ~finish
 
-let run ~params ~start ~track_groups g commodities =
-  let obs =
-    { o_tree_rebuilds = 0; o_paths_reused = 0; o_mode = 0; o_inherited = 0 }
+let run ~params ~start ~mean_dist ~track_groups g commodities =
+  (* A seed from a differently shaped instance cannot be applied (per-arc
+     state is indexed by arc id); fall back to a cold start silently so
+     sweep drivers can thread state without caring where a grid changes
+     size. *)
+  let start =
+    match start with
+    | Seeded w when w.w_num_arcs <> Graph.num_arcs g || w.w_n <> Graph.n g ->
+        Cold
+    | (Cold | Seeded _ | Failure _) as s -> s
   in
+  let obs = { o_tree_rebuilds = 0; o_paths_reused = 0 } in
   let flush st =
     Metrics.add m_tree_rebuilds obs.o_tree_rebuilds;
     Metrics.add m_paths_reused obs.o_paths_reused;
-    if obs.o_mode >= 1 then begin
-      Metrics.incr m_warm_starts;
-      Metrics.add m_phases_saved
-        (max 0 (obs.o_inherited - st.warm.w_executed))
-    end;
-    if obs.o_mode = 2 then Metrics.incr m_delta_solves
+    (match start with
+    | Cold -> ()
+    | Seeded w | Failure w ->
+        Metrics.incr m_warm_starts;
+        Metrics.add m_phases_saved (max 0 (w.w_phases - st.result.phases)));
+    match start with
+    | Failure _ -> Metrics.incr m_delta_solves
+    | Cold | Seeded _ -> ()
   in
   Gk_loop.solve fptas ~result:(fun st -> st.result) ~flush (fun stats ->
-      solve_impl ~params ~stats ~obs ~start ~track_groups g commodities)
+      solve_impl ~params ~stats ~obs ~start ~mean_dist ~track_groups g
+        commodities)
+
+let solve_cold ~params ~mean_dist g commodities =
+  (run ~params ~start:Cold ~mean_dist ~track_groups:false g commodities).result
 
 let solve ?(params = default_params) g commodities =
-  (run ~params ~start:Cold ~track_groups:false g commodities).result
+  solve_cold ~params ~mean_dist:None g commodities
+
+let solve_with_mean_dist ~params ~mean_dist g commodities =
+  solve_cold ~params ~mean_dist:(Some mean_dist) g commodities
 
 let solve_with_state ?(params = default_params) ?warm ?(track_groups = false) g
     commodities =
   let start = match warm with Some w -> Seeded w | None -> Cold in
-  run ~params ~start ~track_groups g commodities
+  run ~params ~start ~mean_dist:None ~track_groups g commodities
 
 let resolve_after_failure ?(params = default_params) ?(track_groups = false)
     ~warm ~failed g commodities =
@@ -660,6 +663,7 @@ let resolve_after_failure ?(params = default_params) ?(track_groups = false)
       if a < 0 || a >= Graph.num_arcs g then
         invalid_arg "Mcmf_fptas.resolve_after_failure: arc id out of range")
     failed;
-  run ~params ~start:(Failure warm) ~track_groups g commodities
+  run ~params ~start:(Failure warm) ~mean_dist:None ~track_groups g
+    commodities
 
 let lambda ?params g commodities = Gk_loop.midpoint (solve ?params g commodities)

@@ -123,10 +123,9 @@ type warm_state = {
   w_scale : float;  (** Internal demand scale (a pure change of units). *)
   w_eps : float;  (** Length step reached (after adaptive halvings). *)
   w_phases : int;
-      (** Phases of the producing solve, also when a window of recent
-          phases certified [λ_lo]: [w_group_flow] ships [w_phases·d]
-          (scaled) per commodity. *)
-  w_executed : int;  (** Phases the producing {e call} actually routed. *)
+      (** Phases of the producing solve, all routed by that call, also
+          when a window of recent phases certified [λ_lo]: [w_group_flow]
+          ships [w_phases·d] (scaled) per commodity. *)
   w_dual : float;  (** Best dual bound at capture, in scaled units. *)
   w_lengths : float array;  (** Final arc lengths (a private copy). *)
   w_group_flow : float array array option;
@@ -179,6 +178,21 @@ val resolve_after_failure :
 val solve : ?params:params -> Graph.t -> Commodity.t array -> result
 (** Raises [Invalid_argument] if there are no commodities, if a commodity's
     endpoints are disconnected, or if params are out of range. *)
+
+val solve_with_mean_dist :
+  params:params -> mean_dist:float -> Graph.t -> Commodity.t array -> result
+(** {!solve}, bit for bit, for a caller that already has [mean_dist] =
+    {!mean_distance}[ g commodities]: the demand scale (the Theorem-1
+    bound) is taken from it instead of from a BFS sweep of its own. *)
+
+val mean_distance : Graph.t -> Commodity.t array -> float
+(** ⟨D⟩: the demand-weighted mean shortest-path hop count
+    ({!Dcn_graph.Graph_metrics.weighted_pair_distance_array}). *)
+
+val theorem1_bound : mean_dist:float -> Graph.t -> Commodity.t array -> float
+(** Theorem 1's [C / (mean_dist · Σ dⱼ)], [C] the total arc capacity: the
+    demand scale (which clamps [mean_dist] to at least 1) and
+    [Dcn_bounds.Throughput_bound.upper_bound_capacity]. *)
 
 val lambda : ?params:params -> Graph.t -> Commodity.t array -> float
 (** Shorthand for {!Gk_loop.midpoint} of {!solve}. *)

@@ -13,40 +13,31 @@ type t = {
   arc_flow : float array;
 }
 
-let metrics g commodities ~lambda ~arc_flow ~lambda_bounds =
-  let pairs =
-    Array.map (fun (c : Commodity.t) -> (c.src, c.dst, c.demand)) commodities
+let compute ?(solver = Fptas Mcmf_fptas.default_params) g commodities =
+  let mean_shortest_path, lambda_bounds, arc_flow =
+    match solver with
+    | Fptas params ->
+        (* One BFS sweep serves both ⟨D⟩ and the solver's demand scale. *)
+        let mean_dist = Mcmf_fptas.mean_distance g commodities in
+        let r =
+          Mcmf_fptas.solve_with_mean_dist ~params ~mean_dist g commodities
+        in
+        (mean_dist, (r.lambda_lower, r.lambda_upper), r.Mcmf_fptas.arc_flow)
+    | Exact ->
+        let r = Mcmf_exact.solve g commodities in
+        ( Mcmf_fptas.mean_distance g commodities,
+          (r.lambda, r.lambda),
+          r.Mcmf_exact.arc_flow )
   in
-  let mean_shortest_path = Graph_metrics.weighted_pair_distance_array g ~pairs in
-  let capacity = Graph.total_capacity g in
+  let lambda = fst lambda_bounds in
   let total_flow = Array.fold_left ( +. ) 0.0 arc_flow in
-  let utilization = total_flow /. capacity in
+  let utilization = total_flow /. Graph.total_capacity g in
   (* Delivered volume is λ·Σd; hop-volume of shortest routing would be
      λ·Σ(d·dist); the routed hop-volume is Σ_a flow(a). *)
   let delivered = lambda *. Commodity.total_demand commodities in
   let shortest_volume = delivered *. mean_shortest_path in
   let stretch = if shortest_volume > 0.0 then total_flow /. shortest_volume else 1.0 in
-  {
-    lambda;
-    lambda_bounds;
-    utilization;
-    mean_shortest_path;
-    stretch;
-    arc_flow;
-  }
-
-let compute ?(solver = Fptas Mcmf_fptas.default_params) g commodities =
-  match solver with
-  | Fptas params ->
-      let r = Mcmf_fptas.solve ~params g commodities in
-      metrics g commodities ~lambda:r.Mcmf_fptas.lambda_lower
-        ~arc_flow:r.Mcmf_fptas.arc_flow
-        ~lambda_bounds:(r.Mcmf_fptas.lambda_lower, r.Mcmf_fptas.lambda_upper)
-  | Exact ->
-      let r = Mcmf_exact.solve g commodities in
-      metrics g commodities ~lambda:r.Mcmf_exact.lambda
-        ~arc_flow:r.Mcmf_exact.arc_flow
-        ~lambda_bounds:(r.Mcmf_exact.lambda, r.Mcmf_exact.lambda)
+  { lambda; lambda_bounds; utilization; mean_shortest_path; stretch; arc_flow }
 
 let lambda ?solver g commodities = (compute ?solver g commodities).lambda
 

@@ -136,8 +136,6 @@ let mask_arcs g ~arcs =
     arcs;
   { g with arc_cap = cap }
 
-let out_degree g u = g.adj_off.(u + 1) - g.adj_off.(u)
-
 let iter_out g u f =
   for i = g.adj_off.(u) to g.adj_off.(u + 1) - 1 do
     f g.adj_arc.(i)

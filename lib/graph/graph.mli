@@ -50,9 +50,6 @@ val arc_dst : t -> int -> int
 val arc_cap : t -> int -> float
 val arc_rev : t -> int -> int
 
-val out_degree : t -> int -> int
-(** Number of outgoing arcs (counting zero-capacity reverse stubs). *)
-
 val degree : t -> int -> int
 (** Number of outgoing arcs with positive capacity — the port count used for
     switch-to-switch links in an undirected topology. *)

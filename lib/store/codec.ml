@@ -23,6 +23,7 @@ let add_floats buf key xs =
 type cursor = { lines : string array; mutable pos : int }
 
 let ( let* ) = Option.bind
+let guard ok = if ok then Some () else None
 
 let cursor text =
   { lines = Array.of_list (String.split_on_char '\n' text); pos = 0 }
@@ -75,9 +76,14 @@ let add_result buf (r : Mcmf_fptas.result) =
   add_int buf "converged" (if r.Mcmf_fptas.converged then 1 else 0);
   add_floats buf "arc_flow" r.Mcmf_fptas.arc_flow
 
+(* A certified interval is finite with [λ_lo ≤ λ_hi]; a stored one that
+   is not (a corrupted digit, say) decodes to [None], a miss. *)
+let interval lo hi = Float.is_finite lo && Float.is_finite hi && lo <= hi
+
 let result_fields c =
   let* lambda_lower = float_field c "lambda_lower" in
   let* lambda_upper = float_field c "lambda_upper" in
+  let* () = guard (interval lambda_lower lambda_upper) in
   let* phases = int_field c "phases" in
   let* converged = int_field c "converged" in
   let* arc_flow = floats_field c "arc_flow" in
@@ -113,7 +119,7 @@ let fptas_result_of_string text =
    The magic line names the layout: a payload of any other version
    decodes to [None], a miss. *)
 
-let fptas_state_magic = "fptas-state 2"
+let fptas_state_magic = "fptas-state 3"
 
 let fptas_state_to_string (st : Mcmf_fptas.solve_state) =
   let w = st.Mcmf_fptas.warm in
@@ -134,7 +140,6 @@ let fptas_state_to_string (st : Mcmf_fptas.solve_state) =
   add_float buf "w_scale" w.Mcmf_fptas.w_scale;
   add_float buf "w_eps" w.Mcmf_fptas.w_eps;
   add_int buf "w_phases" w.Mcmf_fptas.w_phases;
-  add_int buf "w_executed" w.Mcmf_fptas.w_executed;
   add_float buf "w_dual" w.Mcmf_fptas.w_dual;
   add_floats buf "w_lengths" w.Mcmf_fptas.w_lengths;
   (match w.Mcmf_fptas.w_group_flow with
@@ -175,7 +180,6 @@ let fptas_state_of_string text =
         let* w_scale = float_field c "w_scale" in
         let* w_eps = float_field c "w_eps" in
         let* w_phases = int_field c "w_phases" in
-        let* w_executed = int_field c "w_executed" in
         let* w_dual = float_field c "w_dual" in
         let* w_lengths = floats_field c "w_lengths" in
         let* k = int_field c "w_groups" in
@@ -204,7 +208,6 @@ let fptas_state_of_string text =
                 w_scale;
                 w_eps;
                 w_phases;
-                w_executed;
                 w_dual;
                 w_lengths;
                 w_group_flow;
@@ -238,6 +241,11 @@ let throughput_of_string text =
     let* hi = float_field c "lambda_upper" in
     let* utilization = float_field c "utilization" in
     let* mean_shortest_path = float_field c "mean_shortest_path" in
+    let* () =
+      guard
+        (Float.is_finite lambda && interval lo hi
+        && Float.is_finite mean_shortest_path)
+    in
     let* stretch = float_field c "stretch" in
     let* arc_flow = floats_field c "arc_flow" in
     Some

@@ -68,47 +68,34 @@ type warm_link = {
   wl_from : Digest_key.t;
 }
 
-let link key (st : Mcmf_fptas.solve_state) =
-  (st, { wl_state = st.Mcmf_fptas.warm; wl_from = key })
-
-let fptas_with_state ?(params = Mcmf_fptas.default_params) ?warm
-    ?(track_groups = false) g cs =
-  let extras =
-    (match warm with
-    | Some w -> [ Printf.sprintf "warm lengths %s" w.wl_from ]
-    | None -> [])
-    @ if track_groups then [ "state groups" ] else []
-  in
-  let key =
-    Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
-  in
+(* A state-carrying solve under the "fptas-state" kind, linked to its
+   own key. *)
+let cached_state ~params ~extras g cs solve =
+  let key = Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs in
   let st =
     cached ~key:(fun () -> key) ~encode:Codec.fptas_state_to_string
-      ~decode:Codec.fptas_state_of_string (fun () ->
-        Mcmf_fptas.solve_with_state ~params
-          ?warm:(Option.map (fun w -> w.wl_state) warm)
-          ~track_groups g cs)
+      ~decode:Codec.fptas_state_of_string solve
   in
-  link key st
+  (st, { wl_state = st.Mcmf_fptas.warm; wl_from = key })
+
+let fptas_with_state ?(params = Mcmf_fptas.default_params) ?warm g cs =
+  let extras =
+    match warm with Some w -> [ "warm lengths " ^ w.wl_from ] | None -> []
+  in
+  cached_state ~params ~extras g cs (fun () ->
+      Mcmf_fptas.solve_with_state ~params
+        ?warm:(Option.map (fun w -> w.wl_state) warm)
+        g cs)
 
 let fptas_delta ?(params = Mcmf_fptas.default_params) ~warm ~failed g cs =
   let extras =
     [
-      Printf.sprintf "warm delta %s" warm.wl_from;
-      Printf.sprintf "failed %s"
-        (String.concat " " (List.map string_of_int failed));
+      "warm delta " ^ warm.wl_from;
+      "failed " ^ String.concat " " (List.map string_of_int failed);
     ]
   in
-  let key =
-    Digest_key.of_solve ~kind:"fptas-state" ~params ~extras g cs
-  in
-  let st =
-    cached ~key:(fun () -> key) ~encode:Codec.fptas_state_to_string
-      ~decode:Codec.fptas_state_of_string (fun () ->
-        Mcmf_fptas.resolve_after_failure ~params ~warm:warm.wl_state ~failed g
-          cs)
-  in
-  link key st
+  cached_state ~params ~extras g cs (fun () ->
+      Mcmf_fptas.resolve_after_failure ~params ~warm:warm.wl_state ~failed g cs)
 
 let fptas_lambda ?params g cs = Gk_loop.midpoint (fptas ?params g cs)
 

@@ -40,7 +40,6 @@ type warm_link = {
 val fptas_with_state :
   ?params:Dcn_flow.Mcmf_fptas.params ->
   ?warm:warm_link ->
-  ?track_groups:bool ->
   Dcn_graph.Graph.t ->
   Dcn_flow.Commodity.t array ->
   Dcn_flow.Mcmf_fptas.solve_state * warm_link

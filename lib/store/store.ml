@@ -142,12 +142,6 @@ let counters t =
     bytes_written = Atomic.get t.bytes_written;
   }
 
-let reset_counters t =
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0;
-  Atomic.set t.bytes_read 0;
-  Atomic.set t.bytes_written 0
-
 let shared_store : t option Atomic.t = Atomic.make None
 let set_shared s = Atomic.set shared_store s
 let shared () = Atomic.get shared_store

@@ -52,8 +52,6 @@ val mem : t -> Digest_key.t -> bool
 
 val counters : t -> counters
 
-val reset_counters : t -> unit
-
 (** {1 Process-wide shared handle} *)
 
 val set_shared : t option -> unit

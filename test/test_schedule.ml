@@ -80,8 +80,8 @@ let test_schedule_shape () =
     Gk_loop.volume ~cap frozen /. 2.0
   in
   let stats =
-    { Gk_loop.routed = 0; discarded = 0; dual_checks = 0; eps_halvings = 0;
-      window = 0; route_ns = 0; dual_ns = 0; route_wait_ns = 0 }
+    { Gk_loop.routed = 0; discarded = 0; eps_halvings = 0; window = 0;
+      route_ns = 0; dual_ns = 0; route_wait_ns = 0 }
   in
   let (phases, converged), eps_seen =
     traced_eps (fun () ->
@@ -170,7 +170,7 @@ let test_resolve_step () =
     in
     let r = delta.Mcmf_fptas.result in
     Alcotest.(check int) (label ^ ": every phase is new") r.Mcmf_fptas.phases
-      delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
+      (List.length eps_seen);
     check_eps (label ^ ": first phase")
       (Gk_loop.start_eps params)
       (List.hd eps_seen)

@@ -15,6 +15,10 @@ module Codec = Dcn_store.Codec
 module Solve_cache = Dcn_store.Solve_cache
 module Manifest = Dcn_store.Manifest
 module Float_text = Dcn_util.Float_text
+module Metrics = Dcn_obs.Metrics
+module Vl2 = Dcn_topology.Vl2
+module Graph_metrics = Dcn_graph.Graph_metrics
+module Throughput_bound = Dcn_bounds.Throughput_bound
 
 let tmp_counter = ref 0
 
@@ -206,30 +210,42 @@ let prop_codec_float_roundtrip =
       (Float.is_nan x && Float.is_nan y)
       || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
 
-(* An untracked state's payload is the same under both versions of the
-   state codec, apart from the magic line, so swapping that line makes
-   exactly what version 1 wrote. It decodes to [None]; under the key a
-   store holds it, the cached solve misses, recomputes and heals the
-   entry. *)
+(* Versions 1 and 2 of the state codec wrote an untracked state as
+   version 3 does, plus a [w_executed] line (always equal to [w_phases])
+   after [w_phases], so splicing that line in and swapping the magic makes
+   exactly what they wrote. Each decodes to [None]; under the key a store
+   holds it, the cached solve misses, recomputes and heals the entry. *)
 let test_codec_old_state_is_miss () =
   let g, cs = small_instance () in
   let fresh = Mcmf_fptas.solve_with_state ~params g cs in
   let text = Codec.fptas_state_to_string fresh in
-  let nl = String.index text '\n' in
-  let old = "fptas-state 1" ^ String.sub text nl (String.length text - nl) in
-  Alcotest.(check bool) "version 2 decodes" true
+  let old version =
+    String.split_on_char '\n' text
+    |> List.concat_map (fun line ->
+           if String.starts_with ~prefix:"fptas-state " line then
+             [ Printf.sprintf "fptas-state %d" version ]
+           else if String.starts_with ~prefix:"w_phases " line then
+             [ line; "w_executed" ^ String.sub line 8 (String.length line - 8) ]
+           else [ line ])
+    |> String.concat "\n"
+  in
+  Alcotest.(check bool) "version 3 decodes" true
     (Codec.fptas_state_of_string text <> None);
-  Alcotest.(check bool) "version 1 decodes to None" true
-    (Codec.fptas_state_of_string old = None);
-  with_shared_store (fun store ->
-      let key = Digest_key.of_solve ~kind:"fptas-state" ~params g cs in
-      Store.add store key old;
-      let st, _ = Solve_cache.fptas_with_state ~params g cs in
-      Alcotest.(check bool) "recomputed" true
-        (st.Mcmf_fptas.result = fresh.Mcmf_fptas.result);
-      Alcotest.(check bool) "entry rewritten at version 2" true
-        (Option.bind (Store.find store key) Codec.fptas_state_of_string
-        <> None))
+  List.iter
+    (fun version ->
+      let label = Printf.sprintf "version %d" version in
+      Alcotest.(check bool) (label ^ " decodes to None") true
+        (Codec.fptas_state_of_string (old version) = None);
+      with_shared_store (fun store ->
+          let key = Digest_key.of_solve ~kind:"fptas-state" ~params g cs in
+          Store.add store key (old version);
+          let st, _ = Solve_cache.fptas_with_state ~params g cs in
+          Alcotest.(check bool) (label ^ " recomputed") true
+            (st.Mcmf_fptas.result = fresh.Mcmf_fptas.result);
+          Alcotest.(check bool) (label ^ " entry rewritten at version 3") true
+            (Option.bind (Store.find store key) Codec.fptas_state_of_string
+            <> None)))
+    [ 1; 2 ]
 
 (* ---- cached solves ---- *)
 
@@ -268,6 +284,104 @@ let test_solve_cache_disabled_without_store () =
   (* No store installed: behaves exactly like the raw solver. *)
   Alcotest.(check bool) "no store, plain solve" true
     (Solve_cache.fptas ~params g cs = Mcmf_fptas.solve ~params g cs)
+
+(* Run [f] with metrics on; return its value and the counter [name]. *)
+let counting name f =
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let x = f () in
+      (x, Metrics.counter_value (Metrics.snapshot ()) name))
+
+let hex x = Printf.sprintf "%h" x
+
+(* A corruption that keeps an entry's length passes the store's header
+   check. Here the lead digit of a cached throughput entry's
+   [lambda_lower] becomes 9, above its [lambda_upper]: the decoder
+   refuses the interval, so the replay is a miss that recomputes the
+   true answer. *)
+let test_corrupt_interval_is_miss () =
+  let st = Random.State.make [| 1 |] in
+  let topo = Rrg.topology st ~n:40 ~k:12 ~r:8 in
+  let tm = Traffic.permutation st ~servers:topo.Topology.servers in
+  let g = topo.Topology.graph and cs = Traffic.to_commodities tm in
+  let solver = Throughput.Fptas params in
+  let fresh = Throughput.compute ~solver g cs in
+  with_shared_store (fun store ->
+      ignore (Solve_cache.throughput ~solver g cs);
+      let path =
+        object_path store
+          (Digest_key.of_solve ~kind:"throughput-fptas" ~params g cs)
+      in
+      let entry = In_channel.with_open_bin path In_channel.input_all in
+      let prefix = "lambda_lower " in
+      let lead = String.length prefix in
+      let corrupted =
+        String.split_on_char '\n' entry
+        |> List.map (fun line ->
+               if String.starts_with ~prefix line then
+                 prefix ^ "9"
+                 ^ String.sub line (lead + 1) (String.length line - lead - 1)
+               else line)
+        |> String.concat "\n"
+      in
+      Alcotest.(check int) "same length" (String.length entry)
+        (String.length corrupted);
+      Alcotest.(check bool) "lower above upper" true
+        (List.exists
+           (fun line ->
+             String.starts_with ~prefix line
+             && Float_text.of_string
+                  (String.sub line lead (String.length line - lead))
+                > snd fresh.Throughput.lambda_bounds)
+           (String.split_on_char '\n' corrupted));
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc corrupted);
+      let replay, misses =
+        counting "store.misses" (fun () ->
+            Solve_cache.throughput ~solver g cs)
+      in
+      Alcotest.(check int) "store.misses" 1 misses;
+      let lo, hi = fresh.Throughput.lambda_bounds in
+      let lo', hi' = replay.Throughput.lambda_bounds in
+      Alcotest.(check (pair string string)) "true interval"
+        (hex lo, hex hi) (hex lo', hex hi'))
+
+(* On a heterogeneous instance with non-uniform demands (VL2, hotspot
+   traffic): the record's ⟨D⟩ is the BFS value, and the Theorem-1 bound
+   [topobench throughput] prints from it is the bound computed from the
+   graph, bit for bit, whether the record was solved or replayed. *)
+let test_bound_from_stored_distance () =
+  let topo = Vl2.create ~da:8 ~di:8 () in
+  let st = Random.State.make [| 3 |] in
+  let tm = Traffic.hotspot st ~servers:topo.Topology.servers ~targets:3 in
+  let g = topo.Topology.graph and cs = Traffic.to_commodities tm in
+  let solver = Throughput.Fptas params in
+  let pairs =
+    Array.map (fun (c : Commodity.t) -> (c.src, c.dst, c.demand)) cs
+  in
+  let mean_dist = Graph_metrics.weighted_pair_distance_array g ~pairs in
+  let bound = Throughput_bound.upper_bound_capacity g cs in
+  let check label (t : Throughput.t) =
+    Alcotest.(check string) (label ^ " mean_shortest_path") (hex mean_dist)
+      (hex t.Throughput.mean_shortest_path);
+    (* The expression [topobench throughput] prints. *)
+    Alcotest.(check string) (label ^ " Theorem-1 bound") (hex bound)
+      (hex
+         (Mcmf_fptas.theorem1_bound ~mean_dist:t.Throughput.mean_shortest_path
+            g cs))
+  in
+  check "compute" (Throughput.compute ~solver g cs);
+  with_shared_store (fun _ ->
+      check "cold" (Solve_cache.throughput ~solver g cs);
+      let replay, hits =
+        counting "store.hits" (fun () -> Solve_cache.throughput ~solver g cs)
+      in
+      Alcotest.(check int) "replayed" 1 hits;
+      check "replay" replay)
 
 (* ---- manifests ---- *)
 
@@ -347,4 +461,8 @@ let suite =
         test_manifest_distinct_fingerprints;
       Alcotest.test_case "codec old fptas-state is a miss" `Quick
         test_codec_old_state_is_miss;
+      Alcotest.test_case "corrupt interval is a miss" `Quick
+        test_corrupt_interval_is_miss;
+      Alcotest.test_case "bound from stored distance" `Quick
+        test_bound_from_stored_distance;
     ] )

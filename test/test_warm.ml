@@ -13,6 +13,7 @@ module Traffic = Dcn_traffic.Traffic
 module Store = Dcn_store.Store
 module Codec = Dcn_store.Codec
 module Solve_cache = Dcn_store.Solve_cache
+module Metrics = Dcn_obs.Metrics
 
 let params = { Mcmf_fptas.eps = 0.1; gap = 0.08; max_phases = 100_000 }
 
@@ -73,8 +74,8 @@ let test_warm_same_instance_fast () =
     Mcmf_fptas.solve_with_state ~params ~warm:first.Mcmf_fptas.warm g cs
   in
   Alcotest.(check bool) "certified" true (certified again.Mcmf_fptas.result);
-  let cold_phases = first.Mcmf_fptas.warm.Mcmf_fptas.w_executed in
-  let warm_phases = again.Mcmf_fptas.warm.Mcmf_fptas.w_executed in
+  let cold_phases = first.Mcmf_fptas.result.Mcmf_fptas.phases in
+  let warm_phases = again.Mcmf_fptas.result.Mcmf_fptas.phases in
   Alcotest.(check bool)
     (Printf.sprintf "fewer phases warm (%d < %d)" warm_phases cold_phases)
     true
@@ -85,9 +86,23 @@ let test_warm_shape_mismatch_falls_back_cold () =
   let g2, cs2 = instance ~n:30 ~r:4 ~seed:4 () in
   let seed_state = (Mcmf_fptas.solve_with_state ~params g cs).Mcmf_fptas.warm in
   let cold = Mcmf_fptas.solve ~params g2 cs2 in
-  let warm =
-    Mcmf_fptas.solve_with_state ~params ~warm:seed_state g2 cs2
+  Metrics.set_enabled true;
+  let warm, snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.set_enabled false;
+        Metrics.reset ())
+      (fun () ->
+        let warm =
+          Mcmf_fptas.solve_with_state ~params ~warm:seed_state g2 cs2
+        in
+        (warm, Metrics.snapshot ()))
   in
+  (* The dropped seed leaves a cold solve, and the counters say so. *)
+  Alcotest.(check int) "no warm start counted" 0
+    (Metrics.counter_value snap "fptas.warm_starts");
+  Alcotest.(check int) "no phases saved" 0
+    (Metrics.counter_value snap "fptas.phases_saved");
   (* Incompatible seed is ignored: bit-identical to the cold solve. *)
   Alcotest.(check bool) "identical lower" true
     (Float.equal cold.Mcmf_fptas.lambda_lower
@@ -158,7 +173,7 @@ let test_delta_matches_cold () =
       (overlap cold delta.Mcmf_fptas.result);
     Alcotest.(check bool) "upper bound at most the baseline's" true
       (delta.Mcmf_fptas.result.Mcmf_fptas.lambda_upper <= base_upper);
-    delta_total := !delta_total + delta.Mcmf_fptas.warm.Mcmf_fptas.w_executed;
+    delta_total := !delta_total + delta.Mcmf_fptas.result.Mcmf_fptas.phases;
     cold_total := !cold_total + cold.Mcmf_fptas.phases
   done;
   Alcotest.(check bool)
@@ -326,7 +341,6 @@ let states_equal (a : Mcmf_fptas.solve_state) (b : Mcmf_fptas.solve_state) =
   && Float.equal wa.Mcmf_fptas.w_scale wb.Mcmf_fptas.w_scale
   && Float.equal wa.Mcmf_fptas.w_eps wb.Mcmf_fptas.w_eps
   && wa.Mcmf_fptas.w_phases = wb.Mcmf_fptas.w_phases
-  && wa.Mcmf_fptas.w_executed = wb.Mcmf_fptas.w_executed
   && Float.equal wa.Mcmf_fptas.w_dual wb.Mcmf_fptas.w_dual
   && Array.for_all2 Float.equal wa.Mcmf_fptas.w_lengths
        wb.Mcmf_fptas.w_lengths
@@ -352,9 +366,7 @@ let test_cached_warm_chain_deterministic () =
       (Random.State.make [| 31; seed |]) g ~fraction:0.1
   in
   let run_chain () =
-    let base, base_link =
-      Solve_cache.fptas_with_state ~params ~track_groups:true g cs
-    in
+    let base, base_link = Solve_cache.fptas_with_state ~params g cs in
     let masked, failed = masked_of 1 in
     let delta, _ =
       Solve_cache.fptas_delta ~params ~warm:base_link ~failed masked cs
@@ -368,7 +380,13 @@ let test_cached_warm_chain_deterministic () =
       Alcotest.(check bool) "baseline replays bit-identically" true
         (states_equal b1 b2);
       Alcotest.(check bool) "delta replays bit-identically" true
-        (states_equal d1 d2))
+        (states_equal d1 d2);
+      (* Tracking groups does not move the answer. *)
+      let tracked =
+        Mcmf_fptas.solve_with_state ~params ~track_groups:true g cs
+      in
+      Alcotest.(check bool) "tracked baseline, same result" true
+        (tracked.Mcmf_fptas.result = b1.Mcmf_fptas.result))
 
 let suite =
   ( "warm",
