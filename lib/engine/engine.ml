@@ -323,14 +323,14 @@ let dispatch_request lp c slot (req : Http.request) =
   let path, _ = Http.split_target req.Http.target in
   match (req.Http.meth, path) with
   | "POST", "/solve" when lp.draining ->
-      Server.note_request lp.srv ~solve:true;
+      Server.note_request ~solve:true;
       let resp =
         Server.account lp.srv ~accept_ns ~meth:req.Http.meth ~path
-          (Server.plain (Server.reject lp.srv `Draining))
+          (Server.plain (Server.reject `Draining))
       in
       complete lp c slot resp
   | "POST", "/solve" -> (
-      Server.note_request lp.srv ~solve:true;
+      Server.note_request ~solve:true;
       match Request.of_body req.Http.body with
       | Error msg ->
           let resp =
@@ -438,7 +438,7 @@ let[@dcn.event_loop] accept_ready lp listen_fd =
         if Hashtbl.length lp.conns >= lp.cfg.max_conns then begin
           (* Best-effort 429 on the (fresh, empty-buffer) socket. *)
           (try
-             Http.write_response fd (Server.reject lp.srv `Capacity)
+             Http.write_response fd (Server.reject `Capacity)
              [@dcn.lint
                "loop-blocking: one small write into a fresh socket's empty \
                 kernel buffer; cannot stall on a 64KiB-plus backlog"]

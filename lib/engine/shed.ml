@@ -110,34 +110,21 @@ let bound_body ~digest ~req ~resolved ~terms =
 
 let json_headers = [ ("Content-Type", "application/json") ]
 
-(* The bound-tier counterpart of Server.solve_resolved: same deadline
-   pre-check, a bound computation instead of a solve. Never cached (a
-   later full answer must be able to replace it) and never coalesced
-   (it is cheaper than the rendezvous would be). *)
+(* The bound-tier counterpart of Server.solve_resolved: the same
+   deadline pre-check (Server.deadline), a bound computation instead of a
+   solve. Never cached (a later full answer must be able to replace it)
+   and never coalesced (it is cheaper than the rendezvous would be). *)
 let bound_served srv ~accept_ns ~dist ~digest (req : Request.t)
     (resolved : Request.resolved) : Server.served =
-  ignore srv;
-  let deadline_passed =
-    match req.Request.timeout_s with
-    | Some s ->
-        Dcn_obs.Clock.elapsed_s accept_ns > s
-    | None -> false
-  in
-  if deadline_passed then
-    {
-      Server.resp =
-        Server.error_response 504 "deadline exceeded before the solve started";
-      sv_digest = Some digest;
-      sv_role = None;
-    }
-  else begin
-    let terms = compute_terms ~dist resolved in
-    Dcn_obs.Metrics.incr m_bound;
-    {
-      Server.resp =
-        Dcn_serve.Http.response ~headers:json_headers 200
-          (bound_body ~digest ~req ~resolved ~terms);
-      sv_digest = Some digest;
-      sv_role = Some "bound";
-    }
-  end
+  match Server.deadline srv ~accept_ns ~digest req with
+  | Error expired -> expired
+  | Ok _ ->
+      let terms = compute_terms ~dist resolved in
+      Dcn_obs.Metrics.incr m_bound;
+      {
+        Server.resp =
+          Dcn_serve.Http.response ~headers:json_headers 200
+            (bound_body ~digest ~req ~resolved ~terms);
+        sv_digest = Some digest;
+        sv_role = Some "bound";
+      }

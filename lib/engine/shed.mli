@@ -41,5 +41,6 @@ val bound_served :
   Dcn_serve.Request.resolved ->
   Dcn_serve.Server.served
 (** Render one bound-tier answer (role ["bound"], counted in
-    [engine.shed.bound]). Honors an already-expired per-request timeout
-    with the same 504 as the full tier. *)
+    [engine.shed.bound]). A request whose deadline has passed (its
+    [timeout_s], else the server's default) gets the same 504 as the
+    full tier ({!Dcn_serve.Server.deadline}). *)

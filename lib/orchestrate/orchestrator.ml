@@ -445,7 +445,7 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
   let cached, todo =
     List.partition_map
       (fun u ->
-        match Store.find store u.Grid.digest with
+        match Store.find store u.Grid.digest ~decode:Option.some with
         | Some body ->
             let seconds =
               match Hashtbl.find_opt recorded u.Grid.label with

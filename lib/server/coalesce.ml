@@ -22,18 +22,27 @@ type 'a t = {
   mutex : Mutex.t;
   done_ : Condition.t;
   table : (string, 'a cell) Hashtbl.t [@dcn.guarded_by "mutex"];
+  (* Callers inside [run]: leaders computing and riders waiting. *)
+  mutable in_flight : int [@dcn.guarded_by "mutex"];
 }
 
 let create () =
-  { mutex = Mutex.create (); done_ = Condition.create (); table = Hashtbl.create 32 }
+  {
+    mutex = Mutex.create ();
+    done_ = Condition.create ();
+    table = Hashtbl.create 32;
+    in_flight = 0;
+  }
 
 type 'a outcome = { value : ('a, exn) result; led : bool }
 
 let run t ~key f =
   Mutex.lock t.mutex;
+  t.in_flight <- t.in_flight + 1;
   match Hashtbl.find_opt t.table key with
   | Some cell ->
-      (* Rider: wait for the leader's result. *)
+      (* Rider: counted before it waits, then waits for the leader's
+         result. *)
       let rec await () =
         match cell.state with
         | Done value -> value
@@ -42,6 +51,7 @@ let run t ~key f =
             await ()
       in
       let value = await () in
+      t.in_flight <- t.in_flight - 1;
       Mutex.unlock t.mutex;
       { value; led = false }
   | None ->
@@ -60,12 +70,13 @@ let run t ~key f =
       (* Close the coalescing window: riders hold the cell, new arrivals
          start over. *)
       Hashtbl.remove t.table key;
+      t.in_flight <- t.in_flight - 1;
       Condition.broadcast t.done_;
       Mutex.unlock t.mutex;
       { value; led = true }
 
 let pending t =
   Mutex.lock t.mutex;
-  let n = Hashtbl.length t.table in
+  let n = t.in_flight in
   Mutex.unlock t.mutex;
   n

@@ -23,5 +23,7 @@ val run : 'a t -> key:string -> (unit -> 'a) -> 'a outcome
     every participant. *)
 
 val pending : 'a t -> int
-(** Number of in-flight computations. Tests use this to rendezvous: poll
-    until the leader is registered, then issue the duplicate. *)
+(** Number of callers inside {!run}: leaders computing plus riders
+    waiting (a rider is counted before it waits). Tests use this to
+    rendezvous: poll until the leader is registered (1), then hold the
+    leader until its duplicate has joined (2). *)

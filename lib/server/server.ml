@@ -195,60 +195,72 @@ let parse_trace_header (req : Http.request) =
           | _ -> None)
       | _ -> None)
 
+(* A solve's deadline counts from [accept_ns]: the request's [timeout_s],
+   else the server default. Both tiers call this before any work, so a
+   request whose deadline passed in the queue is a 504 from either. *)
+let deadline t ~accept_ns ~digest (req : Request.t) =
+  match (req.Request.timeout_s, t.config.default_timeout_s) with
+  | Some s, _ | None, Some s ->
+      let d = Int64.add accept_ns (Clock.ns_of_s s) in
+      if Clock.now_ns () > d then
+        Error
+          {
+            resp =
+              error_response 504 "deadline exceeded before the solve started";
+            sv_digest = Some digest;
+            sv_role = None;
+          }
+      else Ok (Some d)
+  | None, None -> Ok None
+
 (* The coalesced solve for an already-resolved request. Exported: the
    engine resolves requests itself (amortizing topology construction
    across a batch) and then joins this coalescing/deadline/rendering
    path, which is what keeps its bodies byte-identical to [handle]'s. *)
 let solve_resolved t ~accept_ns ?trace_ids ~digest (req : Request.t)
     (resolved : Request.resolved) =
-  let deadline =
-    match (req.Request.timeout_s, t.config.default_timeout_s) with
-    | Some s, _ | None, Some s -> Some (Int64.add accept_ns (Clock.ns_of_s s))
-    | None, None -> None
-  in
-  let timed_out () =
-    match deadline with Some d -> Clock.now_ns () > d | None -> false
-  in
-  let with_digest sv_role resp = { resp; sv_digest = Some digest; sv_role } in
-  if timed_out () then
-    with_digest None
-      (error_response 504 "deadline exceeded before the solve started")
-  else
-    let outcome =
-      Coalesce.run t.coalesce ~key:digest (fun () ->
-          Metrics.incr m_led;
-          let solve () =
-            Trace.with_span ~cat:"serve" ("solve " ^ digest)
-              (fun () ->
-                (match trace_ids with
-                | Some (_, u, flow) ->
-                    (* Receiving end of the coordinator's dispatch
-                       arrow; binds to this solve span. *)
-                    Trace.flow_in ~cat:"orch" ~id:flow
-                      ("u" ^ string_of_int u)
-                | None -> ());
-                with_deadline deadline (fun () ->
-                    let lambda, bounds = compute_solve req resolved in
-                    solve_body ~digest ~req ~resolved ~lambda ~bounds))
-          in
-          match trace_ids with
-          | Some (trace, u, _) ->
-              (* Everything recorded under here — the solve span,
-                 nested FPTAS/Dijkstra/cache spans, pool tasks
-                 (the pool transplants the context) — carries the
-                 coordinator's trace/unit ids. *)
-              Context.with_ids ~trace ~unit_id:u solve
-          | None -> solve ())
-    in
-    if not outcome.Coalesce.led then Metrics.incr m_coalesced;
-    let role = Some (if outcome.Coalesce.led then "led" else "coalesced") in
-    match outcome.Coalesce.value with
-    | Ok body -> with_digest role (Http.response ~headers:json_headers 200 body)
-    | Error Core.Mcmf_fptas.Cancelled ->
-        with_digest role (error_response 504 "deadline exceeded")
-    | Error (Invalid_argument msg | Failure msg) ->
-        with_digest role (error_response 400 msg)
-    | Error e -> with_digest role (error_response 500 (Printexc.to_string e))
+  match deadline t ~accept_ns ~digest req with
+  | Error expired -> expired
+  | Ok deadline ->
+      let with_digest sv_role resp =
+        { resp; sv_digest = Some digest; sv_role }
+      in
+      let outcome =
+        Coalesce.run t.coalesce ~key:digest (fun () ->
+            Metrics.incr m_led;
+            let solve () =
+              Trace.with_span ~cat:"serve" ("solve " ^ digest)
+                (fun () ->
+                  (match trace_ids with
+                  | Some (_, u, flow) ->
+                      (* Receiving end of the coordinator's dispatch
+                         arrow; binds to this solve span. *)
+                      Trace.flow_in ~cat:"orch" ~id:flow
+                        ("u" ^ string_of_int u)
+                  | None -> ());
+                  with_deadline deadline (fun () ->
+                      let lambda, bounds = compute_solve req resolved in
+                      solve_body ~digest ~req ~resolved ~lambda ~bounds))
+            in
+            match trace_ids with
+            | Some (trace, u, _) ->
+                (* Everything recorded under here — the solve span,
+                   nested FPTAS/Dijkstra/cache spans, pool tasks
+                   (the pool transplants the context) — carries the
+                   coordinator's trace/unit ids. *)
+                Context.with_ids ~trace ~unit_id:u solve
+            | None -> solve ())
+      in
+      if not outcome.Coalesce.led then Metrics.incr m_coalesced;
+      let role = Some (if outcome.Coalesce.led then "led" else "coalesced") in
+      match outcome.Coalesce.value with
+      | Ok body ->
+          with_digest role (Http.response ~headers:json_headers 200 body)
+      | Error Core.Mcmf_fptas.Cancelled ->
+          with_digest role (error_response 504 "deadline exceeded")
+      | Error (Invalid_argument msg | Failure msg) ->
+          with_digest role (error_response 400 msg)
+      | Error e -> with_digest role (error_response 500 (Printexc.to_string e))
 
 let handle_solve t ~accept_ns (httpreq : Http.request) =
   Metrics.incr m_solves;
@@ -315,13 +327,11 @@ let account t ~accept_ns ~meth ~path (served : served) =
   | None -> ());
   resp
 
-let note_request t ~solve =
-  ignore t;
+let note_request ~solve =
   Metrics.incr m_requests;
   if solve then Metrics.incr m_solves
 
-let reject t kind =
-  ignore t;
+let reject kind =
   match kind with
   | `Capacity ->
       Metrics.incr m_rejected_capacity;

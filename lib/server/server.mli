@@ -83,8 +83,9 @@ val handle : t -> accept_ns:int64 -> Http.request -> Http.response
     deadlines count from it, so queue wait is part of the budget. *)
 
 val coalesce_pending : t -> int
-(** In-flight coalesced solves (see {!Coalesce.pending}); tests use it to
-    rendezvous a duplicate with its leader. *)
+(** Solve requests inside the coalescing table: leaders plus waiting
+    riders (see {!Coalesce.pending}); tests use it to rendezvous a
+    duplicate with its leader. *)
 
 (** {2 Building blocks for the engine}
 
@@ -116,6 +117,18 @@ val answer_head :
     produced it: [digest], [topology], [switches], [servers],
     [commodities], [traffic], [routing], [eps], [gap]. *)
 
+val deadline :
+  t ->
+  accept_ns:int64 ->
+  digest:string ->
+  Request.t ->
+  (int64 option, served) result
+(** The solve deadline, counted from [accept_ns]: the request's
+    ["timeout_s"], else [config.default_timeout_s]; [Ok None] when
+    neither is set. [Error] is the 504 answer for a request whose
+    deadline has already passed. Both tiers ({!solve_resolved} and the
+    engine's bound tier) check it before any work. *)
+
 val solve_resolved :
   t ->
   accept_ns:int64 ->
@@ -135,11 +148,11 @@ val account : t -> accept_ns:int64 -> meth:string -> path:string -> served -> Ht
     itself — only the engine's solve dispatch, which goes around
     {!handle}, needs it. *)
 
-val note_request : t -> solve:bool -> unit
+val note_request : solve:bool -> unit
 (** Count one incoming request (and one solve request) in the serve
     metrics, as {!handle} does on entry. *)
 
-val reject : t -> [ `Capacity | `Draining ] -> Http.response
+val reject : [ `Capacity | `Draining ] -> Http.response
 (** The canonical 429/503 admission rejection, counted in the rejection
     metrics. *)
 

@@ -16,18 +16,18 @@ let m_hit_s = Metrics.histogram "store.hit_s"
 let m_miss_s = Metrics.histogram "store.miss_s"
 let m_write_s = Metrics.histogram "store.write_s"
 
-(* Generic lookup/compute/publish. A present-but-undecodable payload is a
-   miss (and was already deleted by [Store.find]'s corruption handling at
-   the raw-bytes layer; decode failures here additionally cover payloads
-   whose bytes are intact but semantically stale). [key ()] runs only
-   when a store is open: without one, nothing needs the key. *)
+(* Generic lookup/compute/publish. [Store.find] runs [decode]: a payload
+   that is torn, or intact but stale or rejected by the codec, is a miss
+   there and here alike, and is deleted so the recompute heals it.
+   [key ()] runs only when a store is open: without one, nothing needs
+   the key. *)
 let cached ~key ~encode ~decode compute =
   match Store.shared () with
   | None -> compute ()
   | Some store -> (
       let key = key () in
       let t0 = Clock.now_ns () in
-      match Option.bind (Store.find store key) decode with
+      match Store.find store key ~decode with
       | Some value ->
           if Metrics.enabled () then begin
             Metrics.incr m_hits;

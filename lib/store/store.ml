@@ -96,14 +96,19 @@ let read_entry path =
                   | _ -> None)
               | _ -> None))
 
-let find t key =
+(* A hit is an entry the caller's decoder accepts: a payload with a sound
+   header that does not decode is a miss, like a torn one. *)
+let find t key ~decode =
   let path = object_path t key in
-  match read_entry path with
-  | Some payload ->
+  let decoded =
+    Option.bind (read_entry path) (fun payload ->
+        Option.map (fun v -> (v, String.length payload)) (decode payload))
+  in
+  match decoded with
+  | Some (value, bytes) ->
       Atomic.incr t.hits;
-      ignore
-        (Atomic.fetch_and_add t.bytes_read (String.length payload));
-      Some payload
+      ignore (Atomic.fetch_and_add t.bytes_read bytes);
+      Some value
   | None ->
       Atomic.incr t.misses;
       (* Heal corrupt entries: deleting lets the recompute's [add] publish

@@ -25,7 +25,7 @@
 type t
 
 type counters = {
-  hits : int;  (** Lookups answered from disk. *)
+  hits : int;  (** Lookups answered from disk with a decoded entry. *)
   misses : int;  (** Lookups that fell through to computation. *)
   bytes_read : int;  (** Payload bytes of hits. *)
   bytes_written : int;  (** Payload bytes of entries added. *)
@@ -37,10 +37,12 @@ val open_store : string -> t
 
 val root : t -> string
 
-val find : t -> Digest_key.t -> string option
-(** Payload under the key, or [None] (counted as a miss) when absent,
-    unreadable, or corrupt. Corrupt entries are deleted best-effort so a
-    later write can heal them. *)
+val find : t -> Digest_key.t -> decode:(string -> 'a option) -> 'a option
+(** The payload under the key, decoded by [decode]; [None] (counted as a
+    miss) when absent, unreadable, corrupt, or rejected by [decode]. Only
+    a decoded payload counts as a hit and in [bytes_read]. Corrupt and
+    rejected entries are deleted best-effort so a later write can heal
+    them. Callers that keep raw bytes pass [Option.some]. *)
 
 val add : t -> Digest_key.t -> string -> unit
 (** Atomically publish a payload under its key. I/O errors are swallowed

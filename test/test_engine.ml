@@ -289,6 +289,40 @@ let test_shed_cut_term_clustered () =
   Alcotest.(check bool) "unclustered has no cut term" true
     (Option.is_none pterms.Shed.cut)
 
+(* A queued request with no "timeout_s" that is past the server's
+   default deadline gets the full tier's 504 from the bound tier too. *)
+let test_shed_default_deadline () =
+  let req =
+    match Request.of_body solve_body with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check bool) "no timeout_s" true
+    (Option.is_none req.Request.timeout_s);
+  let resolved = Request.resolve req in
+  let g = resolved.Request.topo.Dcn_topology.Topology.graph in
+  let digest = Request.digest req resolved in
+  let server timeout =
+    Server.create
+      { Server.default_config with Server.default_timeout_s = Some timeout }
+  in
+  let srv = server 1e-3 in
+  let accept_ns = Int64.sub (Clock.now_ns ()) 1_000_000_000L in
+  let bound =
+    Shed.bound_served srv ~accept_ns ~dist:(dist_oracle g) ~digest req resolved
+  in
+  Alcotest.(check int) "bound tier 504" 504 bound.Server.resp.Http.status;
+  Alcotest.(check (option string)) "no role" None bound.Server.sv_role;
+  let full = Server.solve_resolved srv ~accept_ns ~digest req resolved in
+  Alcotest.(check string) "same answer as the full tier"
+    full.Server.resp.Http.body bound.Server.resp.Http.body;
+  let fresh =
+    Shed.bound_served (server 300.0) ~accept_ns:(Clock.now_ns ())
+      ~dist:(dist_oracle g) ~digest req resolved
+  in
+  Alcotest.(check int) "within the default: 200" 200
+    fresh.Server.resp.Http.status
+
 (* ---- Engine end to end (real sockets, background loop) ---- *)
 
 let with_engine ?(tune = fun (c : Engine.config) -> c) f =
@@ -513,6 +547,8 @@ let suite =
         test_shed_bound_validity;
       Alcotest.test_case "shed: cut term on clustered topologies" `Quick
         test_shed_cut_term_clustered;
+      Alcotest.test_case "shed: server default deadline is a 504" `Quick
+        test_shed_default_deadline;
       Alcotest.test_case "engine: keep-alive + byte identity" `Quick
         test_engine_keepalive_and_identity;
       Alcotest.test_case "engine: pipelined responses in order" `Quick

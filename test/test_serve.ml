@@ -488,21 +488,38 @@ let test_server_deadline_cancels_solve () =
 let test_server_coalesces_concurrent_duplicates () =
   with_metrics (fun () ->
       let srv = Server.create no_timeout_config in
-      (* Slow enough (seconds) that the rider reliably arrives while the
-         leader's solve is in flight. *)
       let body = "{\"topology\": \"rrg:40,15,10\", \"eps\": 0.03, \"gap\": 0.03}" in
       let before = Metrics.snapshot () in
       let responses = Array.make 2 None in
-      let participant i =
-        Thread.create (fun () -> responses.(i) <- Some (handle srv (mkreq body)))
-      in
-      let leader = participant 0 () in
       let deadline = Int64.add (Clock.now_ns ()) 30_000_000_000L in
+      (* The leader's solve waits at its first phase boundary until the
+         rider is counted in the coalescing table, so the rider always
+         arrives while the leader is in flight. The check never
+         cancels. *)
+      let rider_joined () =
+        while Server.coalesce_pending srv < 2 && Clock.now_ns () < deadline do
+          Thread.yield ()
+        done;
+        false
+      in
+      let leader =
+        Thread.create
+          (fun () ->
+            responses.(0) <-
+              Some
+                (Core.Mcmf_fptas.with_cancel rider_joined (fun () ->
+                     handle srv (mkreq body))))
+          ()
+      in
       while Server.coalesce_pending srv = 0 && Clock.now_ns () < deadline do
         Thread.yield ()
       done;
       Alcotest.(check int) "leader registered" 1 (Server.coalesce_pending srv);
-      let rider = participant 1 () in
+      let rider =
+        Thread.create
+          (fun () -> responses.(1) <- Some (handle srv (mkreq body)))
+          ()
+      in
       Thread.join leader;
       Thread.join rider;
       let bodies =
@@ -766,7 +783,7 @@ let test_server_draining_flag () =
     (contains h.Http.body "\"draining\": true");
   let m = handle srv (mkreq ~meth:"GET" ~target:"/metrics" "") in
   Alcotest.(check int) "metrics still 200" 200 m.Http.status;
-  let r = Server.reject srv `Draining in
+  let r = Server.reject `Draining in
   Alcotest.(check int) "new solves 503" 503 r.Http.status;
   Server.set_draining srv false;
   let h = handle srv (mkreq ~meth:"GET" ~target:"/healthz" "") in

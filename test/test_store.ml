@@ -93,16 +93,18 @@ let test_digest_canonical_graph () =
 
 (* ---- object store ---- *)
 
+let find_raw store key = Store.find store key ~decode:Option.some
+
 let test_store_roundtrip () =
   with_store (fun store ->
       let key = Digest_key.of_text "request" in
       Alcotest.(check bool) "absent" false (Store.mem store key);
-      Alcotest.(check (option string)) "miss" None (Store.find store key);
+      Alcotest.(check (option string)) "miss" None (find_raw store key);
       Store.add store key "payload bytes\nwith a second line";
       Alcotest.(check bool) "present" true (Store.mem store key);
       Alcotest.(check (option string)) "hit"
         (Some "payload bytes\nwith a second line")
-        (Store.find store key);
+        (find_raw store key);
       let c = Store.counters store in
       Alcotest.(check int) "hits" 1 c.Store.hits;
       Alcotest.(check int) "misses" 1 c.Store.misses;
@@ -126,7 +128,7 @@ let test_store_corruption_degrades_to_miss () =
       output_string oc "dcn-store 1 12\nshort";
       close_out oc;
       Alcotest.(check (option string)) "truncated entry is a miss" None
-        (Store.find store key);
+        (find_raw store key);
       Alcotest.(check bool) "corrupt entry was healed away" false
         (Sys.file_exists path);
       (* Garbage header. *)
@@ -135,18 +137,24 @@ let test_store_corruption_degrades_to_miss () =
       output_string oc "not a store entry at all";
       close_out oc;
       Alcotest.(check (option string)) "garbage entry is a miss" None
-        (Store.find store key);
+        (find_raw store key);
+      (* A sound entry the caller's decoder rejects: a miss, healed too. *)
+      Store.add store key "good payload";
+      Alcotest.(check (option string)) "rejected entry is a miss" None
+        (Store.find store key ~decode:(fun _ -> None));
+      Alcotest.(check bool) "rejected entry was healed away" false
+        (Sys.file_exists path);
       (* A rewrite after healing works again. *)
       Store.add store key "good payload";
       Alcotest.(check (option string)) "healed" (Some "good payload")
-        (Store.find store key))
+        (find_raw store key))
 
 let test_store_empty_payload () =
   with_store (fun store ->
       let key = Digest_key.of_text "empty" in
       Store.add store key "";
       Alcotest.(check (option string)) "empty payload round-trips" (Some "")
-        (Store.find store key))
+        (find_raw store key))
 
 (* ---- codecs ---- *)
 
@@ -243,8 +251,7 @@ let test_codec_old_state_is_miss () =
           Alcotest.(check bool) (label ^ " recomputed") true
             (st.Mcmf_fptas.result = fresh.Mcmf_fptas.result);
           Alcotest.(check bool) (label ^ " entry rewritten at version 3") true
-            (Option.bind (Store.find store key) Codec.fptas_state_of_string
-            <> None)))
+            (Store.find store key ~decode:Codec.fptas_state_of_string <> None)))
     [ 1; 2 ]
 
 (* ---- cached solves ---- *)
@@ -340,11 +347,17 @@ let test_corrupt_interval_is_miss () =
            (String.split_on_char '\n' corrupted));
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc corrupted);
+      let before = Store.counters store in
       let replay, misses =
         counting "store.misses" (fun () ->
             Solve_cache.throughput ~solver g cs)
       in
+      let after = Store.counters store in
       Alcotest.(check int) "store.misses" 1 misses;
+      (* The printed cache line reads these: a rejected entry is no hit. *)
+      Alcotest.(check (pair int int)) "Store.counters hits, misses" (0, 1)
+        ( after.Store.hits - before.Store.hits,
+          after.Store.misses - before.Store.misses );
       let lo, hi = fresh.Throughput.lambda_bounds in
       let lo', hi' = replay.Throughput.lambda_bounds in
       Alcotest.(check (pair string string)) "true interval"
