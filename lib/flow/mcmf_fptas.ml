@@ -111,8 +111,9 @@ type obs = { mutable o_tree_rebuilds : int; mutable o_paths_reused : int }
 (* A participant's Dijkstra scratch, tree and path buffer for graphs of
    [ws_n] nodes, one per domain in [Domain.DLS], allocated by the domain
    that uses it: scratches allocated together on the caller put their
-   small mutable records (heap size, sweep stats) on shared cache lines,
-   and concurrent sweeps then stall each other. [ws_busy] marks a
+   small mutable records (the references to the heap arrays that live in
+   the Dijkstra scratch, the sweep stats) on shared cache lines, and
+   concurrent sweeps then stall each other. [ws_busy] marks a
    workspace in use, so a second sweep on the same domain (another
    systhread) takes a private one instead of sharing it. *)
 type workspace = {

@@ -6,6 +6,7 @@ type t = {
   arc_rev : int array;
   adj_off : int array;
   adj_arc : int array;
+  adj_dst : int array;
 }
 
 type builder = {
@@ -72,7 +73,10 @@ let freeze b =
     adj_arc.(cursor.(u)) <- a;
     cursor.(u) <- cursor.(u) + 1
   done;
-  { n = b.bn; arc_src; arc_dst; arc_cap; arc_rev; adj_off; adj_arc }
+  (* Heads in adjacency order, so a scan over a node's arcs reads them
+     without an indirection through the arc id (Dijkstra's inner loop). *)
+  let adj_dst = Array.map (fun a -> arc_dst.(a)) adj_arc in
+  { n = b.bn; arc_src; arc_dst; arc_cap; arc_rev; adj_off; adj_arc; adj_dst }
 
 let of_edges n edges =
   let b = builder n in
@@ -102,6 +106,7 @@ type csr = {
   csr_arc_rev : int array;
   csr_adj_off : int array;
   csr_adj_arc : int array;
+  csr_adj_dst : int array;
 }
 
 (* The arrays are shared with the graph, not copied: a [csr] view costs one
@@ -115,6 +120,7 @@ let csr g =
     csr_arc_rev = g.arc_rev;
     csr_adj_off = g.adj_off;
     csr_adj_arc = g.adj_arc;
+    csr_adj_dst = g.adj_dst;
   }
 
 (* Failure masking: zero the capacities of the given arcs (and their

@@ -70,6 +70,8 @@ type csr = private {
   csr_arc_rev : int array;  (** reverse-arc ids, as {!arc_rev}. *)
   csr_adj_off : int array;  (** length [n + 1]. *)
   csr_adj_arc : int array;  (** arc ids grouped by source node. *)
+  csr_adj_dst : int array;
+      (** heads in adjacency order: [adj_dst.(i) = arc_dst.(adj_arc.(i))]. *)
 }
 
 val csr : t -> csr

@@ -3,7 +3,6 @@
 let () =
   Alcotest.run "dcn-topology-design"
     [
-      Test_heap.suite;
       Test_util.suite;
       Test_obs.suite;
       Test_pool.suite;
