@@ -65,31 +65,6 @@ let engine_arg =
   Arg.(value & opt (enum [ ("epoll", ()) ]) ()
        & info [ "engine" ] ~doc ~docv:"ENGINE")
 
-let max_conns_arg =
-  let doc =
-    "Open-connection budget; accepts beyond it are answered 429 and \
-     closed."
-  in
-  Arg.(value & opt int 1024 & info [ "max-conns" ] ~doc ~docv:"N")
-
-let idle_timeout_arg =
-  let doc =
-    "Close kept-alive connections idle this many seconds; 0 never \
-     closes idlers."
-  in
-  Arg.(value & opt float 30.0 & info [ "idle-timeout" ] ~doc ~docv:"SECONDS")
-
-let hot_cache_arg =
-  let doc =
-    "Hot result cache entries (LRU, byte-identical rendered bodies, in \
-     front of the result store); 0 disables."
-  in
-  Arg.(value & opt int 4096 & info [ "hot-cache" ] ~doc ~docv:"ENTRIES")
-
-let hot_cache_mb_arg =
-  let doc = "Hot result cache byte budget, in MiB." in
-  Arg.(value & opt int 64 & info [ "hot-cache-mb" ] ~doc ~docv:"MIB")
-
 let shed_queue_arg =
   let doc =
     "Backlog high watermark: while more than $(docv) solve jobs queue \
@@ -100,23 +75,8 @@ let shed_queue_arg =
   in
   Arg.(value & opt int 0 & info [ "shed-queue" ] ~doc ~docv:"N")
 
-let shed_latency_arg =
-  let doc =
-    "Shed when the oldest queued solve has waited this many seconds; 0 \
-     disables the latency trigger."
-  in
-  Arg.(value & opt float 0.0 & info [ "shed-latency" ] ~doc ~docv:"SECONDS")
-
-let batch_max_arg =
-  let doc =
-    "Max solve jobs grouped into one topology batch (one topology build \
-     amortized across the batch)."
-  in
-  Arg.(value & opt int 8 & info [ "batch-max" ] ~doc ~docv:"N")
-
 let run host port port_file timeout jobs cache_dir no_cache metrics trace
-    access_log trace_buffer log_tag () max_conns idle_timeout hot_cache
-    hot_cache_mb shed_queue shed_latency batch_max =
+    access_log trace_buffer log_tag () shed_queue =
   (* jobs solver domains; the main thread runs the event loop. *)
   Core.Pool.set_workers jobs;
   (match Core.Cli.setup_store cache_dir no_cache with
@@ -139,16 +99,7 @@ let run host port port_file timeout jobs cache_dir no_cache metrics trace
     }
   in
   Dcn_engine.Engine.serve
-    {
-      (Dcn_engine.Engine.default base) with
-      max_conns = max 1 max_conns;
-      idle_timeout_s = Float.max 0.0 idle_timeout;
-      hot_cache_entries = max 0 hot_cache;
-      hot_cache_bytes = max 0 hot_cache_mb * 1024 * 1024;
-      shed_queue = max 0 shed_queue;
-      shed_latency_s = Float.max 0.0 shed_latency;
-      batch_max = max 1 batch_max;
-    }
+    { Dcn_engine.Engine.base; shed_queue = max 0 shed_queue }
 
 let cmd =
   let doc = "serve certified topology-throughput solves over HTTP" in
@@ -173,8 +124,6 @@ let cmd =
       const run $ host_arg $ port_arg $ port_file_arg $ timeout_arg
       $ Core.Cli.jobs_arg $ Core.Cli.cache_dir_arg $ Core.Cli.no_cache_arg
       $ Core.Cli.metrics_arg $ Core.Cli.trace_arg $ access_log_arg
-      $ trace_buffer_arg $ log_tag_arg $ engine_arg $ max_conns_arg
-      $ idle_timeout_arg $ hot_cache_arg $ hot_cache_mb_arg $ shed_queue_arg
-      $ shed_latency_arg $ batch_max_arg)
+      $ trace_buffer_arg $ log_tag_arg $ engine_arg $ shed_queue_arg)
 
 let () = exit (Cmd.eval cmd)

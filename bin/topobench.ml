@@ -405,11 +405,6 @@ let client_cmd =
                  seed..seed+V-1, round robin), so the mix exercises both \
                  coalescing/cache hits and cold solves deterministically.")
   in
-  let pipeline_arg =
-    Arg.(value & opt int 1 & info [ "pipeline" ] ~docv:"DEPTH"
-           ~doc:"Write $(docv) requests per connection before reading the \
-                 responses back in order.")
-  in
   let expect_2xx_arg =
     Arg.(value & flag & info [ "expect-2xx" ]
            ~doc:"Exit non-zero if any request fails or is rejected (CI mode).")
@@ -491,7 +486,7 @@ let client_cmd =
       ]
   in
   let run spec host port traffic seed eps gap routing timeout load qps
-      concurrency variants pipeline expect_2xx json probe =
+      concurrency variants expect_2xx json probe =
     if probe then probe_healthz ~host ~port ~json
     else begin
     let spec =
@@ -522,8 +517,8 @@ let client_cmd =
     else begin
       let bodies = Array.init (max 1 variants) (fun i -> body (seed + i)) in
       let report, _rows =
-        Dcn_serve.Load_gen.run ~pipeline:(max 1 pipeline) ~host ~port ~bodies
-          ~requests:load ~concurrency ~qps ()
+        Dcn_serve.Load_gen.run ~host ~port ~bodies ~requests:load ~concurrency
+          ~qps ()
       in
       let transport_errors =
         List.fold_left
@@ -567,8 +562,7 @@ let client_cmd =
     Term.(
       const run $ topo_opt_arg $ host_arg $ port_arg $ traffic_arg $ seed_arg
       $ eps_arg $ gap_arg $ routing_arg $ timeout_arg $ load_arg $ qps_arg
-      $ concurrency_arg $ variants_arg $ pipeline_arg
-      $ expect_2xx_arg $ json_arg $ probe_arg)
+      $ concurrency_arg $ variants_arg $ expect_2xx_arg $ json_arg $ probe_arg)
 
 (* ---- orchestrate command ---- *)
 
@@ -680,11 +674,6 @@ let orchestrate_cmd =
                      re-admission, health probe) to $(docv). Crash-safe \
                      appends; a torn final line is tolerated by readers.")
   in
-  let status_arg =
-    Arg.(value & flag & info [ "status" ]
-           ~doc:"Live status line on stderr: units done/in-flight/failed, \
-                 throughput, ETA, per-worker completions.")
-  in
   let print_outcome ~total counter (o : Orchestrator.outcome) =
     incr counter;
     let src =
@@ -725,7 +714,7 @@ let orchestrate_cmd =
   in
   let run topos seeds traffics epses gaps routings serial workers worker_urls
       worker_jobs cache_dir resume unit_timeout max_attempts hedge_after
-      summary_json chaos_kill event_log status_flag obs =
+      summary_json chaos_kill event_log obs =
     (* The merged fleet trace is the orchestrator's to write (it splices
        the workers' buffers in); hand with_obs only metrics/progress so
        it doesn't overwrite the merged file with coordinator-only spans
@@ -843,7 +832,6 @@ let orchestrate_cmd =
                 {
                   Orchestrator.t_trace = trace;
                   t_event_log = event_log;
-                  t_status = status_flag;
                   t_worker_info = worker_info;
                 }
               in
@@ -875,8 +863,7 @@ let orchestrate_cmd =
       $ routings_arg $ serial_arg $ workers_arg $ worker_urls_arg
       $ worker_jobs_arg $ cache_dir_required_arg $ resume_arg
       $ unit_timeout_arg $ max_attempts_arg $ hedge_after_arg
-      $ summary_json_arg $ chaos_kill_arg $ event_log_arg $ status_arg
-      $ obs_args)
+      $ summary_json_arg $ chaos_kill_arg $ event_log_arg $ obs_args)
 
 (* ---- main ---- *)
 

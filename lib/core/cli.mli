@@ -11,17 +11,6 @@
     serving layer's JSON request schema reuses the same topology and
     traffic spec syntax ({!parse_topo_spec}, {!parse_traffic}). *)
 
-(** {1 Pure parsers} *)
-
-val parse_unit_open : what:string -> string -> (float, string) result
-(** Float strictly inside (0, 1); [what] names the flag in messages. *)
-
-val parse_jobs : string -> (int, string) result
-(** Integer at least 1, with the error messages both CLIs print. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 (** {1 Topology specs} *)
 
 type topo_spec =
@@ -34,9 +23,6 @@ type topo_spec =
   | Dcell of int * int
   | Dragonfly of int * int
   | From_file of string
-
-val topo_spec_syntax : string
-(** Human-readable grammar, for usage strings and error messages. *)
 
 val parse_topo_spec : string -> (topo_spec, string) result
 val topo_spec_to_string : topo_spec -> string
@@ -71,7 +57,7 @@ val params_of : float -> float -> Dcn_flow.Mcmf_fptas.params
 (** FPTAS params with the CLI phase budget (100k). *)
 
 val jobs_arg : int Cmdliner.Term.t
-(** [--jobs], validated >= 1, default {!default_jobs}. *)
+(** [--jobs], validated >= 1, default [Domain.recommended_domain_count ()]. *)
 
 val seed_arg : int Cmdliner.Term.t
 (** [--seed], default 1. *)
@@ -105,7 +91,6 @@ val report_cache_stats : unit -> unit
 
 val metrics_arg : string option Cmdliner.Term.t
 val trace_arg : string option Cmdliner.Term.t
-val progress_arg : bool Cmdliner.Term.t
 
 val obs_args : (string option * string option * bool) Cmdliner.Term.t
 (** (--metrics, --trace, --progress) bundled. *)

@@ -121,7 +121,7 @@ let split_grid scale f =
     List.sort_uniq compare (proportional_split f :: keep)
   end
 
-let server_distribution_table scale ~salt_base ~label families =
+let server_distribution_table scale ~salt_base families =
   let header =
     "servers_at_large_ratio"
     :: List.concat_map (fun (name, _) -> [ name ]) families
@@ -160,11 +160,10 @@ let server_distribution_table scale ~salt_base ~label families =
           Table.add_row t (Printf.sprintf "%.3f" x :: cells))
         rows)
     curves;
-  ignore label;
   t
 
 let fig4a scale =
-  server_distribution_table scale ~salt_base:4100 ~label:"fig4a"
+  server_distribution_table scale ~salt_base:4100
     [
       ("ports_3to1", { nl = 20; kl = 30; ns = 40; ks = 10; total_servers = 400 });
       ("ports_2to1", { nl = 20; kl = 30; ns = 40; ks = 15; total_servers = 400 });
@@ -172,7 +171,7 @@ let fig4a scale =
     ]
 
 let fig4b scale =
-  server_distribution_table scale ~salt_base:4200 ~label:"fig4b"
+  server_distribution_table scale ~salt_base:4200
     [
       ("small_20", { nl = 20; kl = 30; ns = 20; ks = 20; total_servers = 400 });
       ("small_30", { nl = 20; kl = 30; ns = 30; ks = 20; total_servers = 400 });
@@ -180,7 +179,7 @@ let fig4b scale =
     ]
 
 let fig4c scale =
-  server_distribution_table scale ~salt_base:4300 ~label:"fig4c"
+  server_distribution_table scale ~salt_base:4300
     [
       ("servers_480", { nl = 20; kl = 30; ns = 30; ks = 20; total_servers = 480 });
       ("servers_510", { nl = 20; kl = 30; ns = 30; ks = 20; total_servers = 510 });

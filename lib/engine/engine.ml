@@ -28,26 +28,21 @@ module Pool = Dcn_util.Pool
 
 type config = {
   base : Server.config;
-  max_conns : int;
-  idle_timeout_s : float;  (* 0 = never *)
-  hot_cache_entries : int;  (* 0 = cache off *)
-  hot_cache_bytes : int;
   shed_queue : int;  (* backlog high watermark; 0 = shedding off *)
-  shed_latency_s : float;  (* oldest-job age watermark; 0 = off *)
-  batch_max : int;
 }
 
-let default base =
-  {
-    base;
-    max_conns = 1024;
-    idle_timeout_s = 30.0;
-    hot_cache_entries = 4096;
-    hot_cache_bytes = 64 * 1024 * 1024;
-    shed_queue = 0;
-    shed_latency_s = 0.0;
-    batch_max = 8;
-  }
+(* Open-connection budget: accepts beyond it answer 429 and close. *)
+let max_conns = 1024
+
+(* Kept-alive connections idle this long are closed. *)
+let idle_timeout_s = 30.0
+
+(* Hot LRU bounds: entries, and bytes of keys plus bodies. *)
+let hot_cache_entries = 4096
+let hot_cache_bytes = 64 * 1024 * 1024
+
+(* Max solve jobs per topology batch. *)
+let batch_max = 8
 
 (* Parsed-but-unanswered requests allowed per connection before the loop
    stops reading from it — pipelining backpressure via TCP. *)
@@ -280,7 +275,7 @@ let[@dcn.event_loop] dispatch lp =
     let rest = Queue.create () in
     Queue.iter
       (fun j ->
-        if !taken < lp.cfg.batch_max && Request.topology_key j.j_req = key
+        if !taken < batch_max && Request.topology_key j.j_req = key
         then begin
           batch := j :: !batch;
           incr taken
@@ -290,25 +285,12 @@ let[@dcn.event_loop] dispatch lp =
     Queue.clear lp.pending;
     Queue.transfer rest lp.pending;
     (* Tier hysteresis, evaluated against the backlog left *behind* this
-       batch: shedding starts when it exceeds the watermark (or the next
-       waiter has aged past the latency bound) and stops once it falls
-       to half — so the tail of a flood still gets full service. *)
+       batch: shedding starts when it exceeds the watermark and stops
+       once it falls to half — so the tail of a flood still gets full
+       service. *)
     let depth = Queue.length lp.pending in
-    let oldest_age =
-      match Queue.peek_opt lp.pending with
-      | Some j -> Clock.elapsed_s j.j_accept_ns
-      | None -> 0.0
-    in
-    let shed_on =
-      (lp.cfg.shed_queue > 0 && depth >= lp.cfg.shed_queue)
-      || lp.cfg.shed_latency_s > 0.0
-         && oldest_age >= lp.cfg.shed_latency_s
-    in
-    let shed_off =
-      depth <= lp.cfg.shed_queue / 2
-      && (lp.cfg.shed_latency_s <= 0.0
-         || oldest_age < lp.cfg.shed_latency_s /. 2.0)
-    in
+    let shed_on = lp.cfg.shed_queue > 0 && depth >= lp.cfg.shed_queue in
+    let shed_off = depth <= lp.cfg.shed_queue / 2 in
     if (not lp.shedding) && shed_on then lp.shedding <- true
     else if lp.shedding && shed_off then lp.shedding <- false;
     Metrics.set g_shedding (if lp.shedding then 1.0 else 0.0);
@@ -435,7 +417,7 @@ let[@dcn.event_loop] accept_ready lp listen_fd =
       ->
         continue := false
     | fd, _ ->
-        if Hashtbl.length lp.conns >= lp.cfg.max_conns then begin
+        if Hashtbl.length lp.conns >= max_conns then begin
           (* Best-effort 429 on the (fresh, empty-buffer) socket. *)
           (try
              Http.write_response fd (Server.reject `Capacity)
@@ -489,22 +471,20 @@ let[@dcn.event_loop] drain_completions lp =
     items
 
 let[@dcn.event_loop] sweep_idle lp =
-  if lp.cfg.idle_timeout_s > 0.0 then begin
-    let victims = ref [] in
-    Hashtbl.iter
-      (fun _ c ->
-        if
-          c.c_open = 0
-          && Queue.is_empty c.c_out
-          && Clock.elapsed_s c.c_last_ns > lp.cfg.idle_timeout_s
-        then victims := c :: !victims)
-      lp.conns;
-    List.iter
-      (fun c ->
-        Metrics.incr m_idle_closed;
-        close_conn lp c)
-      !victims
-  end
+  let victims = ref [] in
+  Hashtbl.iter
+    (fun _ c ->
+      if
+        c.c_open = 0
+        && Queue.is_empty c.c_out
+        && Clock.elapsed_s c.c_last_ns > idle_timeout_s
+      then victims := c :: !victims)
+    lp.conns;
+  List.iter
+    (fun c ->
+      Metrics.incr m_idle_closed;
+      close_conn lp c)
+    !victims
 
 (* ---- lifecycle ---- *)
 
@@ -557,9 +537,7 @@ let serve ?stop ?on_port cfg =
     {
       cfg;
       srv = Server.create config;
-      lru =
-        Lru.create ~max_bytes:cfg.hot_cache_bytes
-          ~entries:cfg.hot_cache_entries ();
+      lru = Lru.create ~entries:hot_cache_entries ~max_bytes:hot_cache_bytes;
       conns = Hashtbl.create 64;
       by_fd = Hashtbl.create 64;
       pending = Queue.create ();
@@ -580,7 +558,7 @@ let serve ?stop ?on_port cfg =
      %!"
     tag config.Server.host port
     (max 1 (Pool.workers ()))
-    cfg.hot_cache_entries cfg.shed_queue;
+    hot_cache_entries cfg.shed_queue;
   let poller = Poller.create () in
   let drain_deadline = ref Int64.max_int in
   let running = ref true in

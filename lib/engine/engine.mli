@@ -27,26 +27,16 @@
 
 type config = {
   base : Dcn_serve.Server.config;
-  max_conns : int;
-      (** Open-connection budget; beyond it accepts answer 429
-          immediately and close. *)
-  idle_timeout_s : float;
-      (** Close kept-alive connections idle this long; [0.] = never. *)
-  hot_cache_entries : int;  (** LRU entry bound; [0] disables the cache. *)
-  hot_cache_bytes : int;  (** LRU byte bound. *)
   shed_queue : int;
       (** Backlog high watermark: batches dispatched while more than
           this many jobs remain queued behind them are answered at the
           bound tier. [0] disables shedding. Recovery at half the
           watermark (hysteresis). *)
-  shed_latency_s : float;
-      (** Age-of-oldest-queued-job watermark for shedding; [0.] off. *)
-  batch_max : int;  (** Max jobs per topology batch. *)
 }
-
-val default : Dcn_serve.Server.config -> config
-(** 1024 connections, 30 s idle timeout, 4096-entry / 64 MiB cache,
-    shedding off, batches of 8. *)
+(** The transport's own bounds are constants: 1024 open connections
+    (accepts beyond answer 429 and close), kept-alive connections closed
+    after 30 s idle, a 4096-entry / 64 MiB hot cache, batches of at most
+    8 jobs. *)
 
 val serve : ?stop:bool Atomic.t -> ?on_port:(int -> unit) -> config -> unit
 (** Run the loop until SIGTERM/SIGINT — or, when [stop] is given, until

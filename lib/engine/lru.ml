@@ -41,8 +41,7 @@ type stats = {
   evictions : int;
 }
 
-let create ?(max_bytes = 64 * 1024 * 1024) ?(metrics_prefix = "engine.cache")
-    ~entries () =
+let create ~entries ~max_bytes =
   let rec sentinel =
     { key = ""; value = ""; prev = sentinel; next = sentinel }
   in
@@ -56,14 +55,12 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(metrics_prefix = "engine.cache")
     hits = 0;
     misses = 0;
     evictions = 0;
-    m_hits = Metrics.counter (metrics_prefix ^ ".hits");
-    m_misses = Metrics.counter (metrics_prefix ^ ".misses");
-    m_evictions = Metrics.counter (metrics_prefix ^ ".evictions");
-    g_entries = Metrics.gauge (metrics_prefix ^ ".entries");
-    g_bytes = Metrics.gauge (metrics_prefix ^ ".bytes");
+    m_hits = Metrics.counter "engine.cache.hits";
+    m_misses = Metrics.counter "engine.cache.misses";
+    m_evictions = Metrics.counter "engine.cache.evictions";
+    g_entries = Metrics.gauge "engine.cache.entries";
+    g_bytes = Metrics.gauge "engine.cache.bytes";
   }
-
-let enabled t = t.max_entries > 0
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -84,20 +81,18 @@ let publish t =
   Metrics.set t.g_bytes (float_of_int t.bytes)
 
 let find t key =
-  if not (enabled t) then None
-  else
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some n ->
-            t.hits <- t.hits + 1;
-            Metrics.incr t.m_hits;
-            unlink n;
-            push_front t n;
-            Some n.value
-        | None ->
-            t.misses <- t.misses + 1;
-            Metrics.incr t.m_misses;
-            None)
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some n ->
+          t.hits <- t.hits + 1;
+          Metrics.incr t.m_hits;
+          unlink n;
+          push_front t n;
+          Some n.value
+      | None ->
+          t.misses <- t.misses + 1;
+          Metrics.incr t.m_misses;
+          None)
 
 let entry_bytes key value = String.length key + String.length value
 
@@ -115,25 +110,22 @@ let evict_over t =
   done
 
 let insert t key value =
-  if enabled t then
-    with_lock t (fun () ->
-        (match Hashtbl.find_opt t.table key with
-        | Some n ->
-            (* Same key, byte-identical body in this closed world; still
-               replace so the accounting cannot drift. *)
-            t.bytes <- t.bytes - String.length n.value + String.length value;
-            n.value <- value;
-            unlink n;
-            push_front t n
-        | None ->
-            let n =
-              { key; value; prev = t.sentinel; next = t.sentinel }
-            in
-            push_front t n;
-            Hashtbl.replace t.table key n;
-            t.bytes <- t.bytes + entry_bytes key value);
-        evict_over t;
-        publish t)
+  with_lock t (fun () ->
+      (match Hashtbl.find_opt t.table key with
+      | Some n ->
+          (* Same key, byte-identical body in this closed world; still
+             replace so the accounting cannot drift. *)
+          t.bytes <- t.bytes - String.length n.value + String.length value;
+          n.value <- value;
+          unlink n;
+          push_front t n
+      | None ->
+          let n = { key; value; prev = t.sentinel; next = t.sentinel } in
+          push_front t n;
+          Hashtbl.replace t.table key n;
+          t.bytes <- t.bytes + entry_bytes key value);
+      evict_over t;
+      publish t)
 
 let stats t =
   with_lock t (fun () ->

@@ -6,17 +6,12 @@
     bytes (keys + values); least-recently-used entries are evicted when
     either bound is exceeded. Hits, misses, evictions, entries and bytes
     are mirrored into the {!Dcn_obs.Metrics} registry under
-    [metrics_prefix]. *)
+    [engine.cache]. *)
 
 type t
 
-val create :
-  ?max_bytes:int -> ?metrics_prefix:string -> entries:int -> unit -> t
-(** [entries <= 0] disables the cache: {!find} always misses (without
-    counting), {!insert} is a no-op. [max_bytes] defaults to 64 MiB;
-    [metrics_prefix] to ["engine.cache"]. *)
-
-val enabled : t -> bool
+val create : entries:int -> max_bytes:int -> t
+(** At most [entries] entries and [max_bytes] bytes (keys + values). *)
 
 val find : t -> string -> string option
 (** Lookup; a hit promotes the entry to most-recently-used. Safe from

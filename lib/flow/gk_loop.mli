@@ -78,9 +78,6 @@ exception Cancelled
 val with_cancel : (unit -> bool) -> (unit -> 'a) -> 'a
 (** See {!Mcmf_fptas.with_cancel}. *)
 
-val check_cancelled : unit -> unit
-(** Raise {!Cancelled} if this domain's installed predicate fires. *)
-
 type result = {
   lambda_lower : float;
   lambda_upper : float;

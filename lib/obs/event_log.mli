@@ -21,9 +21,6 @@ val create : ?t0_ns:int64 -> string -> t
 
 val path : t -> string
 
-val elapsed_ms : t -> float
-(** Milliseconds of monotonic time since the log's epoch. *)
-
 val log : t -> ev:string -> (string * Json.t) list -> unit
 (** Append one event line; the fields render through
     {!Json.add_members}. Thread-safe; never raises. *)

@@ -33,9 +33,9 @@
    body, so digests are untouched), per-worker trace buffers are drained
    over GET /trace and merged with the coordinator's spans into one
    Perfetto timeline, per-worker /metrics deltas land in the summary,
-   and every scheduler decision goes to the structured event log and the
-   live status line. None of it feeds back into any computation, so the
-   store stays byte-identical with telemetry on or off. *)
+   and every scheduler decision goes to the structured event log. None
+   of it feeds back into any computation, so the store stays
+   byte-identical with telemetry on or off. *)
 
 module Store = Dcn_store.Store
 module Manifest = Dcn_store.Manifest
@@ -67,12 +67,11 @@ type worker_info = { wi_pid : int option; wi_log : string option }
 type telemetry = {
   t_trace : string option;
   t_event_log : string option;
-  t_status : bool;
   t_worker_info : (string * worker_info) list;
 }
 
 let no_telemetry =
-  { t_trace = None; t_event_log = None; t_status = false; t_worker_info = [] }
+  { t_trace = None; t_event_log = None; t_worker_info = [] }
 
 type worker_stat = {
   ws_worker : string;
@@ -362,11 +361,8 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
   in
   if telemetry.t_trace <> None then Trace.set_enabled true;
   let trace_id =
-    if
-      telemetry.t_trace <> None
-      || telemetry.t_event_log <> None
-      || telemetry.t_status
-    then Some (Trace.new_trace_id ())
+    if telemetry.t_trace <> None || telemetry.t_event_log <> None then
+      Some (Trace.new_trace_id ())
     else None
   in
   let elog =
@@ -374,23 +370,12 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
       (fun path -> E.create ~t0_ns:(Trace.epoch_ns ()) path)
       telemetry.t_event_log
   in
-  let status =
-    if telemetry.t_status then
-      Some (Status.create ~total:(List.length units) ~workers:worker_names ())
-    else None
-  in
   let on_event =
-    match (status, elog) with
-    | None, None -> None
-    | _ ->
-        Some
-          (fun ev ->
-            Option.iter (fun s -> Status.event s ev) status;
-            Option.iter
-              (fun l ->
-                let name, fields = sched_event_fields worker_names ev in
-                E.log l ~ev:name fields)
-              elog)
+    Option.map
+      (fun l ev ->
+        let name, fields = sched_event_fields worker_names ev in
+        E.log l ~ev:name fields)
+      elog
   in
   Option.iter
     (fun l ->
@@ -474,7 +459,6 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
   in
   List.iter
     (fun o ->
-      Option.iter Status.cache_hit status;
       Option.iter
         (fun l ->
           E.log l ~ev:"cache_replay"
@@ -589,7 +573,6 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
           E.log l ~ev:"run_abort" [ ("error", Json.Str msg) ];
           E.close l)
         elog;
-      Option.iter Status.finish status;
       Error msg
   | Ok (out, per_worker, worker_stats, dumps) ->
       let computed = List.map outcome_of out.Scheduler.results in
@@ -635,7 +618,6 @@ let run ?(scheduler = Scheduler.default_config) ?(unit_timeout_s = 300.0)
             ];
           E.close l)
         elog;
-      Option.iter Status.finish status;
       Manifest.write_artifact ~dir ~name:"summary.json"
         (summary_to_json summary);
       let all =

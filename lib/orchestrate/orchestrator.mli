@@ -58,7 +58,6 @@ type telemetry = {
           backoff, hedge, first-result-wins discard, eviction,
           re-admission, health probe) plus run_start/cache_replay/
           run_end markers; see {!Dcn_obs.Event_log}. *)
-  t_status : bool;  (** Live stderr status line ({!Status}). *)
   t_worker_info : (string * worker_info) list;
       (** Worker name ({!Worker.name}) → spawn-time identity, folded
           into the summary's per-worker stats. *)
@@ -130,8 +129,7 @@ val run :
     against the store, and a recorded unit whose entry is missing or
     corrupt is recomputed with a stderr warning, never trusted.
     [telemetry] (default {!no_telemetry}) adds the merged trace, the
-    structured event log, the live status line and per-worker metrics
-    deltas; serial runs observe the in-process pipeline with a single
+    structured event log and per-worker metrics deltas; serial runs observe the in-process pipeline with a single
     ["serial"] worker track. [on_outcome] streams results as they land
     (serialized; called from worker threads). Outcomes are returned
     sorted by unit id. [Error] is orchestration-level (a grid point

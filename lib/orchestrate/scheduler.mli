@@ -45,7 +45,7 @@ val default_config : config
 
 (** One typed event per scheduler decision, delivered to [?on_event] in
     decision order, outside the scheduler lock (a blocking listener —
-    event-log append, status repaint — can never stall dispatch).
+    an event-log append — can never stall dispatch).
     [worker] is an index into the [workers] array throughout. *)
 type event =
   | Dispatch of {
@@ -121,8 +121,8 @@ val run :
     and [health] run outside the scheduler lock and must return rather
     than raise. [on_event] receives every scheduler decision, in order,
     outside the lock; it may be called concurrently from different
-    worker threads, so listeners synchronize internally (both
-    {!Dcn_obs.Event_log.log} and {!Status.event} do). [on_result] fires
+    worker threads, so listeners synchronize internally (as
+    {!Dcn_obs.Event_log.log} does). [on_result] fires
     once per unit, on the winning attempt's thread, as results land
     (streaming). [Error] only for scheduler-level aborts (every worker
     evicted with no health probe); per-unit failures are reported in

@@ -34,7 +34,7 @@ val start :
     [--log-tag workerN], so its log lines carry its identity and pid.
     [trace_buffer] (default false) starts the daemon with tracing
     buffered for [GET /trace] collection. [extra_args] are appended
-    verbatim — engine tuning flags such as [--hot-cache] or
+    verbatim — daemon flags such as [--engine epoll] or
     [--shed-queue]. *)
 
 val endpoint : ?wait_s:float -> proc -> (Worker.endpoint, string) result

@@ -292,7 +292,7 @@ let conn_ensure c : (Unix.file_descr * reader, string) result =
 let conn_send c ~meth ~target ?(headers = []) ?(body = "") () =
   match conn_ensure c with
   | Error msg -> Error msg
-  | Ok (fd, _) -> (
+  | Ok (fd, r) -> (
       let content =
         if body = "" && meth = "GET" then ""
         else
@@ -315,7 +315,7 @@ let conn_send c ~meth ~target ?(headers = []) ?(body = "") () =
       with
       | () ->
           c.c_requests <- c.c_requests + 1;
-          Ok ()
+          Ok r
       | exception Unix.Unix_error (e, fn, _) ->
           conn_close c;
           Error (transport_error c fn e))
@@ -327,61 +327,59 @@ let content_length v =
   then int_of_string_opt v
   else None
 
-let conn_recv c =
-  match c.c_sock with
-  | None -> Error "not connected"
-  | Some (_, r) -> (
-      let fail msg =
-        conn_close c;
-        Error msg
-      in
-      let ( let* ) res k =
-        match res with
-        | Ok x -> k x
-        | Error Closed -> fail "server closed the connection mid-response"
-        | Error (Bad msg) -> fail msg
-        | Error Headers_too_large -> fail "response header too large"
-      in
-      let rec headers length close =
-        match read_line r ~max:max_header_line with
-        | Error e -> Error e
-        | Ok "" -> Ok (length, close)
-        | Ok line -> (
-            match parse_header line with
-            | Ok ("content-length", v) -> (
-                match content_length v with
-                | Some n -> headers (Some n) close
-                | None -> Error (Bad (Printf.sprintf "bad Content-Length %S" v)))
-            | Ok ("connection", v) ->
-                headers length (String.lowercase_ascii v = "close")
-            | Ok _ -> headers length close
-            | Error e -> Error e)
-      in
-      try
-        let* status_line = read_line r ~max:max_header_line in
-        match
-          match String.split_on_char ' ' status_line with
-          | _ :: code :: _ -> int_of_string_opt code
-          | _ -> None
-        with
-        | None -> fail (Printf.sprintf "bad status line %S" status_line)
-        | Some status ->
-            let* length, close = headers None false in
-            (* Without Content-Length the body is EOF-delimited, so the
-               connection cannot be reused afterwards. *)
-            let* body =
-              match length with Some n -> read_exact r n | None -> Ok (read_to_eof r)
-            in
-            c.c_used <- true;
-            if close || length = None then conn_close c;
-            Ok (status, body)
-      with Unix.Unix_error (e, fn, _) -> fail (transport_error c fn e))
+(* Read one response from [r], the reader [conn_send] returned. *)
+let conn_recv c r =
+  let fail msg =
+    conn_close c;
+    Error msg
+  in
+  let ( let* ) res k =
+    match res with
+    | Ok x -> k x
+    | Error Closed -> fail "server closed the connection mid-response"
+    | Error (Bad msg) -> fail msg
+    | Error Headers_too_large -> fail "response header too large"
+  in
+  let rec headers length close =
+    match read_line r ~max:max_header_line with
+    | Error e -> Error e
+    | Ok "" -> Ok (length, close)
+    | Ok line -> (
+        match parse_header line with
+        | Ok ("content-length", v) -> (
+            match content_length v with
+            | Some n -> headers (Some n) close
+            | None -> Error (Bad (Printf.sprintf "bad Content-Length %S" v)))
+        | Ok ("connection", v) ->
+            headers length (String.lowercase_ascii v = "close")
+        | Ok _ -> headers length close
+        | Error e -> Error e)
+  in
+  try
+    let* status_line = read_line r ~max:max_header_line in
+    match
+      match String.split_on_char ' ' status_line with
+      | _ :: code :: _ -> int_of_string_opt code
+      | _ -> None
+    with
+    | None -> fail (Printf.sprintf "bad status line %S" status_line)
+    | Some status ->
+        let* length, close = headers None false in
+        (* Without Content-Length the body is EOF-delimited, so the
+           connection cannot be reused afterwards. *)
+        let* body =
+          match length with Some n -> read_exact r n | None -> Ok (read_to_eof r)
+        in
+        c.c_used <- true;
+        if close || length = None then conn_close c;
+        Ok (status, body)
+  with Unix.Unix_error (e, fn, _) -> fail (transport_error c fn e)
 
 let conn_request c ~meth ~target ?headers ?body () =
   let attempt () =
     match conn_send c ~meth ~target ?headers ?body () with
     | Error msg -> Error msg
-    | Ok () -> conn_recv c
+    | Ok r -> conn_recv c r
   in
   let reused = conn_alive c && c.c_used in
   match attempt () with

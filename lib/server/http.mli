@@ -114,30 +114,9 @@ val conn_connects : conn -> int
 val conn_requests : conn -> int
 (** Requests successfully written so far. *)
 
-val conn_alive : conn -> bool
-(** Whether a socket is currently open. *)
-
 val conn_close : conn -> unit
 (** Close the underlying socket if open; the [conn] stays usable and
     will reconnect on the next send. *)
-
-val conn_send :
-  conn ->
-  meth:string ->
-  target:string ->
-  ?headers:(string * string) list ->
-  ?body:string ->
-  unit ->
-  (unit, string) result
-(** Write one request, connecting first if needed. May be called several
-    times before any {!conn_recv} to pipeline requests on the wire. *)
-
-val conn_recv : conn -> (int * string, string) result
-(** Read one response (status, body) in send order. Transport and
-    framing errors — including a non-numeric or negative
-    [Content-Length], or fewer body bytes than it declares — close the
-    socket and come back as [Error]; the body buffer grows only as bytes
-    arrive. HTTP error statuses are [Ok]. *)
 
 val conn_request :
   conn ->
@@ -147,7 +126,11 @@ val conn_request :
   ?body:string ->
   unit ->
   (int * string, string) result
-(** [conn_send] then [conn_recv]. If the exchange fails on a connection
-    that already served at least one response (the server likely closed
-    it between exchanges), retries exactly once on a fresh connection
-    before reporting the error. *)
+(** Write one request (connecting first if needed), then read its
+    response (status, body). Transport and framing errors — including a
+    non-numeric or negative [Content-Length], or fewer body bytes than it
+    declares — close the socket and come back as [Error]; the body
+    buffer grows only as bytes arrive. HTTP error statuses are [Ok]. If
+    the exchange fails on a connection that already served at least one
+    response (the server likely closed it between exchanges), retries
+    exactly once on a fresh connection before reporting the error. *)

@@ -10,10 +10,9 @@
    otherwise (each thread fires as fast as its responses return).
 
    Each worker thread holds one persistent keep-alive connection
-   (Http.conn) and reuses it across its requests; [pipeline] > 1 writes
-   that many requests onto the wire before reading the responses back in
-   order. The report's reuse_rate (1 - connects/requests) is how the CI
-   smoke test asserts keep-alive actually held across a burst.
+   (Http.conn) and reuses it across its requests. The report's
+   reuse_rate (1 - connects/requests) is how the CI smoke test asserts
+   keep-alive actually held across a burst.
 
    Latency percentiles are bucketed through the same fixed-grid machinery
    as the server's own histograms (Metrics.bucket_index /
@@ -61,10 +60,9 @@ let contains ~sub s =
    exactly this spelling, as solve_body does for "fptas"). *)
 let is_bound_body body = contains ~sub:"\"tier\": \"bound\"" body
 
-let run ?(pipeline = 1) ~host ~port ~bodies ~requests ~concurrency ~qps () =
+let run ~host ~port ~bodies ~requests ~concurrency ~qps () =
   if Array.length bodies = 0 then invalid_arg "Load_gen.run: no request bodies";
   if requests < 1 then invalid_arg "Load_gen.run: requests < 1";
-  let pipeline = max 1 pipeline in
   let concurrency = max 1 (min concurrency requests) in
   let rows = Array.make requests { status = 0; latency_s = 0.0; body = "" } in
   let connects = Atomic.make 0 in
@@ -77,74 +75,24 @@ let run ?(pipeline = 1) ~host ~port ~bodies ~requests ~concurrency ~qps () =
       if wait > 0.0 then Thread.delay wait
     end
   in
-  let body_of i = bodies.(i mod Array.length bodies) in
-  let record i sent (result : (int * string, string) result) =
-    let status, body =
-      match result with Ok (s, b) -> (s, b) | Error _ -> (0, "")
-    in
-    rows.(i) <- { status; latency_s = Clock.elapsed_s sent; body }
-  in
   (* Thread t owns slots t, t+concurrency, ... — no slot is shared. *)
   let worker t =
     let c = Http.conn_create ~host ~port () in
     let i = ref t in
-    if pipeline = 1 then
-      while !i < requests do
-        pace !i;
-        let sent = Clock.now_ns () in
-        record !i sent
-          (Http.conn_request c ~meth:"POST" ~target:"/solve" ~body:(body_of !i)
-             ());
-        i := !i + concurrency
-      done
-    else
-      while !i < requests do
-        (* Send up to [pipeline] of this worker's slots back-to-back,
-           then read the responses in order. A failure anywhere poisons
-           the rest of the chunk (responses after a framing loss are not
-           attributable) — those slots report as transport errors. *)
-        let chunk = ref [] in
-        let j = ref !i in
-        while !j < requests && List.length !chunk < pipeline do
-          chunk := !j :: !chunk;
-          j := !j + concurrency
-        done;
-        let chunk = List.rev !chunk in
-        let sent_ns = Hashtbl.create 8 in
-        let send_failed = ref false in
-        List.iter
-          (fun k ->
-            if not !send_failed then begin
-              pace k;
-              Hashtbl.replace sent_ns k (Clock.now_ns ());
-              match
-                Http.conn_send c ~meth:"POST" ~target:"/solve"
-                  ~body:(body_of k) ()
-              with
-              | Ok () -> ()
-              | Error _ -> send_failed := true
-            end)
-          chunk;
-        let recv_failed = ref false in
-        List.iter
-          (fun k ->
-            let sent =
-              match Hashtbl.find_opt sent_ns k with
-              | Some ns -> ns
-              | None -> Clock.now_ns ()
-            in
-            if !recv_failed then record k sent (Error "pipeline poisoned")
-            else
-              record k sent
-                (match Http.conn_recv c with
-                | Ok _ as ok -> ok
-                | Error _ as e ->
-                    recv_failed := true;
-                    e))
-          chunk;
-        if !send_failed || !recv_failed then Http.conn_close c;
-        i := !j
-      done;
+    while !i < requests do
+      pace !i;
+      let sent = Clock.now_ns () in
+      let status, body =
+        match
+          Http.conn_request c ~meth:"POST" ~target:"/solve"
+            ~body:bodies.(!i mod Array.length bodies) ()
+        with
+        | Ok r -> r
+        | Error _ -> (0, "")
+      in
+      rows.(!i) <- { status; latency_s = Clock.elapsed_s sent; body };
+      i := !i + concurrency
+    done;
     ignore (Atomic.fetch_and_add connects (Http.conn_connects c));
     Http.conn_close c
   in

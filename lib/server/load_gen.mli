@@ -38,11 +38,7 @@ type report = {
   rps : float;  (** [total / elapsed_s]. *)
 }
 
-val is_bound_body : string -> bool
-(** Whether a response body is marked ["tier": "bound"] (shed tier). *)
-
 val run :
-  ?pipeline:int ->
   host:string ->
   port:int ->
   bodies:string array ->
@@ -53,10 +49,8 @@ val run :
   report * row array
 (** Fire [requests] POSTs at [/solve] from [concurrency] worker threads;
     returns the report and the per-request rows (slot [i] is request
-    [i]). Each worker holds one persistent connection. [pipeline]
-    (default 1) writes up to that many requests onto the wire before
-    reading the responses back in order — a mid-chunk failure poisons
-    the rest of the chunk, which reports as transport errors. Raises [Invalid_argument] on an empty [bodies] or
-    [requests < 1]. *)
+    [i]). Each worker holds one persistent connection and waits for each
+    response before sending its next request. Raises [Invalid_argument]
+    on an empty [bodies] or [requests < 1]. *)
 
 val print_report : report -> unit

@@ -15,11 +15,7 @@
     originals. A non-finite gauge or sum renders as [null] and decodes
     as [nan]. *)
 
-val snapshot_of_json :
-  Dcn_obs.Json.t -> (Dcn_obs.Metrics.snapshot, string) result
-(** Decode a parsed metrics document. Entries are returned sorted by
-    name, matching {!Dcn_obs.Metrics.snapshot} order. *)
-
 val snapshot_of_body :
   string -> (Dcn_obs.Metrics.snapshot, string) result
-(** {!Dcn_obs.Json.parse} then {!snapshot_of_json}. *)
+(** Parse and decode a metrics document. Entries are returned sorted by
+    name, matching {!Dcn_obs.Metrics.snapshot} order. *)

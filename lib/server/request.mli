@@ -32,13 +32,10 @@ val routing_to_string : routing -> string
 val parse_routing : string -> (routing, string) result
 (** [optimal | ksp:K | ecmp[:LIMIT] | vlb:N] (bare [ecmp] means limit 64). *)
 
-val of_json : Dcn_obs.Json.t -> (t, string) result
-(** Decode the request object. Only ["topology"] is required; defaults:
-    seed 1, permutation traffic, eps 0.05, gap 0.05, optimal routing, no
-    per-request timeout. *)
-
 val of_body : string -> (t, string) result
-(** Parse + decode a request body. *)
+(** Parse and decode a request body. Only ["topology"] is required;
+    defaults: seed 1, permutation traffic, eps 0.05, gap 0.05, optimal
+    routing, no per-request timeout. *)
 
 val to_body : t -> string
 (** Canonical JSON wire form; [of_body (to_body t) = Ok t]. Shared by
@@ -84,11 +81,9 @@ val cache_key : t -> string
 
 val params : t -> Core.Mcmf_fptas.params
 
-val canonical_text : ?solver_version:string -> t -> resolved -> string
-(** The digested text. Covers everything the response bits depend on and
-    nothing else — in particular the timeout is excluded (it bounds the
-    computation, it does not parameterize the result). [solver_version]
-    defaults to {!Core.Digest_key.solver_version} and exists so tests can
-    check that version bumps change digests. *)
-
 val digest : ?solver_version:string -> t -> resolved -> Core.Digest_key.t
+(** Digest of a canonical text covering everything the response bits
+    depend on and nothing else — in particular the timeout is excluded
+    (it bounds the computation, it does not parameterize the result).
+    [solver_version] defaults to {!Core.Digest_key.solver_version} and
+    exists so tests can check that version bumps change digests. *)

@@ -8,7 +8,7 @@
     rendered here.
 
     Endpoints:
-    - [POST /solve] — JSON request ({!Request.of_json} schema) to JSON
+    - [POST /solve] — JSON request ({!Request.of_body} schema) to JSON
       response with the certified throughput interval. Identical
       concurrent requests coalesce onto one solver run and receive
       byte-identical bodies; optimal-routing results land in the shared

@@ -30,6 +30,9 @@ let graph_text g =
     (Graph.to_edge_list g);
   Buffer.contents buf
 
+(* Canonical "demand src dst d" lines in array order (commodity arrays
+   are already deterministic: Traffic.to_commodities is a pure function of
+   the matrix). *)
 let commodities_text cs =
   let buf = Buffer.create 1024 in
   Array.iter
@@ -40,6 +43,9 @@ let commodities_text cs =
     cs;
   Buffer.contents buf
 
+(* Every FPTAS parameter participates. The constant [dual_check_every 1]
+   line, left from when the dual-check cadence was a parameter, keeps
+   existing store keys valid. *)
 let params_text ~params =
   Printf.sprintf "eps %s\ngap %s\nmax_phases %d\ndual_check_every 1\n"
     (Float_text.to_string params.Dcn_flow.Mcmf_fptas.eps)

@@ -29,16 +29,6 @@ val graph_text : Dcn_graph.Graph.t -> string
     graph would serialize to, sorted as {!Dcn_io.Topology_io.to_string}
     sorts it, preceded by the node count. *)
 
-val commodities_text : Dcn_flow.Commodity.t array -> string
-(** Canonical "demand src dst d" lines in array order (commodity arrays
-    are already deterministic: {!Dcn_traffic.Traffic.to_commodities} is a
-    pure function of the matrix). *)
-
-val params_text : params:Dcn_flow.Mcmf_fptas.params -> string
-(** Canonical rendering of FPTAS parameters; every field participates.
-    A constant [dual_check_every 1] line, left from when the dual-check
-    cadence was a parameter, keeps existing store keys valid. *)
-
 val of_solve :
   kind:string ->
   params:Dcn_flow.Mcmf_fptas.params ->

@@ -1,10 +1,5 @@
 type 'b outcome = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-(* Grow the shared pool so this call can reach [d]-way concurrency (the
-   caller participates, hence [d - 1] workers). Never shrinks: concurrent
-   batches from other callers may rely on the current size. *)
-let ensure_domains d = if d - 1 > Pool.workers () then Pool.set_workers (d - 1)
-
 let run_tasks f tasks =
   let n = Array.length tasks in
   let results = Array.make n Pending in
@@ -23,21 +18,13 @@ let run_tasks f tasks =
       | Pending -> assert false)
     results
 
-let map_array ?domains f tasks =
-  let n = Array.length tasks in
-  let serial () = Array.map f tasks in
-  match domains with
-  | Some d when d <= 1 -> serial ()
-  | _ when n <= 1 -> serial ()
-  | Some d ->
-      ensure_domains d;
-      run_tasks f tasks
-  | None -> if Pool.enabled () then run_tasks f tasks else serial ()
+let map_array f tasks =
+  if Array.length tasks > 1 && Pool.enabled () then run_tasks f tasks
+  else Array.map f tasks
 
-let map ?domains f xs =
+let map f xs =
   match xs with
   | [] -> []
   | xs ->
-      let serial = match domains with Some d -> d <= 1 | None -> not (Pool.enabled ()) in
-      if serial then List.map f xs
-      else Array.to_list (map_array ?domains f (Array.of_list xs))
+      if Pool.enabled () then Array.to_list (map_array f (Array.of_list xs))
+      else List.map f xs

@@ -6,16 +6,14 @@
     repetitions all qualify). Results keep input order, so output is
     bit-identical to the serial map regardless of worker count. *)
 
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] evaluates [f] on every element on the shared pool (caller
-    included) and returns results in input order. With [~domains:d], [d <= 1]
-    forces a plain serial [List.map]; [d > 1] grows the pool to at least
-    [d - 1] workers first. Without [domains] the pool is used as currently
-    configured (serial when {!Pool.enabled} is false). If any [f] raises,
-    the exception of the smallest input index is re-raised after the batch
-    finishes — the same exception a serial map would surface, though later
-    elements have also been evaluated by then. *)
+    included) and returns results in input order; serial when
+    {!Pool.enabled} is false. If any [f] raises, the exception of the
+    smallest input index is re-raised after the batch finishes — the same
+    exception a serial map would surface, though later elements have
+    also been evaluated by then. *)
 
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : ('a -> 'b) -> 'a array -> 'b array
 (** Array variant of {!map}, used on the experiment hot path (per-seed
     repetitions) to avoid list round-trips. Same semantics. *)

@@ -61,7 +61,3 @@ let summarize xs =
   if Array.length xs = 0 then invalid_arg "Stats.summarize: empty";
   let lo, hi = min_max xs in
   { mean = mean xs; stdev = stdev xs; min = lo; max = hi; count = Array.length xs }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "mean=%.4f stdev=%.4f min=%.4f max=%.4f n=%d" s.mean
-    s.stdev s.min s.max s.count

@@ -33,5 +33,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** All of the above in one pass-friendly record. Raises on empty input. *)
-
-val pp_summary : Format.formatter -> summary -> unit

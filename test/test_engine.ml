@@ -4,7 +4,8 @@
    hits), the shed tier's certified bounds against a real FPTAS answer,
    and the engine end to end over real sockets — keep-alive reuse,
    pipelined in-order responses, byte-identity with in-process
-   Server.handle, and shed escalation/recovery under a request flood.
+   Server.handle, shed escalation/recovery under a request flood, and
+   Load_gen's report against a live engine.
 
    End-to-end tests run the engine in a background thread via
    [Engine.serve ~stop ~on_port] with the pool at zero workers: submit
@@ -139,8 +140,7 @@ let test_reqstream_limits () =
 (* ---- Lru: bounded hot cache ---- *)
 
 let test_lru_capacity_and_order () =
-  let l = Lru.create ~entries:3 () in
-  Alcotest.(check bool) "enabled" true (Lru.enabled l);
+  let l = Lru.create ~entries:3 ~max_bytes:1024 in
   Lru.insert l "a" "1";
   Lru.insert l "b" "2";
   Lru.insert l "c" "3";
@@ -164,7 +164,7 @@ let test_lru_capacity_and_order () =
 let test_lru_byte_bound () =
   (* Each entry is ~103 bytes (3-byte key + 100-byte value); a 300-byte
      budget holds two. *)
-  let l = Lru.create ~entries:100 ~max_bytes:300 () in
+  let l = Lru.create ~entries:100 ~max_bytes:300 in
   let v = String.make 100 'x' in
   Lru.insert l "k00" v;
   Lru.insert l "k01" v;
@@ -175,15 +175,8 @@ let test_lru_byte_bound () =
   Alcotest.(check (option string)) "k00 evicted" None (Lru.find l "k00");
   Alcotest.(check (option string)) "k02 present" (Some v) (Lru.find l "k02")
 
-let test_lru_disabled () =
-  let l = Lru.create ~entries:0 () in
-  Alcotest.(check bool) "disabled" false (Lru.enabled l);
-  Lru.insert l "a" "1";
-  Alcotest.(check (option string)) "never hits" None (Lru.find l "a");
-  Alcotest.(check int) "no entries" 0 (Lru.stats l).Lru.entries
-
 let test_lru_concurrent_hits () =
-  let l = Lru.create ~entries:64 () in
+  let l = Lru.create ~entries:64 ~max_bytes:(1024 * 1024) in
   let key i = Printf.sprintf "key-%d" i in
   let value i = Printf.sprintf "value-%d" i in
   for i = 0 to 15 do
@@ -325,7 +318,7 @@ let test_shed_default_deadline () =
 
 (* ---- Engine end to end (real sockets, background loop) ---- *)
 
-let with_engine ?(tune = fun (c : Engine.config) -> c) f =
+let with_engine ?(shed_queue = 0) f =
   let saved_workers = Core.Pool.workers () in
   (* Zero workers: Pool.submit runs batches synchronously on the loop
      thread, making dispatch/shed sequencing deterministic. *)
@@ -339,7 +332,7 @@ let with_engine ?(tune = fun (c : Engine.config) -> c) f =
       default_timeout_s = None;
     }
   in
-  let cfg = tune (Engine.default base) in
+  let cfg = { Engine.base; shed_queue } in
   let th =
     Thread.create
       (fun () -> Engine.serve ~stop ~on_port:(fun p -> Atomic.set port p) cfg)
@@ -450,9 +443,7 @@ let test_engine_pipelined_responses_in_order () =
             (contains ~sub:"\"tier\": \"fptas\"" text)))
 
 let test_engine_shed_escalates_and_recovers () =
-  with_engine
-    ~tune:(fun c -> { c with Engine.shed_queue = 1; batch_max = 1 })
-    (fun port ->
+  with_engine ~shed_queue:1 (fun port ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () ->
@@ -507,6 +498,28 @@ let test_engine_shed_escalates_and_recovers () =
               (contains ~sub:"\"lambda_lower\": 0" text)
           end))
 
+let test_load_gen_report () =
+  with_engine (fun port ->
+      let bodies =
+        Array.init 3 (fun i ->
+            Printf.sprintf
+              "{\"topology\": \"rrg:12,6,3\", \"seed\": %d, \"eps\": 0.2, \
+               \"gap\": 0.2}"
+              (20 + i))
+      in
+      let report, rows =
+        Dcn_serve.Load_gen.run ~host:"127.0.0.1" ~port ~bodies ~requests:12
+          ~concurrency:2 ~qps:0.0 ()
+      in
+      let module L = Dcn_serve.Load_gen in
+      Alcotest.(check (list (pair int int))) "all 200" [ (200, 12) ]
+        report.L.by_status;
+      Alcotest.(check bool) "duplicates identical" true
+        report.L.duplicates_identical;
+      Alcotest.(check int) "one connection per worker" 2 report.L.connects;
+      Alcotest.(check int) "no bound-tier answers" 0 report.L.bound_responses;
+      Alcotest.(check int) "a row per request" 12 (Array.length rows))
+
 let test_engine_rejects_oversized_header_with_431 () =
   with_engine (fun port ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -540,8 +553,6 @@ let suite =
       Alcotest.test_case "lru: capacity and eviction order" `Quick
         test_lru_capacity_and_order;
       Alcotest.test_case "lru: byte bound" `Quick test_lru_byte_bound;
-      Alcotest.test_case "lru: disabled at zero entries" `Quick
-        test_lru_disabled;
       Alcotest.test_case "lru: concurrent hits" `Quick test_lru_concurrent_hits;
       Alcotest.test_case "shed: bound covers the FPTAS interval" `Quick
         test_shed_bound_validity;
@@ -557,4 +568,6 @@ let suite =
         test_engine_shed_escalates_and_recovers;
       Alcotest.test_case "engine: oversized header gets 431" `Quick
         test_engine_rejects_oversized_header_with_431;
+      Alcotest.test_case "load_gen: keep-alive report" `Quick
+        test_load_gen_report;
     ] )

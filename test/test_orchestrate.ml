@@ -629,7 +629,6 @@ let test_orchestrator_serial_telemetry () =
         {
           Orchestrator.t_trace = Some trace_path;
           t_event_log = Some elog_path;
-          t_status = false;
           t_worker_info = [];
         }
       in

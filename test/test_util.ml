@@ -142,23 +142,39 @@ let prop_derangement =
 
 (* ---- Parallel ---- *)
 
+(* Size the shared pool for [f], then restore it. *)
+let with_workers n f =
+  let saved = Dcn_util.Pool.workers () in
+  Dcn_util.Pool.set_workers n;
+  Fun.protect ~finally:(fun () -> Dcn_util.Pool.set_workers saved) f
+
 let test_parallel_matches_sequential () =
   let xs = List.init 50 Fun.id in
   let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "same results in order" (List.map f xs)
-    (Dcn_util.Parallel.map ~domains:4 f xs);
-  Alcotest.(check (list int)) "domains=1 fallback" (List.map f xs)
-    (Dcn_util.Parallel.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "empty" [] (Dcn_util.Parallel.map ~domains:4 f [])
+  with_workers 3 (fun () ->
+      Alcotest.(check (list int)) "same results in order" (List.map f xs)
+        (Dcn_util.Parallel.map f xs);
+      Alcotest.(check (array int)) "array variant in order"
+        (Array.map f (Array.of_list xs))
+        (Dcn_util.Parallel.map_array f (Array.of_list xs));
+      Alcotest.(check (list int)) "empty" [] (Dcn_util.Parallel.map f []));
+  with_workers 0 (fun () ->
+      Alcotest.(check (list int)) "serial pool fallback" (List.map f xs)
+        (Dcn_util.Parallel.map f xs))
 
 let test_parallel_propagates_exceptions () =
-  match
-    Dcn_util.Parallel.map ~domains:3
-      (fun x -> if x = 7 then failwith "boom" else x)
-      (List.init 20 Fun.id)
-  with
-  | _ -> Alcotest.fail "expected exception"
-  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg
+  (* Several elements fail; the smallest index's exception wins, as in a
+     serial map. *)
+  with_workers 2 (fun () ->
+      match
+        Dcn_util.Parallel.map
+          (fun x ->
+            if x > 0 && x mod 7 = 0 then failwith (string_of_int x) else x)
+          (List.init 20 Fun.id)
+      with
+      | _ -> Alcotest.fail "expected exception"
+      | exception Failure msg ->
+          Alcotest.(check string) "smallest failing index" "7" msg)
 
 (* ---- Stable_hash ---- *)
 
