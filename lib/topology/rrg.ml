@@ -16,37 +16,86 @@ let until_connected build =
   in
   attempt 0
 
-(* Jellyfish-style incremental construction. Adjacency is tracked in a set
-   of (min,max) pairs; free ports per node in an array. When no two
-   non-adjacent nodes with free ports remain but free ports do, a random
-   existing edge (u,v) with endpoints not adjacent to a free-port node x is
-   removed and replaced by (x,u),(x,v). *)
+(* Jellyfish-style incremental construction. Edges are kept in a set of
+   (min,max) pairs and in per-node neighbour lists; free ports per node in
+   an array. When no two non-adjacent nodes with free ports remain but free
+   ports do, a random existing edge (u,v) with endpoints not adjacent to a
+   free-port node x is removed and replaced by (x,u),(x,v).
+
+   The edge set must stay a polymorphic [Hashtbl] keyed by (min,max)
+   tuples, created at size n*r: the deadlock repair draws from its
+   [Hashtbl.fold] order and the graph is built in its [Hashtbl.iter] order,
+   which fixes the arc ids, so another table (or int keys) would change the
+   draws and renumber the arcs of every Jellyfish graph. Adjacency tests
+   scan the neighbour lists instead. The nodes with free ports are
+   [cand.(0 .. !ncand - 1)], ascending; a node leaves when its last port is
+   used, so every draw picks from the same array a scan of [free] would
+   give. *)
 let jellyfish st ~n ~r =
   check_args ~n ~r;
   let build () =
     let edges = Hashtbl.create (n * r) in
-    let adjacent u v = Hashtbl.mem edges (min u v, max u v) in
-    let add_edge u v = Hashtbl.replace edges (min u v, max u v) () in
-    let remove_edge u v = Hashtbl.remove edges (min u v, max u v) in
-    let free = Array.make n r in
-    let nodes_with_free () =
-      let acc = ref [] in
-      for u = n - 1 downto 0 do
-        if free.(u) > 0 then acc := u :: !acc
+    (* The neighbours of u are nbr.(u * r) .. nbr.(u * r + deg.(u) - 1). *)
+    let nbr = Array.make (n * r) 0 and deg = Array.make n 0 in
+    let adjacent u v =
+      let stop = (u * r) + deg.(u) in
+      let i = ref (u * r) in
+      while !i < stop && nbr.(!i) <> v do
+        incr i
       done;
-      Array.of_list !acc
+      !i < stop
+    in
+    let link u v =
+      nbr.((u * r) + deg.(u)) <- v;
+      deg.(u) <- deg.(u) + 1
+    in
+    let unlink u v =
+      let i = ref (u * r) in
+      while nbr.(!i) <> v do
+        incr i
+      done;
+      deg.(u) <- deg.(u) - 1;
+      nbr.(!i) <- nbr.((u * r) + deg.(u))
+    in
+    (* Only absent edges are added, and [Hashtbl.add] of an absent key is
+       [Hashtbl.replace] without the bucket scan. *)
+    let add_edge u v =
+      Hashtbl.add edges (min u v, max u v) ();
+      link u v;
+      link v u
+    in
+    let remove_edge u v =
+      Hashtbl.remove edges (min u v, max u v);
+      unlink u v;
+      unlink v u
+    in
+    let free = Array.make n r in
+    let cand = Array.init n Fun.id and ncand = ref n in
+    let total_free = ref (n * r) in
+    let pick_cand () = cand.(Random.State.int st !ncand) in
+    (* Take one port of [u]; [u] leaves [cand] with its last one. *)
+    let use u =
+      free.(u) <- free.(u) - 1;
+      decr total_free;
+      if free.(u) = 0 then begin
+        let lo = ref 0 and hi = ref (!ncand - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if cand.(mid) < u then lo := mid + 1 else hi := mid
+        done;
+        Array.blit cand (!lo + 1) cand !lo (!ncand - !lo - 1);
+        decr ncand
+      end
     in
     let rec fill stuck =
-      let candidates = nodes_with_free () in
-      let total_free = Array.fold_left (fun a u -> a + free.(u)) 0 candidates in
-      if total_free = 0 then ()
-      else if Array.length candidates >= 2 && stuck < 200 then begin
-        let u = Dcn_util.Sampling.pick st candidates in
-        let v = Dcn_util.Sampling.pick st candidates in
+      if !total_free = 0 then ()
+      else if !ncand >= 2 && stuck < 200 then begin
+        let u = pick_cand () in
+        let v = pick_cand () in
         if u <> v && not (adjacent u v) then begin
           add_edge u v;
-          free.(u) <- free.(u) - 1;
-          free.(v) <- free.(v) - 1;
+          use u;
+          use v;
           fill 0
         end
         else fill (stuck + 1)
@@ -59,7 +108,7 @@ let jellyfish st ~n ~r =
           Hashtbl.fold (fun (u, v) () acc -> (u, v) :: acc) edges []
           |> Array.of_list
         in
-        let x = Dcn_util.Sampling.pick st candidates in
+        let x = pick_cand () in
         if free.(x) >= 2 then begin
           (* Replace (u,v) with (x,u) and (x,v). *)
           let rec swap tries =
@@ -72,7 +121,8 @@ let jellyfish st ~n ~r =
                 remove_edge u v;
                 add_edge x u;
                 add_edge x v;
-                free.(x) <- free.(x) - 2
+                use x;
+                use x
               end
               else swap (tries + 1)
             end
@@ -84,7 +134,8 @@ let jellyfish st ~n ~r =
              free count is even, so a lone single-port node cannot occur).
              Replace (u,v) with (x,u) and (y,v). *)
           let y =
-            match Array.to_list candidates |> List.filter (fun c -> c <> x) with
+            let live = Array.to_list (Array.sub cand 0 !ncand) in
+            match List.filter (fun c -> c <> x) live with
             | [] -> failwith "Rrg.jellyfish: parity violation"
             | others -> Dcn_util.Sampling.pick st (Array.of_list others)
           in
@@ -98,16 +149,16 @@ let jellyfish st ~n ~r =
                 remove_edge u v;
                 add_edge x u;
                 add_edge y v;
-                free.(x) <- free.(x) - 1;
-                free.(y) <- free.(y) - 1
+                use x;
+                use y
               end
               else if distinct && (not (adjacent x v)) && not (adjacent y u)
               then begin
                 remove_edge u v;
                 add_edge x v;
                 add_edge y u;
-                free.(x) <- free.(x) - 1;
-                free.(y) <- free.(y) - 1
+                use x;
+                use y
               end
               else swap (tries + 1)
             end

@@ -83,45 +83,56 @@ module Multiset = struct
     end
 end
 
+(* Whether (a, b) and (c, d) are the same undirected link. *)
+let same (a : int) (b : int) c d = (a = c && b = d) || (a = d && b = c)
+
+(* The defect score of the link (u, v) if [seen] did not hold the links
+   (a, b) and (c, d), which it does hold: 1000 for a self-loop, 1 for a
+   parallel link (when [avoid_multi]), 0 otherwise. Self-loops must
+   dominate the score by more than any number of parallel links a swap can
+   create: a hub with more ports than peers is forced to keep parallel
+   links, and trading a self-loop for two of them must still count as
+   progress. *)
+let defect seen ~avoid_multi a b c d u v =
+  if u = v then 1000
+  else if not avoid_multi then 0
+  else if
+    Multiset.count seen u v
+    - Bool.to_int (same u v a b)
+    - Bool.to_int (same u v c d)
+    >= 1
+  then 1
+  else 0
+
 (* Swap the second endpoints of pairs i and j if that strictly reduces the
-   number of defects. [defect u v] scores the edge (u, v): 1000 for a
-   self-loop, 1 for a parallel link, 0 otherwise (see [repair]). *)
-let try_swap seen left right i j ~defect =
+   number of defects, scored as if both pairs' links were out of [seen].
+   [seen] changes only when the swap is accepted. The two new links are
+   scored apart: they are the same link only when the old ones are too
+   (no gain either way) or both are self-loops (a gain either way). *)
+let try_swap seen ~avoid_multi left right i j =
   let li = left.(i) and ri = right.(i) and lj = left.(j) and rj = right.(j) in
-  (* Score under the multiset with the old pair removed. *)
-  Multiset.remove seen li ri;
-  Multiset.remove seen lj rj;
-  let before = defect li ri + defect lj rj in
-  let score_i = defect li rj in
-  Multiset.add seen li rj;
-  let score_j = defect lj ri in
-  Multiset.remove seen li rj;
-  let after = score_i + score_j in
-  if after < before then begin
-    Multiset.add seen li rj;
-    Multiset.add seen lj ri;
-    right.(i) <- rj;
-    right.(j) <- ri;
-    true
-  end
-  else begin
-    Multiset.add seen li ri;
-    Multiset.add seen lj rj;
-    false
-  end
+  let before =
+    defect seen ~avoid_multi li ri lj rj li ri
+    + defect seen ~avoid_multi li ri lj rj lj rj
+  in
+  let score_i = defect seen ~avoid_multi li ri lj rj li rj in
+  (* Scores are never negative: a first link that scores [before] alone
+     already rejects the swap. *)
+  score_i < before
+  && score_i + defect seen ~avoid_multi li ri lj rj lj ri < before
+  && begin
+       Multiset.remove seen li ri;
+       Multiset.remove seen lj rj;
+       Multiset.add seen li rj;
+       Multiset.add seen lj ri;
+       right.(i) <- rj;
+       right.(j) <- ri;
+       true
+     end
 
 let repair ?(avoid_multi = true) st ~existing left right =
   let npairs = Array.length left in
   let seen = Multiset.create ~edges:(List.length existing + npairs) in
-  (* Self-loops must dominate the defect score by more than any number of
-     parallel links a swap can create: a hub with more ports than peers is
-     forced to keep parallel links, and trading a self-loop for two of
-     them must still count as progress. *)
-  let defect u v =
-    if u = v then 1000
-    else if avoid_multi && Multiset.count seen u v >= 1 then 1
-    else 0
-  in
   List.iter (fun (u, v) -> Multiset.add seen u v) existing;
   for i = 0 to npairs - 1 do
     Multiset.add seen left.(i) right.(i)
@@ -137,17 +148,15 @@ let repair ?(avoid_multi = true) st ~existing left right =
     let bad = ref 0 in
     for i = 0 to npairs - 1 do
       let u = left.(i) and v = right.(i) in
-      Multiset.remove seen u v;
-      let d = defect u v in
-      Multiset.add seen u v;
-      if d > 0 then begin
+      (* A self-loop, or a link [seen] holds more than once. *)
+      if u = v || (avoid_multi && Multiset.count seen u v >= 2) then begin
         let fixed = ref false in
         let tries = ref 0 in
         while (not !fixed) && !tries < attempts_per_defect do
           let j = Random.State.int st npairs in
           if j <> i then begin
             incr attempts;
-            fixed := try_swap seen left right i j ~defect
+            fixed := try_swap seen ~avoid_multi left right i j
           end;
           incr tries
         done;

@@ -25,43 +25,64 @@ let offsets servers =
   done;
   off
 
-(* Binary search for the switch whose server-id range contains sid. *)
-let switch_of_offsets off n sid =
-  let rec search lo hi =
-    if lo + 1 >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if off.(mid) <= sid then search mid hi else search lo mid
+(* [order] reordered so that [key.(order.(i))] ascends, ties kept in
+   their old order: one counting pass over keys in [0, buckets). *)
+let sort_by_key ~buckets key order =
+  let next = Array.make (buckets + 1) 0 in
+  Array.iter (fun j -> next.(key.(j) + 1) <- next.(key.(j) + 1) + 1) order;
+  for k = 1 to buckets do
+    next.(k) <- next.(k) + next.(k - 1)
+  done;
+  let sorted = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun j ->
+      sorted.(next.(key.(j))) <- j;
+      next.(key.(j)) <- next.(key.(j)) + 1)
+    order;
+  sorted
+
+(* Aggregate the server-level pairs (src.(i), dst.(i)), i < npairs, into
+   switch-level demands, dropping intra-switch pairs. Stable counting sorts
+   by destination switch, then by source switch, put equal (u, v) pairs
+   next to each other in [compare_demand] order; a demand is the length of
+   its run, an exact integer. *)
+let aggregate ~name ~flows_per_server ~servers ~src ~dst npairs =
+  let n = Array.length servers in
+  let switch_of = Array.make (num_servers ~servers) 0 in
+  let first = ref 0 in
+  Array.iteri
+    (fun u count ->
+      Array.fill switch_of !first count u;
+      first := !first + count)
+    servers;
+  let us = Array.make npairs 0 and vs = Array.make npairs 0 in
+  let kept = ref 0 in
+  for i = 0 to npairs - 1 do
+    let u = switch_of.(src.(i)) and v = switch_of.(dst.(i)) in
+    if u <> v then begin
+      us.(!kept) <- u;
+      vs.(!kept) <- v;
+      incr kept
     end
+  done;
+  let order =
+    Array.init !kept Fun.id
+    |> sort_by_key ~buckets:n vs
+    |> sort_by_key ~buckets:n us
   in
-  search 0 n
-
-let server_switch ~servers sid =
-  let off = offsets servers in
-  let n = Array.length servers in
-  if sid < 0 || sid >= off.(n) then invalid_arg "Traffic.server_switch: bad id";
-  switch_of_offsets off n sid
-
-(* Aggregate server-level (src_server, dst_server) pairs into switch-level
-   demands, dropping intra-switch pairs. *)
-let aggregate ~name ~flows_per_server ~servers pairs =
-  let off = offsets servers in
-  let n = Array.length servers in
-  let switch_of = switch_of_offsets off n in
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun (a, b) ->
-      let u = switch_of a and v = switch_of b in
-      if u <> v then begin
-        let prev = try Hashtbl.find tbl (u, v) with Not_found -> 0.0 in
-        Hashtbl.replace tbl (u, v) (prev +. 1.0)
-      end)
-    pairs;
-  let demands =
-    Hashtbl.fold (fun (u, v) d acc -> (u, v, d) :: acc) tbl []
-    |> List.sort compare_demand
-  in
-  { name; demands; flows_per_server }
+  let demands = ref [] and run = ref 0 in
+  for i = !kept - 1 downto 0 do
+    let j = order.(i) in
+    incr run;
+    let starts_run =
+      i = 0 || us.(order.(i - 1)) <> us.(j) || vs.(order.(i - 1)) <> vs.(j)
+    in
+    if starts_run then begin
+      demands := (us.(j), vs.(j), float_of_int !run) :: !demands;
+      run := 0
+    end
+  done;
+  { name; demands = !demands; flows_per_server }
 
 let to_commodities t =
   if List.is_empty t.demands then
@@ -78,11 +99,8 @@ let permutation st ~servers =
   let total = num_servers ~servers in
   if total < 2 then invalid_arg "Traffic.permutation: need at least 2 servers";
   let image = Dcn_util.Sampling.derangement st total in
-  let pairs = ref [] in
-  for s = 0 to total - 1 do
-    pairs := (s, image.(s)) :: !pairs
-  done;
-  aggregate ~name:"permutation" ~flows_per_server:1 ~servers !pairs
+  aggregate ~name:"permutation" ~flows_per_server:1 ~servers
+    ~src:(Array.init total Fun.id) ~dst:image total
 
 let all_to_all ~servers =
   let n = Array.length servers in
@@ -120,19 +138,27 @@ let chunky st ~servers ~fraction =
     if c mod 2 = 1 then c - 1 else c
   in
   Dcn_util.Sampling.shuffle st tors;
-  let pairs = ref [] in
+  (* Every server sources at most one pair. *)
+  let total = num_servers ~servers in
+  let src = Array.make total 0 and dst = Array.make total 0 in
+  let npairs = ref 0 in
+  let add_pair a b =
+    src.(!npairs) <- a;
+    dst.(!npairs) <- b;
+    incr npairs
+  in
   (* ToR-level permutation on the chunky part: pair consecutive ToRs both
      ways; server i of one ToR sends to server i of the other (a
      server-level bijection between the two racks). *)
   let link_tors a b =
     let cnt = min servers.(a) servers.(b) in
     for i = 0 to cnt - 1 do
-      pairs := (off.(a) + i, off.(b) + i) :: !pairs
+      add_pair (off.(a) + i) (off.(b) + i)
     done;
     (* Leftover servers on the bigger rack still send somewhere: wrap
        around the partner's servers. *)
     for i = cnt to servers.(a) - 1 do
-      if servers.(b) > 0 then pairs := (off.(a) + i, off.(b) + (i mod servers.(b))) :: !pairs
+      if servers.(b) > 0 then add_pair (off.(a) + i) (off.(b) + (i mod servers.(b)))
     done
   in
   let i = ref 0 in
@@ -154,11 +180,11 @@ let chunky st ~servers ~fraction =
   let k = Array.length rest in
   if k >= 2 then begin
     let image = Dcn_util.Sampling.derangement st k in
-    Array.iteri (fun idx s -> pairs := (s, rest.(image.(idx))) :: !pairs) rest
+    Array.iteri (fun idx s -> add_pair s rest.(image.(idx))) rest
   end;
   aggregate
     ~name:(Printf.sprintf "chunky-%.0f%%" (fraction *. 100.0))
-    ~flows_per_server:1 ~servers !pairs
+    ~flows_per_server:1 ~servers ~src ~dst !npairs
 
 let hotspot st ~servers ~targets =
   let n = Array.length servers in
@@ -181,10 +207,15 @@ let hotspot st ~servers ~targets =
     |> Array.of_list
   in
   let total = num_servers ~servers in
-  let pairs = ref [] in
+  let src = Array.make total 0 and dst = Array.make total 0 in
+  let npairs = ref 0 in
   for s = 0 to total - 1 do
-    let dst = Dcn_util.Sampling.pick st hot_servers in
-    if dst <> s then pairs := (s, dst) :: !pairs
+    let d = Dcn_util.Sampling.pick st hot_servers in
+    if d <> s then begin
+      src.(!npairs) <- s;
+      dst.(!npairs) <- d;
+      incr npairs
+    end
   done;
   aggregate ~name:(Printf.sprintf "hotspot-%d" targets) ~flows_per_server:1
-    ~servers !pairs
+    ~servers ~src ~dst !npairs

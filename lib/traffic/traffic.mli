@@ -59,8 +59,4 @@ val hotspot :
 
 (** {1 Server-placement helpers} *)
 
-val server_switch : servers:int array -> int -> int
-(** Switch hosting the given global server id (ids are assigned
-    switch-major: switch 0's servers first). *)
-
 val num_servers : servers:int array -> int

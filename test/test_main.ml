@@ -39,4 +39,5 @@ let () =
       Test_documents.suite;
       Test_integration.suite;
       Test_canonical.suite;
+      Test_generator_oracle.suite;
     ]

@@ -7,12 +7,23 @@ let st () = Random.State.make [| 314 |]
 let total_demand = Traffic.total_demand
 
 let test_server_switch_mapping () =
+  (* Server ids are switch-major and skip empty switches: servers 0-1 sit
+     on switch 0 and 2-4 on switch 2. Fully chunky traffic pairs the two
+     racks both ways, so each rack's whole server count lands on the one
+     switch-level demand it sources. *)
   let servers = [| 2; 0; 3 |] in
-  Alcotest.(check int) "first" 0 (Traffic.server_switch ~servers 0);
-  Alcotest.(check int) "second of sw0" 0 (Traffic.server_switch ~servers 1);
-  Alcotest.(check int) "skips empty switch" 2 (Traffic.server_switch ~servers 2);
-  Alcotest.(check int) "last" 2 (Traffic.server_switch ~servers 4);
-  Alcotest.(check int) "count" 5 (Traffic.num_servers ~servers)
+  Alcotest.(check int) "count" 5 (Traffic.num_servers ~servers);
+  let tm = Traffic.chunky (st ()) ~servers ~fraction:1.0 in
+  Alcotest.(check (list (triple int int (float 0.0))))
+    "rack to rack" [ (0, 2, 2.0); (2, 0, 3.0) ] tm.Traffic.demands;
+  for seed = 0 to 19 do
+    let tm = Traffic.permutation (Random.State.make [| seed |]) ~servers in
+    List.iter
+      (fun (u, v, d) ->
+        if u = 1 || v = 1 then Alcotest.fail "demand on the empty switch";
+        if d > float_of_int servers.(u) then Alcotest.fail "more than the rack")
+      tm.Traffic.demands
+  done
 
 let test_permutation_conserves_flows () =
   let servers = [| 5; 5; 5; 5 |] in

@@ -169,6 +169,29 @@ let test_pin_rrg_pairing () =
   Alcotest.(check string) "Rrg pairing" "112691f2e9026358c3121e2e9047a952"
     (graph_digest t.Topology.graph)
 
+(* The default (Jellyfish) construction is not built on [Wiring], but it
+   is pinned here with the others: the perfbench serve store instance and
+   the perfbench solve instance, plus the latter's permutation traffic as
+   [Traffic_io] text (traffic from stream [seed; 1], as the CLI draws it). *)
+let test_pin_rrg_jellyfish () =
+  let rrg ~seed ~n ~k ~r =
+    Dcn_topology.Rrg.topology (Random.State.make [| seed |]) ~n ~k ~r
+  in
+  Alcotest.(check string) "rrg:40,12,8 seed 2001"
+    "ceacf904aa28d636d254f79fd1be15ed"
+    (graph_digest (rrg ~seed:2001 ~n:40 ~k:12 ~r:8).Topology.graph);
+  let t = rrg ~seed:1 ~n:200 ~k:24 ~r:12 in
+  Alcotest.(check string) "rrg:200,24,12 seed 1"
+    "9078753cb9509a5091926af7589b81ba"
+    (graph_digest t.Topology.graph);
+  let tm =
+    Dcn_traffic.Traffic.permutation (Random.State.make [| 1; 1 |])
+      ~servers:t.Topology.servers
+  in
+  Alcotest.(check string) "rrg:200,24,12 seed 1 permutation"
+    "da778d949515b1530c99264801c976f5"
+    (Digest.to_hex (Digest.string (Dcn_io.Traffic_io.to_string tm)))
+
 let test_pin_bare_matchings () =
   let st = Random.State.make [| 32 |] in
   let existing = [ (0, 1); (1, 2); (2, 3); (0, 1) ] in
@@ -205,5 +228,6 @@ let suite =
       Alcotest.test_case "pin power-law ports" `Quick test_pin_power_law;
       Alcotest.test_case "pin Rewire.create" `Quick test_pin_rewire;
       Alcotest.test_case "pin rrg pairing" `Quick test_pin_rrg_pairing;
+      Alcotest.test_case "pin rrg jellyfish" `Quick test_pin_rrg_jellyfish;
       Alcotest.test_case "pin bare matchings" `Quick test_pin_bare_matchings;
     ] )
